@@ -1,10 +1,12 @@
 """Command-line front end.
 
 One verb per pipeline stage: validate, classify, compile, solve, perfect,
-submodular, bench. Machine-readable output (JSON, or CSV for bench) goes to
-standard output; diagnostics to standard error. Exit codes: 0 success,
-1 negative verdict (intractable / not perfect / infeasible), 2 input error,
-3 resource cap exceeded.
+submodular, bench. `solve --method auto|blocks` solves tractable pairwise
+blocks by bipartite min cut; `--method bnb` runs capped branch and bound.
+Machine-readable output (JSON, or CSV for bench) goes to standard output;
+diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
+(intractable / not perfect / infeasible), 2 input error, 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_arg=True):
+    def common(p):
         p.add_argument("--eps", type=float, default=DEFAULT_EPS)
         p.add_argument("--out", default=None, help="write the report here")
 
@@ -287,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     common(p)
     p.add_argument(
-        "--method", default="auto", choices=("auto", "blocks", "bipartite", "bnb")
+        "--method", default="auto", choices=("auto", "blocks", "bnb")
     )
     p.add_argument("--max-nodes", type=int, default=DEFAULT_BNB_CAP)
     p.add_argument("--oracle-check", action="store_true")

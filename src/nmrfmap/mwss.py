@@ -1,14 +1,16 @@
 """Stable-set solvers and the end-to-end MAP pipeline.
 
-Two exact solvers operate on pruned NMRFs: a bipartite specialization via
-max-flow minimum weighted vertex cover, and a branch-and-bound search for
-the small non-bipartite blocks. `solve_map` classifies the topology, solves
-each block conditioned on the labels of its parent cut vertex, and combines
-block maxima over the block tree.
+`solve_map` classifies the topology and solves every tractable block with
+one exact core, bipartite MWSS via max-flow minimum weighted vertex cover:
+fixing the block's parent cut vertex, and in a T/U block one hub, leaves a
+BR block whose single-enode NMRF is bipartite. Block maxima are combined
+over the block tree in one post-order pass. Branch and bound on the whole
+pruned NMRF (`method="bnb"`) handles small models of any order and labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -25,15 +27,14 @@ from .model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
     Model,
-    Potential,
     REPULSIVE,
     SignedGraph,
     associativity,
     energy,
     require_binary_pairwise,
 )
-from .nmrf import Nmrf, PrunedNmrf, apply_enode_plan, build_nmrf, prune
-from .structure import classify_graph
+from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, reparameterize_edge
+from .structure import Block, BlockClass, _signed_two_color, classify_graph
 
 DEFAULT_BNB_CAP = 40
 
@@ -366,113 +367,6 @@ def _pw_signed_graph(pw: _Pairwise) -> SignedGraph:
 # block-tree conditioning
 
 
-def _solve_pruned(pruned: PrunedNmrf, bipartite: bool, max_nodes: int) -> float:
-    weights, edges, _ = pruned.subgraph()
-    if not weights:
-        return pruned.base.constant
-    if bipartite:
-        sides = two_color(len(weights), edges)
-        if sides is None:
-            raise NotBipartiteError("pruned block NMRF is not bipartite")
-        sol = mwss_bipartite(weights, edges, sides)
-    else:
-        sol = mwss_branch_bound(weights, edges, max_nodes)
-    return sol.weight + pruned.base.constant
-
-
-def _pw_value(
-    pw: _Pairwise,
-    eps: float,
-    max_nodes: int,
-    force_bipartite: bool = False,
-) -> float:
-    """Optimal objective of a canonical pairwise problem (no assignment)."""
-    report = classify_graph(_pw_signed_graph(pw))
-    if not report.tractable:
-        witness = next(
-            c.witness for c in report.classes if c.kind == "INTRACTABLE"
-        )
-        raise IntractableTopologyError(tuple(pw.names[v] for v in witness))
-    blocks = report.tree.blocks
-    classes = report.classes
-    names = pw.names
-
-    blocks_at: dict[int, list[int]] = defaultdict(list)
-    for bi, block in enumerate(blocks):
-        for v in block.vertices:
-            if v in report.tree.cut_vertices:
-                blocks_at[v].append(bi)
-
-    def g_cut(c: int, parent_block: int) -> tuple[float, float]:
-        s0, s1 = pw.singles.get(c, (0.0, 0.0))
-        for bi in blocks_at[c]:
-            if bi == parent_block:
-                continue
-            f0, f1 = f_block(bi, c)
-            s0 += f0
-            s1 += f1
-        return s0, s1
-
-    def f_block(bi: int, parent_cut: Optional[int]):
-        block = blocks[bi]
-        cls = classes[bi]
-        local_names = tuple(names[v] for v in block.vertices)
-        variables = tuple((nm, 2) for nm in local_names)
-        potentials: list[Potential] = []
-        for v, nm in zip(block.vertices, local_names):
-            if v == parent_cut:
-                table = (0.0, 0.0)
-            elif v in report.tree.cut_vertices:
-                table = g_cut(v, bi)
-            else:
-                table = pw.singles.get(v, (0.0, 0.0))
-            potentials.append(Potential((nm,), table))
-        plan_by_name = {}
-        for u, v, _sign in block.edges:
-            lo, hi = (u, v) if u < v else (v, u)
-            potentials.append(Potential((names[lo], names[hi]), pw.edges[(lo, hi)]))
-            plan_by_name[(names[lo], names[hi])] = report.plan[(lo, hi)]
-        sub = Model(variables, tuple(potentials))
-        reparam = apply_enode_plan(sub, plan_by_name, eps)
-        pruned = prune(build_nmrf(reparam), eps)
-        bipartite = force_bipartite or cls.kind == "BR"
-        if parent_cut is None:
-            return _solve_pruned(pruned, bipartite, max_nodes)
-        pname = names[parent_cut]
-        out = []
-        for label in (0, 1):
-            kept = tuple(
-                nid
-                for nid in pruned.kept
-                if pruned.base.nodes[nid].assignment_map().get(pname, label) == label
-            )
-            clamped = PrunedNmrf(pruned.base, kept, eps)
-            out.append(_solve_pruned(clamped, bipartite, max_nodes))
-        return tuple(out)
-
-    total = pw.constant
-    visited: set[int] = set()
-    # Root one DP at an arbitrary block of each component of the block forest.
-    comp_of: dict[int, int] = {}
-    for bi in range(len(blocks)):
-        if bi in comp_of:
-            continue
-        stack = [bi]
-        comp_of[bi] = bi
-        members = []
-        while stack:
-            cur = stack.pop()
-            members.append(cur)
-            for v in blocks[cur].vertices:
-                for other in blocks_at.get(v, ()):
-                    if other not in comp_of:
-                        comp_of[other] = bi
-                        stack.append(other)
-        total += f_block(bi, None)
-        visited.update(members)
-    return total
-
-
 def _clamp(pw: _Pairwise, v: int, label: int) -> _Pairwise:
     """Fix vertex v to `label`, folding its mass into neighbors and constant."""
     singles = dict(pw.singles)
@@ -492,6 +386,112 @@ def _clamp(pw: _Pairwise, v: int, label: int) -> _Pairwise:
     return _Pairwise(pw.names, singles, edges, constant)
 
 
+def _br_value(vertices: Sequence[int], pw: _Pairwise, eps: float) -> float:
+    """Optimal objective of a canonical pairwise problem on BR `vertices`.
+
+    Each edge (u, v) becomes the single enode (side[u], side[v]) of the
+    signed two-coloring. An enode conflicts only with snodes off their
+    vertex's side, so enodes and snodes are the sides of one bipartite MWSS.
+    """
+    side, _ = _signed_two_color(vertices, _pw_signed_graph(pw).edges)
+    singles = {v: list(s) for v, s in pw.singles.items()}
+    enodes = []
+    for (u, v), t in pw.edges.items():
+        rep = reparameterize_edge(t, (side[u], side[v]), eps)
+        enodes.append((u, v, rep.weight))
+        for x, delta in ((u, rep.delta_u), (v, rep.delta_v)):
+            s = singles.setdefault(x, [0.0, 0.0])
+            s[0] += delta[0]
+            s[1] += delta[1]
+    total = pw.constant
+    weights: list[float] = []
+    off_side: dict[int, int] = {}  # vertex -> its snode, if off its side
+    for v, (w0, w1) in singles.items():
+        total += min(w0, w1)
+        if int(w1 > w0) != side[v]:
+            off_side[v] = len(weights)
+        weights.append(abs(w1 - w0))
+    sides = [1] * len(weights)
+    edges = []
+    for u, v, w in enodes:
+        edges += [(len(weights), off_side[x]) for x in (u, v) if x in off_side]
+        weights.append(w)
+        sides.append(0)
+    return total + mwss_bipartite(weights, edges, sides).weight
+
+
+def _block_values(
+    pw: _Pairwise,
+    block: Block,
+    cls: BlockClass,
+    parent: Optional[int],
+    unary: Mapping[int, tuple[float, float]],
+    eps: float,
+) -> list[float]:
+    """Best value of a block's own terms for each labeling of its fixed
+    vertices: the parent cut vertex, if any, and in a T/U block hub s unless
+    the parent is a hub. What is left is BR.
+    """
+    fixed = [] if parent is None else [parent]
+    if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
+        fixed.append(cls.params["s"])
+    free = [v for v in block.vertices if v not in fixed]
+    singles = {v: unary[v] for v in block.vertices if v != parent and v in unary}
+    edges = {(u, v): pw.edges[(u, v)] for u, v, _sign in block.edges}
+    local = _Pairwise(pw.names, singles, edges, 0.0)
+    values = []
+    for labels in itertools.product((0, 1), repeat=len(fixed)):
+        cur = local
+        for v, label in zip(fixed, labels):
+            cur = _clamp(cur, v, label)
+        values.append(_br_value(free, cur, eps))
+    return values
+
+
+def _pw_value(pw: _Pairwise, eps: float) -> float:
+    """Optimal objective of a canonical pairwise problem (no assignment)."""
+    report = classify_graph(_pw_signed_graph(pw))
+    if not report.tractable:
+        witness = next(
+            c.witness for c in report.classes if c.kind == "INTRACTABLE"
+        )
+        raise IntractableTopologyError(tuple(pw.names[v] for v in witness))
+    blocks = report.tree.blocks
+    blocks_at: dict[int, list[int]] = defaultdict(list)
+    for bi, block in enumerate(blocks):
+        for v in block.vertices:
+            blocks_at[v].append(bi)
+
+    # Root each component of the block forest at its lowest block; every
+    # block comes after its parent in `order`.
+    parent: dict[int, Optional[int]] = {}
+    order: list[int] = []
+    for root in range(len(blocks)):
+        stack = [] if root in parent else [(root, None)]
+        while stack:
+            bi, c = stack.pop()
+            parent[bi] = c
+            order.append(bi)
+            for v in blocks[bi].vertices:
+                if v != c:
+                    stack += [(b, v) for b in blocks_at[v] if b not in parent]
+
+    # Post-order: a solved block adds its best value per label to its parent
+    # cut vertex's unary before the block that owns that vertex is solved.
+    unary = dict(pw.singles)
+    total = pw.constant
+    for bi in reversed(order):
+        c = parent[bi]
+        values = _block_values(pw, blocks[bi], report.classes[bi], c, unary, eps)
+        if c is None:
+            total += max(values)
+        else:
+            half = len(values) // 2  # the parent's label varies slowest
+            u0, u1 = unary.get(c, (0.0, 0.0))
+            unary[c] = (u0 + max(values[:half]), u1 + max(values[half:]))
+    return total
+
+
 def solve_map(
     model: Model,
     method: str = "auto",
@@ -501,33 +501,30 @@ def solve_map(
     """Exact MAP inference; see module docstring for the method menu."""
     if method == "bnb":
         return solve_map_bnb(model, eps, max_nodes)
-    if method not in ("auto", "blocks", "bipartite"):
+    if method not in ("auto", "blocks"):
         raise ValueError(f"unknown method {method!r}")
     require_binary_pairwise(model)
-    force_bipartite = method == "bipartite"
     pw = _canonicalize(model, eps)
-    best = _pw_value(pw, eps, max_nodes, force_bipartite)
+    best = _pw_value(pw, eps)
     tol = 1e-7 * max(1.0, abs(best))
     assignment: dict[str, int] = {}
     cur = pw
     for v, name in enumerate(pw.names):
         clamped = _clamp(cur, v, 0)
-        val0 = _pw_value(clamped, eps, max_nodes, force_bipartite)
+        val0 = _pw_value(clamped, eps)
         if val0 >= best - tol:
             assignment[name] = 0
             cur, best = clamped, val0
         else:
             assignment[name] = 1
             cur = _clamp(cur, v, 1)
-            best = _pw_value(cur, eps, max_nodes, force_bipartite)
+            best = _pw_value(cur, eps)
     objective = energy(model, assignment)
     if abs(objective - best) > 1e-6 * max(1.0, abs(objective)):
         raise ObjectiveMismatchError(
             f"decoded objective {objective!r} != solver value {best!r}"
         )
-    return MapSolution(
-        assignment, objective, "bipartite" if force_bipartite else "blocks"
-    )
+    return MapSolution(assignment, objective, "blocks")
 
 
 def solve_map_bnb(

@@ -187,7 +187,6 @@ def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeRep
     g[j] = psi(1 - i, j)
     g[1 - j] = psi(1 - i, 1 - j)
     f[i] = psi(i, 1 - j) - g[1 - j]
-    surviving = psi(i, j) - f[i] - g[j]
     return EdgeReparam((i, j), abs(a), (f[0], f[1]), (g[0], g[1]), 0.0)
 
 

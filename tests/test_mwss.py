@@ -15,8 +15,17 @@ from nmrfmap.generators import (
     random_tractable_model,
     random_weighted_graph,
 )
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE, energy, validate_model
+import nmrfmap.mwss
+from nmrfmap.model import (
+    ASSOCIATIVE,
+    DEFAULT_EPS,
+    REPULSIVE,
+    energy,
+    validate_model,
+)
 from nmrfmap.mwss import (
+    _canonicalize,
+    _pw_value,
     decode_map,
     mmwss_complete,
     mwss_bipartite,
@@ -27,6 +36,7 @@ from nmrfmap.mwss import (
 )
 from nmrfmap.nmrf import build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
+from nmrfmap.structure import classify_model
 
 
 def test_bipartite_solver_matches_brute_force():
@@ -130,10 +140,10 @@ def test_bipartite_method_on_balanced_models():
     ]
     for _ in range(10):
         model = model_from_signed_edges(5, edges, rng)
-        sol = solve_map(model, method="bipartite")
+        sol = solve_map(model)
         ref = brute_force_map(model)
         assert sol.objective == pytest.approx(ref.objective)
-        assert sol.method == "bipartite"
+        assert sol.assignment == ref.assignment
 
 
 def test_solve_map_refuses_intractable_topology():
@@ -189,3 +199,95 @@ def test_block_chain_solved_exactly():
     ref = brute_force_map(model)
     assert sol.objective == pytest.approx(ref.objective)
     assert sol.assignment == ref.assignment
+
+
+def _hub_oracle(model, n_spokes):
+    """Max over the four hub labelings of the hub terms plus each spoke's
+    independent best label. The hubs are X1 and X2, the spokes X3 onwards."""
+    table = {p.scope: p.table for p in model.potentials}
+    s, t = "X1", "X2"
+    best = None
+    for a, b in itertools.product((0, 1), repeat=2):
+        value = table[(s,)][a] + table[(t,)][b] + table[(s, t)][2 * a + b]
+        labels = {s: a, t: b}
+        for i in range(n_spokes):
+            v = f"X{i + 3}"
+            spoke = [
+                table[(v,)][x] + table[(s, v)][2 * a + x] + table[(t, v)][2 * b + x]
+                for x in (0, 1)
+            ]
+            labels[v] = int(spoke[1] > spoke[0])
+            value += max(spoke)
+        if best is None or value > best[0]:
+            best = (value, labels)
+    return best
+
+
+@pytest.mark.parametrize("n_spokes", [20, 40])
+@pytest.mark.parametrize("kind", ["T", "U"])
+def test_wide_hub_blocks_solved_exactly(kind, n_spokes):
+    rng = np.random.default_rng(97 + n_spokes)
+    if kind == "T":  # T_{m,n}: m repulsive and n associative spoke pairs
+        edges = [(0, 1, REPULSIVE)]
+        for i in range(n_spokes):
+            sign = REPULSIVE if i % 2 else ASSOCIATIVE
+            edges += [(0, i + 2, sign), (1, i + 2, sign)]
+    else:  # U_n: associative base, mixed spokes
+        edges = [(0, 1, ASSOCIATIVE)]
+        for i in range(n_spokes):
+            legs = (ASSOCIATIVE, REPULSIVE) if i % 2 else (REPULSIVE, ASSOCIATIVE)
+            edges += [(0, i + 2, legs[0]), (1, i + 2, legs[1])]
+    model = model_from_signed_edges(n_spokes + 2, edges, rng)
+    (cls,) = classify_model(model).classes
+    assert cls.kind == kind
+    value, labels = _hub_oracle(model, n_spokes)
+    sol = solve_map(model)
+    assert sol.objective == pytest.approx(value)
+    assert energy(model, sol.assignment) == sol.objective
+    assert energy(model, labels) == pytest.approx(value)
+
+
+def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tractable blocks must use the bipartite core")
+
+    monkeypatch.setattr(nmrfmap.mwss, "mwss_branch_bound", refuse)
+    monkeypatch.setattr(nmrfmap.mwss, "build_nmrf", refuse)
+    rng = np.random.default_rng(101)
+    hub_blocks = 0
+    for _ in range(40):
+        model = random_tractable_model(rng)
+        hub_blocks += sum(
+            c.kind in ("T", "U") for c in classify_model(model).classes
+        )
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == pytest.approx(ref.objective)
+        assert sol.assignment == ref.assignment
+    assert hub_blocks >= 10
+
+
+def test_value_pass_on_deep_block_chain():
+    n_blocks = 10**4
+    model = block_chain_model(n_blocks)
+    table = {p.scope: p.table for p in model.potentials}
+    names = model.names
+    # variable elimination along the chain s - (v) - t of triangle blocks
+    best = list(table[(names[0],)])
+    for b in range(n_blocks):
+        s, v, t = names[2 * b : 2 * b + 3]
+        best = [
+            max(
+                best[x]
+                + table[(v,)][y]
+                + table[(s, v)][2 * x + y]
+                + table[(s, t)][2 * x + z]
+                + table[(v, t)][2 * y + z]
+                for x in (0, 1)
+                for y in (0, 1)
+            )
+            + table[(t,)][z]
+            for z in (0, 1)
+        ]
+    value = _pw_value(_canonicalize(model, DEFAULT_EPS), DEFAULT_EPS)
+    assert value == pytest.approx(max(best))

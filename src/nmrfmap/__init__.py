@@ -82,6 +82,7 @@ from .mwss import (
     mmwss_complete,
     mwss_bipartite,
     mwss_branch_bound,
+    objective_tolerance,
     solve_map,
     solve_map_bnb,
 )

@@ -5,8 +5,11 @@ submodular, bench. `solve --method auto|blocks` solves tractable pairwise
 blocks by bipartite min cut; `--method bnb` runs capped branch and bound.
 Machine-readable output (JSON, or CSV for bench) goes to standard output;
 diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
-(intractable / not perfect / infeasible), 2 input error, 3 resource cap
-exceeded.
+(intractable / not perfect / infeasible / oracle disagreement), 2 input
+error, 3 resource cap exceeded, 4 internal error (a solver fault:
+NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError).
+`--oracle-check` accepts an objective within `objective_tolerance` of the
+brute-force optimum, the tolerance `solve_map` itself checks against.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ import time
 
 import numpy as np
 
-from .errors import ModelFormatError, NmrfmapError, TooLargeError
+from .errors import (
+    InconsistentCompletionError,
+    ModelFormatError,
+    NmrfmapError,
+    NotBipartiteError,
+    ObjectiveMismatchError,
+    TooLargeError,
+)
 from .generators import (
     block_chain_model,
     random_signed_model,
@@ -31,7 +41,12 @@ from .model import (
     model_from_json_file,
     model_to_json,
 )
-from .mwss import DEFAULT_BNB_CAP, map_solution_to_json, solve_map
+from .mwss import (
+    DEFAULT_BNB_CAP,
+    map_solution_to_json,
+    objective_tolerance,
+    solve_map,
+)
 from .nmrf import (
     apply_enode_plan,
     build_nmrf,
@@ -61,6 +76,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(doc, out_path):
@@ -130,9 +146,7 @@ def _cmd_solve(args) -> int:
     doc = map_solution_to_json(sol)
     if args.oracle_check:
         ref = brute_force_map(model)
-        agree = abs(ref.objective - sol.objective) <= 1e-6 * max(
-            1.0, abs(ref.objective)
-        )
+        agree = abs(ref.objective - sol.objective) <= objective_tolerance(model)
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:
             _emit(doc, args.out)
@@ -210,10 +224,8 @@ def _cmd_bench(args) -> int:
             elapsed = time.perf_counter() - t0
             status = "ok"
             if args.oracle_check:
-                ref = brute_force_map(model)
-                agree = abs(ref.objective - sol.objective) <= 1e-6 * max(
-                    1.0, abs(ref.objective)
-                )
+                gap = abs(brute_force_map(model).objective - sol.objective)
+                agree = gap <= objective_tolerance(model)
                 status = "agree" if agree else "disagree"
             rows.append((args.family, i, len(model.variables), elapsed, status))
         elif args.family == "random-signed":
@@ -329,6 +341,10 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except (NotBipartiteError, ObjectiveMismatchError,
+            InconsistentCompletionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ModelFormatError, FileNotFoundError, json.JSONDecodeError,
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,16 @@
 """Stable-set solvers and the end-to-end MAP pipeline.
 
-`solve_map` classifies the topology and solves every tractable block with
-one exact core, bipartite MWSS via max-flow minimum weighted vertex cover:
-fixing the block's parent cut vertex, and in a T/U block one hub, leaves a
-BR block whose single-enode NMRF is bipartite. Block maxima are combined
-over the block tree in one post-order pass. Branch and bound on the whole
-pruned NMRF (`method="bnb"`) handles small models of any order and labels.
+`solve_map` classifies the topology once and solves every tractable block
+with one exact core, bipartite MWSS via max-flow minimum weighted vertex
+cover: fixing the block's parent cut vertex, and in a T/U block one hub,
+leaves a BR block whose single-enode NMRF is bipartite. One value pass
+combines the block maxima over the block tree in post-order and keeps the
+residual graph of each optimal min cut. The closed sets of a residual graph
+are exactly the optimal cuts (Picard and Queyranne, 1980), so the decode
+reads the lexicographically smallest optimal assignment off these graphs by
+closure propagation, in time linear in their size, without solving again.
+Branch and bound on the whole pruned NMRF (`method="bnb"`) handles small
+models of any order and labels.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -37,12 +42,21 @@ from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, reparameterize_edge
 from .structure import Block, BlockClass, _signed_two_color, classify_graph
 
 DEFAULT_BNB_CAP = 40
+# Objective error allowed per unit of table magnitude (see objective_tolerance).
+TOLERANCE = 1e-9
+# Capacities and unary gaps at most this are float-rounding ties: max flow
+# saturates such arcs, residual closures skip them, and a block vertex or an
+# isolated vertex whose label preference is this small stays free to decode.
+_FLOW_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class StableSetSolution:
     nodes: tuple[int, ...]
     weight: float
+    # Residual network of the max flow behind a bipartite solution: nodes
+    # 0..n-1, then source n and sink n + 1.
+    residual: Optional["_Dinic"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,17 @@ class MapSolution:
     assignment: dict[str, int]
     objective: float
     method: str
+
+
+def _magnitude(tables) -> float:
+    return sum(max(abs(x) for x in t) for t in tables)
+
+
+def objective_tolerance(model: Model) -> float:
+    """Largest accepted gap between a returned objective and the optimum:
+    TOLERANCE times the sum of each table's largest |entry|, or TOLERANCE
+    if that sum is below 1."""
+    return TOLERANCE * max(1.0, _magnitude(p.table for p in model.potentials))
 
 
 def map_solution_to_json(sol: MapSolution) -> dict:
@@ -89,7 +114,7 @@ class _Dinic:
             qi += 1
             for eid in self.head[u]:
                 v = self.to[eid]
-                if self.cap[eid] > 1e-12 and level[v] < 0:
+                if self.cap[eid] > _FLOW_EPS and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         self.level = level
@@ -101,7 +126,7 @@ class _Dinic:
         while it[u] < len(self.head[u]):
             eid = self.head[u][it[u]]
             v = self.to[eid]
-            if self.cap[eid] > 1e-12 and self.level[v] == self.level[u] + 1:
+            if self.cap[eid] > _FLOW_EPS and self.level[v] == self.level[u] + 1:
                 pushed = self._dfs(v, t, min(f, self.cap[eid]), it)
                 if pushed > 0:
                     self.cap[eid] -= pushed
@@ -121,19 +146,31 @@ class _Dinic:
                 flow += pushed
         return flow
 
-    def reachable(self, s):
-        seen = {s}
-        queue = [s]
+    def close(self, state, node, mark):
+        """Put `node` on side `mark` (1 source, -1 sink) in `state`, with
+        every node the residual arcs force there too: all it reaches on the
+        source side, all that reach it on the sink side. Returns the nodes
+        newly placed. Each closed set of the residual graph is one min cut.
+        """
+        to, cap, head = self.to, self.cap, self.head
+        back = 0 if mark > 0 else 1
+        state[node] = mark
+        queue = [node]
         qi = 0
         while qi < len(queue):
             u = queue[qi]
             qi += 1
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 1e-12 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+            for eid in head[u]:
+                if cap[eid ^ back] > _FLOW_EPS:
+                    v = to[eid]
+                    if state[v] == 0:
+                        state[v] = mark
+                        queue.append(v)
+                    elif state[v] != mark:
+                        raise InconsistentCompletionError(
+                            f"residual arc forces flow node {v} to both sides"
+                        )
+        return queue
 
 
 def two_color(n: int, edges) -> Optional[list[int]]:
@@ -164,7 +201,12 @@ def two_color(n: int, edges) -> Optional[list[int]]:
 def mwss_bipartite(
     weights: Sequence[float], edges, sides: Sequence[int]
 ) -> StableSetSolution:
-    """Exact MWSS on a bipartite weighted graph via the canonical min cut."""
+    """Exact MWSS on a bipartite weighted graph via the canonical min cut.
+
+    The solution keeps the flow's residual network: side-0 nodes on its
+    source side and side-1 nodes on its sink side form a maximum-weight
+    stable set exactly when that side is closed under residual arcs.
+    """
     n = len(weights)
     for u, v in edges:
         if sides[u] == sides[v]:
@@ -181,13 +223,10 @@ def mwss_bipartite(
             u, v = v, u
         flow.add(u, v, math.inf)
     flow.max_flow(src, sink)
-    reach = flow.reachable(src)
-    chosen = tuple(
-        i
-        for i in range(n)
-        if (sides[i] == 0 and i in reach) or (sides[i] == 1 and i not in reach)
-    )
-    return StableSetSolution(chosen, sum(weights[i] for i in chosen))
+    state = [0] * (n + 2)
+    flow.close(state, src, 1)
+    chosen = tuple(i for i in range(n) if (state[i] == 1) == (sides[i] == 0))
+    return StableSetSolution(chosen, sum(weights[i] for i in chosen), flow)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +361,16 @@ class _Pairwise:
     singles: dict[int, tuple[float, float]]
     edges: dict[tuple[int, int], tuple[float, float, float, float]]
     constant: float
+    # Bound on how far folding near-zero-associativity edges moved any
+    # labeling's objective.
+    slack: float = 0.0
 
 
 def _canonicalize(model: Model, eps: float) -> _Pairwise:
     index = model.index
     singles: dict[int, tuple[float, float]] = {}
     edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    constant = 0.0
+    constant = slack = 0.0
     for p in model.potentials:
         if len(p.scope) == 1:
             i = index[p.scope[0]]
@@ -350,9 +392,10 @@ def _canonicalize(model: Model, eps: float) -> _Pairwise:
             s = singles.get(v, (0.0, 0.0))
             singles[v] = (s[0] + fv[0], s[1] + fv[1])
             constant += c
+            slack += abs(a) / 4.0
         else:
             edges[(u, v)] = (t00, t01, t10, t11)
-    return _Pairwise(model.names, singles, edges, constant)
+    return _Pairwise(model.names, singles, edges, constant, slack)
 
 
 def _pw_signed_graph(pw: _Pairwise) -> SignedGraph:
@@ -386,12 +429,47 @@ def _clamp(pw: _Pairwise, v: int, label: int) -> _Pairwise:
     return _Pairwise(pw.names, singles, edges, constant)
 
 
-def _br_value(vertices: Sequence[int], pw: _Pairwise, eps: float) -> float:
-    """Optimal objective of a canonical pairwise problem on BR `vertices`.
+@dataclass
+class _Cut:
+    """The min cut that solved a block for one labeling of its pinned
+    vertices, kept for the decode.
+
+    A free vertex in `snode` takes label side[v] while its snode lies on the
+    source side and the other label on the sink side; every other vertex of
+    the block has its label in `labels`. `state` holds, per flow node, the
+    side (1 source, -1 sink) that every optimal cut still allowed puts it
+    on, 0 while both remain; `alive` turns false once no optimal assignment
+    uses this cut.
+    """
+
+    labels: dict[int, int]
+    snode: dict[int, int]  # vertex -> flow node of its snode
+    vertex: list[int]  # snode -> its vertex
+    side: dict[int, int]
+    flow: _Dinic
+    state: list[int] = field(default_factory=list)
+    alive: bool = True
+
+    def allowed(self, v: int) -> tuple[int, ...]:
+        node = self.snode.get(v)
+        if node is None:
+            return (self.labels[v],)
+        mark = self.state[node]
+        if not mark:
+            return (0, 1)
+        return (self.side[v] if mark > 0 else 1 - self.side[v],)
+
+
+def _br_value(vertices: Sequence[int], pw: _Pairwise, eps: float):
+    """Optimal objective of a canonical pairwise problem on BR `vertices`,
+    and the min cut that attains it.
 
     Each edge (u, v) becomes the single enode (side[u], side[v]) of the
-    signed two-coloring. An enode conflicts only with snodes off their
-    vertex's side, so enodes and snodes are the sides of one bipartite MWSS.
+    signed two-coloring. A vertex whose unary prefers its side by more than
+    _FLOW_EPS takes it in every optimum and needs no node. Any other vertex
+    gets an snode for the other label, of weight >= 0 (0 on a tie); it
+    conflicts with the vertex's enodes, so enodes and snodes are the sides
+    of one bipartite MWSS.
     """
     side, _ = _signed_two_color(vertices, _pw_signed_graph(pw).edges)
     singles = {v: list(s) for v, s in pw.singles.items()}
@@ -405,19 +483,24 @@ def _br_value(vertices: Sequence[int], pw: _Pairwise, eps: float) -> float:
             s[1] += delta[1]
     total = pw.constant
     weights: list[float] = []
-    off_side: dict[int, int] = {}  # vertex -> its snode, if off its side
-    for v, (w0, w1) in singles.items():
-        total += min(w0, w1)
-        if int(w1 > w0) != side[v]:
-            off_side[v] = len(weights)
-        weights.append(abs(w1 - w0))
+    labels: dict[int, int] = {}
+    snode: dict[int, int] = {}
+    for v, w in singles.items():
+        on, off = w[side[v]], w[1 - side[v]]
+        total += on
+        if on - off > _FLOW_EPS:
+            labels[v] = side[v]
+        else:
+            snode[v] = len(weights)
+            weights.append(max(off - on, 0.0))
     sides = [1] * len(weights)
     edges = []
     for u, v, w in enodes:
-        edges += [(len(weights), off_side[x]) for x in (u, v) if x in off_side]
+        edges += [(len(weights), snode[x]) for x in (u, v) if x in snode]
         weights.append(w)
         sides.append(0)
-    return total + mwss_bipartite(weights, edges, sides).weight
+    sol = mwss_bipartite(weights, edges, sides)
+    return total + sol.weight, _Cut(labels, snode, list(snode), side, sol.residual)
 
 
 def _block_values(
@@ -427,10 +510,11 @@ def _block_values(
     parent: Optional[int],
     unary: Mapping[int, tuple[float, float]],
     eps: float,
-) -> list[float]:
-    """Best value of a block's own terms for each labeling of its fixed
-    vertices: the parent cut vertex, if any, and in a T/U block hub s unless
-    the parent is a hub. What is left is BR.
+) -> list[tuple[float, _Cut]]:
+    """Best value of a block's own terms, and the min cut attaining it, for
+    each labeling of its pinned vertices: the parent cut vertex, if any, and
+    in a T/U block hub s unless the parent is a hub. What is left is BR.
+    The parent's label varies slowest.
     """
     fixed = [] if parent is None else [parent]
     if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
@@ -439,17 +523,21 @@ def _block_values(
     singles = {v: unary[v] for v in block.vertices if v != parent and v in unary}
     edges = {(u, v): pw.edges[(u, v)] for u, v, _sign in block.edges}
     local = _Pairwise(pw.names, singles, edges, 0.0)
-    values = []
+    results = []
     for labels in itertools.product((0, 1), repeat=len(fixed)):
         cur = local
         for v, label in zip(fixed, labels):
             cur = _clamp(cur, v, label)
-        values.append(_br_value(free, cur, eps))
-    return values
+        value, cut = _br_value(free, cur, eps)
+        cut.labels.update(zip(fixed, labels))
+        results.append((value, cut))
+    return results
 
 
-def _pw_value(pw: _Pairwise, eps: float) -> float:
-    """Optimal objective of a canonical pairwise problem (no assignment)."""
+def _value_pass(pw: _Pairwise, eps: float):
+    """Optimal objective of a canonical pairwise problem, and for every block
+    with edges its vertices and the cuts of the pinned labelings that attain
+    the block's best value for their parent label."""
     report = classify_graph(_pw_signed_graph(pw))
     if not report.tractable:
         witness = next(
@@ -480,16 +568,120 @@ def _pw_value(pw: _Pairwise, eps: float) -> float:
     # cut vertex's unary before the block that owns that vertex is solved.
     unary = dict(pw.singles)
     total = pw.constant
+    kept: list[tuple[tuple[int, ...], list[_Cut]]] = []
     for bi in reversed(order):
-        c = parent[bi]
-        values = _block_values(pw, blocks[bi], report.classes[bi], c, unary, eps)
+        block, c = blocks[bi], parent[bi]
+        if not block.edges:  # an isolated vertex
+            total += max(unary.get(block.vertices[0], (0.0, 0.0)))
+            continue
+        results = _block_values(pw, block, report.classes[bi], c, unary, eps)
+        half = len(results) // 2
+        groups = [results] if c is None else [results[:half], results[half:]]
+        best = [max(value for value, _ in group) for group in groups]
         if c is None:
-            total += max(values)
+            total += best[0]
         else:
-            half = len(values) // 2  # the parent's label varies slowest
             u0, u1 = unary.get(c, (0.0, 0.0))
-            unary[c] = (u0 + max(values[:half]), u1 + max(values[half:]))
-    return total
+            unary[c] = (u0 + best[0], u1 + best[1])
+        # This block's share of the objective tolerance; summed over the
+        # blocks it stays within objective_tolerance.
+        tie = TOLERANCE * _magnitude(pw.edges[(u, v)] for u, v, _ in block.edges)
+        cuts = [
+            cut
+            for group, top in zip(groups, best)
+            for value, cut in group
+            if value >= top - tie
+        ]
+        kept.append((block.vertices, cuts))
+    return total, kept
+
+
+def _pw_value(pw: _Pairwise, eps: float) -> float:
+    """Optimal objective of a canonical pairwise problem (no assignment)."""
+    return _value_pass(pw, eps)[0]
+
+
+def _decode(pw: _Pairwise, kept) -> list[int]:
+    """Labels of the lexicographically smallest optimal assignment.
+
+    An assignment is optimal iff each block's labeling is optimal for the
+    block given its parent label: one of the `kept` cuts pins it, and its
+    free part is a closed set of that cut's residual graph. `possible` has
+    a bit per label that some optimal assignment still gives a vertex;
+    `count` counts, per block, vertex and label, the live cuts allowing it.
+    A label that no live cut of some block allows leaves the vertex. The
+    vertex's other blocks then drop the cuts that give it that label and
+    close its snode to the other side in the rest. Blocks meet only at cut
+    vertices of a tree, so this arc consistency leaves every possible label
+    extendable to an optimum: fixing the variables in declaration order,
+    each to 0 while 0 is possible, needs no backtracking.
+    """
+    n = len(pw.names)
+    possible = [3] * n
+    blocks_at: dict[int, list[int]] = {}
+    count: list[dict[int, list[int]]] = []
+    queue: list[tuple[int, int]] = []
+
+    def exclude(v, label):
+        if possible[v] >> label & 1:
+            possible[v] ^= 1 << label
+            if not possible[v]:
+                raise InconsistentCompletionError(
+                    f"no optimal label left for {pw.names[v]!r}"
+                )
+            queue.append((v, label))
+
+    def lose(bi, v, label):
+        tally = count[bi][v]
+        tally[label] -= 1
+        if not tally[label]:
+            exclude(v, label)
+
+    def propagate():
+        while queue:
+            v, label = queue.pop()
+            for bi in blocks_at[v]:
+                vertices, cuts = kept[bi]
+                for cut in cuts:
+                    if not cut.alive:
+                        continue
+                    node = cut.snode.get(v)
+                    if node is not None and not cut.state[node]:
+                        mark = 1 if cut.side[v] != label else -1
+                        for w in cut.flow.close(cut.state, node, mark):
+                            if w < len(cut.vertex):
+                                u = cut.vertex[w]
+                                lose(bi, u, cut.side[u] ^ (mark > 0))
+                    elif cut.allowed(v) == (label,):
+                        cut.alive = False
+                        for u in vertices:
+                            for other in cut.allowed(u):
+                                lose(bi, u, other)
+
+    for bi, (vertices, cuts) in enumerate(kept):
+        tally = {v: [0, 0] for v in vertices}
+        for cut in cuts:
+            cut.state = [0] * cut.flow.n
+            cut.flow.close(cut.state, cut.flow.n - 2, 1)  # source
+            cut.flow.close(cut.state, cut.flow.n - 1, -1)  # sink
+            for v in vertices:
+                for label in cut.allowed(v):
+                    tally[v][label] += 1
+        count.append(tally)
+        for v in vertices:
+            blocks_at.setdefault(v, []).append(bi)
+            for label in (0, 1):
+                if not tally[v][label]:
+                    exclude(v, label)
+    propagate()
+    for v in range(n):
+        if v not in blocks_at:  # in no block with edges
+            w0, w1 = pw.singles.get(v, (0.0, 0.0))
+            possible[v] = 2 if w1 - w0 > _FLOW_EPS else 1
+        elif possible[v] == 3:
+            exclude(v, 1)
+            propagate()
+    return [possible[v] >> 1 for v in range(n)]
 
 
 def solve_map(
@@ -498,31 +690,25 @@ def solve_map(
     eps: float = DEFAULT_EPS,
     max_nodes: int = DEFAULT_BNB_CAP,
 ) -> MapSolution:
-    """Exact MAP inference; see module docstring for the method menu."""
+    """Exact MAP inference; see module docstring for the method menu.
+
+    The value pass solves each block once per labeling of its pinned
+    vertices and keeps those min cuts' residual graphs; the decode reads the
+    lexicographically smallest optimal assignment off them. Its energy must
+    match the optimum within `objective_tolerance`.
+    """
     if method == "bnb":
         return solve_map_bnb(model, eps, max_nodes)
     if method not in ("auto", "blocks"):
         raise ValueError(f"unknown method {method!r}")
     require_binary_pairwise(model)
     pw = _canonicalize(model, eps)
-    best = _pw_value(pw, eps)
-    tol = 1e-7 * max(1.0, abs(best))
-    assignment: dict[str, int] = {}
-    cur = pw
-    for v, name in enumerate(pw.names):
-        clamped = _clamp(cur, v, 0)
-        val0 = _pw_value(clamped, eps)
-        if val0 >= best - tol:
-            assignment[name] = 0
-            cur, best = clamped, val0
-        else:
-            assignment[name] = 1
-            cur = _clamp(cur, v, 1)
-            best = _pw_value(cur, eps)
+    best, kept = _value_pass(pw, eps)
+    assignment = dict(zip(pw.names, _decode(pw, kept)))
     objective = energy(model, assignment)
-    if abs(objective - best) > 1e-6 * max(1.0, abs(objective)):
+    if abs(objective - best) > objective_tolerance(model) + pw.slack:
         raise ObjectiveMismatchError(
-            f"decoded objective {objective!r} != solver value {best!r}"
+            f"decoded objective {objective!r} != optimum {best!r}"
         )
     return MapSolution(assignment, objective, "blocks")
 

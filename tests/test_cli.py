@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import nmrfmap.cli
 from nmrfmap.cli import main
+from nmrfmap.errors import (
+    InconsistentCompletionError,
+    NotBipartiteError,
+    ObjectiveMismatchError,
+)
 from nmrfmap.generators import model_from_signed_edges
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE, model_to_json
+from nmrfmap.model import ASSOCIATIVE, REPULSIVE, energy, model_to_json
+from nmrfmap.mwss import MapSolution
 
 
 def write_json(path, doc):
@@ -115,6 +122,58 @@ def test_solve_with_oracle_check(chain_model, capsys):
     doc = json.loads(out)
     assert doc["oracle"]["agree"]
     assert doc["assignment"] == {"A": 1, "B": 1, "C": 0}
+
+
+@pytest.fixture
+def near_tie_model(tmp_path):
+    """12 variables with unary gaps in [2e-8, 1e-7] and one anchoring edge."""
+    rng = np.random.default_rng(12)
+    names = [f"X{i + 1}" for i in range(12)]
+    potentials = [
+        {"scope": [name], "table": [0.0, float(rng.uniform(2e-8, 1e-7))]}
+        for name in names
+    ]
+    potentials.append({"scope": ["X3", "X7"], "table": [1.5, 0.0, 0.0, 0.5]})
+    doc = {"variables": [{"name": n, "card": 2} for n in names],
+           "potentials": potentials}
+    return write_json(tmp_path / "near_tie.json", doc)
+
+
+def test_oracle_check_uses_table_scaled_tolerance(near_tie_model, capsys,
+                                                  monkeypatch):
+    code, out, _ = run(capsys, "solve", near_tie_model, "--oracle-check")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"]["agree"]
+    assert doc["objective"] == doc["oracle"]["objective"]
+
+    # Flipping one free variable costs a gap of at least 2e-8, well inside
+    # a 1e-6 relative tolerance but outside the table-scaled one.
+    def drifted(model, *args):
+        assignment = dict(doc["assignment"], X1=0)
+        return MapSolution(assignment, energy(model, assignment), "blocks")
+
+    monkeypatch.setattr(nmrfmap.cli, "solve_map", drifted)
+    code, out, err = run(capsys, "solve", near_tie_model, "--oracle-check")
+    assert code == 1
+    assert not json.loads(out)["oracle"]["agree"]
+    assert "oracle disagreement" in err
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError],
+)
+def test_solver_faults_exit_internal(fault, chain_model, capsys, monkeypatch):
+    def broken(*args):
+        raise fault("solver fault")
+
+    monkeypatch.setattr(nmrfmap.cli, "solve_map", broken)
+    code, out, err = run(capsys, "solve", chain_model)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and fault.__name__ in err
+    assert "Traceback" not in err
 
 
 def test_solve_intractable_reports_witness(frustrated_model, capsys):

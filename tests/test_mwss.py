@@ -20,6 +20,9 @@ from nmrfmap.model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
     REPULSIVE,
+    Model,
+    Potential,
+    associativity,
     energy,
     validate_model,
 )
@@ -291,3 +294,162 @@ def test_value_pass_on_deep_block_chain():
         ]
     value = _pw_value(_canonicalize(model, DEFAULT_EPS), DEFAULT_EPS)
     assert value == pytest.approx(max(best))
+
+
+def _near_tie_model(n, seed):
+    """Unary (0, g) with g in [2e-8, 1e-7] on every variable plus one
+    anchoring edge between two of them."""
+    rng = np.random.default_rng(seed)
+    names = [f"X{i + 1}" for i in range(n)]
+    potentials = [
+        {"scope": [name], "table": [0.0, float(rng.uniform(2e-8, 1e-7))]}
+        for name in names
+    ]
+    u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+    table = [float(x) for x in rng.uniform(-2.0, 2.0, size=4)]
+    potentials.append({"scope": [names[u], names[v]], "table": table})
+    model = validate_model(
+        {"variables": [{"name": x, "card": 2} for x in names],
+         "potentials": potentials}
+    )
+    return model, names[u], names[v]
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_near_ties_decoded_without_drift(n):
+    model, a, b = _near_tie_model(n, seed=n)
+    table = {p.scope: p.table for p in model.potentials}
+    # every variable off the edge takes its larger unary, label 1
+    labels = {name: 1 for name in model.names}
+    value = sum(table[(name,)][1] for name in model.names if name not in (a, b))
+    pair = max(
+        (table[(a,)][x] + table[(b,)][y] + table[(a, b)][2 * x + y], -x, -y)
+        for x in (0, 1)
+        for y in (0, 1)
+    )
+    labels[a], labels[b] = -pair[1], -pair[2]
+    value += pair[0]
+    sol = solve_map(model)
+    assert abs(sol.objective - value) <= 1e-12
+    assert sol.assignment == labels
+
+
+def test_deep_block_chain_solved_to_lex_smallest_optimum():
+    n_blocks = 10**4
+    model = block_chain_model(n_blocks)
+    table = {p.scope: p.table for p in model.potentials}
+    names = model.names
+
+    def block_value(b, x, y, z):
+        s, v, t = names[2 * b : 2 * b + 3]
+        return (
+            table[(v,)][y]
+            + table[(t,)][z]
+            + table[(s, v)][2 * x + y]
+            + table[(s, t)][2 * x + z]
+            + table[(v, t)][2 * y + z]
+        )
+
+    # backward max-sum: after[b][x] = best of blocks b.. given X_{2b+1} = x
+    after = [[0.0, 0.0] for _ in range(n_blocks + 1)]
+    for b in range(n_blocks - 1, -1, -1):
+        after[b] = [
+            max(
+                block_value(b, x, y, z) + after[b + 1][z]
+                for y in (0, 1)
+                for z in (0, 1)
+            )
+            for x in (0, 1)
+        ]
+    first = table[(names[0],)]
+    optimum = max(first[x] + after[0][x] for x in (0, 1))
+    # forward in declaration order: 0 whenever 0 still reaches the optimum
+    x = 0 if first[0] + after[0][0] == optimum else 1
+    labels = [x]
+    for b in range(n_blocks):
+        target = after[b][x]
+
+        def best(y):
+            return max(block_value(b, x, y, z) + after[b + 1][z] for z in (0, 1))
+
+        y = 0 if best(0) == target else 1
+        z = 0 if block_value(b, x, y, 0) + after[b + 1][0] == target else 1
+        labels += [y, z]
+        x = z
+    sol = solve_map(model)
+    assert sol.objective == optimum
+    assert sol.assignment == dict(zip(names, labels))
+
+
+def test_tied_cut_vertex_follows_lower_variable_in_other_block():
+    # A = C and B != C are each worth 1: the optima are (A, B, C) = (0, 1, 0)
+    # and (1, 0, 1). B alone would take 0, but A comes first and takes 0,
+    # which fixes C = 0 through the first block and then B = 1.
+    model = validate_model(
+        {
+            "variables": [{"name": n, "card": 2} for n in "ABC"],
+            "potentials": [
+                {"scope": ["A", "C"], "table": [1.0, 0.0, 0.0, 1.0]},
+                {"scope": ["B", "C"], "table": [0.0, 1.0, 1.0, 0.0]},
+            ],
+        }
+    )
+    sol = solve_map(model)
+    assert sol.assignment == brute_force_map(model).assignment
+    assert sol.assignment == {"A": 0, "B": 1, "C": 0}
+
+
+def _with_small_integer_tables(model, rng):
+    """The same signed topology with every table redrawn from {-1, 0, 1}."""
+    potentials = []
+    for p in model.potentials:
+        size = len(p.table)
+        while True:
+            t = [float(x) for x in rng.integers(-1, 2, size=size)]
+            if size == 2:
+                break
+            a = associativity(t)
+            if a != 0 and (a > 0) == (associativity(p.table) > 0):
+                break
+        potentials.append(Potential(p.scope, tuple(t)))
+    return Model(model.variables, tuple(potentials))
+
+
+def test_exact_ties_across_blocks_and_hubs_match_brute_force():
+    rng = np.random.default_rng(107)
+    hub_blocks = 0
+    for _ in range(300):
+        model = _with_small_integer_tables(
+            random_tractable_model(rng, max_vars=int(rng.integers(4, 12))), rng
+        )
+        hub_blocks += sum(
+            c.kind in ("T", "U") for c in classify_model(model).classes
+        )
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == ref.objective
+        assert sol.assignment == ref.assignment
+    assert hub_blocks >= 100
+
+
+def test_rounding_level_gap_is_a_tie():
+    # In exact decimal arithmetic X3 = 0 and X3 = 1 tie; after
+    # reparameterization X3's unary gap is float rounding, not a preference.
+    model = validate_model(
+        {
+            "variables": [{"name": f"X{i}", "card": 2} for i in range(1, 5)],
+            "potentials": [
+                {"scope": ["X1"], "table": [-0.3, -0.3]},
+                {"scope": ["X2"], "table": [0.1, -0.3]},
+                {"scope": ["X3"], "table": [-0.3, -0.3]},
+                {"scope": ["X4"], "table": [0.7, 0.7]},
+                {"scope": ["X2", "X3"], "table": [-0.1, 0.0, -0.3, 0.2]},
+                {"scope": ["X1", "X3"], "table": [0.2, 0.2, 0.2, 0.1]},
+                {"scope": ["X2", "X4"], "table": [0.7, 0.0, 0.1, 0.1]},
+                {"scope": ["X1", "X4"], "table": [-0.1, 0.1, 0.2, -0.3]},
+            ],
+        }
+    )
+    sol = solve_map(model)
+    assert sol.assignment == {"X1": 1, "X2": 0, "X3": 0, "X4": 0}
+    assert sol.objective == pytest.approx(1.2)

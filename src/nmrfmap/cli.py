@@ -6,8 +6,12 @@ blocks by bipartite min cut; `--method bnb` runs capped branch and bound.
 Machine-readable output (JSON, or CSV for bench) goes to standard output;
 diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
 (intractable / not perfect / infeasible / oracle disagreement), 2 input
-error, 3 resource cap exceeded, 4 internal error (a solver fault:
-NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError).
+error (ModelFormatError and any other NmrfmapError not named here, a
+missing file, malformed JSON, KeyError, ValueError), 3 resource cap
+exceeded (TooLargeError), 4 internal error (a solver fault:
+NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError; or
+any other exception, such as RecursionError or OverflowError), printed as
+`internal error: <Type>: <message>` without a traceback.
 `--oracle-check` accepts an objective within `objective_tolerance` of the
 brute-force optimum, the tolerance `solve_map` itself checks against.
 """
@@ -352,6 +356,9 @@ def main(argv=None) -> int:
     except NmrfmapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateVariableError,
@@ -30,7 +31,7 @@ ASSOCIATIVE = 1
 REPULSIVE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Potential:
     """Log-potential table over an ordered variable scope."""
 
@@ -92,8 +93,50 @@ def _reorder_table(scope, cards, table, new_scope):
     return tuple(out)
 
 
+_VARIABLE_KEYS = frozenset(("name", "card"))
+_POTENTIAL_KEYS = frozenset(("scope", "table"))
+_FLOAT = frozenset((float,))
+
+
+def _is_mapping(entry) -> bool:
+    # A dict is checked first: isinstance against an ABC costs a Python call.
+    return type(entry) is dict or isinstance(entry, Mapping)
+
+
+def _bad_entry_index(table) -> int:
+    """Index of the first entry that is not a finite int or float (bools excluded)."""
+    for i, v in enumerate(table):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return i
+        try:
+            if not math.isfinite(v):
+                return i
+        except OverflowError:  # an int too large for a float
+            return i
+    raise AssertionError("every entry is a finite number")
+
+
+def _as_floats(table) -> tuple[float, ...] | None:
+    """The entries as a tuple of floats, or None if one is not an int or a
+    float. Plain-float tables are copied as they are; otherwise each
+    distinct entry type is checked once."""
+    if _FLOAT.issuperset(map(type, table)):
+        return tuple(table)
+    for kind in set(map(type, table)):
+        if not issubclass(kind, (int, float)) or issubclass(kind, bool):
+            return None
+    try:
+        return tuple(map(float, table))
+    except OverflowError:  # an int too large for a float
+        return None
+
+
 def validate_model(raw: Mapping) -> Model:
-    """Build a Model from a raw JSON-style description, enforcing invariants."""
+    """Build a Model from a raw JSON-style description, enforcing invariants.
+
+    Scopes are put in variable declaration order and duplicate scopes are
+    merged by entrywise sum, left to right; every merged entry must be finite.
+    """
     if not isinstance(raw, Mapping):
         raise ModelFormatError("model description must be a mapping")
     extra = set(raw) - {"variables", "potentials"}
@@ -101,56 +144,76 @@ def validate_model(raw: Mapping) -> Model:
         raise ModelFormatError(f"unknown keys: {sorted(extra)}")
 
     variables: list[tuple[str, int]] = []
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for entry in raw.get("variables", []):
-        if not isinstance(entry, Mapping) or set(entry) != {"name", "card"}:
+        if not _is_mapping(entry) or entry.keys() != _VARIABLE_KEYS:
             raise ModelFormatError(f"bad variable entry: {entry!r}")
         name, card = entry["name"], entry["card"]
         if not isinstance(name, str):
             raise ModelFormatError(f"variable name must be a string: {name!r}")
         if not isinstance(card, int) or isinstance(card, bool) or card < 2:
             raise ModelFormatError(f"cardinality of {name!r} must be an integer >= 2")
-        if name in seen:
+        if name in index:
             raise DuplicateVariableError(name)
-        seen.add(name)
+        index[name] = len(variables)
         variables.append((name, card))
+    card_of = [card for _, card in variables]
 
-    index = {name: i for i, (name, _) in enumerate(variables)}
-    cards = dict(variables)
-
-    merged: dict[tuple[str, ...], list[float]] = {}
+    # Both keyed by the scope's variable positions in declaration order.
+    scopes: dict[tuple[int, ...], tuple[str, ...]] = {}
+    merged: dict[tuple[int, ...], tuple[float, ...]] = {}
+    summed: list[tuple[int, ...]] = []
     for entry in raw.get("potentials", []):
-        if not isinstance(entry, Mapping) or set(entry) != {"scope", "table"}:
+        if not _is_mapping(entry) or entry.keys() != _POTENTIAL_KEYS:
             raise ModelFormatError(f"bad potential entry: {entry!r}")
         scope = tuple(entry["scope"])
         if not scope:
             raise ModelFormatError("empty potential scope")
-        for name in scope:
-            if name not in index:
-                raise UnknownVariableError(name, scope)
-        if len(set(scope)) != len(scope):
-            raise ModelFormatError(f"scope {list(scope)} repeats a variable")
+        try:
+            # unrolled for the orders of a pairwise model
+            if len(scope) == 1:
+                pos = (index[scope[0]],)
+            elif len(scope) == 2:
+                pos = (index[scope[0]], index[scope[1]])
+            else:
+                pos = tuple(map(index.__getitem__, scope))
+        except (KeyError, TypeError):
+            for name in scope:
+                if name not in index:
+                    raise UnknownVariableError(name, scope) from None
+            raise
+        if len(pos) == 1 or (len(pos) == 2 and pos[0] < pos[1]):
+            key = pos
+        else:
+            key = tuple(sorted(pos))
+            if len(set(key)) != len(key):
+                raise ModelFormatError(f"scope {list(scope)} repeats a variable")
         table = entry["table"]
-        scope_cards = [cards[name] for name in scope]
-        expected = math.prod(scope_cards)
+        expected = 1
+        for i in pos:
+            expected *= card_of[i]
         if not isinstance(table, (list, tuple)) or len(table) != expected:
             raise TableSizeMismatchError(scope, expected, len(table) if hasattr(table, "__len__") else -1)
-        values = []
-        for i, v in enumerate(table):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise NonFiniteEntryError(scope, i)
-            values.append(float(v))
-        canon = tuple(sorted(scope, key=index.__getitem__))
-        values = list(_reorder_table(scope, scope_cards, values, canon))
-        if canon in merged:
-            merged[canon] = [a + b for a, b in zip(merged[canon], values)]
+        values = _as_floats(table)
+        if values is None or not all(map(math.isfinite, values)):
+            raise NonFiniteEntryError(scope, _bad_entry_index(table))
+        if key != pos:
+            canon = tuple([variables[i][0] for i in key])
+            values = _reorder_table(scope, [card_of[i] for i in pos], values, canon)
+            scope = canon
+        prev = merged.get(key)
+        if prev is None:
+            scopes[key] = scope
+            merged[key] = values
         else:
-            merged[canon] = values
+            merged[key] = tuple(map(operator.add, prev, values))
+            summed.append(key)
+    for key in summed:
+        values = merged[key]
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteEntryError(scopes[key], _bad_entry_index(values))
 
-    potentials = tuple(
-        Potential(scope, tuple(tab))
-        for scope, tab in sorted(merged.items(), key=lambda kv: tuple(index[n] for n in kv[0]))
-    )
+    potentials = tuple([Potential(scopes[key], merged[key]) for key in sorted(merged)])
     return Model(tuple(variables), potentials)
 
 
@@ -224,12 +287,14 @@ def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
     index = model.index
     edges = []
     for p in model.potentials:
-        if len(p.scope) != 2:
+        scope = p.scope
+        if len(scope) != 2:
             continue
-        a = associativity(p.table)
+        t00, t01, t10, t11 = p.table
+        a = t00 + t11 - t01 - t10  # associativity
         if abs(a) <= eps:
             continue
-        u, v = index[p.scope[0]], index[p.scope[1]]
+        u, v = index[scope[0]], index[scope[1]]
         if u > v:
             u, v = v, u
         edges.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))

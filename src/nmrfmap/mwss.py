@@ -368,6 +368,19 @@ class _Pairwise:
 
 def _canonicalize(model: Model, eps: float) -> _Pairwise:
     index = model.index
+    # A Model built without validate_model may repeat a pairwise scope, in
+    # either order; sum the repeats, as validate_model merges them.
+    tables: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    for p in model.potentials:
+        if len(p.scope) == 2:
+            u, v = index[p.scope[0]], index[p.scope[1]]
+            t00, t01, t10, t11 = p.table
+            if u > v:
+                u, v, t01, t10 = v, u, t10, t01
+            prev = tables.get((u, v))
+            if prev is not None:
+                t00, t01, t10, t11 = (prev[0] + t00, prev[1] + t01, prev[2] + t10, prev[3] + t11)
+            tables[(u, v)] = (t00, t01, t10, t11)
     singles: dict[int, tuple[float, float]] = {}
     edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     constant = slack = 0.0
@@ -377,9 +390,14 @@ def _canonicalize(model: Model, eps: float) -> _Pairwise:
             s0, s1 = singles.get(i, (0.0, 0.0))
             singles[i] = (s0 + p.table[0], s1 + p.table[1])
             continue
-        t00, t01, t10, t11 = p.table
-        a = t00 + t11 - t01 - t10
         u, v = index[p.scope[0]], index[p.scope[1]]
+        if u > v:
+            u, v = v, u
+        t = tables.pop((u, v), None)
+        if t is None:
+            continue  # a repeated scope, summed at its first occurrence
+        t00, t01, t10, t11 = t
+        a = t00 + t11 - t01 - t10
         if abs(a) <= eps:
             # Near-zero associativity: fold the separable part into the
             # endpoints; the dropped interaction residual is at most eps/4
@@ -394,7 +412,7 @@ def _canonicalize(model: Model, eps: float) -> _Pairwise:
             constant += c
             slack += abs(a) / 4.0
         else:
-            edges[(u, v)] = (t00, t01, t10, t11)
+            edges[(u, v)] = t
     return _Pairwise(model.names, singles, edges, constant, slack)
 
 

@@ -20,7 +20,6 @@ from .model import (
     Potential,
     associativity,
     _as_flat_2x2,
-    table_index,
 )
 
 
@@ -100,35 +99,38 @@ def build_nmrf(model: Model) -> Nmrf:
 
     nodes: list[NmrfNode] = []
     groups: dict[tuple[str, ...], tuple[int, ...]] = {}
+    # Node ids by scope (a scope given twice is one clique) and by
+    # (variable, value).
+    by_scope: dict[tuple[str, ...], list[int]] = {}
+    by_value = {name: [[] for _ in range(card)] for name, card in model.variables}
     constant = 0.0
     for scope, table in scopes:
         lo = min(table)
         constant += lo
-        scope_cards = [cards[n] for n in scope]
-        ids = []
-        for vals in itertools.product(*(range(c) for c in scope_cards)):
-            w = table[table_index(scope_cards, vals)] - lo
-            ids.append(len(nodes))
-            nodes.append(NmrfNode(scope, vals, w))
-        groups[scope] = tuple(ids)
+        start = len(nodes)
+        # product() runs row-major, last variable fastest, like the table
+        for k, vals in enumerate(itertools.product(*(range(cards[n]) for n in scope))):
+            for name, val in zip(scope, vals):
+                by_value[name][val].append(start + k)
+            nodes.append(NmrfNode(scope, vals, table[k] - lo))
+        ids = tuple(range(start, len(nodes)))
+        groups[scope] = ids
+        by_scope.setdefault(scope, []).extend(ids)
 
-    n = len(nodes)
-    maps = [node.assignment_map() for node in nodes]
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        mi = maps[i]
-        si = nodes[i].scope
-        for j in range(i + 1, n):
-            mj = maps[j]
-            if si == nodes[j].scope:
-                conflict = True  # distinct settings of one clique group
-            else:
-                conflict = any(
-                    mj.get(name, val) != val for name, val in mi.items()
-                )
-            if conflict:
-                adj[i].add(j)
-                adj[j].add(i)
+    # Two nodes conflict when they lie in one clique group or set a shared
+    # variable to different values, so only nodes that share a group or a
+    # variable are compared.
+    adj: list[set[int]] = [set() for _ in nodes]
+    for ids in by_scope.values():
+        for i in ids:
+            adj[i].update(ids)
+            adj[i].discard(i)
+    for per_value in by_value.values():
+        for val, ids in enumerate(per_value):
+            for other, others in enumerate(per_value):
+                if other != val:
+                    for i in ids:
+                        adj[i].update(others)
     return Nmrf(tuple(nodes), tuple(frozenset(s) for s in adj), groups, constant)
 
 

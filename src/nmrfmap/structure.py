@@ -10,6 +10,7 @@ cycle, together with a per-edge enode-form plan for the compiler.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
@@ -35,7 +36,7 @@ class BlockTree:
     cut_vertices: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockClass:
     kind: str  # "BR" | "T" | "U" | "INTRACTABLE"
     params: dict
@@ -52,95 +53,104 @@ class TractabilityReport:
 
 
 def block_decompose(graph: SignedGraph) -> BlockTree:
-    """Split into maximal 2-connected blocks and bridges (iterative lowpoint DFS)."""
+    """Split into maximal 2-connected blocks and bridges (iterative lowpoint DFS).
+
+    Isolated vertices come first, in index order, then the blocks with edges
+    in the order the DFS closes them, each with its edges from the last
+    reached to the first.
+    """
     n = graph.n
     edges = graph.edges
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v, _) in enumerate(edges):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
+    # Half-edge h of edge h >> 1 runs from ends[h] to ends[h ^ 1]. The
+    # half-edges leaving vertex v are order[first[v]:first[v + 1]], in edge
+    # order (a counting sort by tail).
+    ends = [x for u, v, _ in edges for x in (u, v)]
+    degree = [0] * n
+    for x in ends:
+        degree[x] += 1
+    first = [0, *itertools.accumulate(degree)]
+    order = [0] * len(ends)
+    nxt = first[:n]
+    for h, x in enumerate(ends):
+        order[nxt[x]] = h
+        nxt[x] += 1
 
     disc = [-1] * n
     low = [0] * n
+    nxt = first[:n]  # next half-edge of each vertex to scan
+    tree_edge = [-1] * n
+    edges_at = [0] * n  # edge-stack height before each vertex's tree edge
+    verts_at = [0] * n  # vertex-stack height before each vertex
+    membership = [1] * n  # blocks holding each vertex, once closed
     timer = 0
     edge_stack: list[int] = []
-    block_edge_ids: list[list[int]] = []
+    vert_stack: list[int] = []
+    isolated: list[Block] = []
     blocks: list[Block] = []
+    cut: list[int] = []
 
     for root in range(n):
         if disc[root] != -1:
             continue
-        if not adj[root]:
-            blocks.append(Block((root,), ()))
+        if not degree[root]:
+            isolated.append(Block((root,), ()))
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack_v = [root]
-        stack_pe = [-1]
-        stack_i = [0]
-        while stack_v:
-            v = stack_v[-1]
-            adj_v = adj[v]
-            i = stack_i[-1]
-            pe_v = stack_pe[-1]
-            deg = len(adj_v)
-            advanced = False
-            while i < deg:
-                w, eid = adj_v[i]
+        membership[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            end = first[v + 1]
+            pe = tree_edge[v]
+            while i < end:
+                h = order[i]
                 i += 1
-                if eid == pe_v:
+                eid = h >> 1
+                if eid == pe:
                     continue
-                if disc[w] == -1:
-                    edge_stack.append(eid)
+                w = ends[h ^ 1]
+                dw = disc[w]
+                if dw == -1:
+                    nxt[v] = i
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack_i[-1] = i
-                    stack_v.append(w)
-                    stack_pe.append(eid)
-                    stack_i.append(0)
-                    advanced = True
+                    tree_edge[w] = eid
+                    edges_at[w] = len(edge_stack)
+                    edge_stack.append(eid)
+                    verts_at[w] = len(vert_stack)
+                    vert_stack.append(w)
+                    stack.append(w)
                     break
-                dw = disc[w]
                 if dw < disc[v]:
                     edge_stack.append(eid)
                     if dw < low[v]:
                         low[v] = dw
-            if advanced:
-                continue
-            stack_v.pop()
-            pe = stack_pe.pop()
-            stack_i.pop()
-            if stack_v:
-                u = stack_v[-1]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1]
                 lv = low[v]
                 if lv < low[u]:
                     low[u] = lv
                 if lv >= disc[u]:
-                    comp = []
-                    while True:
-                        eid = edge_stack.pop()
-                        comp.append(eid)
-                        if eid == pe:
-                            break
-                    block_edge_ids.append(comp)
+                    at = edges_at[v]
+                    comp = edge_stack[at:]
+                    del edge_stack[at:]
+                    at = verts_at[v]
+                    verts = vert_stack[at:]
+                    del vert_stack[at:]
+                    verts.append(u)
+                    verts.sort()
+                    block_edges = tuple(map(edges.__getitem__, reversed(comp)))
+                    blocks.append(Block(tuple(verts), block_edges))
+                    membership[u] += 1
+                    if membership[u] == 2:
+                        cut.append(u)
 
-    seen_in = [0] * n
-    for comp in block_edge_ids:
-        verts: list[int] = []
-        for eid in comp:
-            u, v, _ = edges[eid]
-            for x in (u, v):
-                if seen_in[x] != len(blocks) + 1:
-                    seen_in[x] = len(blocks) + 1
-                    verts.append(x)
-        blocks.append(Block(tuple(sorted(verts)), tuple(edges[e] for e in comp)))
-
-    count = [0] * n
-    for b in blocks:
-        for v in b.vertices:
-            count[v] += 1
-    cut = frozenset(v for v in range(n) if count[v] >= 2)
-    return BlockTree(tuple(blocks), cut)
+    return BlockTree(tuple(isolated + blocks), frozenset(cut))
 
 
 def _signed_two_color(vertices, edges):
@@ -255,86 +265,87 @@ def classify_block(block: Block) -> BlockClass:
         v2 = tuple(v for v in block.vertices if side[v] == 1)
         return BlockClass("BR", {"V1": v1, "V2": v2})
 
+    # Every T or U shape holds a frustrated triangle, so testing the shape
+    # before the two-colouring never hides a BR block.
+    hub = _hub_class(block)
+    if hub is not None:
+        return hub
     side, cycle = _signed_two_color(block.vertices, block.edges)
     if side is not None:
         v1 = tuple(v for v in block.vertices if side[v] == 0)
         v2 = tuple(v for v in block.vertices if side[v] == 1)
         return BlockClass("BR", {"V1": v1, "V2": v2})
+    return BlockClass("INTRACTABLE", {}, witness=cycle)
 
+
+def _hub_class(block: Block) -> Optional[BlockClass]:
+    """T or U class of a block of triangles on one base edge (s, t), or None."""
     nbr: dict[int, dict[int, int]] = {v: {} for v in block.vertices}
     for u, v, s in block.edges:
         nbr[u][v] = s
         nbr[v][u] = s
 
     hubs = [v for v in block.vertices if len(nbr[v]) >= 3]
-    if len(hubs) == 2:
-        s, t = sorted(hubs)
-        base_sign = nbr[s].get(t)
-        others = [v for v in block.vertices if v != s and v != t]
-        spokes_ok = base_sign is not None and all(
-            len(nbr[v]) == 2 and set(nbr[v]) == {s, t} for v in others
+    if len(hubs) != 2:
+        return None
+    s, t = sorted(hubs)
+    base_sign = nbr[s].get(t)
+    others = [v for v in block.vertices if v != s and v != t]
+    spokes_ok = base_sign is not None and all(
+        len(nbr[v]) == 2 and set(nbr[v]) == {s, t} for v in others
+    )
+    if spokes_ok and base_sign == REPULSIVE:
+        r = tuple(
+            v for v in others
+            if nbr[v][s] == REPULSIVE and nbr[v][t] == REPULSIVE
         )
-        if spokes_ok and base_sign == REPULSIVE:
-            r = tuple(
-                v for v in others
-                if nbr[v][s] == REPULSIVE and nbr[v][t] == REPULSIVE
+        a = tuple(
+            v for v in others
+            if nbr[v][s] == ASSOCIATIVE and nbr[v][t] == ASSOCIATIVE
+        )
+        if len(r) + len(a) == len(others):
+            return BlockClass(
+                "T", {"s": s, "t": t, "r": r, "a": a, "m": len(r), "n": len(a)}
             )
-            a = tuple(
-                v for v in others
-                if nbr[v][s] == ASSOCIATIVE and nbr[v][t] == ASSOCIATIVE
+    elif spokes_ok and base_sign == ASSOCIATIVE:
+        if all(nbr[v][s] != nbr[v][t] for v in others):
+            return BlockClass(
+                "U", {"s": s, "t": t, "v": tuple(others), "n": len(others)}
             )
-            if len(r) + len(a) == len(others):
-                return BlockClass(
-                    "T", {"s": s, "t": t, "r": r, "a": a, "m": len(r), "n": len(a)}
-                )
-        elif spokes_ok and base_sign == ASSOCIATIVE:
-            if all(nbr[v][s] != nbr[v][t] for v in others):
-                return BlockClass(
-                    "U", {"s": s, "t": t, "v": tuple(others), "n": len(others)}
-                )
-    return BlockClass("INTRACTABLE", {}, witness=cycle)
+    return None
 
 
-def _spoke_form(hub, hub_val, spoke, sign):
-    # For a triangle on a base enode, the spoke enode must disagree with the
-    # base on the hub; its own end then follows from the edge sign.
-    v_hub = 1 - hub_val
-    v_spoke = v_hub if sign == ASSOCIATIVE else hub_val
-    return {hub: v_hub, spoke: v_spoke}
-
-
-def _block_plan(block: Block, cls: BlockClass):
-    plan = {}
+def _block_plan(block: Block, cls: BlockClass, plan: dict) -> None:
+    """Add the enode form of every edge of `block` to `plan`."""
     if cls.kind == "BR":
-        side = {v: 0 for v in cls.params["V1"]}
-        side.update({v: 1 for v in cls.params["V2"]})
+        v2 = set(cls.params["V2"])
         for u, v, s in block.edges:
             key = (u, v) if u < v else (v, u)
             if s == ASSOCIATIVE:
                 plan[key] = (0, 0)
             else:
-                lo, hi = key
-                plan[key] = (0, 1) if side[lo] == 0 else (1, 0)
-        return plan
+                plan[key] = (1, 0) if key[0] in v2 else (0, 1)
+        return
 
     if cls.kind in ("T", "U"):
+        # A spoke enode disagrees with the base enode on its hub; its own
+        # end then follows from the edge sign.
         s, t = cls.params["s"], cls.params["t"]
-        base_vals = {s: 0, t: 1} if cls.kind == "T" else {s: 0, t: 0}
+        hub_vals = {s: 0, t: 1 if cls.kind == "T" else 0}
         for u, v, sign in block.edges:
-            key = (u, v) if u < v else (v, u)
-            if {u, v} == {s, t}:
-                vals = base_vals
-            else:
-                hub, spoke = (u, v) if u in (s, t) else (v, u)
-                vals = _spoke_form(hub, base_vals[hub], spoke, sign)
-            plan[key] = (vals[key[0]], vals[key[1]])
-        return plan
+            lo, hi = (u, v) if u < v else (v, u)
+            if lo in hub_vals and hi in hub_vals:  # the base edge
+                plan[(lo, hi)] = (hub_vals[lo], hub_vals[hi])
+                continue
+            v_hub = 1 - hub_vals[lo if lo in hub_vals else hi]
+            v_spoke = v_hub if sign == ASSOCIATIVE else 1 - v_hub
+            plan[(lo, hi)] = (v_hub, v_spoke) if lo in hub_vals else (v_spoke, v_hub)
+        return
 
     # Intractable blocks keep the default forms so diagnostics stay buildable.
     for u, v, s in block.edges:
         key = (u, v) if u < v else (v, u)
         plan[key] = (0, 0) if s == ASSOCIATIVE else (0, 1)
-    return plan
 
 
 def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport:
@@ -345,44 +356,48 @@ def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport
 
 def classify_graph(graph: SignedGraph) -> TractabilityReport:
     tree = block_decompose(graph)
-    classes = tuple(classify_block(b) for b in tree.blocks)
+    classes = tuple([classify_block(b) for b in tree.blocks])
     plan: dict[tuple[int, int], tuple[int, int]] = {}
     for block, cls in zip(tree.blocks, classes):
-        plan.update(_block_plan(block, cls))
+        _block_plan(block, cls, plan)
     tractable = all(c.kind != "INTRACTABLE" for c in classes)
     return TractabilityReport(tractable, graph, tree, classes, plan)
+
+
+_FORM_TEXT = ("00", "01", "10", "11")
 
 
 def report_to_json(report: TractabilityReport) -> dict:
     names = report.graph.names
 
-    def nm(vs):
-        return [names[v] for v in vs]
-
     blocks = []
     for block, cls in zip(report.tree.blocks, report.classes):
-        entry = {"vertices": nm(block.vertices), "class": cls.kind}
         params = {}
         for key, val in cls.params.items():
             if isinstance(val, tuple):
-                params[key] = nm(val)
+                params[key] = [names[v] for v in val]
             elif isinstance(val, int) and key in ("s", "t"):
                 params[key] = names[val]
             else:
                 params[key] = val
-        entry["params"] = params
+        entry = {
+            "vertices": [names[v] for v in block.vertices],
+            "class": cls.kind,
+            "params": params,
+        }
         if cls.witness is not None:
-            entry["witness"] = nm(cls.witness)
+            entry["witness"] = [names[v] for v in cls.witness]
         blocks.append(entry)
-    plan = [
-        {"edge": [names[u], names[v]], "form": f"{a}{b}"}
-        for (u, v), (a, b) in sorted(report.plan.items())
-    ]
+    plan = report.plan
+    enode_plan = []
+    for u, v in sorted(plan):
+        a, b = plan[u, v]
+        enode_plan.append({"edge": [names[u], names[v]], "form": _FORM_TEXT[2 * a + b]})
     return {
         "tractable": report.tractable,
         "blocks": blocks,
-        "enode_plan": plan,
-        "cut_vertices": nm(sorted(report.tree.cut_vertices)),
+        "enode_plan": enode_plan,
+        "cut_vertices": [names[v] for v in sorted(report.tree.cut_vertices)],
     }
 
 

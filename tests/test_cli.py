@@ -176,6 +176,31 @@ def test_solver_faults_exit_internal(fault, chain_model, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", [RuntimeError, RecursionError, OverflowError])
+def test_unexpected_exceptions_exit_internal(fault, chain_model, capsys, monkeypatch):
+    def broken(*args):
+        raise fault("unexpected")
+
+    monkeypatch.setattr(nmrfmap.cli, "solve_map", broken)
+    code, out, err = run(capsys, "solve", chain_model)
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {fault.__name__}: unexpected\n"
+
+
+def test_validate_huge_int_entry_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"variables": [{"name": "A", "card": 2}], '
+        '"potentials": [{"scope": ["A"], "table": [1' + "0" * 400 + ', 0]}]}'
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite entry at index 0" in err
+    assert "Traceback" not in err
+
+
 def test_solve_intractable_reports_witness(frustrated_model, capsys):
     code, out, err = run(capsys, "solve", frustrated_model)
     assert code == 1

@@ -1,4 +1,7 @@
+import itertools
 import math
+import types
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from nmrfmap.errors import (
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
+    Model,
+    Potential,
     associativity,
     energy,
     flip_variables,
@@ -73,6 +78,16 @@ def test_validate_rejects_unknown_keys():
     raw["potentials"][0]["comment"] = "hi"
     with pytest.raises(ModelFormatError):
         validate_model(raw)
+    for bad_entry in ({"scope": ["A"]}, {"table": [0.0, 1.0]}, ["A", [0.0, 1.0]], {}):
+        raw = two_var_raw()
+        raw["potentials"][0] = bad_entry
+        with pytest.raises(ModelFormatError):
+            validate_model(raw)
+    for bad_entry in ({"name": "A"}, {"name": "A", "card": 2, "x": 0}, ("A", 2)):
+        raw = two_var_raw()
+        raw["variables"][0] = bad_entry
+        with pytest.raises(ModelFormatError):
+            validate_model(raw)
 
 
 def test_validate_rejects_bad_variables():
@@ -83,6 +98,11 @@ def test_validate_rejects_bad_variables():
         )
     with pytest.raises(ModelFormatError):
         validate_model({"variables": [{"name": "A", "card": 1}], "potentials": []})
+    for card in (True, 2.0, "2", None):
+        with pytest.raises(ModelFormatError):
+            validate_model({"variables": [{"name": "A", "card": card}], "potentials": []})
+    with pytest.raises(ModelFormatError):
+        validate_model({"variables": [{"name": 1, "card": 2}], "potentials": []})
 
 
 def test_validate_rejects_bad_potentials():
@@ -105,6 +125,19 @@ def test_validate_rejects_bad_potentials():
     raw["potentials"][1]["scope"] = ["A", "A"]
     with pytest.raises(ModelFormatError):
         validate_model(raw)
+
+    for table in ("ab", {0: 0.0, 1: 1.0}, 7, None, iter([0.0, 1.0])):
+        raw = two_var_raw()
+        raw["potentials"][0]["table"] = table
+        with pytest.raises(TableSizeMismatchError):
+            validate_model(raw)
+
+    for bad in (True, False, "1.0", None, math.nan, -math.inf, np.int64(1), [0.0]):
+        raw = two_var_raw()
+        raw["potentials"][1]["table"] = [0.0, 1.0, bad, 2.0]
+        with pytest.raises(NonFiniteEntryError) as info:
+            validate_model(raw)
+        assert info.value.index == 2
 
 
 def test_table_index_last_fastest():
@@ -171,3 +204,181 @@ def test_flip_preserves_energy_and_negates_cut_signs():
     after = {(u, v): s for u, v, s in signed_view(flipped).edges}
     # every edge touches B exactly once, so every sign flips
     assert all(after[e] == -before[e] for e in before)
+
+
+def test_huge_int_entry_is_non_finite():
+    raw = two_var_raw()
+    raw["potentials"][0]["table"] = [10 ** 400, 0]
+    with pytest.raises(NonFiniteEntryError) as info:
+        validate_model(raw)
+    assert info.value.index == 0
+
+
+def test_merged_duplicate_scopes_must_stay_finite():
+    raw = two_var_raw()
+    raw["potentials"] = [
+        {"scope": ["A"], "table": [1.5e308, 0]},
+        {"scope": ["A"], "table": [1.5e308, 0]},
+    ]
+    with pytest.raises(NonFiniteEntryError) as info:
+        validate_model(raw)
+    assert info.value.index == 0 and info.value.scope == ("A",)
+
+    raw["potentials"][1]["table"] = [-1.5e308, 0]
+    assert validate_model(raw).potentials == (Potential(("A",), (0.0, 0.0)),)
+
+
+# ---------------------------------------------------------------------------
+# golden comparison with the reference algorithm below, a copy of the
+# straightforward per-entry validator this package started from
+
+
+def _reference_reorder_table(scope, cards, table, new_scope):
+    if tuple(new_scope) == tuple(scope):
+        return tuple(table)
+    pos = {name: i for i, name in enumerate(scope)}
+    perm = [pos[name] for name in new_scope]
+    new_cards = [cards[p] for p in perm]
+    out = [0.0] * len(table)
+    for new_vals in itertools.product(*(range(c) for c in new_cards)):
+        old_vals = [0] * len(scope)
+        for i, p in enumerate(perm):
+            old_vals[p] = new_vals[i]
+        out[table_index(new_cards, new_vals)] = table[table_index(cards, old_vals)]
+    return tuple(out)
+
+
+def reference_validate_model(raw):
+    if not isinstance(raw, Mapping):
+        raise ModelFormatError("model description must be a mapping")
+    extra = set(raw) - {"variables", "potentials"}
+    if extra:
+        raise ModelFormatError(f"unknown keys: {sorted(extra)}")
+
+    variables = []
+    seen = set()
+    for entry in raw.get("variables", []):
+        if not isinstance(entry, Mapping) or set(entry) != {"name", "card"}:
+            raise ModelFormatError(f"bad variable entry: {entry!r}")
+        name, card = entry["name"], entry["card"]
+        if not isinstance(name, str):
+            raise ModelFormatError(f"variable name must be a string: {name!r}")
+        if not isinstance(card, int) or isinstance(card, bool) or card < 2:
+            raise ModelFormatError(f"cardinality of {name!r} must be an integer >= 2")
+        if name in seen:
+            raise DuplicateVariableError(name)
+        seen.add(name)
+        variables.append((name, card))
+
+    index = {name: i for i, (name, _) in enumerate(variables)}
+    cards = dict(variables)
+
+    merged = {}
+    for entry in raw.get("potentials", []):
+        if not isinstance(entry, Mapping) or set(entry) != {"scope", "table"}:
+            raise ModelFormatError(f"bad potential entry: {entry!r}")
+        scope = tuple(entry["scope"])
+        if not scope:
+            raise ModelFormatError("empty potential scope")
+        for name in scope:
+            if name not in index:
+                raise UnknownVariableError(name, scope)
+        if len(set(scope)) != len(scope):
+            raise ModelFormatError(f"scope {list(scope)} repeats a variable")
+        table = entry["table"]
+        scope_cards = [cards[name] for name in scope]
+        expected = math.prod(scope_cards)
+        if not isinstance(table, (list, tuple)) or len(table) != expected:
+            raise TableSizeMismatchError(scope, expected, len(table) if hasattr(table, "__len__") else -1)
+        values = []
+        for i, v in enumerate(table):
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise NonFiniteEntryError(scope, i)
+            values.append(float(v))
+        canon = tuple(sorted(scope, key=index.__getitem__))
+        values = list(_reference_reorder_table(scope, scope_cards, values, canon))
+        if canon in merged:
+            merged[canon] = [a + b for a, b in zip(merged[canon], values)]
+        else:
+            merged[canon] = values
+
+    potentials = tuple(
+        Potential(scope, tuple(tab))
+        for scope, tab in sorted(merged.items(), key=lambda kv: tuple(index[n] for n in kv[0]))
+    )
+    return Model(tuple(variables), potentials)
+
+
+def random_raw_model(rng):
+    """Raw model with shuffled declaration order, 2- and 3-label variables,
+    scopes of order 1 to 3 in any order, repeated scopes, int and float
+    entries, lists and tuples, and dict or read-only mapping entries."""
+    n = int(rng.integers(2, 7))
+    names = [f"V{k}" for k in rng.permutation(n)]
+    cards = {name: int(rng.choice([2, 2, 3])) for name in names}
+
+    def mapping(doc):
+        return types.MappingProxyType(doc) if rng.random() < 0.3 else doc
+
+    potentials = []
+    scopes = []
+    for _ in range(int(rng.integers(1, 14))):
+        if scopes and rng.random() < 0.3:
+            scope = list(scopes[int(rng.integers(len(scopes)))])
+            scope = [scope[i] for i in rng.permutation(len(scope))]
+        else:
+            order = int(rng.integers(1, min(3, n) + 1))
+            scope = [names[i] for i in rng.choice(n, size=order, replace=False)]
+        scopes.append(scope)
+        size = math.prod(cards[name] for name in scope)
+        if rng.random() < 0.3:
+            table = [int(x) for x in rng.integers(-5, 6, size=size)]
+        else:
+            table = [float(x) for x in rng.uniform(-3, 3, size=size)]
+            table[0] = int(rng.integers(-2, 3))
+        if rng.random() < 0.3:
+            table = tuple(table)
+        potentials.append(mapping({"scope": scope, "table": table}))
+    variables = [mapping({"name": name, "card": cards[name]}) for name in names]
+    return {"variables": variables, "potentials": potentials}
+
+
+def _outcome(validate, raw):
+    try:
+        return validate(raw)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt(raw, rng):
+    """A copy of `raw` with one potential's entry, scope or table made invalid."""
+    potentials = [dict(p) for p in raw["potentials"]]
+    p = potentials[int(rng.integers(len(potentials)))]
+    kind = int(rng.integers(4))
+    if kind == 0:
+        table = list(p["table"])
+        bad = (True, "1", None, math.nan, math.inf, np.int64(2), [1.0])
+        table[int(rng.integers(len(table)))] = bad[int(rng.integers(len(bad)))]
+        p["table"] = table
+    elif kind == 1:
+        p["scope"] = list(p["scope"]) + [("Z", p["scope"][0], ["unhashable"])[int(rng.integers(3))]]
+    elif kind == 2:
+        p["table"] = list(p["table"])[:-1]
+    else:
+        p["scope"] = []
+    return {"variables": raw["variables"], "potentials": potentials}
+
+
+def test_validate_matches_reference_algorithm():
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        raw = random_raw_model(rng)
+        model = validate_model(raw)
+        assert model == reference_validate_model(raw)
+        assert all(
+            type(p.table) is tuple and all(type(x) is float for x in p.table)
+            for p in model.potentials
+        )
+        assert all(type(p.scope) is tuple for p in model.potentials)
+        bad = _corrupt(raw, rng)
+        assert _outcome(validate_model, bad) == _outcome(reference_validate_model, bad)

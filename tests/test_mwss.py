@@ -453,3 +453,52 @@ def test_rounding_level_gap_is_a_tie():
     sol = solve_map(model)
     assert sol.assignment == {"X1": 1, "X2": 0, "X3": 0, "X4": 0}
     assert sol.objective == pytest.approx(1.2)
+
+
+def test_repeated_pairwise_scope_counts_every_table():
+    model = Model(
+        (("X1", 2), ("X2", 2)),
+        (
+            Potential(("X1", "X2"), (3.0, 0.0, 0.0, 1.0)),
+            Potential(("X1", "X2"), (0.0, 0.0, 0.0, 5.0)),
+        ),
+    )
+    sol = solve_map(model)
+    ref = brute_force_map(model)
+    assert sol.objective == ref.objective == 6.0
+    assert sol.assignment == ref.assignment == {"X1": 1, "X2": 1}
+
+
+def _oriented(scope, t, rng):
+    if rng.random() < 0.5:
+        return Potential((scope[1], scope[0]), (t[0], t[2], t[1], t[3]))
+    return Potential(scope, tuple(t))
+
+
+def _split_scopes(model, rng):
+    """The same energy, with every pairwise table split into two or three
+    integer parts, each over the scope in either order, in shuffled order."""
+    potentials = []
+    for p in model.potentials:
+        if len(p.scope) == 1:
+            potentials.append(p)
+            continue
+        rest = list(p.table)
+        for _ in range(int(rng.integers(1, 3))):
+            part = [float(x) for x in rng.integers(-3, 4, size=4)]
+            rest = [r - x for r, x in zip(rest, part)]
+            potentials.append(_oriented(p.scope, part, rng))
+        potentials.append(_oriented(p.scope, rest, rng))
+    order = rng.permutation(len(potentials))
+    return Model(model.variables, tuple(potentials[i] for i in order))
+
+
+def test_scopes_repeated_in_both_orders_solve_exactly():
+    rng = np.random.default_rng(113)
+    for _ in range(150):
+        whole = random_tractable_model(rng, max_vars=int(rng.integers(3, 10)), integer=True)
+        model = _split_scopes(whole, rng)
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == ref.objective == solve_map(whole).objective
+        assert sol.assignment == ref.assignment

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -200,3 +201,71 @@ def test_json_round_trip_and_dot():
     dot = nmrf_to_dot(nmrf)
     assert dot.startswith("graph nmrf {")
     assert dot.count("--") == sum(len(s) for s in nmrf.adj) // 2
+
+
+# ---------------------------------------------------------------------------
+# golden compile: the indexed conflict scan against the all-pairs rule
+
+
+def _golden_nmrf_models():
+    from nmrfmap.generators import random_signed_model, random_tractable_model
+    from nmrfmap.model import Model, Potential
+
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        yield random_tractable_model(rng, max_vars=7)
+        yield random_signed_model(rng, n=5, p=0.6)
+    rng = np.random.default_rng(99)
+    for _ in range(4):
+        # an order-3 scope, a reversed scope and 3-label variables
+        yield validate_model(
+            {
+                "variables": [
+                    {"name": "A", "card": 3},
+                    {"name": "B", "card": 2},
+                    {"name": "C", "card": 2},
+                    {"name": "D", "card": 3},
+                ],
+                "potentials": [
+                    {"scope": ["A", "B", "C"], "table": [float(x) for x in rng.uniform(-1, 1, 12)]},
+                    {"scope": ["D", "A"], "table": [float(x) for x in rng.uniform(-1, 1, 9)]},
+                    {"scope": ["C"], "table": [0.0, 1.0]},
+                ],
+            }
+        )
+    # a scope given twice, as only a Model built without validation has it
+    yield Model(
+        (("X1", 2), ("X2", 2)),
+        (
+            Potential(("X1", "X2"), (3.0, 0.0, 0.0, 1.0)),
+            Potential(("X1", "X2"), (0.0, 0.0, 0.0, 5.0)),
+        ),
+    )
+
+
+# sha256 over the sorted-key JSON of every compile below, recorded with the
+# all-pairs conflict scan.
+GOLDEN_NMRF_DIGEST = "97f7bef2cf0f084bb3ff831d80ab650590f043fb0f1b150294897e3ee41bd156"
+
+
+def test_nmrf_json_matches_golden_digest():
+    from nmrfmap.model import is_binary_pairwise
+    from nmrfmap.structure import classify_model, plan_by_names
+
+    h = hashlib.sha256()
+    for model in _golden_nmrf_models():
+        h.update(json.dumps(nmrf_to_json(build_nmrf(model)), sort_keys=True).encode())
+        if is_binary_pairwise(model):
+            plan = plan_by_names(classify_model(model))
+            rewritten = apply_enode_plan(model, plan)
+            h.update(json.dumps(nmrf_to_json(build_nmrf(rewritten)), sort_keys=True).encode())
+    assert h.hexdigest() == GOLDEN_NMRF_DIGEST
+
+
+def test_conflicts_match_pairwise_rule():
+    for model in list(_golden_nmrf_models())[:-1]:  # every scope once
+        nmrf = build_nmrf(model)
+        nodes = nmrf.nodes
+        for i, a in enumerate(nodes):
+            expected = {j for j, b in enumerate(nodes) if nodes_conflict(a, b)}
+            assert nmrf.adj[i] == expected

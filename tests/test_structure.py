@@ -1,10 +1,20 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from nmrfmap.generators import model_from_signed_edges, random_signed_model
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE, SignedGraph, flip_variables, signed_view
+from nmrfmap.model import (
+    ASSOCIATIVE,
+    REPULSIVE,
+    SignedGraph,
+    flip_variables,
+    model_to_json,
+    signed_view,
+    validate_model,
+)
 from nmrfmap.structure import (
     Block,
     block_decompose,
@@ -285,3 +295,63 @@ def test_classify_graph_overall_verdict():
     assert not report.tractable
     g2 = sg(3, [(0, 1, REPULSIVE), (1, 2, REPULSIVE), (0, 2, REPULSIVE)])
     assert classify_graph(g2).tractable
+
+
+# ---------------------------------------------------------------------------
+# golden reports: sha256 of the sorted-key JSON report, recorded with the
+# first linear-time front end; any change to blocks, classes, witnesses,
+# plans or their order shows here.
+
+
+def _golden_chain(seed, n_blocks):
+    from nmrfmap.generators import _random_block
+
+    rng = np.random.default_rng(seed)
+    edges, base = [], 0
+    for _ in range(n_blocks):
+        block, used = _random_block(rng, base, 4)
+        edges += block
+        base += used - 1
+    return model_from_signed_edges(base + 1, edges, rng)
+
+
+def _golden_frustrated(seed):
+    rng = np.random.default_rng(seed)
+    return random_signed_model(rng, n=10 + 4 * (seed % 5), p=0.18 + 0.04 * (seed % 4))
+
+
+GOLDEN_CHAIN_REPORTS = (
+    "abc1d45f36ebb8dd702ea23bbdc57abca183bb0f5eaa83d8dec68c38f2ef2bd0",
+    "60cc8f52cbbad43df14c5ca3da14a70d6635f4a23593422c3c8456e87ed7367d",
+    "b561b0d81f61ee840d06f3b9c48b9bc61831f13b2d003ced5bd04b275a591457",
+    "9684e64201fae64f5a0cb5926b60e069c6c1b3087ef3b03de053193d0ba9f30e",
+    "a948350d99cbc9b5f4ae69571c722f73f30e9bb57f88c96b9290c21b40229c20",
+    "a2593163d8bd1f090f98e3a4061a1b2c5290da4769b1c3689b248861814e52f7",
+    "4cfb5e8cdc0320226165830c5e2e5bc41f1710b099443e30ce24194dc674744c",
+    "87978730e8292ec60ebe4f886a3ead4c5756c906f2a113833d2782c3732ac574",
+    "2ce9e33d74d6e791aa2a618a136cf5e7bb847c6341d904ecb0c2be914e5e0abc",
+    "100948b511e108779f0e6b9c8bf4988b6dd0048cd4270dda649e0678a0a32f7d",
+)
+GOLDEN_FRUSTRATED_REPORTS = (
+    "8754c947a6f4c91eb1c0b3ea181333f0d219de532e7385f200b6c64db14d85f1",
+    "e4df57c4a709471aef4302e1c1b2d76da4c9f610654f2663dcab8b5082e00107",
+    "dfc6b7c2084240441efde54dbebacf7ae1e99ff0abdaef2c6ba984e06753f791",
+    "5c19711b006e9ab2c34e0b9648ea74075939735ba3a5ac2553df761ee55d5db7",
+    "1f2af992acd7a52da7a2fa6fbe9db4d7d0ec9415ff73b5308e86398b2208964e",
+    "cac03f289c7a8557295a08071744eea2dbbbfee2d2446de5333086e84d281833",
+    "608974f48dbbeedba670da36af87dc923182b0786981bb2ba782122348f5d4db",
+    "58f96c6a6c916a94c6f1629065ed3212eceb629f38cf45d5587da4e7a0a0e4a9",
+    "b58504c1981d58660792cf6b5b77aa3220fe6bbcb6f4c2a8986435540b654b67",
+    "8828b42c354bcec3cf357dfc29d22b0f7e2f8121080634f6726b42f473a787e4",
+)
+
+
+def _report_digest(model):
+    doc = report_to_json(classify_model(validate_model(model_to_json(model))))
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_report_json_matches_golden_digest(seed):
+    assert _report_digest(_golden_chain(seed, 5 + 7 * seed)) == GOLDEN_CHAIN_REPORTS[seed]
+    assert _report_digest(_golden_frustrated(seed)) == GOLDEN_FRUSTRATED_REPORTS[seed]

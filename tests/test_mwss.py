@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -502,3 +503,29 @@ def test_scopes_repeated_in_both_orders_solve_exactly():
         ref = brute_force_map(model)
         assert sol.objective == ref.objective == solve_map(whole).objective
         assert sol.assignment == ref.assignment
+
+
+# sha256 of every sorted assignment and objective repr over the corpus below,
+# recorded while each pinned labeling still copied and re-coloured its block.
+GOLDEN_SOLUTIONS = "0d4ce9353c467c17c4c3c1366ec5e26cc39126f4d9a43e289579b255f28c5838"
+
+
+def _golden_solution_corpus():
+    rng = np.random.default_rng(127)
+    for _ in range(60):
+        yield random_tractable_model(rng, max_vars=int(rng.integers(3, 13)))
+    for _ in range(60):
+        yield random_tractable_model(rng, max_vars=int(rng.integers(3, 13)), integer=True)
+    for _ in range(60):
+        yield _with_small_integer_tables(
+            random_tractable_model(rng, max_vars=int(rng.integers(3, 13))), rng
+        )
+    yield block_chain_model(300)
+
+
+def test_solutions_match_golden_digest():
+    digest = hashlib.sha256()
+    for model in _golden_solution_corpus():
+        sol = solve_map(model)
+        digest.update(repr((sorted(sol.assignment.items()), repr(sol.objective))).encode())
+    assert digest.hexdigest() == GOLDEN_SOLUTIONS

@@ -34,7 +34,6 @@ from .model import (
     Model,
     REPULSIVE,
     SignedGraph,
-    associativity,
     energy,
     require_binary_pairwise,
 )
@@ -357,7 +356,7 @@ def decode_map(
 
 @dataclass
 class _Pairwise:
-    names: tuple[str, ...]
+    graph: SignedGraph  # the names, and every kept edge with its sign
     singles: dict[int, tuple[float, float]]
     edges: dict[tuple[int, int], tuple[float, float, float, float]]
     constant: float
@@ -383,6 +382,7 @@ def _canonicalize(model: Model, eps: float) -> _Pairwise:
             tables[(u, v)] = (t00, t01, t10, t11)
     singles: dict[int, tuple[float, float]] = {}
     edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    signed = []
     constant = slack = 0.0
     for p in model.potentials:
         if len(p.scope) == 1:
@@ -413,38 +413,13 @@ def _canonicalize(model: Model, eps: float) -> _Pairwise:
             slack += abs(a) / 4.0
         else:
             edges[(u, v)] = t
-    return _Pairwise(model.names, singles, edges, constant, slack)
-
-
-def _pw_signed_graph(pw: _Pairwise) -> SignedGraph:
-    sg_edges = tuple(
-        (u, v, ASSOCIATIVE if associativity(t) > 0 else REPULSIVE)
-        for (u, v), t in pw.edges.items()
-    )
-    return SignedGraph(pw.names, sg_edges)
+            signed.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
+    graph = SignedGraph(model.names, tuple(signed))
+    return _Pairwise(graph, singles, edges, constant, slack)
 
 
 # ---------------------------------------------------------------------------
 # block-tree conditioning
-
-
-def _clamp(pw: _Pairwise, v: int, label: int) -> _Pairwise:
-    """Fix vertex v to `label`, folding its mass into neighbors and constant."""
-    singles = dict(pw.singles)
-    constant = pw.constant + singles.pop(v, (0.0, 0.0))[label]
-    edges = {}
-    for (a, b), t in pw.edges.items():
-        if v not in (a, b):
-            edges[(a, b)] = t
-            continue
-        other = b if a == v else a
-        if a == v:
-            contrib = (t[2 * label + 0], t[2 * label + 1])
-        else:
-            contrib = (t[0 * 2 + label], t[1 * 2 + label])
-        s = singles.get(other, (0.0, 0.0))
-        singles[other] = (s[0] + contrib[0], s[1] + contrib[1])
-    return _Pairwise(pw.names, singles, edges, constant)
 
 
 @dataclass
@@ -478,49 +453,6 @@ class _Cut:
         return (self.side[v] if mark > 0 else 1 - self.side[v],)
 
 
-def _br_value(vertices: Sequence[int], pw: _Pairwise, eps: float):
-    """Optimal objective of a canonical pairwise problem on BR `vertices`,
-    and the min cut that attains it.
-
-    Each edge (u, v) becomes the single enode (side[u], side[v]) of the
-    signed two-coloring. A vertex whose unary prefers its side by more than
-    _FLOW_EPS takes it in every optimum and needs no node. Any other vertex
-    gets an snode for the other label, of weight >= 0 (0 on a tie); it
-    conflicts with the vertex's enodes, so enodes and snodes are the sides
-    of one bipartite MWSS.
-    """
-    side, _ = _signed_two_color(vertices, _pw_signed_graph(pw).edges)
-    singles = {v: list(s) for v, s in pw.singles.items()}
-    enodes = []
-    for (u, v), t in pw.edges.items():
-        rep = reparameterize_edge(t, (side[u], side[v]), eps)
-        enodes.append((u, v, rep.weight))
-        for x, delta in ((u, rep.delta_u), (v, rep.delta_v)):
-            s = singles.setdefault(x, [0.0, 0.0])
-            s[0] += delta[0]
-            s[1] += delta[1]
-    total = pw.constant
-    weights: list[float] = []
-    labels: dict[int, int] = {}
-    snode: dict[int, int] = {}
-    for v, w in singles.items():
-        on, off = w[side[v]], w[1 - side[v]]
-        total += on
-        if on - off > _FLOW_EPS:
-            labels[v] = side[v]
-        else:
-            snode[v] = len(weights)
-            weights.append(max(off - on, 0.0))
-    sides = [1] * len(weights)
-    edges = []
-    for u, v, w in enodes:
-        edges += [(len(weights), snode[x]) for x in (u, v) if x in snode]
-        weights.append(w)
-        sides.append(0)
-    sol = mwss_bipartite(weights, edges, sides)
-    return total + sol.weight, _Cut(labels, snode, list(snode), side, sol.residual)
-
-
 def _block_values(
     pw: _Pairwise,
     block: Block,
@@ -533,22 +465,80 @@ def _block_values(
     each labeling of its pinned vertices: the parent cut vertex, if any, and
     in a T/U block hub s unless the parent is a hub. What is left is BR.
     The parent's label varies slowest.
+
+    The free vertices are two-coloured once, and each free edge (u, v) is
+    rewritten once to the single enode (side[u], side[v]); a pinned label
+    only adds its edge rows to its neighbours' unaries. A free vertex whose
+    unary prefers its side by more than _FLOW_EPS takes it in every optimum
+    and needs no node. Any other vertex gets an snode for the other label,
+    of weight >= 0 (0 on a tie); it conflicts with the vertex's enodes, so
+    enodes and snodes are the sides of one bipartite MWSS.
     """
-    fixed = [] if parent is None else [parent]
+    pinned = [] if parent is None else [parent]
     if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
-        fixed.append(cls.params["s"])
-    free = [v for v in block.vertices if v not in fixed]
-    singles = {v: unary[v] for v in block.vertices if v != parent and v in unary}
-    edges = {(u, v): pw.edges[(u, v)] for u, v, _sign in block.edges}
-    local = _Pairwise(pw.names, singles, edges, 0.0)
+        pinned.append(cls.params["s"])
+    # An edge at a pinned vertex folds into its other end, on behalf of its
+    # first end in `pinned`; rows[label] is what that adds to the other end.
+    folds: list[list] = [[] for _ in pinned]
+    free = []
+    for u, v, sign in block.edges:
+        t = pw.edges[(u, v)]
+        for i, f in enumerate(pinned):
+            if f == u:
+                folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
+                break
+            if f == v:
+                folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
+                break
+        else:
+            free.append((u, v, sign))
+    side, _ = _signed_two_color([v for v in block.vertices if v not in pinned], free)
+    enodes = [
+        (u, v, reparameterize_edge(pw.edges[(u, v)], (side[u], side[v]), eps))
+        for u, v, _ in free
+    ]
+    # Unaries are summed in a fixed order: own unary, pinned rows, enode
+    # deltas; snodes are numbered in the order vertices first get a term.
+    keys = [v for v in block.vertices if v != parent and v in unary]
+    keys += [x for rows in folds for x, _ in rows]
+    keys += [x for u, v, _ in free for x in (u, v)]
+    keys = list(dict.fromkeys(keys))
     results = []
-    for labels in itertools.product((0, 1), repeat=len(fixed)):
-        cur = local
-        for v, label in zip(fixed, labels):
-            cur = _clamp(cur, v, label)
-        value, cut = _br_value(free, cur, eps)
-        cut.labels.update(zip(fixed, labels))
-        results.append((value, cut))
+    for pins in itertools.product((0, 1), repeat=len(pinned)):
+        acc = {v: list(unary.get(v, (0.0, 0.0))) for v in keys}
+        total = 0.0
+        for f, label, rows in zip(pinned, pins, folds):
+            total += acc.pop(f, (0.0, 0.0))[label]
+            for x, row in rows:
+                w = acc[x]
+                w[0] += row[label][0]
+                w[1] += row[label][1]
+        for u, v, rep in enodes:
+            for x, delta in ((u, rep.delta_u), (v, rep.delta_v)):
+                w = acc[x]
+                w[0] += delta[0]
+                w[1] += delta[1]
+        weights: list[float] = []
+        labels = dict(zip(pinned, pins))
+        snode: dict[int, int] = {}
+        for v, w in acc.items():
+            on, off = w[side[v]], w[1 - side[v]]
+            total += on
+            if on - off > _FLOW_EPS:
+                labels[v] = side[v]
+            else:
+                snode[v] = len(weights)
+                weights.append(max(off - on, 0.0))
+        sides = [1] * len(weights)
+        edges = []
+        for u, v, rep in enodes:
+            edges += [(len(weights), snode[x]) for x in (u, v) if x in snode]
+            weights.append(rep.weight)
+            sides.append(0)
+        sol = mwss_bipartite(weights, edges, sides)
+        results.append(
+            (total + sol.weight, _Cut(labels, snode, list(snode), side, sol.residual))
+        )
     return results
 
 
@@ -556,12 +546,12 @@ def _value_pass(pw: _Pairwise, eps: float):
     """Optimal objective of a canonical pairwise problem, and for every block
     with edges its vertices and the cuts of the pinned labelings that attain
     the block's best value for their parent label."""
-    report = classify_graph(_pw_signed_graph(pw))
+    report = classify_graph(pw.graph)
     if not report.tractable:
         witness = next(
             c.witness for c in report.classes if c.kind == "INTRACTABLE"
         )
-        raise IntractableTopologyError(tuple(pw.names[v] for v in witness))
+        raise IntractableTopologyError(tuple(pw.graph.names[v] for v in witness))
     blocks = report.tree.blocks
     blocks_at: dict[int, list[int]] = defaultdict(list)
     for bi, block in enumerate(blocks):
@@ -634,7 +624,7 @@ def _decode(pw: _Pairwise, kept) -> list[int]:
     extendable to an optimum: fixing the variables in declaration order,
     each to 0 while 0 is possible, needs no backtracking.
     """
-    n = len(pw.names)
+    n = len(pw.graph.names)
     possible = [3] * n
     blocks_at: dict[int, list[int]] = {}
     count: list[dict[int, list[int]]] = []
@@ -645,7 +635,7 @@ def _decode(pw: _Pairwise, kept) -> list[int]:
             possible[v] ^= 1 << label
             if not possible[v]:
                 raise InconsistentCompletionError(
-                    f"no optimal label left for {pw.names[v]!r}"
+                    f"no optimal label left for {pw.graph.names[v]!r}"
                 )
             queue.append((v, label))
 
@@ -722,7 +712,7 @@ def solve_map(
     require_binary_pairwise(model)
     pw = _canonicalize(model, eps)
     best, kept = _value_pass(pw, eps)
-    assignment = dict(zip(pw.names, _decode(pw, kept)))
+    assignment = dict(zip(pw.graph.names, _decode(pw, kept)))
     objective = energy(model, assignment)
     if abs(objective - best) > objective_tolerance(model) + pw.slack:
         raise ObjectiveMismatchError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -552,37 +551,17 @@ def _value_pass(pw: _Pairwise, eps: float):
             c.witness for c in report.classes if c.kind == "INTRACTABLE"
         )
         raise IntractableTopologyError(tuple(pw.graph.names[v] for v in witness))
-    blocks = report.tree.blocks
-    blocks_at: dict[int, list[int]] = defaultdict(list)
-    for bi, block in enumerate(blocks):
-        for v in block.vertices:
-            blocks_at[v].append(bi)
-
-    # Root each component of the block forest at its lowest block; every
-    # block comes after its parent in `order`.
-    parent: dict[int, Optional[int]] = {}
-    order: list[int] = []
-    for root in range(len(blocks)):
-        stack = [] if root in parent else [(root, None)]
-        while stack:
-            bi, c = stack.pop()
-            parent[bi] = c
-            order.append(bi)
-            for v in blocks[bi].vertices:
-                if v != c:
-                    stack += [(b, v) for b in blocks_at[v] if b not in parent]
-
-    # Post-order: a solved block adds its best value per label to its parent
-    # cut vertex's unary before the block that owns that vertex is solved.
+    # Blocks come before their parents: a solved block adds its best value
+    # per label to its attachment vertex's unary before the parent is solved.
     unary = dict(pw.singles)
     total = pw.constant
     kept: list[tuple[tuple[int, ...], list[_Cut]]] = []
-    for bi in reversed(order):
-        block, c = blocks[bi], parent[bi]
+    tree = report.tree
+    for block, cls, c in zip(tree.blocks, report.classes, tree.attach):
         if not block.edges:  # an isolated vertex
             total += max(unary.get(block.vertices[0], (0.0, 0.0)))
             continue
-        results = _block_values(pw, block, report.classes[bi], c, unary, eps)
+        results = _block_values(pw, block, cls, c, unary, eps)
         half = len(results) // 2
         groups = [results] if c is None else [results[:half], results[half:]]
         best = [max(value for value, _ in group) for group in groups]

@@ -34,6 +34,9 @@ class Block:
 class BlockTree:
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
+    # Per block, the cut vertex it shares with its parent block, which comes
+    # later; None for each component's last block and each isolated vertex.
+    attach: tuple[Optional[int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +60,9 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
 
     Isolated vertices come first, in index order, then the blocks with edges
     in the order the DFS closes them, each with its edges from the last
-    reached to the first.
+    reached to the first. A block closes at the vertex where it hangs off
+    the rest of the DFS tree, its attachment; a component's last block holds
+    the DFS root and has none. So every block comes before its parent.
     """
     n = graph.n
     edges = graph.edges
@@ -87,6 +92,7 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     vert_stack: list[int] = []
     isolated: list[Block] = []
     blocks: list[Block] = []
+    attach: list[Optional[int]] = []
     cut: list[int] = []
 
     for root in range(n):
@@ -146,11 +152,15 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     verts.sort()
                     block_edges = tuple(map(edges.__getitem__, reversed(comp)))
                     blocks.append(Block(tuple(verts), block_edges))
+                    attach.append(u)
                     membership[u] += 1
                     if membership[u] == 2:
                         cut.append(u)
+        attach[-1] = None
 
-    return BlockTree(tuple(isolated + blocks), frozenset(cut))
+    return BlockTree(
+        tuple(isolated + blocks), frozenset(cut), (None,) * len(isolated) + tuple(attach)
+    )
 
 
 def _signed_two_color(vertices, edges):

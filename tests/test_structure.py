@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -128,6 +129,30 @@ def test_blocks_against_brute_force_cut_vertices():
             v for v in range(n) if adj[v] and comp_count(v) > base - (0 if adj[v] else 1)
         }
         assert tree.cut_vertices == expected_cuts
+
+
+def test_block_attachments_point_to_later_blocks():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(2, 11))
+        edges = [
+            (u, v, ASSOCIATIVE)
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < 0.3
+        ]
+        tree = block_decompose(sg(n, edges))
+        graph = nx.Graph([(u, v) for u, v, _ in edges])
+        graph.add_nodes_from(range(n))
+        assert len(tree.attach) == len(tree.blocks)
+        assert tree.attach.count(None) == nx.number_connected_components(graph)
+        for i, (block, c) in enumerate(zip(tree.blocks, tree.attach)):
+            if c is not None:
+                assert c in block.vertices
+                # the parent block, which holds c without hanging off it
+                assert any(
+                    c in later.vertices and up != c
+                    for later, up in zip(tree.blocks[i + 1 :], tree.attach[i + 1 :])
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One verb per pipeline stage: validate, classify, compile, solve, perfect,
-submodular, bench. `solve --method auto|blocks` solves tractable pairwise
-blocks by bipartite min cut; `--method bnb` runs capped branch and bound.
+submodular, bench. `solve --method blocks` (the default) solves tractable
+pairwise blocks by bipartite min cut; `--method bnb` runs capped branch and
+bound. An intractable model's refusal carries the tractability report that
+the solve itself built, so the model is classified once.
 Machine-readable output (JSON, or CSV for bench) goes to standard output;
 diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
 (intractable / not perfect / infeasible / oracle disagreement), 2 input
@@ -50,6 +52,7 @@ from .mwss import (
     map_solution_to_json,
     objective_tolerance,
     solve_map,
+    solve_map_bnb,
 )
 from .nmrf import (
     apply_enode_plan,
@@ -137,11 +140,14 @@ def _cmd_compile(args) -> int:
 def _cmd_solve(args) -> int:
     model = model_from_json_file(args.model)
     try:
-        sol = solve_map(model, args.method, args.eps, args.max_nodes)
+        if args.method == "bnb":
+            sol = solve_map_bnb(model, args.eps, args.max_nodes)
+        else:
+            sol = solve_map(model, args.eps)
     except IntractableTopologyError as exc:
-        report = classify_model(model, args.eps)
         _emit(
-            {"solved": False, "reason": "intractable", "report": report_to_json(report)},
+            {"solved": False, "reason": "intractable",
+             "report": report_to_json(exc.report)},
             args.out,
         )
         print(f"intractable topology; witness cycle {list(exc.witness)}",
@@ -304,9 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact MAP assignment")
     p.add_argument("model")
     common(p)
-    p.add_argument(
-        "--method", default="auto", choices=("auto", "blocks", "bnb")
-    )
+    p.add_argument("--method", default="blocks", choices=("blocks", "bnb"))
     p.add_argument("--max-nodes", type=int, default=DEFAULT_BNB_CAP)
     p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(func=_cmd_solve)

@@ -61,10 +61,12 @@ class TooLargeError(NmrfmapError):
 
 
 class IntractableTopologyError(NmrfmapError):
-    """Model topology does not map to a perfect NMRF; carries a witness cycle."""
+    """Model topology does not map to a perfect NMRF; carries a witness cycle
+    and, when raised by `solve_map`, the `TractabilityReport` that found it."""
 
-    def __init__(self, witness, message="intractable topology"):
+    def __init__(self, witness, message="intractable topology", report=None):
         self.witness = witness
+        self.report = report
         super().__init__(message)
 
 

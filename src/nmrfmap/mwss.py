@@ -2,15 +2,18 @@
 
 `solve_map` classifies the topology once and solves every tractable block
 with one exact core, bipartite MWSS via max-flow minimum weighted vertex
-cover: fixing the block's parent cut vertex, and in a T/U block one hub,
-leaves a BR block whose single-enode NMRF is bipartite. One value pass
-combines the block maxima over the block tree in post-order and keeps the
-residual graph of each optimal min cut. The closed sets of a residual graph
-are exactly the optimal cuts (Picard and Queyranne, 1980), so the decode
-reads the lexicographically smallest optimal assignment off these graphs by
-closure propagation, in time linear in their size, without solving again.
-Branch and bound on the whole pruned NMRF (`method="bnb"`) handles small
-models of any order and labels.
+cover. It walks the block tree that `classify_graph` returns in index
+order, each block before the block it hangs off. Fixing a block's
+attachment cut vertex, and in a T/U block one hub, leaves a BR block: it is
+two-coloured and its edges are rewritten to single enodes once, and each
+labeling of the pinned vertices only adds their edge rows to their
+neighbours' unaries before its one bipartite MWSS. This value pass combines
+the block maxima and keeps the residual graph of each optimal min cut. The
+closed sets of a residual graph are exactly the optimal cuts (Picard and
+Queyranne, 1980), so the decode reads the lexicographically smallest
+optimal assignment off these graphs by closure propagation, in time linear
+in their size, without solving again. `solve_map_bnb`, branch and bound on
+the whole pruned NMRF, handles small models of any order and labels.
 """
 
 from __future__ import annotations
@@ -171,31 +174,6 @@ class _Dinic:
         return queue
 
 
-def two_color(n: int, edges) -> Optional[list[int]]:
-    """BFS two-coloring; None if not bipartite."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    side = [-1] * n
-    for start in range(n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in adj[u]:
-                if side[v] < 0:
-                    side[v] = side[u] ^ 1
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return None
-    return side
-
-
 def mwss_bipartite(
     weights: Sequence[float], edges, sides: Sequence[int]
 ) -> StableSetSolution:
@@ -327,10 +305,9 @@ def mmwss_complete(pruned: PrunedNmrf, base: StableSetSolution) -> StableSetSolu
     return StableSetSolution(tuple(selected), sum(nodes[i].weight for i in selected))
 
 
-def decode_map(
-    mmwss: StableSetSolution, nmrf: Nmrf, model: Model, eps: float = DEFAULT_EPS
-) -> MapSolution:
-    """Read the MAP assignment off the singleton nodes and verify the objective."""
+def decode_map(mmwss: StableSetSolution, nmrf: Nmrf, model: Model) -> MapSolution:
+    """Read the MAP assignment off the singleton nodes and check that their
+    energy matches the stable set's weight within `objective_tolerance`."""
     assignment: dict[str, int] = {}
     for nid in mmwss.nodes:
         node = nmrf.nodes[nid]
@@ -341,8 +318,7 @@ def decode_map(
         raise InconsistentCompletionError(f"no singleton node selected for {missing}")
     objective = energy(model, assignment)
     reconstructed = mmwss.weight + nmrf.constant
-    scale = max(1.0, abs(objective), abs(reconstructed))
-    if abs(objective - reconstructed) > max(eps, 1e-9) * scale * 100:
+    if abs(objective - reconstructed) > objective_tolerance(model):
         raise ObjectiveMismatchError(
             f"objective {objective!r} != weight+constants {reconstructed!r}"
         )
@@ -550,7 +526,10 @@ def _value_pass(pw: _Pairwise, eps: float):
         witness = next(
             c.witness for c in report.classes if c.kind == "INTRACTABLE"
         )
-        raise IntractableTopologyError(tuple(pw.graph.names[v] for v in witness))
+        names = pw.graph.names
+        raise IntractableTopologyError(
+            tuple(names[v] for v in witness), report=report
+        )
     # Blocks come before their parents: a solved block adds its best value
     # per label to its attachment vertex's unary before the parent is solved.
     unary = dict(pw.singles)
@@ -581,11 +560,6 @@ def _value_pass(pw: _Pairwise, eps: float):
         ]
         kept.append((block.vertices, cuts))
     return total, kept
-
-
-def _pw_value(pw: _Pairwise, eps: float) -> float:
-    """Optimal objective of a canonical pairwise problem (no assignment)."""
-    return _value_pass(pw, eps)[0]
 
 
 def _decode(pw: _Pairwise, kept) -> list[int]:
@@ -671,23 +645,14 @@ def _decode(pw: _Pairwise, kept) -> list[int]:
     return [possible[v] >> 1 for v in range(n)]
 
 
-def solve_map(
-    model: Model,
-    method: str = "auto",
-    eps: float = DEFAULT_EPS,
-    max_nodes: int = DEFAULT_BNB_CAP,
-) -> MapSolution:
-    """Exact MAP inference; see module docstring for the method menu.
+def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
+    """Exact MAP inference on a binary pairwise model, block by block.
 
     The value pass solves each block once per labeling of its pinned
     vertices and keeps those min cuts' residual graphs; the decode reads the
     lexicographically smallest optimal assignment off them. Its energy must
     match the optimum within `objective_tolerance`.
     """
-    if method == "bnb":
-        return solve_map_bnb(model, eps, max_nodes)
-    if method not in ("auto", "blocks"):
-        raise ValueError(f"unknown method {method!r}")
     require_binary_pairwise(model)
     pw = _canonicalize(model, eps)
     best, kept = _value_pass(pw, eps)
@@ -714,5 +679,5 @@ def solve_map_bnb(
     sol = mwss_branch_bound(weights, edges, max_nodes)
     base = StableSetSolution(tuple(kept[i] for i in sol.nodes), sol.weight)
     full = mmwss_complete(pruned, base)
-    decoded = decode_map(full, nmrf, model, eps)
+    decoded = decode_map(full, nmrf, model)
     return MapSolution(decoded.assignment, decoded.objective, "bnb")

@@ -11,8 +11,17 @@ from nmrfmap.errors import (
     ObjectiveMismatchError,
 )
 from nmrfmap.generators import model_from_signed_edges
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE, energy, model_to_json
+from nmrfmap.model import (
+    ASSOCIATIVE,
+    REPULSIVE,
+    energy,
+    model_from_json_file,
+    model_to_json,
+)
+import nmrfmap.mwss
+import nmrfmap.structure
 from nmrfmap.mwss import MapSolution
+from nmrfmap.structure import classify_graph, classify_model, report_to_json
 
 
 def write_json(path, doc):
@@ -207,6 +216,22 @@ def test_solve_intractable_reports_witness(frustrated_model, capsys):
     doc = json.loads(out)
     assert doc["solved"] is False and doc["reason"] == "intractable"
     assert "witness" in err
+
+
+def test_solve_refusal_reuses_the_solve_report(frustrated_model, capsys, monkeypatch):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return classify_graph(graph)
+
+    monkeypatch.setattr(nmrfmap.mwss, "classify_graph", counted)
+    monkeypatch.setattr(nmrfmap.structure, "classify_graph", counted)
+    code, out, _ = run(capsys, "solve", frustrated_model)
+    assert code == 1
+    assert len(calls) == 1
+    model = model_from_json_file(frustrated_model)
+    assert json.loads(out)["report"] == report_to_json(classify_model(model))
 
 
 def test_solve_bnb_method(frustrated_model, capsys):

@@ -7,6 +7,7 @@ import pytest
 from nmrfmap.errors import (
     IntractableTopologyError,
     NotBipartiteError,
+    ObjectiveMismatchError,
     TooLargeError,
 )
 from nmrfmap.generators import (
@@ -29,14 +30,13 @@ from nmrfmap.model import (
 )
 from nmrfmap.mwss import (
     _canonicalize,
-    _pw_value,
+    _value_pass,
     decode_map,
     mmwss_complete,
     mwss_bipartite,
     mwss_branch_bound,
     solve_map,
     solve_map_bnb,
-    two_color,
 )
 from nmrfmap.nmrf import build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
@@ -78,11 +78,6 @@ def test_branch_bound_cap():
         mwss_branch_bound([1.0] * 50, [], max_nodes=40)
 
 
-def test_two_color():
-    assert two_color(4, [(0, 1), (1, 2), (2, 3), (0, 3)]) is not None
-    assert two_color(3, [(0, 1), (1, 2), (0, 2)]) is None
-
-
 def test_mmwss_complete_one_node_per_group():
     model = validate_model(
         {
@@ -103,6 +98,25 @@ def test_mmwss_complete_one_node_per_group():
     decoded = decode_map(full, nmrf, model)
     assert decoded.assignment == {"A": 1, "B": 1}
     assert decoded.objective == pytest.approx(2.0)
+
+
+def test_decode_map_checks_weight_against_objective_tolerance():
+    rng = np.random.default_rng(131)
+    for _ in range(20):
+        model = random_tractable_model(rng, max_vars=5)
+        nmrf = build_nmrf(model)
+        pruned = prune(nmrf)
+        weights, edges, kept = pruned.subgraph()
+        sol = mwss_branch_bound(weights, edges, max_nodes=80)
+        base = type(sol)(tuple(kept[i] for i in sol.nodes), sol.weight)
+        full = mmwss_complete(pruned, base)
+        assert decode_map(full, nmrf, model).objective == pytest.approx(
+            brute_force_map(model).objective
+        )
+        scale = sum(max(abs(x) for x in p.table) for p in model.potentials)
+        off = type(full)(full.nodes, full.weight + 1e-8 * scale)
+        with pytest.raises(ObjectiveMismatchError):
+            decode_map(off, nmrf, model)
 
 
 def test_solve_map_matches_oracle_on_tractable_models():
@@ -130,7 +144,7 @@ def test_methods_agree():
     rng = np.random.default_rng(79)
     for _ in range(20):
         model = random_tractable_model(rng, max_vars=5)
-        a = solve_map(model, method="blocks")
+        a = solve_map(model)
         b = solve_map_bnb(model, max_nodes=80)
         assert a.objective == pytest.approx(b.objective)
 
@@ -293,7 +307,7 @@ def test_value_pass_on_deep_block_chain():
             + table[(t,)][z]
             for z in (0, 1)
         ]
-    value = _pw_value(_canonicalize(model, DEFAULT_EPS), DEFAULT_EPS)
+    value = _value_pass(_canonicalize(model, DEFAULT_EPS), DEFAULT_EPS)[0]
     assert value == pytest.approx(max(best))
 
 

@@ -1,12 +1,12 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from nmrfmap.errors import BadIndicesError, NotSupermodularError, TooLargeError
 from nmrfmap.generators import random_supermodular_k3
 from nmrfmap.model import energy
-from nmrfmap.mwss import two_color
 from nmrfmap.nmrf import build_nmrf, prune
 from nmrfmap.submodular import (
     SUPERMODULAR_INFEASIBLE_K4,
@@ -131,7 +131,7 @@ def test_representation_model_round_trip_and_bipartite():
             )
         pruned = prune(build_nmrf(model))
         weights, edges, _ = pruned.subgraph()
-        assert two_color(len(weights), edges) is not None
+        assert nx.is_bipartite(nx.Graph(edges))
 
 
 def test_feasibility_fast_and_lp_paths():

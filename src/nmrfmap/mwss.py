@@ -452,9 +452,9 @@ def _block_values(
     pinned = [] if parent is None else [parent]
     if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
         pinned.append(cls.params["s"])
-    # An edge at a pinned vertex folds into its other end, on behalf of its
-    # first end in `pinned`; rows[label] is what that adds to the other end.
-    folds: list[list] = [[] for _ in pinned]
+    # An edge at a pinned vertex folds into its other end x, on behalf of its
+    # first end in `pinned`: add[label] is what it adds to x's unary.
+    folds = [[] for _ in pinned]
     free = []
     for u, v, sign in block.edges:
         t = pw.edges[(u, v)]
@@ -475,19 +475,19 @@ def _block_values(
     # Unaries are summed in a fixed order: own unary, pinned rows, enode
     # deltas; snodes are numbered in the order vertices first get a term.
     keys = [v for v in block.vertices if v != parent and v in unary]
-    keys += [x for rows in folds for x, _ in rows]
+    keys += [x for fold in folds for x, _ in fold]
     keys += [x for u, v, _ in free for x in (u, v)]
     keys = list(dict.fromkeys(keys))
     results = []
     for pins in itertools.product((0, 1), repeat=len(pinned)):
         acc = {v: list(unary.get(v, (0.0, 0.0))) for v in keys}
         total = 0.0
-        for f, label, rows in zip(pinned, pins, folds):
+        for f, label, fold in zip(pinned, pins, folds):
             total += acc.pop(f, (0.0, 0.0))[label]
-            for x, row in rows:
+            for x, add in fold:
                 w = acc[x]
-                w[0] += row[label][0]
-                w[1] += row[label][1]
+                w[0] += add[label][0]
+                w[1] += add[label][1]
         for u, v, rep in enodes:
             for x, delta in ((u, rep.delta_u), (v, rep.delta_v)):
                 w = acc[x]

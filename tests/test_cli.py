@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import nmrfmap.cli
+import nmrfmap.mwss
+import nmrfmap.structure
 from nmrfmap.cli import main
 from nmrfmap.errors import (
     InconsistentCompletionError,
@@ -18,8 +20,6 @@ from nmrfmap.model import (
     model_from_json_file,
     model_to_json,
 )
-import nmrfmap.mwss
-import nmrfmap.structure
 from nmrfmap.mwss import MapSolution
 from nmrfmap.structure import classify_graph, classify_model, report_to_json
 

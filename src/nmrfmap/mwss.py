@@ -2,18 +2,21 @@
 
 `solve_map` classifies the topology once and solves every tractable block
 with one exact core, bipartite MWSS via max-flow minimum weighted vertex
-cover. It walks the block tree that `classify_graph` returns in index
-order, each block before the block it hangs off. Fixing a block's
-attachment cut vertex, and in a T/U block one hub, leaves a BR block: it is
-two-coloured and its edges are rewritten to single enodes once, and each
-labeling of the pinned vertices only adds their edge rows to their
-neighbours' unaries before its one bipartite MWSS. This value pass combines
-the block maxima and keeps the residual graph of each optimal min cut. The
-closed sets of a residual graph are exactly the optimal cuts (Picard and
-Queyranne, 1980), so the decode reads the lexicographically smallest
-optimal assignment off these graphs by closure propagation, in time linear
-in their size, without solving again. `solve_map_bnb`, branch and bound on
-the whole pruned NMRF, handles small models of any order and labels.
+cover. The max flow starts from a greedy pre-flow along the length-3 paths
+and completes it by Dinic's algorithm with an explicit path stack, so it
+has no recursion limit. It walks the block tree that `classify_graph`
+returns in index order, each block before the block it hangs off. Fixing a
+block's attachment cut vertex, and in a T/U block one hub, leaves a BR
+block: it is two-coloured and its edges are rewritten to single enodes
+once, and each labeling of the pinned vertices only adds their edge rows to
+their neighbours' unaries before its one bipartite MWSS. This value pass
+combines the block maxima and keeps the residual graph of each optimal min
+cut. The closed sets of a residual graph are exactly the optimal cuts
+(Picard and Queyranne, 1980), so the decode reads the lexicographically
+smallest optimal assignment off these graphs by closure propagation, in
+time linear in their size, without solving again. `solve_map_bnb`, branch
+and bound on the whole pruned NMRF, handles small models of any order and
+labels.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class MapSolution:
 
 
 def _magnitude(tables) -> float:
-    return sum(max(abs(x) for x in t) for t in tables)
+    return sum(max(map(abs, t)) for t in tables)
 
 
 def objective_tolerance(model: Model) -> float:
@@ -91,61 +94,72 @@ def map_solution_to_json(sol: MapSolution) -> dict:
 
 
 class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
+    """A flow network as paired arcs: arc e runs to to[e] with residual
+    capacity cap[e], e ^ 1 is its reverse, and head[u] lists u's arcs."""
 
-    def add(self, u: int, v: int, cap: float):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def _bfs(self, s, t):
-        level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > _FLOW_EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        self.level = level
-        return level[t] >= 0
-
-    def _dfs(self, u, t, f, it):
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            eid = self.head[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > _FLOW_EPS and self.level[v] == self.level[u] + 1:
-                pushed = self._dfs(v, t, min(f, self.cap[eid]), it)
-                if pushed > 0:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
+    def __init__(self, to: list[int], cap: list[float], head: list[list[int]]):
+        self.n = len(head)
+        self.to = to
+        self.cap = cap
+        self.head = head
 
     def max_flow(self, s, t):
-        flow = 0.0
-        while self._bfs(s, t):
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, math.inf, it)
-                if pushed <= 0:
+        """Complete the flow to a maximum one by Dinic's algorithm, with an
+        explicit path stack in place of recursion."""
+        n, to, cap, head = self.n, self.to, self.cap, self.head
+        while True:
+            # Levels by BFS, up to the sink's: a node no closer to the source
+            # than the sink lies on no shortest augmenting path.
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                below = level[u] + 1
+                for eid in head[u]:
+                    if cap[eid] > _FLOW_EPS:
+                        v = to[eid]
+                        if level[v] < 0:
+                            level[v] = below
+                            queue.append(v)
+                if level[t] >= 0:
                     break
-                flow += pushed
-        return flow
+            else:
+                return
+            # Blocking flow: advance along the current arc it[u] of each
+            # node on the path, retreat from dead ends.
+            it = [0] * n
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(map(cap.__getitem__, path))
+                    for eid in path:
+                        cap[eid] -= pushed
+                        cap[eid ^ 1] += pushed
+                    # Resume at the tail of the first arc it saturated.
+                    for k, eid in enumerate(path):
+                        if cap[eid] <= _FLOW_EPS:
+                            u = to[eid ^ 1]
+                            del path[k:]
+                            break
+                    continue
+                arcs = head[u]
+                below = level[u] + 1
+                i, end = it[u], len(arcs)
+                while i < end:
+                    eid = arcs[i]
+                    if cap[eid] > _FLOW_EPS and level[to[eid]] == below:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(eid)
+                    u = to[eid]
+                elif u == s:
+                    break
+                else:
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
     def close(self, state, node, mark):
         """Put `node` on side `mark` (1 source, -1 sink) in `state`, with
@@ -184,20 +198,49 @@ def mwss_bipartite(
     stable set exactly when that side is closed under residual arcs.
     """
     n = len(weights)
+    src, sink = n, n + 1
+    # Terminal arcs: node i's arc from the source (side 0) or to the sink
+    # (side 1) is arc 2i, its residual is left[i] and its reverse back[i].
+    left = list(weights)
+    back = [0.0] * n
+    cross = []  # (side-0 end, side-1 end, pre-flow) per edge
     for u, v in edges:
         if sides[u] == sides[v]:
             raise NotBipartiteError(f"edge ({u}, {v}) joins two side-{sides[u]} nodes")
-    src, sink = n, n + 1
-    flow = _Dinic(n + 2)
-    for i, w in enumerate(weights):
-        if sides[i] == 0:
-            flow.add(src, i, w)
-        else:
-            flow.add(i, sink, w)
-    for u, v in edges:
         if sides[u] == 1:
             u, v = v, u
-        flow.add(u, v, math.inf)
+        # Greedy pre-flow along source -> u -> v -> sink, the usual start
+        # of augmenting-path graph cuts (Boykov and Kolmogorov, 2004).
+        pushed = min(left[u], left[v])
+        if pushed > _FLOW_EPS:
+            left[u] -= pushed
+            back[u] += pushed
+            left[v] -= pushed
+            back[v] += pushed
+        else:
+            pushed = 0.0
+        cross.append((u, v, pushed))
+    to: list[int] = []
+    cap: list[float] = []
+    head: list[list[int]] = [[] for _ in range(n + 2)]
+    for i in range(n):
+        if sides[i] == 0:
+            head[src].append(2 * i)
+            head[i].append(2 * i + 1)
+            to += (i, src)
+        else:
+            head[i].append(2 * i)
+            head[sink].append(2 * i + 1)
+            to += (sink, i)
+        cap += (left[i], back[i])
+    eid = 2 * n
+    for u, v, pushed in cross:
+        head[u].append(eid)
+        head[v].append(eid + 1)
+        to += (v, u)
+        cap += (math.inf, pushed)
+        eid += 2
+    flow = _Dinic(to, cap, head)
     flow.max_flow(src, sink)
     state = [0] * (n + 2)
     flow.close(state, src, 1)

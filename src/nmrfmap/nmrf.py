@@ -18,7 +18,6 @@ from .model import (
     DEFAULT_EPS,
     Model,
     Potential,
-    associativity,
     _as_flat_2x2,
 )
 
@@ -139,7 +138,7 @@ def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
     return PrunedNmrf(nmrf, kept, eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeReparam:
     """Single-enode rewrite of a binary edge table via singleton transformations."""
 
@@ -151,6 +150,9 @@ class EdgeReparam:
 
 
 _FORMS = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}
+# Also keyed by the forms themselves: a lookup returns plain ints for any
+# form equal to one of them (bools, numpy ints) without calling parse_form.
+_FORM_OF = {**_FORMS, **{f: f for f in _FORMS.values()}}
 
 
 def parse_form(form) -> tuple[int, int]:
@@ -170,26 +172,25 @@ def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeRep
     that quantity under singleton transformations.
     """
     t = _as_flat_2x2(table)
-    a = associativity(t)
+    a = t[0] + t[3] - t[1] - t[2]
     if abs(a) <= eps:
         raise ZeroAssociativityError("edge has zero associativity")
-    i, j = parse_form(target_form)
+    try:
+        i, j = _FORM_OF[target_form]
+    except (KeyError, TypeError):
+        i, j = parse_form(target_form)
     if (i == j) != (a > 0):
         raise SignMismatchError(
             f"form {i}{j} incompatible with associativity {a:g}"
         )
-
-    def psi(x, y):
-        return t[2 * x + y]
-
-    # Solve psi(x, y) = f(x) + g(y) for the three zeroed entries, with
-    # f(1 - i) = 0 fixed; the survivor then equals +/- associativity.
-    f = [0.0, 0.0]
-    g = [0.0, 0.0]
-    g[j] = psi(1 - i, j)
-    g[1 - j] = psi(1 - i, 1 - j)
-    f[i] = psi(i, 1 - j) - g[1 - j]
-    return EdgeReparam((i, j), abs(a), (f[0], f[1]), (g[0], g[1]), 0.0)
+    # Solve t[2x + y] = f(x) + g(y) for the three zeroed entries, with
+    # f(1 - i) = 0 fixed: g is row 1 - i, and the survivor then equals
+    # +/- associativity.
+    r = 2 - 2 * i
+    fi = t[2 * i + 1 - j] - t[r + 1 - j]
+    return EdgeReparam(
+        (i, j), abs(a), (fi, 0.0) if i == 0 else (0.0, fi), (t[r], t[r + 1]), 0.0
+    )
 
 
 def apply_enode_plan(

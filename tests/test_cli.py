@@ -197,6 +197,24 @@ def test_unexpected_exceptions_exit_internal(fault, chain_model, capsys, monkeyp
     assert err == f"internal error: {fault.__name__}: unexpected\n"
 
 
+def test_solve_long_cycle_exits_zero(tmp_path, capsys):
+    """A 700-variable balanced cycle: one tractable block whose augmenting
+    paths are longer than the default recursion limit."""
+    n = 700
+    names = [f"X{i}" for i in range(n)]
+    potentials = [{"scope": ["X0"], "table": [0.0, 50.0]}]
+    potentials += [{"scope": [x], "table": [0.0, -0.01]} for x in names[1:]]
+    potentials += [
+        {"scope": [names[i], names[(i + 1) % n]], "table": [3.0, 0.0, 0.0, 3.0]}
+        for i in range(n)
+    ]
+    doc = {"variables": [{"name": x, "card": 2} for x in names], "potentials": potentials}
+    code, out, err = run(capsys, "solve", write_json(tmp_path / "cycle.json", doc))
+    assert (code, err) == (0, "")
+    # Cutting the two edges at X0 (-6) beats paying 0.01 on the 699 others.
+    assert json.loads(out)["assignment"] == {x: int(x == "X0") for x in names}
+
+
 def test_validate_huge_int_entry_is_input_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(

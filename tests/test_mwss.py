@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nmrfmap.errors import (
     IntractableTopologyError,
@@ -54,6 +56,73 @@ def test_bipartite_solver_matches_brute_force():
         # the returned set is stable
         chosen = set(sol.nodes)
         assert not any(u in chosen and v in chosen for u, v in edges)
+
+
+def _check_residual_is_max_flow(weights, edges, sides, residual, cut_value):
+    """Capacity and conservation on every arc pair of `residual`, whose
+    net flow out of the source is `cut_value`, and no residual path from
+    the source to the sink."""
+    n = len(weights)
+    src, sink = n, n + 1
+    to, cap = residual.to, residual.cap
+    assert len(to) == 2 * (n + len(edges))
+    net = [0.0] * (n + 2)
+    for e in range(0, len(to), 2):
+        tail, head = to[e + 1], to[e]
+        flow = cap[e + 1]  # a reverse arc's residual is the flow it carries
+        if tail == src:
+            assert head < n and sides[head] == 0
+            limit = weights[head]
+        elif head == sink:
+            assert tail < n and sides[tail] == 1
+            limit = weights[tail]
+        else:
+            assert sides[tail] == 0 and sides[head] == 1
+            limit = float("inf")
+        assert -1e-9 <= flow <= limit + 1e-9
+        assert cap[e] == pytest.approx(limit - flow, abs=1e-9)
+        net[tail] -= flow
+        net[head] += flow
+    assert net[:n] == pytest.approx([0.0] * n, abs=1e-9)
+    assert -net[src] == pytest.approx(cut_value, abs=1e-9)
+    state = [0] * (n + 2)
+    residual.close(state, src, 1)
+    assert state[sink] == 0
+
+
+def test_bipartite_solver_matches_networkx_min_cut():
+    rng = np.random.default_rng(67)
+    for k in range(150):
+        n = int(rng.integers(2, 25))
+        sides = [int(rng.integers(0, 2)) for _ in range(n)]
+        if k % 3 == 0:  # integer weights with zeros and ties
+            weights = [float(w) for w in rng.integers(0, 4, size=n)]
+        else:
+            weights = [float(w) for w in rng.uniform(0.0, 5.0, size=n)]
+            weights = [0.0 if w < 0.5 else w for w in weights]
+        p = float(rng.uniform(0.1, 0.8))
+        edges = [
+            (u, v) if k % 2 else (v, u)
+            for u, v in itertools.combinations(range(n), 2)
+            if sides[u] != sides[v] and rng.random() < p
+        ]
+        graph = nx.DiGraph()
+        graph.add_nodes_from(["s", "t", *range(n)])
+        for i, w in enumerate(weights):
+            if sides[i] == 0:
+                graph.add_edge("s", i, capacity=w)
+            else:
+                graph.add_edge(i, "t", capacity=w)
+        for u, v in edges:
+            if sides[u] == 1:
+                u, v = v, u
+            graph.add_edge(u, v)  # no capacity attribute: infinite
+        cut_value, _ = nx.minimum_cut(graph, "s", "t")
+        sol = mwss_bipartite(weights, edges, sides)
+        assert sol.weight == pytest.approx(sum(weights) - cut_value, abs=1e-9)
+        chosen = set(sol.nodes)
+        assert not any(u in chosen and v in chosen for u, v in edges)
+        _check_residual_is_max_flow(weights, edges, sides, sol.residual, cut_value)
 
 
 def test_bipartite_solver_rejects_same_side_edges():
@@ -217,6 +286,50 @@ def test_block_chain_solved_exactly():
     ref = brute_force_map(model)
     assert sol.objective == pytest.approx(ref.objective)
     assert sol.assignment == ref.assignment
+
+
+def _balanced_cycle(n):
+    """n variables in one associative cycle of [3, 0, 0, 3] edges, with a
+    strong unary on X0 and a slight pull towards 0 on every other variable."""
+    names = [f"X{i}" for i in range(n)]
+    potentials = [{"scope": ["X0"], "table": [0.0, 50.0]}]
+    potentials += [{"scope": [x], "table": [0.0, -0.01]} for x in names[1:]]
+    potentials += [
+        {"scope": [names[i], names[(i + 1) % n]], "table": [3.0, 0.0, 0.0, 3.0]}
+        for i in range(n)
+    ]
+    return validate_model(
+        {"variables": [{"name": x, "card": 2} for x in names], "potentials": potentials}
+    )
+
+
+def test_long_cycle_solved_under_default_recursion_limit():
+    """A block whose augmenting paths are far longer than the recursion
+    limit, checked by conditioning on X0 and max-sum DP along the path."""
+    n = 700
+    model = _balanced_cycle(n)
+    table = {p.scope: p.table for p in model.potentials}
+    names = model.names
+    best = None
+    for a in (0, 1):
+        closing = table[(names[0], names[-1])]
+        value = [table[(names[1],)][x] + table[(names[0], names[1])][2 * a + x] for x in (0, 1)]
+        choices = []
+        for k in range(2, n):
+            edge, unary = table[(names[k - 1], names[k])], table[(names[k],)]
+            pick = [max((0, 1), key=lambda x: value[x] + edge[2 * x + y]) for y in (0, 1)]
+            value = [value[pick[y]] + edge[2 * pick[y] + y] + unary[y] for y in (0, 1)]
+            choices.append(pick)
+        last = max((0, 1), key=lambda y: value[y] + closing[2 * a + y])
+        total = value[last] + closing[2 * a + last] + table[(names[0],)][a]
+        if best is None or total > best[0]:
+            labels = [last]
+            for pick in reversed(choices):
+                labels.append(pick[labels[-1]])
+            best = (total, [a, *reversed(labels)])
+    sol = solve_map(model)
+    assert sol.objective == pytest.approx(best[0])
+    assert sol.assignment == dict(zip(names, best[1]))
 
 
 def _hub_oracle(model, n_spokes):
@@ -543,3 +656,52 @@ def test_solutions_match_golden_digest():
         sol = solve_map(model)
         digest.update(repr((sorted(sol.assignment.items()), repr(sol.objective))).encode())
     assert digest.hexdigest() == GOLDEN_SOLUTIONS
+
+
+# ---------------------------------------------------------------------------
+# properties of solve_map, checked against enumeration
+
+_PROPERTY_SETTINGS = settings(
+    derandomize=True, max_examples=40, deadline=None, database=None
+)
+
+
+def _small_tractable(seed, integer):
+    return random_tractable_model(np.random.default_rng(seed), max_vars=8, integer=integer)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    pick=st.integers(0, 10**6),
+    shift=st.sampled_from([-2.5, -1.0, 0.5, 4.0]),
+)
+def test_constant_added_to_a_table_shifts_the_objective(seed, integer, pick, shift):
+    model = _small_tractable(seed, integer)
+    k = pick % len(model.potentials)
+    potentials = list(model.potentials)
+    p = potentials[k]
+    potentials[k] = Potential(p.scope, tuple(x + shift for x in p.table))
+    shifted = Model(model.variables, tuple(potentials))
+    sol, moved = solve_map(model), solve_map(shifted)
+    assert sol.assignment == brute_force_map(model).assignment
+    assert moved.assignment == sol.assignment
+    assert moved.assignment == brute_force_map(shifted).assignment
+    assert moved.objective == pytest.approx(sol.objective + shift)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+def test_potential_order_leaves_the_assignment(seed, integer, order):
+    model = _small_tractable(seed, integer)
+    potentials = list(model.potentials)
+    order.shuffle(potentials)
+    shuffled = Model(model.variables, tuple(potentials))
+    sol = solve_map(shuffled)
+    assert sol.assignment == solve_map(model).assignment
+    assert sol.assignment == brute_force_map(shuffled).assignment

@@ -16,6 +16,7 @@ from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
     random_bipartite_graph,
+    random_br_model,
     random_tractable_model,
     random_weighted_graph,
 )
@@ -656,6 +657,38 @@ def test_solutions_match_golden_digest():
         sol = solve_map(model)
         digest.update(repr((sorted(sol.assignment.items()), repr(sol.objective))).encode())
     assert digest.hexdigest() == GOLDEN_SOLUTIONS
+
+
+# The same digest over larger and denser models: single BR blocks of 12-30
+# variables at edge density 0.3, and block chains of up to 40 variables, each
+# with float tables and with tables from {-1, 0, 1} (many exact ties).
+GOLDEN_DENSE_SOLUTIONS = "3a5eb5258ca15d6c73680e2cb26bb56554f35dc69c27bdd6250aa5486d98eb9b"
+
+
+def _dense_solution_corpus():
+    rng = np.random.default_rng(151)
+    for _ in range(60):
+        yield random_br_model(rng, n=int(rng.integers(12, 31)), p=0.3)
+    for _ in range(60):
+        yield _with_small_integer_tables(
+            random_br_model(rng, n=int(rng.integers(12, 31)), p=0.3), rng
+        )
+    for _ in range(60):
+        yield random_tractable_model(rng, max_vars=int(rng.integers(13, 41)))
+    for _ in range(60):
+        yield random_tractable_model(rng, max_vars=int(rng.integers(13, 41)), integer=True)
+    for _ in range(60):
+        yield _with_small_integer_tables(
+            random_tractable_model(rng, max_vars=int(rng.integers(13, 41))), rng
+        )
+
+
+def test_dense_solutions_match_golden_digest():
+    digest = hashlib.sha256()
+    for model in _dense_solution_corpus():
+        sol = solve_map(model)
+        digest.update(repr((sorted(sol.assignment.items()), repr(sol.objective))).encode())
+    assert digest.hexdigest() == GOLDEN_DENSE_SOLUTIONS
 
 
 # ---------------------------------------------------------------------------

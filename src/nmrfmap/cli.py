@@ -15,7 +15,10 @@ NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError; or
 any other exception, such as RecursionError or OverflowError), printed as
 `internal error: <Type>: <message>` without a traceback.
 `--oracle-check` accepts an objective within `objective_tolerance` of the
-brute-force optimum, the tolerance `solve_map` itself checks against.
+brute-force optimum, the tolerance `solve_map` itself checks against. On a
+model too large to enumerate it still prints the solution, with
+`"oracle": {"checked": false, "reason": ...}`, and exits 3, so the skipped
+check is not silent.
 """
 
 from __future__ import annotations
@@ -155,7 +158,13 @@ def _cmd_solve(args) -> int:
         return EXIT_NEGATIVE
     doc = map_solution_to_json(sol)
     if args.oracle_check:
-        ref = brute_force_map(model)
+        try:
+            ref = brute_force_map(model)
+        except TooLargeError as exc:
+            doc["oracle"] = {"checked": False, "reason": str(exc)}
+            _emit(doc, args.out)
+            print(f"error: oracle check skipped: {exc}", file=sys.stderr)
+            return EXIT_TOO_LARGE
         agree = abs(ref.objective - sol.objective) <= objective_tolerance(model)
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:

@@ -236,9 +236,10 @@ def energy(model: Model, assignment: Mapping[str, int]) -> float:
     cards = model.cards
     total = 0.0
     for p in model.potentials:
-        scope_cards = [cards[n] for n in p.scope]
-        vals = [assignment[n] for n in p.scope]
-        total += p.table[table_index(scope_cards, vals)]
+        idx = 0  # table_index, inline
+        for name in p.scope:
+            idx = idx * cards[name] + assignment[name]
+        total += p.table[idx]
     return total
 
 

@@ -7,9 +7,11 @@ and completes it by Dinic's algorithm with an explicit path stack, so it
 has no recursion limit. It walks the block tree that `classify_graph`
 returns in index order, each block before the block it hangs off. Fixing a
 block's attachment cut vertex, and in a T/U block one hub, leaves a BR
-block: it is two-coloured and its edges are rewritten to single enodes
-once, and each labeling of the pinned vertices only adds their edge rows to
-their neighbours' unaries before its one bipartite MWSS. This value pass
+block, whose sides the classification already gives (a T/U block's free
+star is two-coloured here). Its edges are rewritten to single enodes once
+and their deltas summed into the free vertices' unaries once; each labeling
+of the pinned vertices copies those sums and adds only its pinned
+vertices' edge rows before its one bipartite MWSS. This value pass
 combines the block maxima and keeps the residual graph of each optimal min
 cut. The closed sets of a residual graph are exactly the optimal cuts
 (Picard and Queyranne, 1980), so the decode reads the lexicographically
@@ -42,7 +44,7 @@ from .model import (
     energy,
     require_binary_pairwise,
 )
-from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, reparameterize_edge
+from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, single_enode
 from .structure import Block, BlockClass, _signed_two_color, classify_graph
 
 DEFAULT_BNB_CAP = 40
@@ -484,13 +486,16 @@ def _block_values(
     in a T/U block hub s unless the parent is a hub. What is left is BR.
     The parent's label varies slowest.
 
-    The free vertices are two-coloured once, and each free edge (u, v) is
-    rewritten once to the single enode (side[u], side[v]); a pinned label
-    only adds its edge rows to its neighbours' unaries. A free vertex whose
-    unary prefers its side by more than _FLOW_EPS takes it in every optimum
-    and needs no node. Any other vertex gets an snode for the other label,
-    of weight >= 0 (0 on a tie); it conflicts with the vertex's enodes, so
-    enodes and snodes are the sides of one bipartite MWSS.
+    A BR block keeps the sides its classification gave it; the free part of
+    a T/U block, a star, is two-coloured here. Each free edge (u, v) is
+    rewritten once to the single enode (side[u], side[v]), and its deltas
+    are added once to the free vertices' own unaries; a pinned labeling
+    copies those sums and adds only its pinned vertices' edge rows. A free
+    vertex whose unary prefers its side by more than _FLOW_EPS takes it in
+    every optimum and needs no node. Any other vertex gets an snode for the
+    other label, of weight >= 0 (0 on a tie), numbered in vertex order; it
+    conflicts with the vertex's enodes, so enodes and snodes are the sides
+    of one bipartite MWSS.
     """
     pinned = [] if parent is None else [parent]
     if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
@@ -510,32 +515,32 @@ def _block_values(
                 break
         else:
             free.append((u, v, sign))
-    side, _ = _signed_two_color([v for v in block.vertices if v not in pinned], free)
-    enodes = [
-        (u, v, reparameterize_edge(pw.edges[(u, v)], (side[u], side[v]), eps))
-        for u, v, _ in free
-    ]
-    # Unaries are summed in a fixed order: own unary, pinned rows, enode
-    # deltas; snodes are numbered in the order vertices first get a term.
-    keys = [v for v in block.vertices if v != parent and v in unary]
-    keys += [x for fold in folds for x, _ in fold]
-    keys += [x for u, v, _ in free for x in (u, v)]
-    keys = list(dict.fromkeys(keys))
+    if cls.kind == "BR":
+        side = dict.fromkeys(cls.params["V1"], 0)
+        side.update(dict.fromkeys(cls.params["V2"], 1))
+    else:
+        side, _ = _signed_two_color([v for v in block.vertices if v not in pinned], free)
+    # Own unaries plus enode deltas, of every vertex but the parent.
+    base = {v: unary.get(v, (0.0, 0.0)) for v in block.vertices if v != parent}
+    enodes = []
+    for u, v, _ in free:
+        i = side[u]
+        weight, fi, row0, row1 = single_enode(pw.edges[(u, v)], i, side[v], eps)
+        w0, w1 = base[u]
+        base[u] = (w0 + fi, w1) if i == 0 else (w0, w1 + fi)
+        w0, w1 = base[v]
+        base[v] = (w0 + row0, w1 + row1)
+        enodes.append((u, v, weight))
     results = []
     for pins in itertools.product((0, 1), repeat=len(pinned)):
-        acc = {v: list(unary.get(v, (0.0, 0.0))) for v in keys}
+        acc = dict(base)
         total = 0.0
         for f, label, fold in zip(pinned, pins, folds):
             total += acc.pop(f, (0.0, 0.0))[label]
             for x, add in fold:
-                w = acc[x]
-                w[0] += add[label][0]
-                w[1] += add[label][1]
-        for u, v, rep in enodes:
-            for x, delta in ((u, rep.delta_u), (v, rep.delta_v)):
-                w = acc[x]
-                w[0] += delta[0]
-                w[1] += delta[1]
+                w0, w1 = acc[x]
+                a0, a1 = add[label]
+                acc[x] = (w0 + a0, w1 + a1)
         weights: list[float] = []
         labels = dict(zip(pinned, pins))
         snode: dict[int, int] = {}
@@ -549,9 +554,14 @@ def _block_values(
                 weights.append(max(off - on, 0.0))
         sides = [1] * len(weights)
         edges = []
-        for u, v, rep in enodes:
-            edges += [(len(weights), snode[x]) for x in (u, v) if x in snode]
-            weights.append(rep.weight)
+        for u, v, weight in enodes:
+            x = snode.get(u)
+            if x is not None:
+                edges.append((len(weights), x))
+            x = snode.get(v)
+            if x is not None:
+                edges.append((len(weights), x))
+            weights.append(weight)
             sides.append(0)
         sol = mwss_bipartite(weights, edges, sides)
         results.append(

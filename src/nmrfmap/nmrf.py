@@ -165,20 +165,16 @@ def parse_form(form) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeReparam:
-    """Zero three entries of a binary edge table, leaving only `target_form`.
-
-    The surviving weight is forced to |associativity| by the invariance of
-    that quantity under singleton transformations.
+def single_enode(t, i: int, j: int, eps: float):
+    """Rewrite of the flat edge table t = (t00, t01, t10, t11) to the single
+    enode (i, j) by singleton transformations, as plain floats
+    (weight, f_i, row0, row1): the enode weighs |associativity|, the first
+    end's unary gains f_i at label i, and the second end's gains row 1 - i
+    of t, (row0, row1).
     """
-    t = _as_flat_2x2(table)
     a = t[0] + t[3] - t[1] - t[2]
     if abs(a) <= eps:
         raise ZeroAssociativityError("edge has zero associativity")
-    try:
-        i, j = _FORM_OF[target_form]
-    except (KeyError, TypeError):
-        i, j = parse_form(target_form)
     if (i == j) != (a > 0):
         raise SignMismatchError(
             f"form {i}{j} incompatible with associativity {a:g}"
@@ -187,9 +183,23 @@ def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeRep
     # f(1 - i) = 0 fixed: g is row 1 - i, and the survivor then equals
     # +/- associativity.
     r = 2 - 2 * i
-    fi = t[2 * i + 1 - j] - t[r + 1 - j]
+    return abs(a), t[2 * i + 1 - j] - t[r + 1 - j], t[r], t[r + 1]
+
+
+def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeReparam:
+    """Zero three entries of a binary edge table, leaving only `target_form`.
+
+    The surviving weight is forced to |associativity| by the invariance of
+    that quantity under singleton transformations.
+    """
+    t = _as_flat_2x2(table)
+    try:
+        i, j = _FORM_OF[target_form]
+    except (KeyError, TypeError):
+        i, j = parse_form(target_form)
+    weight, fi, row0, row1 = single_enode(t, i, j, eps)
     return EdgeReparam(
-        (i, j), abs(a), (fi, 0.0) if i == 0 else (0.0, fi), (t[r], t[r + 1]), 0.0
+        (i, j), weight, (fi, 0.0) if i == 0 else (0.0, fi), (row0, row1), 0.0
     )
 
 

@@ -12,7 +12,7 @@ from nmrfmap.errors import (
     NotBipartiteError,
     ObjectiveMismatchError,
 )
-from nmrfmap.generators import model_from_signed_edges
+from nmrfmap.generators import block_chain_model, model_from_signed_edges
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
@@ -20,7 +20,7 @@ from nmrfmap.model import (
     model_from_json_file,
     model_to_json,
 )
-from nmrfmap.mwss import MapSolution
+from nmrfmap.mwss import MapSolution, solve_map
 from nmrfmap.structure import classify_graph, classify_model, report_to_json
 
 
@@ -213,6 +213,20 @@ def test_solve_long_cycle_exits_zero(tmp_path, capsys):
     assert (code, err) == (0, "")
     # Cutting the two edges at X0 (-6) beats paying 0.01 on the 699 others.
     assert json.loads(out)["assignment"] == {x: int(x == "X0") for x in names}
+
+
+def test_oracle_check_too_large_keeps_the_solution(tmp_path, capsys):
+    model = block_chain_model(11)  # 23 variables, past brute force's 2^20
+    path = write_json(tmp_path / "chain.json", model_to_json(model))
+    code, out, err = run(capsys, "solve", path, "--oracle-check")
+    assert code == 3
+    doc = json.loads(out)
+    sol = solve_map(model_from_json_file(path))
+    assert doc["assignment"] == sol.assignment
+    assert doc["objective"] == sol.objective
+    assert doc["oracle"] == {"checked": False,
+                             "reason": "configuration space exceeds 2^20"}
+    assert err == "error: oracle check skipped: configuration space exceeds 2^20\n"
 
 
 def test_validate_huge_int_entry_is_input_error(tmp_path, capsys):

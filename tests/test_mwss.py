@@ -21,6 +21,8 @@ from nmrfmap.generators import (
     random_weighted_graph,
 )
 import nmrfmap.mwss
+import nmrfmap.nmrf
+import nmrfmap.structure
 from nmrfmap.model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
@@ -29,6 +31,7 @@ from nmrfmap.model import (
     Potential,
     associativity,
     energy,
+    flip_variables,
     validate_model,
 )
 from nmrfmap.mwss import (
@@ -38,6 +41,7 @@ from nmrfmap.mwss import (
     mmwss_complete,
     mwss_bipartite,
     mwss_branch_bound,
+    objective_tolerance,
     solve_map,
     solve_map_bnb,
 )
@@ -399,6 +403,38 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
     assert hub_blocks >= 10
 
 
+def test_balanced_blocks_reuse_the_classification_colouring(monkeypatch):
+    """A BR block takes its sides from classify_graph and rewrites each edge
+    to plain floats: the solve neither colours it again nor builds an
+    EdgeReparam."""
+    colourings = 0
+
+    def counted(*args):
+        nonlocal colourings
+        colourings += 1
+        return two_color(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve must reuse the classification's work")
+
+    two_color = nmrfmap.structure._signed_two_color
+    monkeypatch.setattr(nmrfmap.structure, "_signed_two_color", counted)
+    monkeypatch.setattr(nmrfmap.mwss, "_signed_two_color", refuse)
+    monkeypatch.setattr(nmrfmap.nmrf, "EdgeReparam", refuse)
+    rng = np.random.default_rng(103)
+    pinned_blocks = 0
+    for _ in range(40):
+        model = random_br_model(rng, n=int(rng.integers(4, 13)), p=float(rng.uniform(0.2, 0.6)))
+        tree = classify_model(model).tree
+        pinned_blocks += sum(c is not None for c in tree.attach)
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == pytest.approx(ref.objective)
+        assert sol.assignment == ref.assignment
+    assert colourings  # classification still colours the larger blocks
+    assert pinned_blocks >= 20
+
+
 def test_value_pass_on_deep_block_chain():
     n_blocks = 10**4
     model = block_chain_model(n_blocks)
@@ -659,7 +695,7 @@ def test_solutions_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_SOLUTIONS
 
 
-# The same digest over larger and denser models: single BR blocks of 12-30
+# The same digest over larger and denser models: BR models of 12-30
 # variables at edge density 0.3, and block chains of up to 40 variables, each
 # with float tables and with tables from {-1, 0, 1} (many exact ties).
 GOLDEN_DENSE_SOLUTIONS = "3a5eb5258ca15d6c73680e2cb26bb56554f35dc69c27bdd6250aa5486d98eb9b"
@@ -738,3 +774,51 @@ def test_potential_order_leaves_the_assignment(seed, integer, order):
     sol = solve_map(shuffled)
     assert sol.assignment == solve_map(model).assignment
     assert sol.assignment == brute_force_map(shuffled).assignment
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    mask=st.integers(0, 2**8 - 1),
+)
+def test_flipped_variables_map_optima_to_optima(seed, integer, mask):
+    model = _small_tractable(seed, integer)
+    flip = {name for k, name in enumerate(model.names) if mask >> k & 1}
+    flipped = flip_variables(model, flip)
+    sol = solve_map(flipped)
+    tol = objective_tolerance(model)
+    assert abs(sol.objective - solve_map(model).objective) <= tol
+    assert abs(sol.objective - brute_force_map(flipped).objective) <= tol
+    back = {name: label ^ (name in flip) for name, label in sol.assignment.items()}
+    assert abs(energy(model, back) - brute_force_map(model).objective) <= tol
+
+
+@_PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    integer=st.booleans(),
+    order=st.randoms(use_true_random=False),
+)
+def test_renamed_and_reordered_variables_keep_the_optimum(seed, integer, order):
+    model = _small_tractable(seed, integer)
+    names = list(model.names)
+    order.shuffle(names)
+    # declared in the shuffled order, so every scope and index moves
+    rename = {name: f"V{k}" for k, name in enumerate(names)}
+    moved = validate_model(
+        {
+            "variables": [{"name": rename[name], "card": 2} for name in names],
+            "potentials": [
+                {"scope": [rename[name] for name in p.scope], "table": list(p.table)}
+                for p in model.potentials
+            ],
+        }
+    )
+    sol = solve_map(moved)
+    ref = brute_force_map(model)
+    tol = objective_tolerance(model)
+    assert abs(sol.objective - ref.objective) <= tol
+    back = {name: sol.assignment[rename[name]] for name in model.names}
+    assert abs(energy(model, back) - ref.objective) <= tol
+    assert sol.assignment == brute_force_map(moved).assignment

@@ -3,7 +3,9 @@
 Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
 fastest. Scopes are canonicalized to variable declaration order on load and
-duplicate scopes are merged by entrywise sum.
+duplicate scopes are merged by entrywise sum. A Model built without
+validation may still repeat a scope; `pairwise_view`, the one reader of a
+binary pairwise model for classification and solving, sums such repeats.
 """
 
 from __future__ import annotations
@@ -282,24 +284,81 @@ class SignedGraph:
         return len(self.names)
 
 
-def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
-    """Signed graph of a binary pairwise model; near-zero edges are omitted."""
-    require_binary_pairwise(model)
+@dataclass(frozen=True, slots=True)
+class PairwiseView:
+    """A binary pairwise model as read once by `pairwise_view`."""
+
+    graph: SignedGraph  # the names, and every kept edge with its sign
+    singles: dict[int, tuple[float, float]]
+    edges: dict[tuple[int, int], tuple[float, float, float, float]]  # kept, u < v
+    constant: float
+    # Bound on how far folding near-zero-associativity edges moved any
+    # labeling's objective.
+    slack: float
+
+
+def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
+    """Read a binary pairwise model once: sum repeated scopes, given in
+    either order, sign each edge by its associativity, and fold each edge
+    with |associativity| <= eps into its two ends.
+
+    For every labeling, the singles, the kept edge tables and the constant
+    add up to the model's energy within `slack`. Raises
+    NotBinaryPairwiseError for a label count other than 2 or a scope of
+    more than two variables.
+    """
+    if not all(card == 2 for _, card in model.variables):
+        raise NotBinaryPairwiseError("model must be binary pairwise")
     index = model.index
-    edges = []
+    # Each potential's own table is stored; a repeat stores the sum.
+    singles: dict[int, tuple[float, float]] = {}
+    edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
     for p in model.potentials:
-        scope = p.scope
-        if len(scope) != 2:
-            continue
-        t00, t01, t10, t11 = p.table
+        scope, t = p.scope, p.table
+        if len(scope) == 2:
+            u, v = index[scope[0]], index[scope[1]]
+            if u > v:
+                u, v, t = v, u, (t[0], t[2], t[1], t[3])
+            key = (u, v)
+            if key in edges:
+                s = edges[key]
+                t = (s[0] + t[0], s[1] + t[1], s[2] + t[2], s[3] + t[3])
+            edges[key] = t
+        elif len(scope) == 1:
+            i = index[scope[0]]
+            if i in singles:
+                s = singles[i]
+                t = (s[0] + t[0], s[1] + t[1])
+            singles[i] = t
+        else:
+            raise NotBinaryPairwiseError("model must be binary pairwise")
+    signed = []
+    folded = []
+    constant = slack = 0.0
+    for (u, v), (t00, t01, t10, t11) in edges.items():
         a = t00 + t11 - t01 - t10  # associativity
         if abs(a) <= eps:
-            continue
-        u, v = index[scope[0]], index[scope[1]]
-        if u > v:
-            u, v = v, u
-        edges.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
-    return SignedGraph(model.names, tuple(edges))
+            # Fold the separable part into the ends; the dropped interaction
+            # residual is at most eps/4 per configuration.
+            folded.append((u, v))
+            c = (t00 + t01 + t10 + t11) / 4.0
+            s = singles.get(u, (0.0, 0.0))
+            singles[u] = (s[0] + ((t00 + t01) / 2.0 - c), s[1] + ((t10 + t11) / 2.0 - c))
+            s = singles.get(v, (0.0, 0.0))
+            singles[v] = (s[0] + ((t00 + t10) / 2.0 - c), s[1] + ((t01 + t11) / 2.0 - c))
+            constant += c
+            slack += abs(a) / 4.0
+        else:
+            signed.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
+    for key in folded:
+        del edges[key]
+    graph = SignedGraph(model.names, tuple(signed))
+    return PairwiseView(graph, singles, edges, constant, slack)
+
+
+def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
+    """Signed graph of a binary pairwise model; near-zero edges are omitted."""
+    return pairwise_view(model, eps).graph
 
 
 def flip_variables(model: Model, flip: Iterable[str]) -> Model:

@@ -1,24 +1,26 @@
 """Stable-set solvers and the end-to-end MAP pipeline.
 
-`solve_map` classifies the topology once and solves every tractable block
-with one exact core, bipartite MWSS via max-flow minimum weighted vertex
-cover. The max flow starts from a greedy pre-flow along the length-3 paths
-and completes it by Dinic's algorithm with an explicit path stack, so it
-has no recursion limit. It walks the block tree that `classify_graph`
-returns in index order, each block before the block it hangs off. Fixing a
-block's attachment cut vertex, and in a T/U block one hub, leaves a BR
-block, whose sides the classification already gives (a T/U block's free
-star is two-coloured here). Its edges are rewritten to single enodes once
-and their deltas summed into the free vertices' unaries once; each labeling
-of the pinned vertices copies those sums and adds only its pinned
-vertices' edge rows before its one bipartite MWSS. This value pass
-combines the block maxima and keeps the residual graph of each optimal min
-cut. The closed sets of a residual graph are exactly the optimal cuts
-(Picard and Queyranne, 1980), so the decode reads the lexicographically
-smallest optimal assignment off these graphs by closure propagation, in
-time linear in their size, without solving again. `solve_map_bnb`, branch
-and bound on the whole pruned NMRF, handles small models of any order and
-labels.
+`solve_map` reads the model once through `model.pairwise_view`, which sums
+repeated scopes and folds near-zero edges into their ends, classifies the
+view's signed graph once and solves every tractable block with one exact
+core, bipartite MWSS via max-flow minimum weighted vertex cover. The max
+flow starts from a greedy pre-flow along the length-3 paths and completes
+it by Dinic's algorithm with an explicit path stack, so it has no recursion
+limit. It walks the block tree that `classify_graph` returns in index
+order, each block before the block it hangs off. Fixing a block's
+attachment cut vertex, and in a T/U block one hub, leaves a BR block, whose
+sides the classification already gives (a T/U block's free star is
+two-coloured here). Its edges are rewritten to single enodes once and their
+deltas summed into the free vertices' unaries once; each labeling of the
+pinned vertices copies those sums and adds only its pinned vertices' edge
+rows before its one bipartite MWSS. This value pass combines the block
+maxima and keeps the residual graph of each optimal min cut. The closed
+sets of a residual graph are exactly the optimal cuts (Picard and
+Queyranne, 1980), so the decode reads the lexicographically smallest
+optimal assignment off these graphs by closure propagation, in time linear
+in their size, without solving again. `solve_map_bnb`, branch and bound on
+the whole pruned NMRF, handles small models of any order and labels; its
+compile, `build_nmrf`, sums repeated scopes too.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from .errors import (
     ObjectiveMismatchError,
     TooLargeError,
 )
-from .model import (
-    ASSOCIATIVE,
-    DEFAULT_EPS,
-    Model,
-    REPULSIVE,
-    SignedGraph,
-    energy,
-    require_binary_pairwise,
-)
+from .model import DEFAULT_EPS, Model, PairwiseView, energy, pairwise_view
 from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, single_enode
 from .structure import Block, BlockClass, _signed_two_color, classify_graph
 
@@ -371,74 +365,6 @@ def decode_map(mmwss: StableSetSolution, nmrf: Nmrf, model: Model) -> MapSolutio
 
 
 # ---------------------------------------------------------------------------
-# pairwise canonical form
-
-
-@dataclass
-class _Pairwise:
-    graph: SignedGraph  # the names, and every kept edge with its sign
-    singles: dict[int, tuple[float, float]]
-    edges: dict[tuple[int, int], tuple[float, float, float, float]]
-    constant: float
-    # Bound on how far folding near-zero-associativity edges moved any
-    # labeling's objective.
-    slack: float = 0.0
-
-
-def _canonicalize(model: Model, eps: float) -> _Pairwise:
-    index = model.index
-    # A Model built without validate_model may repeat a pairwise scope, in
-    # either order; sum the repeats, as validate_model merges them.
-    tables: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    for p in model.potentials:
-        if len(p.scope) == 2:
-            u, v = index[p.scope[0]], index[p.scope[1]]
-            t00, t01, t10, t11 = p.table
-            if u > v:
-                u, v, t01, t10 = v, u, t10, t01
-            prev = tables.get((u, v))
-            if prev is not None:
-                t00, t01, t10, t11 = (prev[0] + t00, prev[1] + t01, prev[2] + t10, prev[3] + t11)
-            tables[(u, v)] = (t00, t01, t10, t11)
-    singles: dict[int, tuple[float, float]] = {}
-    edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    signed = []
-    constant = slack = 0.0
-    for p in model.potentials:
-        if len(p.scope) == 1:
-            i = index[p.scope[0]]
-            s0, s1 = singles.get(i, (0.0, 0.0))
-            singles[i] = (s0 + p.table[0], s1 + p.table[1])
-            continue
-        u, v = index[p.scope[0]], index[p.scope[1]]
-        if u > v:
-            u, v = v, u
-        t = tables.pop((u, v), None)
-        if t is None:
-            continue  # a repeated scope, summed at its first occurrence
-        t00, t01, t10, t11 = t
-        a = t00 + t11 - t01 - t10
-        if abs(a) <= eps:
-            # Near-zero associativity: fold the separable part into the
-            # endpoints; the dropped interaction residual is at most eps/4
-            # per configuration.
-            c = (t00 + t01 + t10 + t11) / 4.0
-            fu = ((t00 + t01) / 2.0 - c, (t10 + t11) / 2.0 - c)
-            fv = ((t00 + t10) / 2.0 - c, (t01 + t11) / 2.0 - c)
-            s = singles.get(u, (0.0, 0.0))
-            singles[u] = (s[0] + fu[0], s[1] + fu[1])
-            s = singles.get(v, (0.0, 0.0))
-            singles[v] = (s[0] + fv[0], s[1] + fv[1])
-            constant += c
-            slack += abs(a) / 4.0
-        else:
-            edges[(u, v)] = t
-            signed.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
-    graph = SignedGraph(model.names, tuple(signed))
-    return _Pairwise(graph, singles, edges, constant, slack)
-
-
-# ---------------------------------------------------------------------------
 # block-tree conditioning
 
 
@@ -474,7 +400,7 @@ class _Cut:
 
 
 def _block_values(
-    pw: _Pairwise,
+    pw: PairwiseView,
     block: Block,
     cls: BlockClass,
     parent: Optional[int],
@@ -570,8 +496,8 @@ def _block_values(
     return results
 
 
-def _value_pass(pw: _Pairwise, eps: float):
-    """Optimal objective of a canonical pairwise problem, and for every block
+def _value_pass(pw: PairwiseView, eps: float):
+    """Optimal objective of a pairwise view, and for every block
     with edges its vertices and the cuts of the pinned labelings that attain
     the block's best value for their parent label."""
     report = classify_graph(pw.graph)
@@ -615,7 +541,7 @@ def _value_pass(pw: _Pairwise, eps: float):
     return total, kept
 
 
-def _decode(pw: _Pairwise, kept) -> list[int]:
+def _decode(pw: PairwiseView, kept) -> list[int]:
     """Labels of the lexicographically smallest optimal assignment.
 
     An assignment is optimal iff each block's labeling is optimal for the
@@ -706,8 +632,7 @@ def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
     lexicographically smallest optimal assignment off them. Its energy must
     match the optimum within `objective_tolerance`.
     """
-    require_binary_pairwise(model)
-    pw = _canonicalize(model, eps)
+    pw = pairwise_view(model, eps)
     best, kept = _value_pass(pw, eps)
     assignment = dict(zip(pw.graph.names, _decode(pw, kept)))
     objective = energy(model, assignment)

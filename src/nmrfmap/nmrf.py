@@ -10,6 +10,7 @@ so the original objective can be reconstructed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -86,21 +87,23 @@ def build_nmrf(model: Model) -> Nmrf:
     """Compile a model into its normalized NMRF."""
     cards = model.cards
     index = model.index
-    scopes: list[tuple[tuple[str, ...], Sequence[float]]] = []
-    explicit = {p.scope: p.table for p in model.potentials}
-    for name, card in model.variables:
-        key = (name,)
-        scopes.append((key, explicit.get(key, tuple([0.0] * card))))
+    # A scope given twice, as only a Model built without validate_model has
+    # it, is one clique group over the sum of its tables.
+    tables: dict[tuple[str, ...], Sequence[float]] = {}
     for p in model.potentials:
-        if len(p.scope) >= 2:
-            scopes.append((p.scope, p.table))
+        t = p.table
+        if p.scope in tables:
+            t = tuple(map(operator.add, tables[p.scope], t))
+        tables[p.scope] = t
+    scopes = [
+        ((name,), tables.pop((name,), (0.0,) * card)) for name, card in model.variables
+    ]
+    scopes += tables.items()
     scopes.sort(key=lambda item: tuple(index[n] for n in item[0]))
 
     nodes: list[NmrfNode] = []
     groups: dict[tuple[str, ...], tuple[int, ...]] = {}
-    # Node ids by scope (a scope given twice is one clique) and by
-    # (variable, value).
-    by_scope: dict[tuple[str, ...], list[int]] = {}
+    # Node ids by (variable, value).
     by_value = {name: [[] for _ in range(card)] for name, card in model.variables}
     constant = 0.0
     for scope, table in scopes:
@@ -112,15 +115,13 @@ def build_nmrf(model: Model) -> Nmrf:
             for name, val in zip(scope, vals):
                 by_value[name][val].append(start + k)
             nodes.append(NmrfNode(scope, vals, table[k] - lo))
-        ids = tuple(range(start, len(nodes)))
-        groups[scope] = ids
-        by_scope.setdefault(scope, []).extend(ids)
+        groups[scope] = tuple(range(start, len(nodes)))
 
     # Two nodes conflict when they lie in one clique group or set a shared
     # variable to different values, so only nodes that share a group or a
     # variable are compared.
     adj: list[set[int]] = [set() for _ in nodes]
-    for ids in by_scope.values():
+    for ids in groups.values():
         for i in ids:
             adj[i].update(ids)
             adj[i].discard(i)
@@ -150,9 +151,6 @@ class EdgeReparam:
 
 
 _FORMS = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}
-# Also keyed by the forms themselves: a lookup returns plain ints for any
-# form equal to one of them (bools, numpy ints) without calling parse_form.
-_FORM_OF = {**_FORMS, **{f: f for f in _FORMS.values()}}
 
 
 def parse_form(form) -> tuple[int, int]:
@@ -193,10 +191,7 @@ def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeRep
     that quantity under singleton transformations.
     """
     t = _as_flat_2x2(table)
-    try:
-        i, j = _FORM_OF[target_form]
-    except (KeyError, TypeError):
-        i, j = parse_form(target_form)
+    i, j = parse_form(target_form)
     weight, fi, row0, row1 = single_enode(t, i, j, eps)
     return EdgeReparam(
         (i, j), weight, (fi, 0.0) if i == 0 else (0.0, fi), (row0, row1), 0.0

@@ -24,6 +24,7 @@ from nmrfmap.model import (
     flip_variables,
     is_binary_pairwise,
     model_to_json,
+    pairwise_view,
     signed_view,
     table_index,
     validate_model,
@@ -180,6 +181,84 @@ def test_signed_view_drops_near_zero_edges():
     raw = two_var_raw()
     raw["potentials"][1]["table"] = [1.0, 1.0, 2.0, 2.0]  # separable, a = 0
     assert signed_view(validate_model(raw)).edges == ()
+
+
+def _repeated_scope_model(rng):
+    """Random edges, each split into two or three parts over the scope in
+    either order; some sum to a table of zero or near-zero associativity.
+    Singleton scopes repeat too."""
+    n = int(rng.integers(2, 6))
+    names = [f"X{i}" for i in range(n)]
+    potentials = []
+    for i in range(n):
+        for _ in range(int(rng.integers(0, 3))):
+            potentials.append(Potential((names[i],), tuple(rng.normal(size=2))))
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.3:
+            continue
+        kind = rng.integers(3)
+        if kind == 0:
+            a = 0.0
+        elif kind == 1:
+            a = float(rng.uniform(-1e-9, 1e-9))  # within DEFAULT_EPS
+        else:
+            a = float(rng.normal())
+        # A separable table f(x) + g(y) plus a on the (1, 1) entry.
+        f, g = rng.normal(size=2), rng.normal(size=2)
+        rest = [f[x] + g[y] for x in (0, 1) for y in (0, 1)]
+        rest[3] += a
+        for _ in range(int(rng.integers(1, 3))):
+            part = rng.normal(scale=3.0, size=4)
+            rest = [r - p for r, p in zip(rest, part)]
+            potentials.append(_oriented(names[u], names[v], part, rng))
+        potentials.append(_oriented(names[u], names[v], rest, rng))
+    order = rng.permutation(len(potentials))
+    return Model(
+        tuple((name, 2) for name in names), tuple(potentials[i] for i in order)
+    )
+
+
+def _oriented(u, v, t, rng):
+    t = [float(x) for x in t]
+    if rng.random() < 0.5:
+        return Potential((v, u), (t[0], t[2], t[1], t[3]))
+    return Potential((u, v), tuple(t))
+
+
+def test_pairwise_view_adds_up_to_the_energy():
+    rng = np.random.default_rng(41)
+    folded = 0
+    for _ in range(60):
+        model = _repeated_scope_model(rng)
+        view = pairwise_view(model)
+        assert {(u, v) for u, v, _ in view.graph.edges} == set(view.edges)
+        for (u, v), t in view.edges.items():
+            assert u < v and abs(associativity(t)) > 1e-9
+        assert dict(((u, v), s) for u, v, s in view.graph.edges) == {
+            e: ASSOCIATIVE if associativity(t) > 0 else REPULSIVE
+            for e, t in view.edges.items()
+        }
+        folded += view.slack > 0
+        rounding = 1e-12 * sum(max(map(abs, p.table)) for p in model.potentials)
+        for labels in itertools.product((0, 1), repeat=len(model.variables)):
+            x = dict(zip(model.names, labels))
+            value = view.constant
+            value += sum(view.singles[i][labels[i]] for i in view.singles)
+            value += sum(t[2 * labels[u] + labels[v]] for (u, v), t in view.edges.items())
+            assert abs(value - energy(model, x)) <= view.slack + rounding
+    assert folded > 10
+
+
+def test_pairwise_view_refuses_other_models():
+    for raw in (
+        {"variables": [{"name": "A", "card": 3}], "potentials": []},
+        {
+            "variables": [{"name": n, "card": 2} for n in "ABC"],
+            "potentials": [{"scope": ["A", "B", "C"], "table": [0.0] * 8}],
+        },
+    ):
+        with pytest.raises(NotBinaryPairwiseError):
+            pairwise_view(validate_model(raw))
 
 
 def test_flip_preserves_energy_and_negates_cut_signs():

@@ -32,10 +32,10 @@ from nmrfmap.model import (
     associativity,
     energy,
     flip_variables,
+    pairwise_view,
     validate_model,
 )
 from nmrfmap.mwss import (
-    _canonicalize,
     _value_pass,
     decode_map,
     mmwss_complete,
@@ -457,7 +457,7 @@ def test_value_pass_on_deep_block_chain():
             + table[(t,)][z]
             for z in (0, 1)
         ]
-    value = _value_pass(_canonicalize(model, DEFAULT_EPS), DEFAULT_EPS)[0]
+    value = _value_pass(pairwise_view(model, DEFAULT_EPS), DEFAULT_EPS)[0]
     assert value == pytest.approx(max(best))
 
 
@@ -632,6 +632,17 @@ def test_repeated_pairwise_scope_counts_every_table():
     ref = brute_force_map(model)
     assert sol.objective == ref.objective == 6.0
     assert sol.assignment == ref.assignment == {"X1": 1, "X2": 1}
+    assert solve_map_bnb(model).objective == 6.0
+    # a repeated singleton scope counts every table too
+    model = Model(
+        (("A", 2), ("B", 2)),
+        (
+            Potential(("A",), (0.0, 1.0)),
+            Potential(("A",), (0.0, -0.5)),
+            Potential(("A", "B"), (1.0, 0.0, 0.0, 1.0)),
+        ),
+    )
+    assert solve_map(model).objective == solve_map_bnb(model).objective == 1.5
 
 
 def _oriented(scope, t, rng):
@@ -663,10 +674,20 @@ def test_scopes_repeated_in_both_orders_solve_exactly():
     for _ in range(150):
         whole = random_tractable_model(rng, max_vars=int(rng.integers(3, 10)), integer=True)
         model = _split_scopes(whole, rng)
+        split, once = classify_model(model), classify_model(whole)
+        assert split.tractable == once.tractable
+        assert [(b.vertices, c.kind) for b, c in zip(split.tree.blocks, split.classes)] == [
+            (b.vertices, c.kind) for b, c in zip(once.tree.blocks, once.classes)
+        ]
         sol = solve_map(model)
         ref = brute_force_map(model)
         assert sol.objective == ref.objective == solve_map(whole).objective
         assert sol.assignment == ref.assignment
+        if len(model.variables) <= 6:
+            try:
+                assert solve_map_bnb(model).objective == ref.objective
+            except TooLargeError:
+                pass  # the pruned NMRF exceeds the branch-and-bound cap
 
 
 # sha256 of every sorted assignment and objective repr over the corpus below,

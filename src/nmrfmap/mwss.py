@@ -406,11 +406,12 @@ def _block_values(
     parent: Optional[int],
     unary: Mapping[int, tuple[float, float]],
     eps: float,
-) -> list[tuple[float, _Cut]]:
+) -> tuple[list[tuple[float, _Cut]], float]:
     """Best value of a block's own terms, and the min cut attaining it, for
     each labeling of its pinned vertices: the parent cut vertex, if any, and
     in a T/U block hub s unless the parent is a hub. What is left is BR.
-    The parent's label varies slowest.
+    The parent's label varies slowest. Also returns the block's tie share,
+    TOLERANCE times the `_magnitude` of its edge tables.
 
     A BR block keeps the sides its classification gave it; the free part of
     a T/U block, a star, is two-coloured here. Each free edge (u, v) is
@@ -430,8 +431,10 @@ def _block_values(
     # first end in `pinned`: add[label] is what it adds to x's unary.
     folds = [[] for _ in pinned]
     free = []
+    magnitude = 0  # _magnitude of the block's edge tables, summed in place
     for u, v, sign in block.edges:
         t = pw.edges[(u, v)]
+        magnitude += max(map(abs, t))
         for i, f in enumerate(pinned):
             if f == u:
                 folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
@@ -493,7 +496,7 @@ def _block_values(
         results.append(
             (total + sol.weight, _Cut(labels, snode, list(snode), side, sol.residual))
         )
-    return results
+    return results, TOLERANCE * magnitude
 
 
 def _value_pass(pw: PairwiseView, eps: float):
@@ -519,7 +522,7 @@ def _value_pass(pw: PairwiseView, eps: float):
         if not block.edges:  # an isolated vertex
             total += max(unary.get(block.vertices[0], (0.0, 0.0)))
             continue
-        results = _block_values(pw, block, cls, c, unary, eps)
+        results, tie = _block_values(pw, block, cls, c, unary, eps)
         half = len(results) // 2
         groups = [results] if c is None else [results[:half], results[half:]]
         best = [max(value for value, _ in group) for group in groups]
@@ -528,9 +531,8 @@ def _value_pass(pw: PairwiseView, eps: float):
         else:
             u0, u1 = unary.get(c, (0.0, 0.0))
             unary[c] = (u0 + best[0], u1 + best[1])
-        # This block's share of the objective tolerance; summed over the
-        # blocks it stays within objective_tolerance.
-        tie = TOLERANCE * _magnitude(pw.edges[(u, v)] for u, v, _ in block.edges)
+        # `tie` is this block's share of the objective tolerance; summed over
+        # the blocks it stays within objective_tolerance.
         cuts = [
             cut
             for group, top in zip(groups, best)

@@ -20,6 +20,7 @@ from .model import (
     Model,
     Potential,
     _as_flat_2x2,
+    _reorder_table,
 )
 
 
@@ -87,14 +88,20 @@ def build_nmrf(model: Model) -> Nmrf:
     """Compile a model into its normalized NMRF."""
     cards = model.cards
     index = model.index
-    # A scope given twice, as only a Model built without validate_model has
-    # it, is one clique group over the sum of its tables.
+    # A scope given twice, in any variable order, as only a Model built
+    # without validate_model has it, is one clique group over the sum of its
+    # tables, taken in the order the scope was first given.
+    first: dict[frozenset[str], tuple[str, ...]] = {}
     tables: dict[tuple[str, ...], Sequence[float]] = {}
     for p in model.potentials:
-        t = p.table
-        if p.scope in tables:
-            t = tuple(map(operator.add, tables[p.scope], t))
-        tables[p.scope] = t
+        scope, t = p.scope, p.table
+        if len(scope) > 1:
+            scope = first.setdefault(frozenset(scope), scope)
+            if scope != p.scope:
+                t = _reorder_table(p.scope, [cards[n] for n in p.scope], t, scope)
+        if scope in tables:
+            t = tuple(map(operator.add, tables[scope], t))
+        tables[scope] = t
     scopes = [
         ((name,), tables.pop((name,), (0.0,) * card)) for name, card in model.variables
     ]
@@ -206,27 +213,34 @@ def apply_enode_plan(
     """Reparameterize every planned edge to its single surviving enode form.
 
     The removed mass moves into the endpoints' singleton tables; total energy
-    is unchanged for every configuration. Edges absent from the plan are left
-    as-is.
+    is unchanged for every configuration. As in `pairwise_view`, the tables
+    of one pair, given once or more in either order, are first summed over
+    the pair in declaration order, so each pair is one edge, rewritten once.
+    Edges absent from the plan keep that summed table.
     """
+    index = model.index
     singles = {name: [0.0, 0.0] for name, _ in model.variables}
+    pairs: dict[tuple[str, str], tuple[float, ...]] = {}
     for p in model.potentials:
         if len(p.scope) == 1:
             singles[p.scope[0]][0] += p.table[0]
             singles[p.scope[0]][1] += p.table[1]
+        elif len(p.scope) == 2:
+            (u, v), t = p.scope, p.table
+            if index[u] > index[v]:
+                u, v, t = v, u, (t[0], t[2], t[1], t[3])
+            s = pairs.get((u, v))
+            pairs[(u, v)] = t if s is None else tuple(map(operator.add, s, t))
     edges = []
-    for p in model.potentials:
-        if len(p.scope) != 2:
-            continue
-        u, v = p.scope
+    for (u, v), t in pairs.items():
         form = plan.get((u, v))
         if form is None:
-            edges.append(p)
+            edges.append(Potential((u, v), t))
             continue
-        rep = reparameterize_edge(p.table, form, eps)
+        rep = reparameterize_edge(t, form, eps)
         table = [0.0] * 4
         table[2 * rep.form[0] + rep.form[1]] = rep.weight
-        edges.append(Potential(p.scope, tuple(table)))
+        edges.append(Potential((u, v), tuple(table)))
         for x in (0, 1):
             singles[u][x] += rep.delta_u[x]
             singles[v][x] += rep.delta_v[x]

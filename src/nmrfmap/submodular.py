@@ -5,16 +5,17 @@ A potential over k binary variables maps to a bipartite pruned NMRF exactly
 when it can be written as a constant plus nonnegative all-zeros / all-ones
 subset indicators (singleton and constant terms are unconstrained; they are
 absorbed by singleton reparameterization before pruning).
+
+scipy is imported inside `representation_feasible`, its one user, so
+importing this module (and so the package) loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
 
 from .errors import BadIndicesError, NotSupermodularError, TooLargeError
 from .model import DEFAULT_EPS, Model, Potential
@@ -36,7 +37,7 @@ class HighOrderPotential:
             raise TooLargeError(f"order {k} outside [2, {MAX_ORDER}]")
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries")
-        if not all(np.isfinite(self.table)):
+        if not all(map(math.isfinite, self.table)):
             raise ValueError("table entries must be finite")
 
     @property
@@ -204,13 +205,14 @@ def representation_feasible(
         for r in range(2, k + 1)
         for sub in itertools.combinations(range(k), r)
     ]
+    from scipy.optimize import linprog
+
     # columns: constant, k linear terms, then (Z_Y, A_Y) per subset
     ncols = 1 + k + 2 * len(subsets)
     rows = []
-    rhs = []
     for idx in range(1 << k):
         bits = [(idx >> (k - 1 - p)) & 1 for p in range(k)]
-        row = np.zeros(ncols)
+        row = [0.0] * ncols
         row[0] = 1.0
         for p in range(k):
             row[1 + p] = float(bits[p])
@@ -220,12 +222,11 @@ def representation_feasible(
             if all(bits[p] == 1 for p in sub):
                 row[1 + k + 2 * s_i + 1] = 1.0
         rows.append(row)
-        rhs.append(psi.table[idx])
     bounds = [(None, None)] * (1 + k) + [(0, None)] * (2 * len(subsets))
     res = linprog(
-        c=np.zeros(ncols),
-        A_eq=np.array(rows),
-        b_eq=np.array(rhs),
+        c=[0.0] * ncols,
+        A_eq=rows,
+        b_eq=list(psi.table),
         bounds=bounds,
         method="highs",
     )

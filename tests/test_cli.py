@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,6 +312,45 @@ def test_submodular_k4_infeasible(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["supermodular"] and not doc["feasible"]
     assert doc["alpha"] == -2.0
+
+
+_FOOTPRINT = """
+import json, sys
+import nmrfmap, nmrfmap.cli
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+seen = {"import": loaded()}
+model, psi, out = sys.argv[1:]
+for verb in (["validate"], ["classify"], ["compile"], ["solve"],
+             ["solve", "--method", "bnb"]):
+    code = nmrfmap.cli.main(verb + [model, "--out", out])
+    seen[" ".join(verb)] = [code, loaded()]
+code = nmrfmap.cli.main(["submodular", psi, "--out", out])
+seen["submodular"] = [code, "scipy.optimize" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_bench_and_the_lp_import_numpy_or_scipy(chain_model, tmp_path):
+    table = [0.0] * 16
+    table[15] = 2.0  # nonnegative all-ones indicator: feasible by the LP
+    psi = write_json(tmp_path / "psi4.json",
+                     {"scope": ["A", "B", "C", "D"], "table": table})
+    out = tmp_path / "out.json"
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, chain_model, psi, str(out)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen.pop("submodular") == [0, True]
+    assert json.loads(out.read_text())["feasible"] is True
+    assert seen.pop("import") == []
+    assert seen == {verb: [0, []] for verb in seen}
+    assert len(seen) == 5
 
 
 def test_bench_deterministic(capsys):

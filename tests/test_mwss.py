@@ -45,9 +45,9 @@ from nmrfmap.mwss import (
     solve_map,
     solve_map_bnb,
 )
-from nmrfmap.nmrf import build_nmrf, prune
+from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
-from nmrfmap.structure import classify_model
+from nmrfmap.structure import classify_model, plan_by_names
 
 
 def test_bipartite_solver_matches_brute_force():
@@ -684,10 +684,16 @@ def test_scopes_repeated_in_both_orders_solve_exactly():
         assert sol.objective == ref.objective == solve_map(whole).objective
         assert sol.assignment == ref.assignment
         if len(model.variables) <= 6:
-            try:
-                assert solve_map_bnb(model).objective == ref.objective
-            except TooLargeError:
-                pass  # the pruned NMRF exceeds the branch-and-bound cap
+            # one clique group per pair, so the pruned NMRF fits the cap
+            assert solve_map_bnb(model).objective == ref.objective
+        # one rewritten edge per pair, over the sum of its parts
+        rewritten = apply_enode_plan(model, plan_by_names(split))
+        pairs = [frozenset(p.scope) for p in rewritten.potentials if len(p.scope) == 2]
+        assert len(pairs) == len(set(pairs))
+        names = [name for name, _ in model.variables]
+        for bits in itertools.product((0, 1), repeat=len(names)):
+            labeling = dict(zip(names, bits))
+            assert energy(rewritten, labeling) == energy(model, labeling)
 
 
 # sha256 of every sorted assignment and objective repr over the corpus below,

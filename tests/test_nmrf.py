@@ -240,6 +240,22 @@ def test_apply_enode_plan_preserves_energy_and_prunes_to_single_enode():
             assert node.assignment == plan[node.scope]
 
 
+def test_pair_given_in_both_orders_compiles_to_one_group():
+    from nmrfmap.model import Model, Potential
+
+    variables = (("X1", 2), ("X2", 2))
+    parts = (
+        Potential(("X1", "X2"), (1.0, 0.5, 0.0, 0.25)),
+        Potential(("X2", "X1"), (1.0, -1.0, -0.5, 0.75)),
+    )
+    # the summed table, over the order the pair was first given in
+    for given, summed in ((parts, (2.0, 0.0, -1.0, 1.0)), (parts[::-1], (2.0, -1.0, 0.0, 1.0))):
+        nmrf = build_nmrf(Model(variables, given))
+        expected = build_nmrf(Model(variables, (Potential(given[0].scope, summed),)))
+        assert list(nmrf.groups) == list(expected.groups)
+        assert nmrf_to_json(nmrf) == nmrf_to_json(expected)
+
+
 def test_prune_drops_only_zero_weight_nodes():
     nmrf = build_nmrf(edge_model((2.0, 0.0, 0.0, 3.0)))
     pruned = prune(nmrf)

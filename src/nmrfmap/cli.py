@@ -15,7 +15,8 @@ NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError; or
 any other exception, such as RecursionError or OverflowError), printed as
 `internal error: <Type>: <message>` without a traceback.
 `--oracle-check` accepts an objective within `objective_tolerance` of the
-brute-force optimum, the tolerance `solve_map` itself checks against. On a
+brute-force optimum, the tolerance `solve_map` itself checks against, plus,
+for `--method blocks`, twice the folding slack of near-zero edges. On a
 model too large to enumerate it still prints the solution, with
 `"oracle": {"checked": false, "reason": ...}`, and exits 3, so the skipped
 check is not silent.
@@ -45,6 +46,7 @@ from .model import (
     is_binary_pairwise,
     model_from_json_file,
     model_to_json,
+    pairwise_view,
 )
 from .mwss import (
     DEFAULT_BNB_CAP,
@@ -161,7 +163,10 @@ def _cmd_solve(args) -> int:
             _emit(doc, args.out)
             print(f"error: oracle check skipped: {exc}", file=sys.stderr)
             return EXIT_TOO_LARGE
-        agree = abs(ref.objective - sol.objective) <= objective_tolerance(model)
+        bound = objective_tolerance(model)
+        if args.method == "blocks":
+            bound += 2 * pairwise_view(model, args.eps).slack
+        agree = abs(ref.objective - sol.objective) <= bound
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:
             _emit(doc, args.out)
@@ -249,7 +254,7 @@ def _cmd_bench(args) -> int:
             status = "ok"
             if args.oracle_check:
                 gap = abs(brute_force_map(model).objective - sol.objective)
-                agree = gap <= objective_tolerance(model)
+                agree = gap <= objective_tolerance(model) + 2 * pairwise_view(model).slack
                 status = "agree" if agree else "disagree"
             rows.append((args.family, i, len(model.variables), elapsed, status))
         elif args.family == "random-signed":

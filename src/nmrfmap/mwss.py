@@ -3,23 +3,26 @@
 `solve_map` reads the model once through `model.pairwise_view`, which sums
 repeated scopes and folds near-zero edges into their ends, classifies the
 view's signed graph once and solves every tractable block with one exact
-core, bipartite MWSS via max-flow minimum weighted vertex cover. The max
-flow starts from a greedy pre-flow along the length-3 paths and completes
-it by Dinic's algorithm with an explicit path stack, so it has no recursion
-limit. It walks the block tree that `classify_graph` returns in index
-order, each block before the block it hangs off. Fixing a block's
-attachment cut vertex, and in a T/U block one hub, leaves a BR block, whose
-sides the classification already gives (a T/U block's free star is
-two-coloured here). Its edges are rewritten to single enodes once and their
-deltas summed into the free vertices' unaries once; each labeling of the
-pinned vertices copies those sums and adds only its pinned vertices' edge
-rows before its one bipartite MWSS. This value pass combines the block
-maxima and keeps the residual graph of each optimal min cut. The closed
-sets of a residual graph are exactly the optimal cuts (Picard and
-Queyranne, 1980), so the decode reads the lexicographically smallest
-optimal assignment off these graphs by closure propagation, in time linear
-in their size, without solving again. `solve_map_bnb`, branch and bound on
-the whole pruned NMRF, handles small models of any order and labels; its
+core, the bipartite MWSS of its enodes and snodes as a min cut. It walks
+the block tree that `classify_graph` returns in index order, each block
+before the block it hangs off. Fixing a block's attachment cut vertex, and
+in a T/U block one hub, leaves a BR block, whose sides the classification
+already gives (a T/U block's free star is two-coloured here). Its edges are
+rewritten to single enodes once and their deltas summed into the free
+vertices' unaries once; each labeling of the pinned vertices copies those
+sums and adds only its pinned vertices' edge rows before its one min cut.
+The cut's network has one flow node per snode: an enode, which conflicts
+with at most two snodes, contracts into a source arc and one arc between
+them (`_snode_cut`). A pre-flow cancels each node's terminal capacities
+and pushes along the length-3 paths, and Dinic's algorithm with an
+explicit path stack, so with no recursion limit, completes the flow. This value pass combines the block maxima and
+keeps the residual graph of each optimal min cut. The closed sets of a
+residual graph are exactly the optimal cuts (Picard and Queyranne, 1980),
+so the decode reads the lexicographically smallest optimal assignment off
+these graphs by closure propagation, in time linear in their size, without
+solving again. `mwss_bipartite` solves a general bipartite MWSS the same
+way, with a flow node per vertex. `solve_map_bnb`, branch and bound on the
+whole pruned NMRF, handles small models of any order and labels; its
 compile, `build_nmrf`, sums repeated scopes too.
 """
 
@@ -377,8 +380,9 @@ class _Cut:
     source side and the other label on the sink side; every other vertex of
     the block has its label in `labels`. `state` holds, per flow node, the
     side (1 source, -1 sink) that every optimal cut still allowed puts it
-    on, 0 while both remain; `alive` turns false once no optimal assignment
-    uses this cut.
+    on, 0 while both remain: the value pass leaves the source closure in
+    it, the decode adds the sink closure. `alive` turns false once no
+    optimal assignment uses this cut.
     """
 
     labels: dict[int, int]
@@ -386,7 +390,7 @@ class _Cut:
     vertex: list[int]  # snode -> its vertex
     side: dict[int, int]
     flow: _Dinic
-    state: list[int] = field(default_factory=list)
+    state: list[int]
     alive: bool = True
 
     def allowed(self, v: int) -> tuple[int, ...]:
@@ -397,6 +401,88 @@ class _Cut:
         if not mark:
             return (0, 1)
         return (self.side[v] if mark > 0 else 1 - self.side[v],)
+
+
+def _snode_cut(
+    weights: Sequence[float], snode: Mapping[int, int], enodes
+) -> tuple[float, _Dinic, list[int]]:
+    """Maximum-weight stable set of a block's snodes and enodes by one min
+    cut, on a network with one flow node per snode: nodes 0..k-1 for the
+    k `weights`, then source k and sink k + 1.
+
+    An snode lies in the stable set when its node is on the sink side, so
+    its weight is the arc node -> sink. An enode (u, v, w) conflicts with
+    the snodes of u and v, `snode[u]` and `snode[v]`, and is lost when
+    either is in: w [u in or v in] = w [u in] + w [u out and v in], that
+    is, w on the arc source -> u and an arc u -> v of capacity w
+    (Kolmogorov and Zabih, 2004). An end without an snode is never in, so
+    an enode with one such end adds w to the other end's source arc, and
+    one with two is always chosen; an enode of weight <= _FLOW_EPS never
+    is. The pre-flow cancels each node's two terminal capacities by their
+    minimum, then pushes greedily along each path source -> u -> v -> sink;
+    Dinic's algorithm completes the flow.
+
+    Returns the stable set's weight, summed over the chosen snodes and
+    then the chosen enodes in order; the residual network, whose closed
+    sets are the optimal cuts; and its source closure (1 on the source
+    side, 0 elsewhere), whose complement is the stable set.
+    """
+    k = len(weights)
+    src, sink = k, k + 1
+    gain = [0.0] * k  # capacity of source -> x
+    pairs = []
+    for u, v, w in enodes:
+        if w > _FLOW_EPS:
+            x, y = snode.get(u), snode.get(v)
+            if x is None:
+                if y is None:
+                    continue
+                x, y = y, None
+            gain[x] += w
+            if y is not None:
+                pairs.append((x, y, w))
+    # Pre-flow: each node's terminal capacities cancel, leaving left[x] > 0
+    # from the source or < 0 to the sink, then push along each path source
+    # -> x -> y -> sink while both ends have some left. Arc e runs to to[e];
+    # e ^ 1 is its reverse, whose residual capacity is the flow on e.
+    excess = [g - w for g, w in zip(gain, weights)]
+    left = list(excess)
+    to: list[int] = []
+    cap: list[float] = []
+    head: list[list[int]] = [[] for _ in range(k + 2)]
+    for x, y, w in pairs:
+        pushed = min(left[x], w, -left[y])
+        if pushed > _FLOW_EPS:
+            left[x] -= pushed
+            left[y] += pushed
+        else:
+            pushed = 0.0
+        head[x].append(len(to))
+        head[y].append(len(to) + 1)
+        to += (y, x)
+        cap += (w - pushed, pushed)
+    for x, d in enumerate(excess):
+        if d > _FLOW_EPS:
+            head[src].append(len(to))
+            head[x].append(len(to) + 1)
+            to += (x, src)
+            cap += (left[x], d - left[x])
+        elif d < -_FLOW_EPS:
+            head[x].append(len(to))
+            head[sink].append(len(to) + 1)
+            to += (sink, x)
+            cap += (-left[x], left[x] - d)
+    flow = _Dinic(to, cap, head)
+    flow.max_flow(src, sink)
+    state = [0] * (k + 2)
+    flow.close(state, src, 1)
+    chosen = [w for x, w in enumerate(weights) if not state[x]]
+    chosen += (
+        w
+        for u, v, w in enodes
+        if w > _FLOW_EPS and state[snode.get(u, src)] == state[snode.get(v, src)] == 1
+    )
+    return sum(chosen), flow, state
 
 
 def _block_values(
@@ -422,7 +508,8 @@ def _block_values(
     every optimum and needs no node. Any other vertex gets an snode for the
     other label, of weight >= 0 (0 on a tie), numbered in vertex order; it
     conflicts with the vertex's enodes, so enodes and snodes are the sides
-    of one bipartite MWSS.
+    of one bipartite MWSS. `_snode_cut` solves it on a network with one
+    flow node per snode, each enode contracted into arcs between them.
     """
     pinned = [] if parent is None else [parent]
     if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
@@ -481,20 +568,9 @@ def _block_values(
             else:
                 snode[v] = len(weights)
                 weights.append(max(off - on, 0.0))
-        sides = [1] * len(weights)
-        edges = []
-        for u, v, weight in enodes:
-            x = snode.get(u)
-            if x is not None:
-                edges.append((len(weights), x))
-            x = snode.get(v)
-            if x is not None:
-                edges.append((len(weights), x))
-            weights.append(weight)
-            sides.append(0)
-        sol = mwss_bipartite(weights, edges, sides)
+        weight, flow, state = _snode_cut(weights, snode, enodes)
         results.append(
-            (total + sol.weight, _Cut(labels, snode, list(snode), side, sol.residual))
+            (total + weight, _Cut(labels, snode, list(snode), side, flow, state))
         )
     return results, TOLERANCE * magnitude
 
@@ -591,9 +667,8 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
                     if node is not None and not cut.state[node]:
                         mark = 1 if cut.side[v] != label else -1
                         for w in cut.flow.close(cut.state, node, mark):
-                            if w < len(cut.vertex):
-                                u = cut.vertex[w]
-                                lose(bi, u, cut.side[u] ^ (mark > 0))
+                            u = cut.vertex[w]
+                            lose(bi, u, cut.side[u] ^ (mark > 0))
                     elif cut.allowed(v) == (label,):
                         cut.alive = False
                         for u in vertices:
@@ -603,8 +678,6 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     for bi, (vertices, cuts) in enumerate(kept):
         tally = {v: [0, 0] for v in vertices}
         for cut in cuts:
-            cut.state = [0] * cut.flow.n
-            cut.flow.close(cut.state, cut.flow.n - 2, 1)  # source
             cut.flow.close(cut.state, cut.flow.n - 1, -1)  # sink
             for v in vertices:
                 for label in cut.allowed(v):

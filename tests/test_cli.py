@@ -172,6 +172,26 @@ def test_oracle_check_uses_table_scaled_tolerance(near_tie_model, capsys,
     assert "oracle disagreement" in err
 
 
+def test_oracle_check_allows_twice_the_folding_slack(tmp_path, capsys):
+    """Three pairs with near-zero edges [0, 5e-10, 5e-10, 0]: folding them
+    moves every labeling by at most slack = 3 * 2.5e-10, so the solve may
+    miss the optimum 1.5e-9 by 2 * slack, past objective_tolerance (1e-9)."""
+    names = "ABCDEF"
+    doc = {
+        "variables": [{"name": n, "card": 2} for n in names],
+        "potentials": [
+            {"scope": [names[i], names[i + 1]], "table": [0.0, 5e-10, 5e-10, 0.0]}
+            for i in (0, 2, 4)
+        ],
+    }
+    path = write_json(tmp_path / "pairs.json", doc)
+    code, out, err = run(capsys, "solve", path, "--oracle-check")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["objective"] == 0.0
+    assert doc["oracle"] == {"objective": pytest.approx(1.5e-9), "agree": True}
+
+
 @pytest.mark.parametrize(
     "fault",
     [NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError],

@@ -36,6 +36,8 @@ from nmrfmap.model import (
     validate_model,
 )
 from nmrfmap.mwss import (
+    _FLOW_EPS,
+    _snode_cut,
     _value_pass,
     decode_map,
     mmwss_complete,
@@ -752,6 +754,204 @@ def test_dense_solutions_match_golden_digest():
         sol = solve_map(model)
         digest.update(repr((sorted(sol.assignment.items()), repr(sol.objective))).encode())
     assert digest.hexdigest() == GOLDEN_DENSE_SOLUTIONS
+
+
+# ---------------------------------------------------------------------------
+# the contracted block network against the explicit enode/snode graph
+
+
+def _check_snode_cut(weights, snode, enodes):
+    """One pinned labeling's min cut, from the network with a flow node per
+    snode, against mwss_bipartite and a networkx min cut on the explicit
+    graph: enodes on side 0 after the snodes on side 1, an infinite arc from
+    each enode to the snode of each of its ends that has one."""
+    k, m = len(weights), len(enodes)
+    value, flow, state = _snode_cut(weights, snode, enodes)
+    every = [*weights, *(w for _, _, w in enodes)]
+    sides = [1] * k + [0] * m
+    edges = [
+        (k + j, snode[x])
+        for j, (u, v, _) in enumerate(enodes)
+        for x in (u, v)
+        if x in snode
+    ]
+    ref = mwss_bipartite(every, edges, sides)
+    # The same stable set, summed in the same order.
+    assert value == ref.weight
+    graph = nx.DiGraph()
+    graph.add_nodes_from(["s", "t", *range(k + m)])
+    for i, w in enumerate(every):
+        graph.add_edge(*(("s", i) if sides[i] == 0 else (i, "t")), capacity=w)
+    graph.add_edges_from(edges)  # no capacity attribute: infinite
+    cut_value, _ = nx.minimum_cut(graph, "s", "t")
+    assert value == pytest.approx(sum(every) - cut_value, abs=1e-9)
+
+    # Every snode is forced to the same side (1 source, -1 sink) or left
+    # free (0) by both residual graphs.
+    closed = [0] * (k + 2)
+    flow.close(closed, k, 1)
+    assert closed == state
+    flow.close(closed, k + 1, -1)
+    explicit = [0] * (k + m + 2)
+    ref.residual.close(explicit, k + m, 1)
+    ref.residual.close(explicit, k + m + 1, -1)
+    assert closed[:k] == explicit[:k]
+
+    # The network: enode (u, v) of weight w adds w to source -> u and an arc
+    # u -> v of capacity w, over the ends that have snodes; each node's
+    # terminal capacities cancel by their minimum.
+    gain = [0.0] * k
+    pairs = []
+    for u, v, w in enodes:
+        ends = [snode[x] for x in (u, v) if x in snode]
+        if w > _FLOW_EPS and ends:
+            gain[ends[0]] += w
+            if len(ends) == 2:
+                pairs.append((*ends, w))
+    terminal = [g - w for g, w in zip(gain, weights)]
+    seen = [0.0] * k
+    seen_pairs = []
+    net = [0.0] * (k + 2)
+    to, cap = flow.to, flow.cap
+    for e in range(0, len(to), 2):
+        tail, head = to[e + 1], to[e]
+        moved = cap[e + 1]  # a reverse arc's residual is the flow on its arc
+        assert moved >= -1e-9 and cap[e] >= -1e-9
+        limit = cap[e] + moved
+        if tail == k:
+            seen[head] += limit
+        elif head == k + 1:
+            seen[tail] -= limit
+        else:
+            seen_pairs.append((tail, head, limit))
+        net[tail] -= moved
+        net[head] += moved
+    assert seen == pytest.approx(
+        [d if abs(d) > _FLOW_EPS else 0.0 for d in terminal], abs=1e-9
+    )
+    assert len(seen_pairs) == len(pairs)
+    for (x, y, limit), (x0, y0, w) in zip(sorted(seen_pairs), sorted(pairs)):
+        assert (x, y) == (x0, y0) and limit == pytest.approx(w, abs=1e-9)
+    assert net[:k] == pytest.approx([0.0] * k, abs=1e-9)
+    assert state[k + 1] == 0  # no residual path from the source to the sink
+    preflow = sum(min(g, w) for g, w in zip(gain, weights))
+    assert preflow - net[k] == pytest.approx(cut_value, abs=1e-9)
+
+
+def test_block_network_matches_explicit_graph_on_random_labelings():
+    """Zero weights, weights at rounding level, exact ties, vertices without
+    an snode, enodes with one or no snode end, in both orientations."""
+    rng = np.random.default_rng(113)
+    for trial in range(200):
+        integer = trial % 2 == 0
+        n = int(rng.integers(2, 12))
+
+        def draw():
+            if rng.random() < 0.1:
+                return 1e-13  # at most _FLOW_EPS: saturated, never chosen
+            if integer:
+                return float(rng.integers(0, 4))
+            return 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0))
+
+        snode, weights = {}, []
+        for v in range(n):
+            if rng.random() < 0.75:
+                snode[v] = len(weights)
+                weights.append(draw())
+        p = float(rng.uniform(0.2, 0.8))
+        enodes = [
+            (u, v, draw()) if rng.random() < 0.5 else (v, u, draw())
+            for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < p
+        ]
+        _check_snode_cut(weights, snode, enodes)
+
+
+def test_block_network_matches_explicit_graph_in_solved_blocks(monkeypatch):
+    """Every labeling that solve_map hands the block network, in BR blocks
+    with and without a pinned parent, T/U blocks and exact ties."""
+    calls = []
+
+    def recording(weights, snode, enodes):
+        calls.append((list(weights), dict(snode), list(enodes)))
+        return snode_cut(weights, snode, enodes)
+
+    snode_cut = nmrfmap.mwss._snode_cut
+    monkeypatch.setattr(nmrfmap.mwss, "_snode_cut", recording)
+    rng = np.random.default_rng(127)
+    pinned = unpinned = 0
+    for trial in range(90):
+        if trial % 3 == 2:
+            model = random_tractable_model(rng, max_vars=int(rng.integers(4, 13)))
+        else:
+            n, p = int(rng.integers(4, 13)), float(rng.uniform(0.2, 0.6))
+            model = random_br_model(rng, n=n, p=p)
+        if trial % 2:
+            model = _with_small_integer_tables(model, rng)
+        tree = classify_model(model).tree
+        for block, c in zip(tree.blocks, tree.attach):
+            if block.edges:
+                pinned += c is not None
+                unpinned += c is None
+        sol = solve_map(model)
+        assert sol.objective == pytest.approx(brute_force_map(model).objective)
+    assert pinned >= 50 and unpinned >= 50
+    assert any(len(snode) < len({x for u, v, _ in enodes for x in (u, v)})
+               for _, snode, enodes in calls)  # some vertex needs no snode
+    for weights, snode, enodes in calls:
+        _check_snode_cut(weights, snode, enodes)
+
+
+def test_large_grid_block_matches_networkx_graph_cut():
+    """A 40x40 ferromagnetic grid with continuous unaries, one BR block of
+    1600 vertices, against the textbook graph cut for the cost -objective:
+    vertex i on the source side takes label 0; s -> i costs label 1 and
+    i -> t label 0, both shifted by their minimum; each edge of table
+    [c, 0, 0, c] costs c [x_i != x_j] - c, an arc of capacity c each way."""
+    k = 40
+    rng = np.random.default_rng(131)
+    names = [f"X{i}_{j}" for i in range(k) for j in range(k)]
+    unary = rng.normal(0.0, 1.0, size=k * k)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            if j + 1 < k:
+                edges.append((v, v + 1, float(rng.uniform(0.2, 1.0))))
+            if i + 1 < k:
+                edges.append((v, v + k, float(rng.uniform(0.2, 1.0))))
+    model = validate_model(
+        {
+            "variables": [{"name": x, "card": 2} for x in names],
+            "potentials": [
+                {"scope": [x], "table": [0.0, float(w)]} for x, w in zip(names, unary)
+            ]
+            + [
+                {"scope": [names[u], names[v]], "table": [c, 0.0, 0.0, c]}
+                for u, v, c in edges
+            ],
+        }
+    )
+    assert [c.kind for c in classify_model(model).classes] == ["BR"]
+    graph = nx.DiGraph()
+    constant = 0.0
+    for v, w in enumerate(unary):
+        cost0, cost1 = 0.0, -float(w)
+        low = min(cost0, cost1)
+        graph.add_edge("s", v, capacity=cost1 - low)
+        graph.add_edge(v, "t", capacity=cost0 - low)
+        constant += low
+    for u, v, c in edges:
+        graph.add_edge(u, v, capacity=c)
+        graph.add_edge(v, u, capacity=c)
+        constant -= c
+    cut_value, (source_side, _) = nx.minimum_cut(graph, "s", "t")
+    assignment = {x: int(v not in source_side) for v, x in enumerate(names)}
+    best = -(cut_value + constant)
+    assert energy(model, assignment) == pytest.approx(best, abs=1e-6)
+    sol = solve_map(model)
+    assert sol.objective == pytest.approx(best, abs=1e-6)
+    assert sol.assignment == assignment
 
 
 # ---------------------------------------------------------------------------

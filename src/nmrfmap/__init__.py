@@ -1,10 +1,10 @@
 """Exact MAP inference on discrete MRFs via weighted conflict-graph stable sets.
 
-The pipeline: validate a model, read off its signed pairwise topology,
-classify each 2-connected block, reparameterize every edge to a single
-surviving conflict node, prune, and solve maximum-weight stable set per
-block conditioned on cut-vertex labels. Higher-order supermodular binary
-potentials are handled through nonnegative subset-indicator representations.
+The pipeline: validate a binary pairwise model, read off its signed
+topology, classify each 2-connected block, rewrite every edge to one
+conflict node and solve each block's stable set by a min cut, conditioned
+on cut-vertex labels. Higher-order potentials get a supermodularity and
+indicator-representation analysis; only capped branch and bound solves them.
 """
 
 from .errors import (
@@ -49,7 +49,6 @@ from .nmrf import (
     nmrf_to_json,
     nodes_conflict,
     prune,
-    reparameterize_edge,
 )
 from .structure import (
     Block,
@@ -80,7 +79,6 @@ from .mwss import (
     decode_map,
     map_solution_to_json,
     mmwss_complete,
-    mwss_bipartite,
     mwss_branch_bound,
     objective_tolerance,
     solve_map,

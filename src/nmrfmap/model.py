@@ -60,9 +60,6 @@ class Model:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    def cardinality(self, name: str) -> int:
-        return self.cards[name]
-
     def potential_for(self, scope: Iterable[str]) -> Potential | None:
         key = frozenset(scope)
         for p in self.potentials:
@@ -267,11 +264,6 @@ def is_binary_pairwise(model: Model) -> bool:
     )
 
 
-def require_binary_pairwise(model: Model) -> None:
-    if not is_binary_pairwise(model):
-        raise NotBinaryPairwiseError("model must be binary pairwise")
-
-
 @dataclass(frozen=True)
 class SignedGraph:
     """Pairwise topology with each edge labeled by the sign of its associativity."""
@@ -363,7 +355,8 @@ def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
 
 def flip_variables(model: Model, flip: Iterable[str]) -> Model:
     """Replace each X in `flip` by 1 - X, permuting tables to preserve energy."""
-    require_binary_pairwise(model)
+    if not is_binary_pairwise(model):
+        raise NotBinaryPairwiseError("model must be binary pairwise")
     flip_set = set(flip)
     for name in flip_set:
         if name not in model.index:

@@ -1,4 +1,4 @@
-"""Stable-set solvers and the end-to-end MAP pipeline.
+"""The MAP pipeline and its two stable-set solvers.
 
 `solve_map` reads the model once through `model.pairwise_view`, which sums
 repeated scopes and folds near-zero edges into their ends, classifies the
@@ -14,29 +14,28 @@ sums and adds only its pinned vertices' edge rows before its one min cut.
 The cut's network has one flow node per snode: an enode, which conflicts
 with at most two snodes, contracts into a source arc and one arc between
 them (`_snode_cut`). A pre-flow cancels each node's terminal capacities
-and pushes along the length-3 paths, and Dinic's algorithm with an
-explicit path stack, so with no recursion limit, completes the flow. This value pass combines the block maxima and
-keeps the residual graph of each optimal min cut. The closed sets of a
-residual graph are exactly the optimal cuts (Picard and Queyranne, 1980),
-so the decode reads the lexicographically smallest optimal assignment off
-these graphs by closure propagation, in time linear in their size, without
-solving again. `mwss_bipartite` solves a general bipartite MWSS the same
-way, with a flow node per vertex. `solve_map_bnb`, branch and bound on the
-whole pruned NMRF, handles small models of any order and labels; its
-compile, `build_nmrf`, sums repeated scopes too.
+and pushes along the length-3 paths; Dinic's algorithm, with an explicit
+path stack and so no recursion limit, completes the flow. This value pass
+combines the block maxima and keeps the residual graph of each optimal min
+cut. The closed sets of a residual graph are exactly the optimal cuts
+(Picard and Queyranne, 1980), so the decode reads the lexicographically
+smallest optimal assignment off these graphs by closure propagation, in
+time linear in their size, without solving again.
+
+`solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
+pruned NMRF. It handles small models of any order and labels; its compile,
+`build_nmrf`, sums repeated scopes too.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InconsistentCompletionError,
     IntractableTopologyError,
-    NotBipartiteError,
     ObjectiveMismatchError,
     TooLargeError,
 )
@@ -57,9 +56,6 @@ _FLOW_EPS = 1e-12
 class StableSetSolution:
     nodes: tuple[int, ...]
     weight: float
-    # Residual network of the max flow behind a bipartite solution: nodes
-    # 0..n-1, then source n and sink n + 1.
-    residual: Optional["_Dinic"] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,7 @@ def map_solution_to_json(sol: MapSolution) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# bipartite solver: minimum weighted vertex cover via max flow
+# max flow and residual closures
 
 
 class _Dinic:
@@ -185,66 +181,6 @@ class _Dinic:
                             f"residual arc forces flow node {v} to both sides"
                         )
         return queue
-
-
-def mwss_bipartite(
-    weights: Sequence[float], edges, sides: Sequence[int]
-) -> StableSetSolution:
-    """Exact MWSS on a bipartite weighted graph via the canonical min cut.
-
-    The solution keeps the flow's residual network: side-0 nodes on its
-    source side and side-1 nodes on its sink side form a maximum-weight
-    stable set exactly when that side is closed under residual arcs.
-    """
-    n = len(weights)
-    src, sink = n, n + 1
-    # Terminal arcs: node i's arc from the source (side 0) or to the sink
-    # (side 1) is arc 2i, its residual is left[i] and its reverse back[i].
-    left = list(weights)
-    back = [0.0] * n
-    cross = []  # (side-0 end, side-1 end, pre-flow) per edge
-    for u, v in edges:
-        if sides[u] == sides[v]:
-            raise NotBipartiteError(f"edge ({u}, {v}) joins two side-{sides[u]} nodes")
-        if sides[u] == 1:
-            u, v = v, u
-        # Greedy pre-flow along source -> u -> v -> sink, the usual start
-        # of augmenting-path graph cuts (Boykov and Kolmogorov, 2004).
-        pushed = min(left[u], left[v])
-        if pushed > _FLOW_EPS:
-            left[u] -= pushed
-            back[u] += pushed
-            left[v] -= pushed
-            back[v] += pushed
-        else:
-            pushed = 0.0
-        cross.append((u, v, pushed))
-    to: list[int] = []
-    cap: list[float] = []
-    head: list[list[int]] = [[] for _ in range(n + 2)]
-    for i in range(n):
-        if sides[i] == 0:
-            head[src].append(2 * i)
-            head[i].append(2 * i + 1)
-            to += (i, src)
-        else:
-            head[i].append(2 * i)
-            head[sink].append(2 * i + 1)
-            to += (sink, i)
-        cap += (left[i], back[i])
-    eid = 2 * n
-    for u, v, pushed in cross:
-        head[u].append(eid)
-        head[v].append(eid + 1)
-        to += (v, u)
-        cap += (math.inf, pushed)
-        eid += 2
-    flow = _Dinic(to, cap, head)
-    flow.max_flow(src, sink)
-    state = [0] * (n + 2)
-    flow.close(state, src, 1)
-    chosen = tuple(i for i in range(n) if (state[i] == 1) == (sides[i] == 0))
-    return StableSetSolution(chosen, sum(weights[i] for i in chosen), flow)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +647,9 @@ def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
     best, kept = _value_pass(pw, eps)
     assignment = dict(zip(pw.graph.names, _decode(pw, kept)))
     objective = energy(model, assignment)
-    if abs(objective - best) > objective_tolerance(model) + pw.slack:
+    # objective_tolerance, >= TOLERANCE, reads every table: only a gap > TOLERANCE needs it.
+    gap = abs(objective - best)
+    if gap > TOLERANCE + pw.slack and gap > objective_tolerance(model) + pw.slack:
         raise ObjectiveMismatchError(
             f"decoded objective {objective!r} != optimum {best!r}"
         )

@@ -14,17 +14,11 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import SignMismatchError, ZeroAssociativityError
-from .model import (
-    DEFAULT_EPS,
-    Model,
-    Potential,
-    _as_flat_2x2,
-    _reorder_table,
-)
+from .errors import ModelFormatError, SignMismatchError, ZeroAssociativityError
+from .model import DEFAULT_EPS, Model, Potential, _as_floats, _reorder_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NmrfNode:
     scope: tuple[str, ...]
     assignment: tuple[int, ...]
@@ -146,30 +140,6 @@ def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
     return PrunedNmrf(nmrf, kept, eps)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeReparam:
-    """Single-enode rewrite of a binary edge table via singleton transformations."""
-
-    form: tuple[int, int]
-    weight: float
-    delta_u: tuple[float, float]
-    delta_v: tuple[float, float]
-    constant: float
-
-
-_FORMS = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}
-
-
-def parse_form(form) -> tuple[int, int]:
-    if isinstance(form, str):
-        try:
-            return _FORMS[form]
-        except KeyError:
-            raise SignMismatchError(f"unknown enode form {form!r}") from None
-    i, j = form
-    return int(i), int(j)
-
-
 def single_enode(t, i: int, j: int, eps: float):
     """Rewrite of the flat edge table t = (t00, t01, t10, t11) to the single
     enode (i, j) by singleton transformations, as plain floats
@@ -189,20 +159,6 @@ def single_enode(t, i: int, j: int, eps: float):
     # +/- associativity.
     r = 2 - 2 * i
     return abs(a), t[2 * i + 1 - j] - t[r + 1 - j], t[r], t[r + 1]
-
-
-def reparameterize_edge(table, target_form, eps: float = DEFAULT_EPS) -> EdgeReparam:
-    """Zero three entries of a binary edge table, leaving only `target_form`.
-
-    The surviving weight is forced to |associativity| by the invariance of
-    that quantity under singleton transformations.
-    """
-    t = _as_flat_2x2(table)
-    i, j = parse_form(target_form)
-    weight, fi, row0, row1 = single_enode(t, i, j, eps)
-    return EdgeReparam(
-        (i, j), weight, (fi, 0.0) if i == 0 else (0.0, fi), (row0, row1), 0.0
-    )
 
 
 def apply_enode_plan(
@@ -237,13 +193,14 @@ def apply_enode_plan(
         if form is None:
             edges.append(Potential((u, v), t))
             continue
-        rep = reparameterize_edge(t, form, eps)
+        i, j = form
+        weight, fi, row0, row1 = single_enode(t, i, j, eps)
         table = [0.0] * 4
-        table[2 * rep.form[0] + rep.form[1]] = rep.weight
+        table[2 * i + j] = weight
         edges.append(Potential((u, v), tuple(table)))
-        for x in (0, 1):
-            singles[u][x] += rep.delta_u[x]
-            singles[v][x] += rep.delta_v[x]
+        singles[u][i] += fi
+        singles[v][0] += row0
+        singles[v][1] += row1
     potentials = [
         Potential((name,), tuple(singles[name])) for name, _ in model.variables
     ] + edges
@@ -267,23 +224,40 @@ def nmrf_to_json(nmrf: Nmrf) -> dict:
 
 
 def nmrf_from_json(data: Mapping) -> Nmrf:
-    raw_nodes = data["nodes"]
+    """Read back what `nmrf_to_json` writes; a document that breaks its schema
+    (node k has id k, each edge joins two nodes) raises ModelFormatError."""
+    ok = isinstance(data, Mapping) and all(type(data.get(k)) is list for k in ("nodes", "edges"))
+    constant = _as_floats([data.get("constants", 0.0)]) if ok else None
+    if constant is None:
+        raise ModelFormatError("an NMRF needs lists 'nodes' and 'edges' and a number 'constants'")
     nodes = []
     groups: dict[tuple[str, ...], list[int]] = {}
-    for entry in raw_nodes:
-        scope = tuple(entry["group"])
-        assignment = tuple(entry["assignment"][name] for name in scope)
-        nodes.append(NmrfNode(scope, assignment, float(entry["weight"])))
-        groups.setdefault(scope, []).append(entry["id"])
+    for k, entry in enumerate(data["nodes"]):
+        if not isinstance(entry, Mapping) or type(entry.get("id")) is not int or entry["id"] != k:
+            raise ModelFormatError(f"node {k} must be a mapping with id {k}")
+        scope, values = entry["group"], entry["assignment"]
+        weight = _as_floats([entry["weight"]])
+        labels = isinstance(scope, list) and isinstance(values, Mapping) and all(
+            isinstance(n, str) and type(values.get(n)) is int and values[n] >= 0 for n in scope
+        )
+        if weight is None or not labels:
+            raise ModelFormatError(f"node {k} needs a weight and an int >= 0 per group name")
+        scope = tuple(scope)
+        nodes.append(NmrfNode(scope, tuple(values[n] for n in scope), weight[0]))
+        groups.setdefault(scope, []).append(k)
+    n = len(nodes)
     adj: list[set[int]] = [set() for _ in nodes]
-    for i, j in data["edges"]:
+    for edge in data["edges"]:
+        i, j = edge if isinstance(edge, list) and len(edge) == 2 else (None, None)
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and i != j):
+            raise ModelFormatError(f"edge {edge!r} must join two of the {n} nodes")
         adj[i].add(j)
         adj[j].add(i)
     return Nmrf(
         tuple(nodes),
         tuple(frozenset(s) for s in adj),
         {k: tuple(v) for k, v in groups.items()},
-        float(data.get("constants", 0.0)),
+        constant[0],
     )
 
 

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import BadIndicesError, NotSupermodularError, TooLargeError
-from .model import DEFAULT_EPS, Model, Potential
+from .errors import BadIndicesError, ModelFormatError, NotSupermodularError, TooLargeError
+from .model import DEFAULT_EPS, Model, Potential, _as_floats
 
 MAX_ORDER = 10
 MAX_FEASIBILITY_ORDER = 6
@@ -266,10 +266,18 @@ def representation_to_model(
 
 
 def potential_from_json(data: Mapping) -> HighOrderPotential:
+    """Read {"scope": [names], "table": [numbers]}, checking its shape."""
+    if not isinstance(data, Mapping):
+        raise ModelFormatError("potential description must be a mapping")
     extra = set(data) - {"scope", "table"}
     if extra:
         raise ValueError(f"unknown keys: {sorted(extra)}")
-    return HighOrderPotential(tuple(data["scope"]), tuple(float(v) for v in data["table"]))
+    scope, table = data["scope"], data["table"]
+    names = isinstance(scope, list) and all(isinstance(n, str) for n in scope)
+    values = _as_floats(table) if isinstance(table, list) else None
+    if not names or len(set(scope)) != len(scope) or values is None:
+        raise ModelFormatError("scope must list distinct names and table numbers")
+    return HighOrderPotential(tuple(scope), values)
 
 
 def representation_to_json(rep: IndicatorRepresentation) -> dict:

@@ -296,6 +296,41 @@ def test_solve_bnb_method(frustrated_model, capsys):
     assert json.loads(out)["oracle"]["agree"]
 
 
+_TWO_NODES = {
+    "nodes": [
+        {"id": 0, "group": ["A"], "assignment": {"A": 0}, "weight": 0.0},
+        {"id": 1, "group": ["A"], "assignment": {"A": 1}, "weight": 1.0},
+    ],
+    "edges": [[0, 1]],
+    "constants": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "verb, doc",
+    [
+        ("submodular", {"scope": ["a", "b"], "table": 5}),
+        ("submodular", {"scope": ["a", "b"], "table": [0, None, 0, 0]}),
+        ("submodular", {"scope": "ab", "table": [0, 0, 0, 0]}),
+        ("submodular", {"scope": ["a", "a"], "table": [0, 0, 0, 1]}),
+        ("submodular", []),
+        ("perfect", {**_TWO_NODES, "edges": [[0, 5]]}),
+        ("perfect", []),
+        ("perfect", {**_TWO_NODES, "nodes": _TWO_NODES["nodes"][::-1]}),
+    ],
+    ids=[
+        "table-not-a-list", "table-null", "scope-string", "scope-repeats",
+        "potential-not-a-mapping", "edge-to-missing-node", "graph-not-a-mapping",
+        "id-not-position",
+    ],
+)
+def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
+    code, out, err = run(capsys, verb, write_json(tmp_path / "doc.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_submodular_k3(tmp_path, capsys):
     table = [0.0] * 8
     table[7] = 2.0  # nonnegative all-ones indicator

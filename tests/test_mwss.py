@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from nmrfmap.errors import (
     IntractableTopologyError,
-    NotBipartiteError,
     ObjectiveMismatchError,
     TooLargeError,
 )
 from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
-    random_bipartite_graph,
     random_br_model,
     random_tractable_model,
     random_weighted_graph,
 )
 import nmrfmap.mwss
-import nmrfmap.nmrf
 import nmrfmap.structure
 from nmrfmap.model import (
     ASSOCIATIVE,
@@ -37,11 +34,11 @@ from nmrfmap.model import (
 )
 from nmrfmap.mwss import (
     _FLOW_EPS,
+    TOLERANCE,
     _snode_cut,
     _value_pass,
     decode_map,
     mmwss_complete,
-    mwss_bipartite,
     mwss_branch_bound,
     objective_tolerance,
     solve_map,
@@ -50,91 +47,6 @@ from nmrfmap.mwss import (
 from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.structure import classify_model, plan_by_names
-
-
-def test_bipartite_solver_matches_brute_force():
-    rng = np.random.default_rng(61)
-    for _ in range(60):
-        n = int(rng.integers(2, 15))
-        weights, edges, sides = random_bipartite_graph(rng, n)
-        sol = mwss_bipartite(weights, edges, sides)
-        ref = brute_force_mwss(weights, edges)
-        assert sol.weight == pytest.approx(ref.weight)
-        # the returned set is stable
-        chosen = set(sol.nodes)
-        assert not any(u in chosen and v in chosen for u, v in edges)
-
-
-def _check_residual_is_max_flow(weights, edges, sides, residual, cut_value):
-    """Capacity and conservation on every arc pair of `residual`, whose
-    net flow out of the source is `cut_value`, and no residual path from
-    the source to the sink."""
-    n = len(weights)
-    src, sink = n, n + 1
-    to, cap = residual.to, residual.cap
-    assert len(to) == 2 * (n + len(edges))
-    net = [0.0] * (n + 2)
-    for e in range(0, len(to), 2):
-        tail, head = to[e + 1], to[e]
-        flow = cap[e + 1]  # a reverse arc's residual is the flow it carries
-        if tail == src:
-            assert head < n and sides[head] == 0
-            limit = weights[head]
-        elif head == sink:
-            assert tail < n and sides[tail] == 1
-            limit = weights[tail]
-        else:
-            assert sides[tail] == 0 and sides[head] == 1
-            limit = float("inf")
-        assert -1e-9 <= flow <= limit + 1e-9
-        assert cap[e] == pytest.approx(limit - flow, abs=1e-9)
-        net[tail] -= flow
-        net[head] += flow
-    assert net[:n] == pytest.approx([0.0] * n, abs=1e-9)
-    assert -net[src] == pytest.approx(cut_value, abs=1e-9)
-    state = [0] * (n + 2)
-    residual.close(state, src, 1)
-    assert state[sink] == 0
-
-
-def test_bipartite_solver_matches_networkx_min_cut():
-    rng = np.random.default_rng(67)
-    for k in range(150):
-        n = int(rng.integers(2, 25))
-        sides = [int(rng.integers(0, 2)) for _ in range(n)]
-        if k % 3 == 0:  # integer weights with zeros and ties
-            weights = [float(w) for w in rng.integers(0, 4, size=n)]
-        else:
-            weights = [float(w) for w in rng.uniform(0.0, 5.0, size=n)]
-            weights = [0.0 if w < 0.5 else w for w in weights]
-        p = float(rng.uniform(0.1, 0.8))
-        edges = [
-            (u, v) if k % 2 else (v, u)
-            for u, v in itertools.combinations(range(n), 2)
-            if sides[u] != sides[v] and rng.random() < p
-        ]
-        graph = nx.DiGraph()
-        graph.add_nodes_from(["s", "t", *range(n)])
-        for i, w in enumerate(weights):
-            if sides[i] == 0:
-                graph.add_edge("s", i, capacity=w)
-            else:
-                graph.add_edge(i, "t", capacity=w)
-        for u, v in edges:
-            if sides[u] == 1:
-                u, v = v, u
-            graph.add_edge(u, v)  # no capacity attribute: infinite
-        cut_value, _ = nx.minimum_cut(graph, "s", "t")
-        sol = mwss_bipartite(weights, edges, sides)
-        assert sol.weight == pytest.approx(sum(weights) - cut_value, abs=1e-9)
-        chosen = set(sol.nodes)
-        assert not any(u in chosen and v in chosen for u, v in edges)
-        _check_residual_is_max_flow(weights, edges, sides, sol.residual, cut_value)
-
-
-def test_bipartite_solver_rejects_same_side_edges():
-    with pytest.raises(NotBipartiteError):
-        mwss_bipartite([1.0, 1.0], [(0, 1)], [0, 0])
 
 
 def test_branch_bound_matches_brute_force():
@@ -193,6 +105,44 @@ def test_decode_map_checks_weight_against_objective_tolerance():
         off = type(full)(full.nodes, full.weight + 1e-8 * scale)
         with pytest.raises(ObjectiveMismatchError):
             decode_map(off, nmrf, model)
+
+
+def test_solve_map_reads_the_tables_again_only_for_a_large_gap(monkeypatch):
+    """solve_map accepts a decoded energy within TOLERANCE of the optimum
+    without objective_tolerance's pass over the tables, and checks a larger
+    gap against the full tolerance."""
+    rng = np.random.default_rng(137)
+    models = [random_tractable_model(rng) for _ in range(30)]
+    solutions = [solve_map(model) for model in models]
+
+    def refuse(model):
+        raise AssertionError("objective_tolerance read the tables")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nmrfmap.mwss, "objective_tolerance", refuse)
+        assert [solve_map(model) for model in models] == solutions
+
+    # Tables scaled up, so that the full tolerance exceeds TOLERANCE.
+    model = Model(
+        models[0].variables,
+        tuple(Potential(p.scope, tuple(1e3 * x for x in p.table)) for p in models[0].potentials),
+    )
+    sol = solve_map(model)
+    tol, slack = objective_tolerance(model), pairwise_view(model).slack
+    assert 0.5 * tol > TOLERANCE + slack
+    value_pass = nmrfmap.mwss._value_pass
+
+    def shifted(by):
+        def run(pw, eps):
+            best, kept = value_pass(pw, eps)
+            return best + by, kept
+        return run
+
+    monkeypatch.setattr(nmrfmap.mwss, "_value_pass", shifted(0.5 * tol))
+    assert solve_map(model) == sol
+    monkeypatch.setattr(nmrfmap.mwss, "_value_pass", shifted(2 * tol + slack))
+    with pytest.raises(ObjectiveMismatchError):
+        solve_map(model)
 
 
 def test_solve_map_matches_oracle_on_tractable_models():
@@ -406,9 +356,8 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
 
 
 def test_balanced_blocks_reuse_the_classification_colouring(monkeypatch):
-    """A BR block takes its sides from classify_graph and rewrites each edge
-    to plain floats: the solve neither colours it again nor builds an
-    EdgeReparam."""
+    """A BR block takes its sides from classify_graph: the solve does not
+    colour it again."""
     colourings = 0
 
     def counted(*args):
@@ -422,7 +371,6 @@ def test_balanced_blocks_reuse_the_classification_colouring(monkeypatch):
     two_color = nmrfmap.structure._signed_two_color
     monkeypatch.setattr(nmrfmap.structure, "_signed_two_color", counted)
     monkeypatch.setattr(nmrfmap.mwss, "_signed_two_color", refuse)
-    monkeypatch.setattr(nmrfmap.nmrf, "EdgeReparam", refuse)
     rng = np.random.default_rng(103)
     pinned_blocks = 0
     for _ in range(40):
@@ -760,28 +708,41 @@ def test_dense_solutions_match_golden_digest():
 # the contracted block network against the explicit enode/snode graph
 
 
+def _residual_closures(graph, src, sink):
+    """Source and sink closures of the residual graph of a maximum flow
+    that networkx's Edmonds-Karp computes on `graph`: what the source
+    reaches and what reaches the sink over arcs of residual capacity
+    > 1e-9. Every maximum flow leaves the same closures (Picard and
+    Queyranne, 1980)."""
+    residual = nx.algorithms.flow.edmonds_karp(graph, src, sink)
+    arcs = nx.DiGraph(
+        (u, v)
+        for u, v, data in residual.edges(data=True)
+        if data["capacity"] - data["flow"] > 1e-9
+    )
+    arcs.add_nodes_from(graph)
+    return nx.descendants(arcs, src) | {src}, nx.ancestors(arcs, sink) | {sink}
+
+
 def _check_snode_cut(weights, snode, enodes):
     """One pinned labeling's min cut, from the network with a flow node per
-    snode, against mwss_bipartite and a networkx min cut on the explicit
-    graph: enodes on side 0 after the snodes on side 1, an infinite arc from
-    each enode to the snode of each of its ends that has one."""
+    snode, against networkx's max flow on the explicit graph: enodes on the
+    source side of the snodes, an infinite arc from each enode to the snode
+    of each of its ends that has one."""
     k, m = len(weights), len(enodes)
     value, flow, state = _snode_cut(weights, snode, enodes)
     every = [*weights, *(w for _, _, w in enodes)]
-    sides = [1] * k + [0] * m
     edges = [
         (k + j, snode[x])
         for j, (u, v, _) in enumerate(enodes)
         for x in (u, v)
         if x in snode
     ]
-    ref = mwss_bipartite(every, edges, sides)
-    # The same stable set, summed in the same order.
-    assert value == ref.weight
     graph = nx.DiGraph()
     graph.add_nodes_from(["s", "t", *range(k + m)])
     for i, w in enumerate(every):
-        graph.add_edge(*(("s", i) if sides[i] == 0 else (i, "t")), capacity=w)
+        # A capacity <= _FLOW_EPS is a tie: saturated, as in the library.
+        graph.add_edge(*(("s", i) if i >= k else (i, "t")), capacity=w if w > _FLOW_EPS else 0.0)
     graph.add_edges_from(edges)  # no capacity attribute: infinite
     cut_value, _ = nx.minimum_cut(graph, "s", "t")
     assert value == pytest.approx(sum(every) - cut_value, abs=1e-9)
@@ -792,10 +753,8 @@ def _check_snode_cut(weights, snode, enodes):
     flow.close(closed, k, 1)
     assert closed == state
     flow.close(closed, k + 1, -1)
-    explicit = [0] * (k + m + 2)
-    ref.residual.close(explicit, k + m, 1)
-    ref.residual.close(explicit, k + m + 1, -1)
-    assert closed[:k] == explicit[:k]
+    source, sink = _residual_closures(graph, "s", "t")
+    assert closed[:k] == [(x in source) - (x in sink) for x in range(k)]
 
     # The network: enode (u, v) of weight w adds w to source -> u and an arc
     # u -> v of capacity w, over the ends that have snodes; each node's

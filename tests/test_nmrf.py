@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from nmrfmap.errors import SignMismatchError, ZeroAssociativityError
-from nmrfmap.model import energy, validate_model
+from nmrfmap.model import DEFAULT_EPS, energy, validate_model
 from nmrfmap.nmrf import (
-    EdgeReparam,
     NmrfNode,
     apply_enode_plan,
     build_nmrf,
@@ -17,7 +16,7 @@ from nmrfmap.nmrf import (
     nmrf_to_json,
     nodes_conflict,
     prune,
-    reparameterize_edge,
+    single_enode,
 )
 
 
@@ -130,38 +129,29 @@ def test_nodes_conflict_rules():
 
 @pytest.mark.parametrize("form", [(0, 0), (1, 1)])
 def test_reparameterize_associative_edge(form):
+    i, j = form
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = rng.normal(size=4)
         t[0] += 3.0
         t[3] += 3.0  # force positive associativity
-        rep = reparameterize_edge(tuple(t), form)
-        assert isinstance(rep, EdgeReparam)
+        weight, fi, row0, row1 = single_enode(tuple(t), i, j, DEFAULT_EPS)
         a = t[0] + t[3] - t[1] - t[2]
-        assert rep.weight == pytest.approx(abs(a))
+        assert weight == pytest.approx(abs(a))
         # the rewrite preserves the table entrywise
         for x, y in itertools.product((0, 1), repeat=2):
-            rebuilt = rep.delta_u[x] + rep.delta_v[y] + rep.constant
-            if (x, y) == rep.form:
-                rebuilt += rep.weight
+            rebuilt = (fi if x == i else 0.0) + (row0, row1)[y]
+            if (x, y) == form:
+                rebuilt += weight
             assert rebuilt == pytest.approx(t[2 * x + y])
 
 
-def _reference_reparameterize(table, target_form, eps=1e-9):
-    """The rewrite as first written: flatten, take the associativity, solve
+def _reference_reparameterize(t, i, j, eps=1e-9):
+    """The rewrite as first written: take the associativity, solve
     psi(x, y) = f(x) + g(y) with f(1 - i) = 0 through lists."""
-    if len(table) == 2 and hasattr(table[0], "__len__"):
-        (a, b), (c, d) = table
-    else:
-        a, b, c, d = table
-    t = (float(a), float(b), float(c), float(d))
     assoc = t[0] + t[3] - t[1] - t[2]
     if abs(assoc) <= eps:
         raise ZeroAssociativityError("edge has zero associativity")
-    if isinstance(target_form, str):
-        i, j = {"00": (0, 0), "01": (0, 1), "10": (1, 0), "11": (1, 1)}[target_form]
-    else:
-        i, j = int(target_form[0]), int(target_form[1])
     if (i == j) != (assoc > 0):
         raise SignMismatchError("form incompatible with associativity")
     f = [0.0, 0.0]
@@ -169,11 +159,7 @@ def _reference_reparameterize(table, target_form, eps=1e-9):
     g[j] = t[2 * (1 - i) + j]
     g[1 - j] = t[2 * (1 - i) + 1 - j]
     f[i] = t[2 * i + 1 - j] - g[1 - j]
-    return ((i, j), abs(assoc), (f[0], f[1]), (g[0], g[1]), 0.0)
-
-
-def _fields(rep):
-    return (rep.form, rep.weight, rep.delta_u, rep.delta_v, rep.constant)
+    return abs(assoc), (f[0], f[1]), (g[0], g[1])
 
 
 def test_reparameterize_edge_matches_reference_formula_exactly():
@@ -181,37 +167,31 @@ def test_reparameterize_edge_matches_reference_formula_exactly():
     checked = 0
     for k in range(400):
         if k % 2:
-            flat = [int(x) for x in rng.integers(-3, 4, size=4)]
+            t = tuple(float(x) for x in rng.integers(-3, 4, size=4))
         else:
-            flat = [float(x) for x in rng.normal(scale=10.0, size=4)]
-        tables = [tuple(flat), list(flat), [flat[:2], flat[2:]], (tuple(flat[:2]), tuple(flat[2:]))]
-        for form in [(0, 0), (0, 1), (1, 0), (1, 1), "00", "01", "10", "11", [1, 1], (np.int64(1), 0)]:
-            for table in tables:
-                try:
-                    expected = _reference_reparameterize(table, form)
-                except (SignMismatchError, ZeroAssociativityError) as err:
-                    with pytest.raises(type(err)):
-                        reparameterize_edge(table, form)
-                    continue
-                rep = reparameterize_edge(table, form)
-                got = _fields(rep)
-                assert got == expected, (table, form)
-                # same types too: plain ints in the form, floats elsewhere
-                assert [type(x) for x in rep.form] == [int, int]
-                assert all(type(x) is float for x in (rep.weight, *rep.delta_u, *rep.delta_v))
-                checked += 1
-    assert checked > 4000
-    with pytest.raises(SignMismatchError):
-        reparameterize_edge((3.0, 0.0, 0.0, 3.0), "0x")
+            t = tuple(float(x) for x in rng.normal(scale=10.0, size=4))
+        for i, j in itertools.product((0, 1), repeat=2):
+            try:
+                weight, f, g = _reference_reparameterize(t, i, j)
+            except (SignMismatchError, ZeroAssociativityError) as err:
+                with pytest.raises(type(err)):
+                    single_enode(t, i, j, DEFAULT_EPS)
+                continue
+            got = single_enode(t, i, j, DEFAULT_EPS)
+            assert got == (weight, f[i], *g), (t, i, j)
+            assert f[1 - i] == 0.0
+            assert all(type(x) is float for x in got)
+            checked += 1
+    assert checked > 750
 
 
 def test_reparameterize_rejects_wrong_sign_and_zero():
     with pytest.raises(SignMismatchError):
-        reparameterize_edge((3.0, 0.0, 0.0, 3.0), (0, 1))
+        single_enode((3.0, 0.0, 0.0, 3.0), 0, 1, DEFAULT_EPS)
     with pytest.raises(SignMismatchError):
-        reparameterize_edge((0.0, 3.0, 3.0, 0.0), "11")
+        single_enode((0.0, 3.0, 3.0, 0.0), 1, 1, DEFAULT_EPS)
     with pytest.raises(ZeroAssociativityError):
-        reparameterize_edge((1.0, 2.0, 0.0, 1.0), (0, 0))
+        single_enode((1.0, 2.0, 0.0, 1.0), 0, 0, DEFAULT_EPS)
 
 
 def test_apply_enode_plan_preserves_energy_and_prunes_to_single_enode():

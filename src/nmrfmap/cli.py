@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 
@@ -299,6 +300,18 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _eps(text: str) -> float:
+    """An --eps value: a finite number >= 0. NaN compares false with every
+    weight, so each `<= eps` test would fail whatever the weight."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmrfmap",
@@ -307,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+        p.add_argument("--eps", type=_eps, default=DEFAULT_EPS)
         p.add_argument("--out", default=None, help="write the report here")
 
     p = sub.add_parser("validate", help="parse and check a model file")

@@ -24,13 +24,18 @@ class DuplicateVariableError(ModelFormatError):
 
 
 class TableSizeMismatchError(ModelFormatError):
+    """A table has the wrong number of entries; `got` is None when it is not
+    a list or tuple at all."""
+
     def __init__(self, scope, expected, got):
         self.scope = tuple(scope)
         self.expected = expected
         self.got = got
-        super().__init__(
-            f"table for scope {list(scope)} has {got} entries, expected {expected}"
-        )
+        if got is None:
+            fault = f"is not a list of {expected} entries"
+        else:
+            fault = f"has {got} entries, expected {expected}"
+        super().__init__(f"table for scope {list(scope)} {fault}")
 
 
 class NonFiniteEntryError(ModelFormatError):

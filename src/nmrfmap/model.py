@@ -17,6 +17,7 @@ import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DuplicateVariableError,
@@ -33,8 +34,7 @@ ASSOCIATIVE = 1
 REPULSIVE = -1
 
 
-@dataclass(frozen=True, slots=True)
-class Potential:
+class Potential(NamedTuple):
     """Log-potential table over an ordered variable scope."""
 
     scope: tuple[str, ...]
@@ -92,14 +92,7 @@ def _reorder_table(scope, cards, table, new_scope):
     return tuple(out)
 
 
-_VARIABLE_KEYS = frozenset(("name", "card"))
-_POTENTIAL_KEYS = frozenset(("scope", "table"))
 _FLOAT = frozenset((float,))
-
-
-def _is_mapping(entry) -> bool:
-    # A dict is checked first: isinstance against an ABC costs a Python call.
-    return type(entry) is dict or isinstance(entry, Mapping)
 
 
 def _bad_entry_index(table) -> int:
@@ -130,9 +123,21 @@ def _as_floats(table) -> tuple[float, ...] | None:
         return None
 
 
+def _scope_error(scope, index) -> ModelFormatError:
+    """The fault of a scope whose names failed to look up in `index`."""
+    for name in scope:
+        if not isinstance(name, str):
+            return ModelFormatError(f"scope {list(scope)} holds a non-string name {name!r}")
+        if name not in index:
+            return UnknownVariableError(name, scope)
+    raise AssertionError("every name is a known variable")
+
+
 def validate_model(raw: Mapping) -> Model:
     """Build a Model from a raw JSON-style description, enforcing invariants.
 
+    A scope is a list or tuple of declared variable names, and a table a
+    list or tuple of finite ints or floats, one per labeling of the scope.
     Scopes are put in variable declaration order and duplicate scopes are
     merged by entrywise sum, left to right; every merged entry must be finite.
     """
@@ -145,7 +150,11 @@ def validate_model(raw: Mapping) -> Model:
     variables: list[tuple[str, int]] = []
     index: dict[str, int] = {}
     for entry in raw.get("variables", []):
-        if not _is_mapping(entry) or entry.keys() != _VARIABLE_KEYS:
+        # A dict is tested first: isinstance against an ABC costs a Python call.
+        if not (
+            (type(entry) is dict or isinstance(entry, Mapping))
+            and len(entry) == 2 and "name" in entry and "card" in entry
+        ):
             raise ModelFormatError(f"bad variable entry: {entry!r}")
         name, card = entry["name"], entry["card"]
         if not isinstance(name, str):
@@ -158,62 +167,70 @@ def validate_model(raw: Mapping) -> Model:
         variables.append((name, card))
     card_of = [card for _, card in variables]
 
-    # Both keyed by the scope's variable positions in declaration order.
-    scopes: dict[tuple[int, ...], tuple[str, ...]] = {}
-    merged: dict[tuple[int, ...], tuple[float, ...]] = {}
+    # Keyed by the scope's variable positions in declaration order.
+    merged: dict[tuple[int, ...], Potential] = {}
     summed: list[tuple[int, ...]] = []
+    # tuple.__new__ skips the Python-level NamedTuple constructor.
+    new = tuple.__new__
     for entry in raw.get("potentials", []):
-        if not _is_mapping(entry) or entry.keys() != _POTENTIAL_KEYS:
+        if not (
+            (type(entry) is dict or isinstance(entry, Mapping))
+            and len(entry) == 2 and "scope" in entry and "table" in entry
+        ):
             raise ModelFormatError(f"bad potential entry: {entry!r}")
-        scope = tuple(entry["scope"])
-        if not scope:
-            raise ModelFormatError("empty potential scope")
+        scope, table = entry["scope"], entry["table"]
+        if type(scope) is not list and not isinstance(scope, (list, tuple)):
+            raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
+        scope = tuple(scope)
         try:
             # unrolled for the orders of a pairwise model
-            if len(scope) == 1:
-                pos = (index[scope[0]],)
-            elif len(scope) == 2:
+            if len(scope) == 2:
                 pos = (index[scope[0]], index[scope[1]])
-            else:
+            elif len(scope) == 1:
+                pos = (index[scope[0]],)
+            elif scope:
                 pos = tuple(map(index.__getitem__, scope))
-        except (KeyError, TypeError):
-            for name in scope:
-                if name not in index:
-                    raise UnknownVariableError(name, scope) from None
-            raise
+            else:
+                raise ModelFormatError("empty potential scope")
+        except (KeyError, TypeError):  # an unknown, non-string or unhashable name
+            raise _scope_error(scope, index) from None
         if len(pos) == 1 or (len(pos) == 2 and pos[0] < pos[1]):
             key = pos
         else:
             key = tuple(sorted(pos))
             if len(set(key)) != len(key):
                 raise ModelFormatError(f"scope {list(scope)} repeats a variable")
-        table = entry["table"]
         expected = 1
         for i in pos:
             expected *= card_of[i]
-        if not isinstance(table, (list, tuple)) or len(table) != expected:
-            raise TableSizeMismatchError(scope, expected, len(table) if hasattr(table, "__len__") else -1)
-        values = _as_floats(table)
-        if values is None or not all(map(math.isfinite, values)):
-            raise NonFiniteEntryError(scope, _bad_entry_index(table))
+        if type(table) is not list and not isinstance(table, (list, tuple)):
+            raise TableSizeMismatchError(scope, expected, None)
+        if len(table) != expected:
+            raise TableSizeMismatchError(scope, expected, len(table))
+        # The common all-float table is copied as it is; a finite sum
+        # means finite entries.
+        if _FLOAT.issuperset(map(type, table)) and math.isfinite(sum(table)):
+            values = tuple(table)
+        else:
+            values = _as_floats(table)
+            if values is None or not all(map(math.isfinite, values)):
+                raise NonFiniteEntryError(scope, _bad_entry_index(table))
         if key != pos:
             canon = tuple([variables[i][0] for i in key])
             values = _reorder_table(scope, [card_of[i] for i in pos], values, canon)
             scope = canon
         prev = merged.get(key)
         if prev is None:
-            scopes[key] = scope
-            merged[key] = values
+            merged[key] = new(Potential, (scope, values))
         else:
-            merged[key] = tuple(map(operator.add, prev, values))
+            merged[key] = new(Potential, (prev.scope, tuple(map(operator.add, prev.table, values))))
             summed.append(key)
     for key in summed:
-        values = merged[key]
+        scope, values = merged[key]
         if not all(map(math.isfinite, values)):
-            raise NonFiniteEntryError(scopes[key], _bad_entry_index(values))
+            raise NonFiniteEntryError(scope, _bad_entry_index(values))
 
-    potentials = tuple([Potential(scopes[key], merged[key]) for key in sorted(merged)])
-    return Model(tuple(variables), potentials)
+    return Model(tuple(variables), tuple([merged[key] for key in sorted(merged)]))
 
 
 def model_to_json(model: Model) -> dict:

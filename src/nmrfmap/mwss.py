@@ -127,7 +127,10 @@ class _Dinic:
             u = s
             while True:
                 if u == t:
-                    pushed = min(map(cap.__getitem__, path))
+                    pushed = cap[path[0]]  # their minimum, without the slow builtin
+                    for eid in path:
+                        if cap[eid] < pushed:
+                            pushed = cap[eid]
                     for eid in path:
                         cap[eid] -= pushed
                         cap[eid ^ 1] += pushed
@@ -367,15 +370,19 @@ def _snode_cut(
     src, sink = k, k + 1
     gain = [0.0] * k  # capacity of source -> x
     pairs = []
+    # The flow nodes of each enode's ends, the source for an end without
+    # an snode, which is never in.
+    ends = []
     for u, v, w in enodes:
         if w > _FLOW_EPS:
-            x, y = snode.get(u), snode.get(v)
-            if x is None:
-                if y is None:
+            x, y = snode.get(u, src), snode.get(v, src)
+            ends.append((x, y, w))
+            if x == src:
+                if y == src:
                     continue
-                x, y = y, None
+                x, y = y, src
             gain[x] += w
-            if y is not None:
+            if y != src:
                 pairs.append((x, y, w))
     # Pre-flow: each node's terminal capacities cancel, leaving left[x] > 0
     # from the source or < 0 to the sink, then push along each path source
@@ -387,7 +394,12 @@ def _snode_cut(
     cap: list[float] = []
     head: list[list[int]] = [[] for _ in range(k + 2)]
     for x, y, w in pairs:
-        pushed = min(left[x], w, -left[y])
+        # min(left[x], w, -left[y]); the builtin parses its arguments slowly
+        pushed = left[x]
+        if w < pushed:
+            pushed = w
+        if -left[y] < pushed:
+            pushed = -left[y]
         if pushed > _FLOW_EPS:
             left[x] -= pushed
             left[y] += pushed
@@ -413,11 +425,7 @@ def _snode_cut(
     state = [0] * (k + 2)
     flow.close(state, src, 1)
     chosen = [w for x, w in enumerate(weights) if not state[x]]
-    chosen += (
-        w
-        for u, v, w in enodes
-        if w > _FLOW_EPS and state[snode.get(u, src)] == state[snode.get(v, src)] == 1
-    )
+    chosen += (w for x, y, w in ends if state[x] == state[y] == 1)
     return sum(chosen), flow, state
 
 
@@ -433,7 +441,9 @@ def _block_values(
     each labeling of its pinned vertices: the parent cut vertex, if any, and
     in a T/U block hub s unless the parent is a hub. What is left is BR.
     The parent's label varies slowest. Also returns the block's tie share,
-    TOLERANCE times the `_magnitude` of its edge tables.
+    TOLERANCE times the `_magnitude` of its edge tables, within which two
+    labelings of one parent label count as equally good; only a pinned hub
+    gives a parent label two labelings, so without one the share is 0.0.
 
     A BR block keeps the sides its classification gave it; the free part of
     a T/U block, a star, is two-coloured here. Each free edge (u, v) is
@@ -448,41 +458,40 @@ def _block_values(
     flow node per snode, each enode contracted into arcs between them.
     """
     pinned = [] if parent is None else [parent]
-    if cls.kind in ("T", "U") and parent not in (cls.params["s"], cls.params["t"]):
-        pinned.append(cls.params["s"])
-    # An edge at a pinned vertex folds into its other end x, on behalf of its
-    # first end in `pinned`: add[label] is what it adds to x's unary.
-    folds = [[] for _ in pinned]
-    free = []
-    magnitude = 0  # _magnitude of the block's edge tables, summed in place
-    for u, v, sign in block.edges:
-        t = pw.edges[(u, v)]
-        magnitude += max(map(abs, t))
-        for i, f in enumerate(pinned):
-            if f == u:
-                folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
-                break
-            if f == v:
-                folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
-                break
-        else:
-            free.append((u, v, sign))
     if cls.kind == "BR":
         side = dict.fromkeys(cls.params["V1"], 0)
         side.update(dict.fromkeys(cls.params["V2"], 1))
     else:
-        side, _ = _signed_two_color([v for v in block.vertices if v not in pinned], free)
+        if parent not in (cls.params["s"], cls.params["t"]):
+            pinned.append(cls.params["s"])
+        side, _ = _signed_two_color(
+            [v for v in block.vertices if v not in pinned],
+            [e for e in block.edges if e[0] not in pinned and e[1] not in pinned],
+        )
     # Own unaries plus enode deltas, of every vertex but the parent.
     base = {v: unary.get(v, (0.0, 0.0)) for v in block.vertices if v != parent}
+    # An edge at a pinned vertex folds into its other end x, on behalf of its
+    # first end in `pinned`: add[label] is what it adds to x's unary.
+    folds = [[] for _ in pinned]
     enodes = []
-    for u, v, _ in free:
-        i = side[u]
-        weight, fi, row0, row1 = single_enode(pw.edges[(u, v)], i, side[v], eps)
-        w0, w1 = base[u]
-        base[u] = (w0 + fi, w1) if i == 0 else (w0, w1 + fi)
-        w0, w1 = base[v]
-        base[v] = (w0 + row0, w1 + row1)
-        enodes.append((u, v, weight))
+    for u, v, _ in block.edges:
+        t = pw.edges[(u, v)]
+        if u in pinned or v in pinned:
+            for i, f in enumerate(pinned):
+                if f == u:
+                    folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
+                    break
+                if f == v:
+                    folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
+                    break
+        else:
+            i = side[u]
+            weight, fi, row0, row1 = single_enode(t, i, side[v], eps)
+            w0, w1 = base[u]
+            base[u] = (w0 + fi, w1) if i == 0 else (w0, w1 + fi)
+            w0, w1 = base[v]
+            base[v] = (w0 + row0, w1 + row1)
+            enodes.append((u, v, weight))
     results = []
     for pins in itertools.product((0, 1), repeat=len(pinned)):
         acc = dict(base)
@@ -503,12 +512,14 @@ def _block_values(
                 labels[v] = side[v]
             else:
                 snode[v] = len(weights)
-                weights.append(max(off - on, 0.0))
+                weights.append(off - on if off >= on else 0.0)  # max(off - on, 0.0)
         weight, flow, state = _snode_cut(weights, snode, enodes)
         results.append(
             (total + weight, _Cut(labels, snode, list(snode), side, flow, state))
         )
-    return results, TOLERANCE * magnitude
+    if len(pinned) > (parent is not None):  # a pinned hub
+        return results, TOLERANCE * _magnitude(pw.edges[(u, v)] for u, v, _ in block.edges)
+    return results, 0.0
 
 
 def _value_pass(pw: PairwiseView, eps: float):

@@ -5,13 +5,17 @@ every block of its signed graph is one of three shapes: repulsive-bipartite
 (BR), triangles on a repulsive base (T), or mixed triangles on an
 associative base (U). Classification runs in linear time and produces a
 certificate: a bipartition, structure parameters, or a witness frustrated
-cycle, together with a per-edge enode-form plan for the compiler.
+cycle. The per-edge enode-form plan for the compiler, `report.plan`, is
+built from the classes when it is first read; `solve_map` never reads it,
+and a T/U test rejects any block without the 2n - 3 edges of that shape
+before it builds neighbour maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .model import (
@@ -52,7 +56,15 @@ class TractabilityReport:
     graph: SignedGraph
     tree: BlockTree
     classes: tuple[BlockClass, ...]
-    plan: dict[tuple[int, int], tuple[int, int]]
+
+    @cached_property
+    def plan(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The enode form of every edge, keyed (u, v) with u < v, built on
+        first read: `solve_map` never reads it."""
+        plan: dict[tuple[int, int], tuple[int, int]] = {}
+        for block, cls in zip(self.tree.blocks, self.classes):
+            _block_plan(block, cls, plan)
+        return plan
 
 
 def block_decompose(graph: SignedGraph) -> BlockTree:
@@ -110,6 +122,7 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
             i = nxt[v]
             end = first[v + 1]
             pe = tree_edge[v]
+            dv = disc[v]
             while i < end:
                 h = order[i]
                 i += 1
@@ -129,7 +142,7 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     vert_stack.append(w)
                     stack.append(w)
                     break
-                if dw < disc[v]:
+                if dw < dv:
                     edge_stack.append(eid)
                     if dw < low[v]:
                         low[v] = dw
@@ -290,6 +303,9 @@ def classify_block(block: Block) -> BlockClass:
 
 def _hub_class(block: Block) -> Optional[BlockClass]:
     """T or U class of a block of triangles on one base edge (s, t), or None."""
+    # A base edge plus two legs per spoke: every T and U shape has this many.
+    if len(block.edges) != 2 * len(block.vertices) - 3:
+        return None
     nbr: dict[int, dict[int, int]] = {v: {} for v in block.vertices}
     for u, v, s in block.edges:
         nbr[u][v] = s
@@ -359,7 +375,8 @@ def _block_plan(block: Block, cls: BlockClass, plan: dict) -> None:
 
 
 def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport:
-    """Per-block classification, overall verdict, and the enode-form plan."""
+    """Per-block classification and overall verdict; the report builds the
+    enode-form plan when it is first read."""
     graph = signed_view(model, eps)
     return classify_graph(graph)
 
@@ -367,11 +384,8 @@ def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport
 def classify_graph(graph: SignedGraph) -> TractabilityReport:
     tree = block_decompose(graph)
     classes = tuple([classify_block(b) for b in tree.blocks])
-    plan: dict[tuple[int, int], tuple[int, int]] = {}
-    for block, cls in zip(tree.blocks, classes):
-        _block_plan(block, cls, plan)
     tractable = all(c.kind != "INTRACTABLE" for c in classes)
-    return TractabilityReport(tractable, graph, tree, classes, plan)
+    return TractabilityReport(tractable, graph, tree, classes)
 
 
 _FORM_TEXT = ("00", "01", "10", "11")

@@ -306,6 +306,14 @@ _TWO_NODES = {
 }
 
 
+def _model_doc(scope, table):
+    """Two binary variables A and B and one potential."""
+    return {
+        "variables": [{"name": "A", "card": 2}, {"name": "B", "card": 2}],
+        "potentials": [{"scope": scope, "table": table}],
+    }
+
+
 @pytest.mark.parametrize(
     "verb, doc",
     [
@@ -317,11 +325,16 @@ _TWO_NODES = {
         ("perfect", {**_TWO_NODES, "edges": [[0, 5]]}),
         ("perfect", []),
         ("perfect", {**_TWO_NODES, "nodes": _TWO_NODES["nodes"][::-1]}),
+        ("validate", _model_doc(5, [0, 0])),
+        ("validate", _model_doc(None, [0, 0])),
+        ("validate", _model_doc([["A"]], [0, 0])),
+        ("validate", _model_doc("AB", [0, 0, 0, 0])),
     ],
     ids=[
         "table-not-a-list", "table-null", "scope-string", "scope-repeats",
         "potential-not-a-mapping", "edge-to-missing-node", "graph-not-a-mapping",
-        "id-not-position",
+        "id-not-position", "model-scope-number", "model-scope-null",
+        "model-scope-unhashable-name", "model-scope-string",
     ],
 )
 def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
@@ -329,6 +342,35 @@ def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb", ["validate", "classify", "compile", "solve", "perfect", "submodular", "bench"]
+)
+def test_eps_must_be_finite_and_nonnegative(verb, chain_model, tmp_path, capsys):
+    """NaN compares false with every weight, so `solve --method bnb --eps
+    nan` could print a wrong optimum and `compile --eps nan` pruned every
+    node. Each verb refuses it, as it refuses an infinite or negative eps or
+    a non-number, with exit 2 before reading its input."""
+    argv = {
+        "validate": ["validate", chain_model],
+        "classify": ["classify", chain_model],
+        "compile": ["compile", chain_model],
+        "solve": ["solve", chain_model, "--method", "bnb"],
+        "perfect": ["perfect", write_json(tmp_path / "g.json", _TWO_NODES)],
+        "submodular": ["submodular", write_json(
+            tmp_path / "psi.json", {"scope": ["A", "B", "C"], "table": [0] * 7 + [2]})],
+        "bench": ["bench", "random-tractable", "--count", "1"],
+    }[verb]
+    for eps in ("nan", "inf", "-inf", "-1e-9", "x"):
+        code, out, err = run(capsys, *argv, f"--eps={eps}")
+        assert code == 2 and out == ""
+        assert f"argument --eps: must be a finite number >= 0, not '{eps}'" in err
+    for eps in ("0", "1e-9"):
+        code, out, _ = run(capsys, *argv, f"--eps={eps}")
+        assert code == 0 and out
+    if verb == "solve":  # A = B = 1, C = 0
+        assert json.loads(out)["objective"] == 3.5
 
 
 def test_submodular_k3(tmp_path, capsys):
@@ -406,6 +448,17 @@ def test_only_bench_and_the_lp_import_numpy_or_scipy(chain_model, tmp_path):
     assert seen.pop("import") == []
     assert seen == {verb: [0, []] for verb in seen}
     assert len(seen) == 5
+
+
+def test_python_m_runs_the_cli(chain_model):
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmrfmap", "validate", chain_model],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
 
 
 def test_bench_deterministic(capsys):

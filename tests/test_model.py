@@ -130,8 +130,10 @@ def test_validate_rejects_bad_potentials():
     for table in ("ab", {0: 0.0, 1: 1.0}, 7, None, iter([0.0, 1.0])):
         raw = two_var_raw()
         raw["potentials"][0]["table"] = table
-        with pytest.raises(TableSizeMismatchError):
+        with pytest.raises(TableSizeMismatchError) as info:
             validate_model(raw)
+        assert info.value.got is None
+        assert str(info.value) == "table for scope ['A'] is not a list of 2 entries"
 
     for bad in (True, False, "1.0", None, math.nan, -math.inf, np.int64(1), [0.0]):
         raw = two_var_raw()
@@ -139,6 +141,33 @@ def test_validate_rejects_bad_potentials():
         with pytest.raises(NonFiniteEntryError) as info:
             validate_model(raw)
         assert info.value.index == 2
+
+
+def test_validate_rejects_malformed_scopes():
+    """A scope that is not a list or tuple of names, or holds a non-string
+    or unhashable name, is a format error whose message names the fault, as
+    the reference validator says."""
+    cases = [
+        (5, "scope must be a list of variable names: 5"),
+        (None, "scope must be a list of variable names: None"),
+        ("AB", "scope must be a list of variable names: 'AB'"),
+        ({"A": 0}, "scope must be a list of variable names: {'A': 0}"),
+        ([["A"]], "scope [['A']] holds a non-string name ['A']"),
+        (["A", 1], "scope ['A', 1] holds a non-string name 1"),
+        ([("A",)], "scope [('A',)] holds a non-string name ('A',)"),
+    ]
+    for scope, message in cases:
+        raw = two_var_raw()
+        raw["potentials"][1]["scope"] = scope
+        with pytest.raises(ModelFormatError) as info:
+            validate_model(raw)
+        assert type(info.value) is ModelFormatError and str(info.value) == message
+        assert _outcome(validate_model, raw) == _outcome(reference_validate_model, raw)
+    # The first bad name decides, as in the reference.
+    raw = two_var_raw()
+    raw["potentials"][1]["scope"] = ["Z", ["A"]]
+    with pytest.raises(UnknownVariableError):
+        validate_model(raw)
 
 
 def test_table_index_last_fastest():
@@ -356,10 +385,15 @@ def reference_validate_model(raw):
     for entry in raw.get("potentials", []):
         if not isinstance(entry, Mapping) or set(entry) != {"scope", "table"}:
             raise ModelFormatError(f"bad potential entry: {entry!r}")
-        scope = tuple(entry["scope"])
+        scope = entry["scope"]
+        if not isinstance(scope, (list, tuple)):
+            raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
+        scope = tuple(scope)
         if not scope:
             raise ModelFormatError("empty potential scope")
         for name in scope:
+            if not isinstance(name, str):
+                raise ModelFormatError(f"scope {list(scope)} holds a non-string name {name!r}")
             if name not in index:
                 raise UnknownVariableError(name, scope)
         if len(set(scope)) != len(scope):
@@ -367,8 +401,10 @@ def reference_validate_model(raw):
         table = entry["table"]
         scope_cards = [cards[name] for name in scope]
         expected = math.prod(scope_cards)
-        if not isinstance(table, (list, tuple)) or len(table) != expected:
-            raise TableSizeMismatchError(scope, expected, len(table) if hasattr(table, "__len__") else -1)
+        if not isinstance(table, (list, tuple)):
+            raise TableSizeMismatchError(scope, expected, None)
+        if len(table) != expected:
+            raise TableSizeMismatchError(scope, expected, len(table))
         values = []
         for i, v in enumerate(table):
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):

@@ -15,6 +15,7 @@ from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
     random_br_model,
+    random_signed_model,
     random_tractable_model,
     random_weighted_graph,
 )
@@ -353,6 +354,31 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
         assert sol.objective == pytest.approx(ref.objective)
         assert sol.assignment == ref.assignment
     assert hub_blocks >= 10
+
+
+def test_solve_map_builds_no_enode_plan(monkeypatch):
+    """The enode plan is for the compiler: a report builds it on first read,
+    equal to the plan built block by block, and solve_map solves BR, T and U
+    blocks without building it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_map must not build the enode plan")
+
+    block_plan = nmrfmap.structure._block_plan
+    rng = np.random.default_rng(107)
+    models = [random_tractable_model(rng, max_vars=int(rng.integers(3, 13))) for _ in range(40)]
+    kinds = set()
+    for model in models + [random_signed_model(rng, n=8) for _ in range(10)]:
+        report = classify_model(model)
+        kinds.update(c.kind for c in report.classes)
+        eager = {}
+        for block, cls in zip(report.tree.blocks, report.classes):
+            block_plan(block, cls, eager)
+        assert report.plan == eager
+        assert report.plan is report.plan
+    assert kinds == {"BR", "T", "U", "INTRACTABLE"}
+    solutions = [solve_map(model) for model in models]
+    monkeypatch.setattr(nmrfmap.structure, "_block_plan", refuse)
+    assert [solve_map(model) for model in models] == solutions
 
 
 def test_balanced_blocks_reuse_the_classification_colouring(monkeypatch):

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from nmrfmap.errors import NotBinaryPairwiseError
 from nmrfmap.generators import model_from_signed_edges, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
@@ -13,6 +16,7 @@ from nmrfmap.model import (
     SignedGraph,
     flip_variables,
     model_to_json,
+    pairwise_view,
     signed_view,
     validate_model,
 )
@@ -380,3 +384,148 @@ def _report_digest(model):
 def test_report_json_matches_golden_digest(seed):
     assert _report_digest(_golden_chain(seed, 5 + 7 * seed)) == GOLDEN_CHAIN_REPORTS[seed]
     assert _report_digest(_golden_frustrated(seed)) == GOLDEN_FRUSTRATED_REPORTS[seed]
+
+
+# ---------------------------------------------------------------------------
+# golden front end: sha256 over validate_model's output (variables, scopes,
+# tables and potential order) and report_to_json of its classification, on
+# raw models that exercise every ordering and merging path of the front end.
+
+
+def _front_end_pairwise(rng):
+    """Raw binary pairwise model: random tractable blocks glued at cut
+    vertices, sometimes frustrated extra edges, spread over a larger index
+    range so that isolated vertices fall in between, with pairs given in
+    either scope order, some split into two tables given in opposite
+    orders, and some near-zero-associativity edges that fold away."""
+    from nmrfmap.generators import _random_block
+
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    edges, base = [], 0
+    for _ in range(rng.randint(1, 7)):
+        block, used = _random_block(nrng, base, 5)
+        edges += block
+        base += used - 1
+    used = base + 1
+    for _ in range(rng.choice((0, 0, 2, 5))):
+        u, v = rng.sample(range(used), 2)
+        if not any({u, v} == {a, b} for a, b, _ in edges):
+            edges.append((u, v, rng.choice((ASSOCIATIVE, REPULSIVE))))
+    n = used + rng.randint(0, 4)
+    where = sorted(rng.sample(range(n), used))
+    if rng.random() < 0.5 and where[-1] != n - 1:
+        where[rng.randrange(used)] = n - 1  # the last index in an edge
+        where.sort()
+    names = [f"x{k}" for k in rng.sample(range(100), n)]
+    potentials = []
+    for i in range(n):
+        for _ in range(rng.choice((0, 1, 1, 1, 2))):
+            potentials.append({"scope": [names[i]], "table": [rng.uniform(-2, 2), rng.randint(-2, 2)]})
+    for u, v, sign in edges:
+        u, v = where[u], where[v]
+        while True:
+            t = [rng.uniform(-2, 2) for _ in range(4)]
+            a = t[0] + t[3] - t[1] - t[2]
+            if abs(a) > 1e-3:
+                break
+        if (a > 0) != (sign == ASSOCIATIVE):
+            t = [t[1], t[0], t[3], t[2]]
+        parts = [t]
+        if rng.random() < 0.2:
+            d = [rng.uniform(-1, 1) for _ in range(4)]
+            parts = [[x - y for x, y in zip(t, d)], d]
+        for part in parts:
+            if rng.random() < 0.5:
+                potentials.append({"scope": [names[u], names[v]], "table": part})
+            else:
+                swapped = [part[0], part[2], part[1], part[3]]
+                potentials.append({"scope": [names[v], names[u]], "table": swapped})
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        x, y, z, w = (rng.uniform(-1, 1) for _ in range(4))
+        if rng.random() < 0.5:
+            t = [x + y, x + z, w + y, w + z]  # separable up to rounding
+        else:
+            t = [5e-10, 0.0, 0.0, 0.0]
+        potentials.append({"scope": [names[u], names[v]], "table": t})
+    rng.shuffle(potentials)
+    return {"variables": [{"name": nm, "card": 2} for nm in names], "potentials": potentials}
+
+
+def _front_end_mixed(rng):
+    """Raw model with 2- and 3-label variables and scopes of order 1 to 4 in
+    any order, some repeated in another order."""
+    n = rng.randint(4, 8)
+    names = [f"y{k}" for k in rng.sample(range(100), n)]
+    cards = {nm: rng.choice((2, 2, 3)) for nm in names}
+    potentials, scopes = [], []
+    for _ in range(rng.randint(n, 3 * n)):
+        if scopes and rng.random() < 0.3:
+            scope = list(rng.choice(scopes))
+            rng.shuffle(scope)
+        else:
+            scope = rng.sample(names, rng.choice((1, 1, 2, 2, 2, 3, 4)))
+        scopes.append(scope)
+        size = math.prod(cards[nm] for nm in scope)
+        table = [rng.randint(-3, 3) if rng.random() < 0.2 else rng.uniform(-2, 2) for _ in range(size)]
+        potentials.append({"scope": scope, "table": table})
+    potentials.append({"scope": [names[0], names[-1]], "table": [1.0] * (cards[names[0]] * cards[names[-1]])})
+    potentials.append({"scope": [names[1]], "table": [0.5] * cards[names[1]]})
+    return {"variables": [{"name": nm, "card": cards[nm]} for nm in names], "potentials": potentials}
+
+
+def _front_end_corpus():
+    rng = random.Random(20261019)
+    for _ in range(120):
+        yield _front_end_pairwise(rng)
+    for _ in range(40):
+        yield _front_end_mixed(rng)
+
+
+GOLDEN_FRONT_END = "46717a2138d4b3346e28f3573bd62c587a41076669fe317d2b4fcd5398c37889"
+
+
+def _front_end_digest():
+    digest = hashlib.sha256()
+    for raw in _front_end_corpus():
+        model = validate_model(raw)
+        digest.update(repr(model.variables).encode())
+        digest.update(repr([(p.scope, p.table) for p in model.potentials]).encode())
+        try:
+            report = classify_model(model)
+        except NotBinaryPairwiseError:
+            digest.update(b"not binary pairwise")
+            continue
+        digest.update(json.dumps(report_to_json(report)).encode())
+        digest.update(repr(list(report.plan.items())).encode())
+    return digest.hexdigest()
+
+
+def test_front_end_corpus_covers_every_path():
+    kinds, orders = set(), set()
+    folded = isolated = last = reversed_pairs = repeats = 0
+    for raw in _front_end_corpus():
+        model = validate_model(raw)
+        index = model.index
+        orders.update(len(p["scope"]) for p in raw["potentials"])
+        scopes = [tuple(sorted(p["scope"], key=index.__getitem__)) for p in raw["potentials"]]
+        repeats += len(scopes) - len(set(scopes))
+        reversed_pairs += sum(
+            1 for p in raw["potentials"]
+            if len(p["scope"]) == 2 and index[p["scope"][0]] > index[p["scope"][1]]
+        )
+        if any(len(s) > 2 for s in scopes) or any(c != 2 for _, c in model.variables):
+            continue
+        pw = pairwise_view(model)
+        folded += len({s for s in scopes if len(s) == 2}) - len(pw.graph.edges)
+        report = classify_model(model)
+        kinds.update(c.kind for c in report.classes)
+        isolated += sum(1 for b in report.tree.blocks if not b.edges)
+        last += any(pw.graph.n - 1 in (u, v) for u, v, _ in pw.graph.edges)
+    assert orders == {1, 2, 3, 4}
+    assert kinds == {"BR", "T", "U", "INTRACTABLE"}
+    assert min(folded, isolated, last, reversed_pairs, repeats) > 10
+
+
+def test_front_end_matches_golden_digest():
+    assert _front_end_digest() == GOLDEN_FRONT_END

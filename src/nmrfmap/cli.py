@@ -250,18 +250,18 @@ def _cmd_bench(args) -> int:
         if args.family == "random-tractable":
             model = random_tractable_model(rng, max_vars=min(args.size, 8))
             t0 = time.perf_counter()
-            sol = solve_map(model)
+            sol = solve_map(model, args.eps)
             elapsed = time.perf_counter() - t0
             status = "ok"
             if args.oracle_check:
                 gap = abs(brute_force_map(model).objective - sol.objective)
-                agree = gap <= objective_tolerance(model) + 2 * pairwise_view(model).slack
+                agree = gap <= objective_tolerance(model) + 2 * pairwise_view(model, args.eps).slack
                 status = "agree" if agree else "disagree"
             rows.append((args.family, i, len(model.variables), elapsed, status))
         elif args.family == "random-signed":
             model = random_signed_model(rng, n=min(args.size, 10))
             t0 = time.perf_counter()
-            report = classify_model(model)
+            report = classify_model(model, args.eps)
             elapsed = time.perf_counter() - t0
             rows.append(
                 (args.family, i, len(model.variables), elapsed,
@@ -283,7 +283,7 @@ def _cmd_bench(args) -> int:
             n_blocks = max(args.size // 3, 1)  # 3 edges per block
             model = block_chain_model(n_blocks, seed=args.seed)
             t0 = time.perf_counter()
-            report = classify_model(model)
+            report = classify_model(model, args.eps)
             elapsed = time.perf_counter() - t0
             n_edges = sum(1 for p in model.potentials if len(p.scope) == 2)
             rows.append(

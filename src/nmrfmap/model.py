@@ -140,6 +140,10 @@ def validate_model(raw: Mapping) -> Model:
     list or tuple of finite ints or floats, one per labeling of the scope.
     Scopes are put in variable declaration order and duplicate scopes are
     merged by entrywise sum, left to right; every merged entry must be finite.
+    The potentials come sorted by their scopes' declaration positions,
+    compared as tuples: the unary over i, then each pair (i, j) by j, each
+    scope (i, j, ...) of three or more variables right after the pair
+    (i, j), then the unary over i + 1.
     """
     if not isinstance(raw, Mapping):
         raise ModelFormatError("model description must be a mapping")
@@ -167,9 +171,14 @@ def validate_model(raw: Mapping) -> Model:
         variables.append((name, card))
     card_of = [card for _, card in variables]
 
-    # Keyed by the scope's variable positions in declaration order.
-    merged: dict[tuple[int, ...], Potential] = {}
-    summed: list[tuple[int, ...]] = []
+    # Keyed by the scope's variable positions in declaration order: the int
+    # i*(n+1) for a unary over i and i*(n+1) + j + 1 for a pair i < j, which
+    # sort like the position tuples (i,) < (i, j) < (i + 1,); a scope of three
+    # or more variables is keyed by its sorted position tuple.
+    n1 = len(variables) + 1
+    merged: dict[int | tuple[int, ...], Potential] = {}
+    summed: list[int | tuple[int, ...]] = []
+    wide = False  # some key is a tuple
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
     for entry in raw.get("potentials", []):
@@ -182,27 +191,36 @@ def validate_model(raw: Mapping) -> Model:
         if type(scope) is not list and not isinstance(scope, (list, tuple)):
             raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
         scope = tuple(scope)
+        pos = None  # the positions in scope order, when not in declaration order
         try:
             # unrolled for the orders of a pairwise model
             if len(scope) == 2:
-                pos = (index[scope[0]], index[scope[1]])
+                i, j = index[scope[0]], index[scope[1]]
+                expected = card_of[i] * card_of[j]
+                if i < j:
+                    key = i * n1 + j + 1
+                elif i > j:
+                    key = j * n1 + i + 1
+                    pos = (i, j)
+                else:
+                    raise ModelFormatError(f"scope {list(scope)} repeats a variable")
             elif len(scope) == 1:
-                pos = (index[scope[0]],)
+                i = index[scope[0]]
+                expected = card_of[i]
+                key = i * n1
             elif scope:
                 pos = tuple(map(index.__getitem__, scope))
+                key = tuple(sorted(pos))
+                if len(set(key)) != len(key):
+                    raise ModelFormatError(f"scope {list(scope)} repeats a variable")
+                expected = math.prod([card_of[i] for i in pos])
+                wide = True
+                if key == pos:
+                    pos = None
             else:
                 raise ModelFormatError("empty potential scope")
         except (KeyError, TypeError):  # an unknown, non-string or unhashable name
             raise _scope_error(scope, index) from None
-        if len(pos) == 1 or (len(pos) == 2 and pos[0] < pos[1]):
-            key = pos
-        else:
-            key = tuple(sorted(pos))
-            if len(set(key)) != len(key):
-                raise ModelFormatError(f"scope {list(scope)} repeats a variable")
-        expected = 1
-        for i in pos:
-            expected *= card_of[i]
         if type(table) is not list and not isinstance(table, (list, tuple)):
             raise TableSizeMismatchError(scope, expected, None)
         if len(table) != expected:
@@ -215,8 +233,8 @@ def validate_model(raw: Mapping) -> Model:
             values = _as_floats(table)
             if values is None or not all(map(math.isfinite, values)):
                 raise NonFiniteEntryError(scope, _bad_entry_index(table))
-        if key != pos:
-            canon = tuple([variables[i][0] for i in key])
+        if pos is not None:
+            canon = tuple([variables[i][0] for i in sorted(pos)])
             values = _reorder_table(scope, [card_of[i] for i in pos], values, canon)
             scope = canon
         prev = merged.get(key)
@@ -230,7 +248,17 @@ def validate_model(raw: Mapping) -> Model:
         if not all(map(math.isfinite, values)):
             raise NonFiniteEntryError(scope, _bad_entry_index(values))
 
-    return Model(tuple(variables), tuple([merged[key] for key in sorted(merged)]))
+    if wide:
+        def position(key):
+            if type(key) is tuple:
+                return key
+            i, j = divmod(key, n1)
+            return (i, j - 1) if j else (i,)
+
+        keys = sorted(merged, key=position)
+    else:
+        keys = sorted(merged)
+    return Model(tuple(variables), tuple([merged[key] for key in keys]))
 
 
 def model_to_json(model: Model) -> dict:

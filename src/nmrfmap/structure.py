@@ -5,10 +5,11 @@ every block of its signed graph is one of three shapes: repulsive-bipartite
 (BR), triangles on a repulsive base (T), or mixed triangles on an
 associative base (U). Classification runs in linear time and produces a
 certificate: a bipartition, structure parameters, or a witness frustrated
-cycle. The per-edge enode-form plan for the compiler, `report.plan`, is
-built from the classes when it is first read; `solve_map` never reads it,
-and a T/U test rejects any block without the 2n - 3 edges of that shape
-before it builds neighbour maps.
+cycle. One writer, `_block_plan`, gives each edge its enode form, keyed by
+the edge's signed triple; `report.forms` and the compiler's `report.plan`
+are built from it when first read, and `solve_map` never reads them. A T/U
+test rejects any block without the 2n - 3 edges of that shape before it
+builds neighbour maps.
 """
 
 from __future__ import annotations
@@ -58,13 +59,21 @@ class TractabilityReport:
     classes: tuple[BlockClass, ...]
 
     @cached_property
-    def plan(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """The enode form of every edge, keyed (u, v) with u < v, built on
-        first read: `solve_map` never reads it."""
-        plan: dict[tuple[int, int], tuple[int, int]] = {}
+    def forms(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """The enode form (a, b) of every edge, keyed by its signed triple
+        (u, v, sign) as in `graph.edges`, block by block; built on first
+        read, and `solve_map` never reads it."""
+        forms: dict[tuple[int, int, int], tuple[int, int]] = {}
         for block, cls in zip(self.tree.blocks, self.classes):
-            _block_plan(block, cls, plan)
-        return plan
+            _block_plan(block, cls, forms)
+        return forms
+
+    @cached_property
+    def plan(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The enode form of every edge keyed (u, v) with u < v, in the
+        order of `forms`, from which it is built on first read; for the
+        compiler (`plan_by_names`, `apply_enode_plan`)."""
+        return {(u, v) if u < v else (v, u): form for (u, v, _), form in self.forms.items()}
 
 
 def block_decompose(graph: SignedGraph) -> BlockTree:
@@ -100,7 +109,7 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     verts_at = [0] * n  # vertex-stack height before each vertex
     membership = [1] * n  # blocks holding each vertex, once closed
     timer = 0
-    edge_stack: list[int] = []
+    edge_stack: list[tuple[int, int, int]] = []
     vert_stack: list[int] = []
     isolated: list[Block] = []
     blocks: list[Block] = []
@@ -137,13 +146,13 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     timer += 1
                     tree_edge[w] = eid
                     edges_at[w] = len(edge_stack)
-                    edge_stack.append(eid)
+                    edge_stack.append(edges[eid])
                     verts_at[w] = len(vert_stack)
                     vert_stack.append(w)
                     stack.append(w)
                     break
                 if dw < dv:
-                    edge_stack.append(eid)
+                    edge_stack.append(edges[eid])
                     if dw < low[v]:
                         low[v] = dw
             else:
@@ -156,15 +165,19 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     low[u] = lv
                 if lv >= disc[u]:
                     at = edges_at[v]
-                    comp = edge_stack[at:]
-                    del edge_stack[at:]
-                    at = verts_at[v]
-                    verts = vert_stack[at:]
-                    del vert_stack[at:]
-                    verts.append(u)
-                    verts.sort()
-                    block_edges = tuple(map(edges.__getitem__, reversed(comp)))
-                    blocks.append(Block(tuple(verts), block_edges))
+                    if at == len(edge_stack) - 1:  # a bridge, u-v alone
+                        vert_stack.pop()
+                        blocks.append(Block((u, v) if u < v else (v, u), (edge_stack.pop(),)))
+                    else:
+                        comp = edge_stack[at:]
+                        del edge_stack[at:]
+                        comp.reverse()
+                        at = verts_at[v]
+                        verts = vert_stack[at:]
+                        del vert_stack[at:]
+                        verts.append(u)
+                        verts.sort()
+                        blocks.append(Block(tuple(verts), tuple(comp)))
                     attach.append(u)
                     membership[u] += 1
                     if membership[u] == 2:
@@ -341,16 +354,21 @@ def _hub_class(block: Block) -> Optional[BlockClass]:
     return None
 
 
-def _block_plan(block: Block, cls: BlockClass, plan: dict) -> None:
-    """Add the enode form of every edge of `block` to `plan`."""
+# An enode form (a, b) by its index 2a + b, shared by every edge.
+_FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _block_plan(block: Block, cls: BlockClass, forms: dict) -> None:
+    """Add the enode form of every edge of `block` to `forms`, keyed by the
+    edge's signed triple; the form (a, b) is for its ends u < v."""
     if cls.kind == "BR":
         v2 = set(cls.params["V2"])
-        for u, v, s in block.edges:
-            key = (u, v) if u < v else (v, u)
+        for edge in block.edges:
+            u, v, s = edge
             if s == ASSOCIATIVE:
-                plan[key] = (0, 0)
+                forms[edge] = (0, 0)
             else:
-                plan[key] = (1, 0) if key[0] in v2 else (0, 1)
+                forms[edge] = (1, 0) if (u if u < v else v) in v2 else (0, 1)
         return
 
     if cls.kind in ("T", "U"):
@@ -358,20 +376,20 @@ def _block_plan(block: Block, cls: BlockClass, plan: dict) -> None:
         # end then follows from the edge sign.
         s, t = cls.params["s"], cls.params["t"]
         hub_vals = {s: 0, t: 1 if cls.kind == "T" else 0}
-        for u, v, sign in block.edges:
+        for edge in block.edges:
+            u, v, sign = edge
             lo, hi = (u, v) if u < v else (v, u)
             if lo in hub_vals and hi in hub_vals:  # the base edge
-                plan[(lo, hi)] = (hub_vals[lo], hub_vals[hi])
+                forms[edge] = _FORMS[2 * hub_vals[lo] + hub_vals[hi]]
                 continue
             v_hub = 1 - hub_vals[lo if lo in hub_vals else hi]
             v_spoke = v_hub if sign == ASSOCIATIVE else 1 - v_hub
-            plan[(lo, hi)] = (v_hub, v_spoke) if lo in hub_vals else (v_spoke, v_hub)
+            forms[edge] = _FORMS[2 * v_hub + v_spoke if lo in hub_vals else 2 * v_spoke + v_hub]
         return
 
     # Intractable blocks keep the default forms so diagnostics stay buildable.
-    for u, v, s in block.edges:
-        key = (u, v) if u < v else (v, u)
-        plan[key] = (0, 0) if s == ASSOCIATIVE else (0, 1)
+    for edge in block.edges:
+        forms[edge] = (0, 0) if edge[2] == ASSOCIATIVE else (0, 1)
 
 
 def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport:
@@ -388,35 +406,44 @@ def classify_graph(graph: SignedGraph) -> TractabilityReport:
     return TractabilityReport(tractable, graph, tree, classes)
 
 
-_FORM_TEXT = ("00", "01", "10", "11")
+_FORM_TEXT = {(0, 0): "00", (0, 1): "01", (1, 0): "10", (1, 1): "11"}
 
 
 def report_to_json(report: TractabilityReport) -> dict:
+    """The report as JSON-ready names: each block with its class, params and
+    witness, the enode form of every edge, and the cut vertices.
+
+    `enode_plan` lists the edges in `sorted(report.graph.edges)` order, so by
+    (u, v) with u < v as in every signed graph of a model; the edges of a
+    validated model already come in that order, which the sort passes
+    through in linear time.
+    """
     names = report.graph.names
+    get = names.__getitem__
 
     blocks = []
     for block, cls in zip(report.tree.blocks, report.classes):
-        params = {}
-        for key, val in cls.params.items():
-            if isinstance(val, tuple):
-                params[key] = [names[v] for v in val]
-            elif isinstance(val, int) and key in ("s", "t"):
-                params[key] = names[val]
-            else:
-                params[key] = val
-        entry = {
-            "vertices": [names[v] for v in block.vertices],
-            "class": cls.kind,
-            "params": params,
-        }
+        kind, p = cls.kind, cls.params
+        if kind == "BR":
+            params = {"V1": list(map(get, p["V1"])), "V2": list(map(get, p["V2"]))}
+        elif kind == "T":
+            params = {
+                "s": names[p["s"]], "t": names[p["t"]],
+                "r": list(map(get, p["r"])), "a": list(map(get, p["a"])),
+                "m": p["m"], "n": p["n"],
+            }
+        elif kind == "U":
+            params = {"s": names[p["s"]], "t": names[p["t"]], "v": list(map(get, p["v"])), "n": p["n"]}
+        else:
+            params = {}
+        entry = {"vertices": list(map(get, block.vertices)), "class": kind, "params": params}
         if cls.witness is not None:
-            entry["witness"] = [names[v] for v in cls.witness]
+            entry["witness"] = list(map(get, cls.witness))
         blocks.append(entry)
-    plan = report.plan
+    forms = report.forms
     enode_plan = []
-    for u, v in sorted(plan):
-        a, b = plan[u, v]
-        enode_plan.append({"edge": [names[u], names[v]], "form": _FORM_TEXT[2 * a + b]})
+    for edge in sorted(report.graph.edges):
+        enode_plan.append({"edge": [names[edge[0]], names[edge[1]]], "form": _FORM_TEXT[forms[edge]]})
     return {
         "tractable": report.tractable,
         "blocks": blocks,

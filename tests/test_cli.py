@@ -15,7 +15,7 @@ from nmrfmap.errors import (
     NotBipartiteError,
     ObjectiveMismatchError,
 )
-from nmrfmap.generators import block_chain_model, model_from_signed_edges
+from nmrfmap.generators import block_chain_model, model_from_signed_edges, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
@@ -484,6 +484,22 @@ def test_bench_oracle_agreement(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 5
     assert all(row.endswith("agree") for row in rows)
+
+
+def test_bench_passes_eps_on(capsys):
+    """--eps reaches the classification: with eps 1.5 the edges of weaker
+    associativity fold away, and the verdicts match classify_model's on the
+    same seeded models."""
+    code, out, _ = run(capsys, "bench", "random-signed", "--seed", "2", "--count", "6",
+                       "--size", "10", "--eps", "1.5")
+    assert code == 0
+    status = [row.split(",")[4] for row in out.strip().splitlines()[1:]]
+    rng = np.random.default_rng(2)
+    models = [random_signed_model(rng, n=10) for _ in range(6)]
+    expected = ["tractable" if classify_model(m, 1.5).tractable else "intractable" for m in models]
+    assert status == expected
+    assert [i for i, s in enumerate(status) if s == "tractable"] == [1, 3]
+    assert not any(classify_model(m).tractable for m in models)
 
 
 def test_bench_unknown_family(capsys):

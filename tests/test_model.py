@@ -497,3 +497,29 @@ def test_validate_matches_reference_algorithm():
         assert all(type(p.scope) is tuple for p in model.potentials)
         bad = _corrupt(raw, rng)
         assert _outcome(validate_model, bad) == _outcome(reference_validate_model, bad)
+
+
+def test_potential_order_is_the_position_tuple_order():
+    """Potentials come sorted by their variables' declaration positions, as
+    tuples, whatever the scope orders mixed in one model: a unary over i
+    comes before every pair (i, j), a pair (i, n - 1) before the unary over
+    i + 1, and a triple (i, j, k) between the pairs (i, j) and (i, j + 1)."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        names = [f"V{k}" for k in rng.permutation(n)]
+        potentials = []
+        for _ in range(int(rng.integers(1, 16))):
+            order = int(rng.integers(1, min(4, n) + 1))
+            scope = [names[i] for i in rng.choice(n, size=order, replace=False)]
+            potentials.append({"scope": scope, "table": [0.0] * 2 ** order})
+        potentials.append({"scope": [names[-1], names[0]], "table": [0.0] * 4})
+        if n > 2:
+            potentials.append({"scope": [names[1]], "table": [0.0] * 2})
+        raw = {"variables": [{"name": nm, "card": 2} for nm in names], "potentials": potentials}
+        model = validate_model(raw)
+        index = model.index
+        got = [tuple(index[name] for name in p.scope) for p in model.potentials]
+        expected = sorted({tuple(sorted(index[name] for name in p["scope"])) for p in potentials})
+        assert got == expected
+        assert model == reference_validate_model(raw)

@@ -373,7 +373,8 @@ def test_solve_map_builds_no_enode_plan(monkeypatch):
         eager = {}
         for block, cls in zip(report.tree.blocks, report.classes):
             block_plan(block, cls, eager)
-        assert report.plan == eager
+        assert report.forms == eager
+        assert report.plan == {(u, v): form for (u, v, _), form in eager.items()}
         assert report.plan is report.plan
     assert kinds == {"BR", "T", "U", "INTRACTABLE"}
     solutions = [solve_map(model) for model in models]

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from nmrfmap.errors import NotBinaryPairwiseError
-from nmrfmap.generators import model_from_signed_edges, random_signed_model
+from nmrfmap.generators import (
+    block_chain_model,
+    model_from_signed_edges,
+    random_signed_model,
+    random_tractable_model,
+)
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
@@ -315,6 +320,33 @@ def test_report_json_shape():
     for entry in doc["enode_plan"]:
         assert set(entry) == {"edge", "form"}
         assert entry["form"] in {"00", "01", "10", "11"}
+
+
+def test_enode_plan_lists_edges_in_sorted_order():
+    """report_to_json lists the enode forms by (u, v), also for a model that
+    was never validated and gives its pairs out of order."""
+    model = block_chain_model(2)
+    report = classify_model(model)
+    assert [(u, v) for u, v, _ in report.graph.edges[:2]] == [(0, 2), (0, 1)]
+    doc = report_to_json(report)
+    edges = [tuple(model.index[x] for x in e["edge"]) for e in doc["enode_plan"]]
+    assert edges[:2] == [(0, 1), (0, 2)]
+    assert edges == sorted(edges) == sorted((u, v) for u, v, _ in report.graph.edges)
+
+
+def test_enode_plan_matches_the_sorted_plan():
+    """report_to_json's enode_plan against one built from report.plan."""
+    rng = np.random.default_rng(53)
+    models = [random_signed_model(rng, n=int(rng.integers(4, 11))) for _ in range(40)]
+    models += [random_tractable_model(rng, max_vars=int(rng.integers(3, 13))) for _ in range(40)]
+    for model in models:
+        report = classify_model(model)
+        names = report.graph.names
+        expected = [
+            {"edge": [names[u], names[v]], "form": f"{a}{b}"}
+            for (u, v), (a, b) in sorted(report.plan.items())
+        ]
+        assert report_to_json(report)["enode_plan"] == expected
 
 
 def test_classify_graph_overall_verdict():

@@ -423,20 +423,15 @@ def report_to_json(report: TractabilityReport) -> dict:
 
     blocks = []
     for block, cls in zip(report.tree.blocks, report.classes):
-        kind, p = cls.kind, cls.params
-        if kind == "BR":
-            params = {"V1": list(map(get, p["V1"])), "V2": list(map(get, p["V2"]))}
-        elif kind == "T":
-            params = {
-                "s": names[p["s"]], "t": names[p["t"]],
-                "r": list(map(get, p["r"])), "a": list(map(get, p["a"])),
-                "m": p["m"], "n": p["n"],
-            }
-        elif kind == "U":
-            params = {"s": names[p["s"]], "t": names[p["t"]], "v": list(map(get, p["v"])), "n": p["n"]}
-        else:
-            params = {}
-        entry = {"vertices": list(map(get, block.vertices)), "class": kind, "params": params}
+        params = {}
+        for key, val in cls.params.items():
+            if isinstance(val, tuple):
+                params[key] = list(map(get, val))
+            elif isinstance(val, int) and key in ("s", "t"):
+                params[key] = names[val]
+            else:
+                params[key] = val
+        entry = {"vertices": list(map(get, block.vertices)), "class": cls.kind, "params": params}
         if cls.witness is not None:
             entry["witness"] = list(map(get, cls.witness))
         blocks.append(entry)

@@ -14,7 +14,6 @@ from .errors import (
     ModelFormatError,
     NmrfmapError,
     NotBinaryPairwiseError,
-    NotBipartiteError,
     NotSingleEnodeFormError,
     NotSupermodularError,
     ObjectiveMismatchError,
@@ -59,8 +58,6 @@ from .structure import (
     classify_block,
     classify_graph,
     classify_model,
-    detect_BR,
-    find_frustrated_cycle,
     plan_by_names,
     report_to_json,
 )

@@ -11,8 +11,8 @@ diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
 error (ModelFormatError and any other NmrfmapError not named here, a
 missing file, malformed JSON, KeyError, ValueError), 3 resource cap
 exceeded (TooLargeError), 4 internal error (a solver fault:
-NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError; or
-any other exception, such as RecursionError or OverflowError), printed as
+ObjectiveMismatchError or InconsistentCompletionError; or any other
+exception, such as RecursionError or OverflowError), printed as
 `internal error: <Type>: <message>` without a traceback.
 `--oracle-check` accepts an objective within `objective_tolerance` of the
 brute-force optimum, the tolerance `solve_map` itself checks against, plus,
@@ -38,7 +38,6 @@ from .errors import (
     InconsistentCompletionError,
     ModelFormatError,
     NmrfmapError,
-    NotBipartiteError,
     ObjectiveMismatchError,
     TooLargeError,
 )
@@ -381,8 +380,7 @@ def main(argv=None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (NotBipartiteError, ObjectiveMismatchError,
-            InconsistentCompletionError) as exc:
+    except (ObjectiveMismatchError, InconsistentCompletionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ModelFormatError, FileNotFoundError, json.JSONDecodeError,

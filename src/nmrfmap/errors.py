@@ -57,10 +57,6 @@ class ZeroAssociativityError(NmrfmapError):
     """Edge has (near-)zero associativity and no surviving enode form."""
 
 
-class NotBipartiteError(NmrfmapError):
-    """Graph or supplied partition is not bipartite."""
-
-
 class TooLargeError(NmrfmapError):
     """Instance exceeds a desk-scale resource cap."""
 

@@ -4,8 +4,8 @@ Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
 fastest. Scopes are canonicalized to variable declaration order on load and
 duplicate scopes are merged by entrywise sum. A Model built without
-validation may still repeat a scope; `pairwise_view`, the one reader of a
-binary pairwise model for classification and solving, sums such repeats.
+validation may still repeat a scope; `_summed_pairwise`, the one reader of
+a binary pairwise model's tables, sums such repeats.
 """
 
 from __future__ import annotations
@@ -287,19 +287,15 @@ def energy(model: Model, assignment: Mapping[str, int]) -> float:
     return total
 
 
-def _as_flat_2x2(table) -> tuple[float, float, float, float]:
-    if len(table) == 2 and hasattr(table[0], "__len__"):
-        (a, b), (c, d) = table
-        return float(a), float(b), float(c), float(d)
-    if len(table) == 4:
-        a, b, c, d = table
-        return float(a), float(b), float(c), float(d)
-    raise ModelFormatError("edge table must be 2x2")
-
-
 def associativity(table) -> float:
-    """psi00 + psi11 - psi01 - psi10 of a binary edge table."""
-    t00, t01, t10, t11 = _as_flat_2x2(table)
+    """psi00 + psi11 - psi01 - psi10 of a flat or nested 2x2 edge table."""
+    if len(table) == 2 and hasattr(table[0], "__len__"):
+        (t00, t01), (t10, t11) = table
+    elif len(table) == 4:
+        t00, t01, t10, t11 = table
+    else:
+        raise ModelFormatError("edge table must be 2x2")
+    t00, t01, t10, t11 = float(t00), float(t01), float(t10), float(t11)
     return t00 + t11 - t01 - t10
 
 
@@ -334,16 +330,11 @@ class PairwiseView:
     slack: float
 
 
-def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
-    """Read a binary pairwise model once: sum repeated scopes, given in
-    either order, sign each edge by its associativity, and fold each edge
-    with |associativity| <= eps into its two ends.
-
-    For every labeling, the singles, the kept edge tables and the constant
-    add up to the model's energy within `slack`. Raises
-    NotBinaryPairwiseError for a label count other than 2 or a scope of
-    more than two variables.
-    """
+def _summed_pairwise(model: Model):
+    """The unary tables keyed by variable position i and the pair tables
+    keyed (u, v) with u < v, each scope given more than once, in either
+    order, summed left to right. Raises NotBinaryPairwiseError as
+    `pairwise_view` does."""
     if not all(card == 2 for _, card in model.variables):
         raise NotBinaryPairwiseError("model must be binary pairwise")
     index = model.index
@@ -369,6 +360,20 @@ def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
             singles[i] = t
         else:
             raise NotBinaryPairwiseError("model must be binary pairwise")
+    return singles, edges
+
+
+def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
+    """Read a binary pairwise model once: sum repeated scopes, given in
+    either order, sign each edge by its associativity, and fold each edge
+    with |associativity| <= eps into its two ends.
+
+    For every labeling, the singles, the kept edge tables and the constant
+    add up to the model's energy within `slack`. Raises
+    NotBinaryPairwiseError for a label count other than 2 or a scope of
+    more than two variables.
+    """
+    singles, edges = _summed_pairwise(model)
     signed = []
     folded = []
     constant = slack = 0.0

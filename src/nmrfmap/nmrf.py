@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ModelFormatError, SignMismatchError, ZeroAssociativityError
-from .model import DEFAULT_EPS, Model, Potential, _as_floats, _reorder_table
+from .model import DEFAULT_EPS, Model, Potential, _as_floats, _reorder_table, _summed_pairwise
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,40 +169,34 @@ def apply_enode_plan(
     """Reparameterize every planned edge to its single surviving enode form.
 
     The removed mass moves into the endpoints' singleton tables; total energy
-    is unchanged for every configuration. As in `pairwise_view`, the tables
-    of one pair, given once or more in either order, are first summed over
-    the pair in declaration order, so each pair is one edge, rewritten once.
-    Edges absent from the plan keep that summed table.
+    is unchanged for every configuration. The tables are read as
+    `pairwise_view` reads them, each pair summed into one edge that is
+    rewritten once, so a model that is not binary pairwise raises
+    NotBinaryPairwiseError. Edges absent from the plan keep their summed table.
     """
-    index = model.index
-    singles = {name: [0.0, 0.0] for name, _ in model.variables}
-    pairs: dict[tuple[str, str], tuple[float, ...]] = {}
-    for p in model.potentials:
-        if len(p.scope) == 1:
-            singles[p.scope[0]][0] += p.table[0]
-            singles[p.scope[0]][1] += p.table[1]
-        elif len(p.scope) == 2:
-            (u, v), t = p.scope, p.table
-            if index[u] > index[v]:
-                u, v, t = v, u, (t[0], t[2], t[1], t[3])
-            s = pairs.get((u, v))
-            pairs[(u, v)] = t if s is None else tuple(map(operator.add, s, t))
+    names = model.names
+    unaries, pairs = _summed_pairwise(model)
+    singles = [[0.0, 0.0] for _ in names]
+    for i, (t0, t1) in unaries.items():
+        singles[i][0] += t0
+        singles[i][1] += t1
     edges = []
     for (u, v), t in pairs.items():
-        form = plan.get((u, v))
+        scope = (names[u], names[v])
+        form = plan.get(scope)
         if form is None:
-            edges.append(Potential((u, v), t))
+            edges.append(Potential(scope, t))
             continue
         i, j = form
         weight, fi, row0, row1 = single_enode(t, i, j, eps)
         table = [0.0] * 4
         table[2 * i + j] = weight
-        edges.append(Potential((u, v), tuple(table)))
+        edges.append(Potential(scope, tuple(table)))
         singles[u][i] += fi
         singles[v][0] += row0
         singles[v][1] += row1
     potentials = [
-        Potential((name,), tuple(singles[name])) for name, _ in model.variables
+        Potential((name,), tuple(s)) for name, s in zip(names, singles)
     ] + edges
     return Model(model.variables, tuple(potentials))
 

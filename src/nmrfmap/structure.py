@@ -6,10 +6,10 @@ every block of its signed graph is one of three shapes: repulsive-bipartite
 associative base (U). Classification runs in linear time and produces a
 certificate: a bipartition, structure parameters, or a witness frustrated
 cycle. One writer, `_block_plan`, gives each edge its enode form, keyed by
-the edge's signed triple; `report.forms` and the compiler's `report.plan`
-are built from it when first read, and `solve_map` never reads them. A T/U
-test rejects any block without the 2n - 3 edges of that shape before it
-builds neighbour maps.
+the edge's signed triple; `report.forms` is built from it when first read,
+`solve_map` never reads it, and `plan_by_names` keys it by names for the
+compiler. A T/U test rejects any block without the 2n - 3 edges of that
+shape before it builds neighbour maps.
 """
 
 from __future__ import annotations
@@ -68,13 +68,6 @@ class TractabilityReport:
             _block_plan(block, cls, forms)
         return forms
 
-    @cached_property
-    def plan(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """The enode form of every edge keyed (u, v) with u < v, in the
-        order of `forms`, from which it is built on first read; for the
-        compiler (`plan_by_names`, `apply_enode_plan`)."""
-        return {(u, v) if u < v else (v, u): form for (u, v, _), form in self.forms.items()}
-
 
 def block_decompose(graph: SignedGraph) -> BlockTree:
     """Split into maximal 2-connected blocks and bridges (iterative lowpoint DFS).
@@ -83,7 +76,8 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     in the order the DFS closes them, each with its edges from the last
     reached to the first. A block closes at the vertex where it hangs off
     the rest of the DFS tree, its attachment; a component's last block holds
-    the DFS root and has none. So every block comes before its parent.
+    the DFS root and has none. So every block comes before its parent, and
+    the attachments are the cut vertices.
     """
     n = graph.n
     edges = graph.edges
@@ -107,14 +101,12 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     tree_edge = [-1] * n
     edges_at = [0] * n  # edge-stack height before each vertex's tree edge
     verts_at = [0] * n  # vertex-stack height before each vertex
-    membership = [1] * n  # blocks holding each vertex, once closed
     timer = 0
     edge_stack: list[tuple[int, int, int]] = []
     vert_stack: list[int] = []
     isolated: list[Block] = []
     blocks: list[Block] = []
     attach: list[Optional[int]] = []
-    cut: list[int] = []
 
     for root in range(n):
         if disc[root] != -1:
@@ -124,7 +116,6 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        membership[root] = 0
         stack = [root]
         while stack:
             v = stack[-1]
@@ -179,14 +170,10 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                         verts.sort()
                         blocks.append(Block(tuple(verts), tuple(comp)))
                     attach.append(u)
-                    membership[u] += 1
-                    if membership[u] == 2:
-                        cut.append(u)
         attach[-1] = None
 
-    return BlockTree(
-        tuple(isolated + blocks), frozenset(cut), (None,) * len(isolated) + tuple(attach)
-    )
+    attached = (None,) * len(isolated) + tuple(attach)
+    return BlockTree(tuple(isolated + blocks), frozenset(attached) - {None}, attached)
 
 
 def _signed_two_color(vertices, edges):
@@ -246,22 +233,6 @@ def _conflict_cycle(parent, u, v):
         x = parent[x]
     # u ... lca ... v, closed by the conflict edge (v, u)
     return tuple(path_u + [lca] + list(reversed(path_v[:-1])))
-
-
-def find_frustrated_cycle(graph: SignedGraph):
-    """Some cycle with an odd number of repulsive edges, or None."""
-    _, cycle = _signed_two_color(range(graph.n), graph.edges)
-    return cycle
-
-
-def detect_BR(graph: SignedGraph):
-    """Bipartition witnessing the BR property, or None."""
-    side, _ = _signed_two_color(range(graph.n), graph.edges)
-    if side is None:
-        return None
-    v1 = tuple(v for v in range(graph.n) if side[v] == 0)
-    v2 = tuple(v for v in range(graph.n) if side[v] == 1)
-    return v1, v2
 
 
 def classify_block(block: Block) -> BlockClass:
@@ -448,6 +419,10 @@ def report_to_json(report: TractabilityReport) -> dict:
 
 
 def plan_by_names(report: TractabilityReport) -> dict[tuple[str, str], tuple[int, int]]:
-    """Enode plan keyed by variable names in declaration order."""
+    """Each edge's enode form from `report.forms`, keyed by its two names
+    in declaration order."""
     names = report.graph.names
-    return {(names[u], names[v]): form for (u, v), form in report.plan.items()}
+    return {
+        (names[u], names[v]) if u < v else (names[v], names[u]): form
+        for (u, v, _), form in report.forms.items()
+    }

@@ -34,7 +34,9 @@ class HighOrderPotential:
     def __post_init__(self):
         k = len(self.names)
         if not 2 <= k <= MAX_ORDER:
-            raise TooLargeError(f"order {k} outside [2, {MAX_ORDER}]")
+            # Too few variables is an input error; too many, a resource cap.
+            error = ValueError if k < 2 else TooLargeError
+            raise error(f"order {k} outside [2, {MAX_ORDER}]")
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries")
         if not all(map(math.isfinite, self.table)):

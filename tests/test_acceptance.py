@@ -70,13 +70,14 @@ def witness_hole_nodes(graph: SignedGraph, rep):
     cycle = cls.witness
     sign_of = {(u, v): s for u, v, s in graph.edges}
     names = graph.names
+    plan = plan_by_names(rep)
     L = len(cycle)
     cyc_names, signs, forms = [], [], []
     for i in range(L):
         u, v = cycle[i], cycle[(i + 1) % L]
         lo, hi = (u, v) if u < v else (v, u)
         signs.append(sign_of[(lo, hi)])
-        a, b = rep.plan[(lo, hi)]
+        a, b = plan[(names[lo], names[hi])]
         if u > v:
             a, b = b, a
         cyc_names.append(names[u])
@@ -101,10 +102,10 @@ def adversarial_model(graph: SignedGraph, rep):
         if name in snode_value:
             table[snode_value[name]] = 1.0
         potentials.append(Potential((name,), tuple(table)))
-    for (u, v), (a, b) in rep.plan.items():
+    for scope, (a, b) in plan_by_names(rep).items():
         table = [0.0] * 4
         table[2 * a + b] = 1.0
-        potentials.append(Potential((names[u], names[v]), tuple(table)))
+        potentials.append(Potential(scope, tuple(table)))
     variables = tuple((n, 2) for n in names)
     return Model(variables, tuple(potentials)), hole
 

@@ -12,7 +12,6 @@ import nmrfmap.structure
 from nmrfmap.cli import main
 from nmrfmap.errors import (
     InconsistentCompletionError,
-    NotBipartiteError,
     ObjectiveMismatchError,
 )
 from nmrfmap.generators import block_chain_model, model_from_signed_edges, random_signed_model
@@ -194,7 +193,7 @@ def test_oracle_check_allows_twice_the_folding_slack(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fault",
-    [NotBipartiteError, ObjectiveMismatchError, InconsistentCompletionError],
+    [ObjectiveMismatchError, InconsistentCompletionError],
 )
 def test_solver_faults_exit_internal(fault, chain_model, capsys, monkeypatch):
     def broken(*args):
@@ -395,6 +394,15 @@ def test_submodular_rejects_non_supermodular(tmp_path, capsys):
     doc = json.loads(out)
     assert not doc["supermodular"]
     assert "witness" in doc
+
+
+@pytest.mark.parametrize("scope, table", [([], [0.0]), (["A"], [0, 1])], ids=["order-0", "order-1"])
+def test_submodular_below_order_2_is_an_input_error(scope, table, tmp_path, capsys):
+    path = write_json(tmp_path / "psi.json", {"scope": scope, "table": table})
+    code, out, err = run(capsys, "submodular", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: order {len(scope)} outside [2, 10]\n"
 
 
 def test_submodular_k4_infeasible(tmp_path, capsys):

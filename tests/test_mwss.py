@@ -374,8 +374,11 @@ def test_solve_map_builds_no_enode_plan(monkeypatch):
         for block, cls in zip(report.tree.blocks, report.classes):
             block_plan(block, cls, eager)
         assert report.forms == eager
-        assert report.plan == {(u, v): form for (u, v, _), form in eager.items()}
-        assert report.plan is report.plan
+        assert report.forms is report.forms
+        names = report.graph.names
+        assert plan_by_names(report) == {
+            (names[u], names[v]): form for (u, v, _), form in eager.items()
+        }
     assert kinds == {"BR", "T", "U", "INTRACTABLE"}
     solutions = [solve_map(model) for model in models]
     monkeypatch.setattr(nmrfmap.structure, "_block_plan", refuse)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nmrfmap.errors import SignMismatchError, ZeroAssociativityError
+from nmrfmap.errors import NotBinaryPairwiseError, SignMismatchError, ZeroAssociativityError
 from nmrfmap.model import DEFAULT_EPS, energy, validate_model
 from nmrfmap.nmrf import (
     NmrfNode,
@@ -218,6 +218,36 @@ def test_apply_enode_plan_preserves_energy_and_prunes_to_single_enode():
             assert len(survivors) == 1
             node = pruned.base.nodes[survivors[0]]
             assert node.assignment == plan[node.scope]
+
+
+@pytest.mark.parametrize(
+    "raw, plan",
+    [
+        # Once dropped from the rewrite: the energy at all ones went from 6.0 to 1.0.
+        (
+            {
+                "variables": [{"name": n, "card": 2} for n in "ABC"],
+                "potentials": [
+                    {"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0]},
+                    {"scope": ["A", "B", "C"], "table": [0.0] * 7 + [5.0]},
+                ],
+            },
+            {("A", "B"): (0, 0)},
+        ),
+        # Once came back as a model whose energy raised IndexError.
+        (
+            {
+                "variables": [{"name": "A", "card": 3}, {"name": "B", "card": 2}],
+                "potentials": [{"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0, 0.5, 0.5]}],
+            },
+            {},
+        ),
+    ],
+    ids=["order-3-potential", "3-label-pair"],
+)
+def test_apply_enode_plan_refuses_a_model_not_binary_pairwise(raw, plan):
+    with pytest.raises(NotBinaryPairwiseError):
+        apply_enode_plan(validate_model(raw), plan)
 
 
 def test_pair_given_in_both_orders_compiles_to_one_group():

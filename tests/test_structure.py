@@ -31,9 +31,8 @@ from nmrfmap.structure import (
     classify_block,
     classify_graph,
     classify_model,
-    detect_BR,
-    find_frustrated_cycle,
     report_to_json,
+    _signed_two_color,
 )
 
 
@@ -178,7 +177,7 @@ def test_frustrated_cycle_matches_brute_enumeration():
             if rng.random() < 0.4
         ]
         graph = sg(n, edges)
-        cycle = find_frustrated_cycle(graph)
+        _, cycle = _signed_two_color(range(graph.n), graph.edges)
         assert (cycle is not None) == brute_frustrated_exists(graph)
         if cycle is not None:
             # the returned cycle really is frustrated
@@ -202,11 +201,11 @@ def test_detect_BR_iff_no_frustrated_cycle():
             if rng.random() < 0.4
         ]
         graph = sg(n, edges)
-        br = detect_BR(graph)
-        assert (br is None) == (find_frustrated_cycle(graph) is not None)
-        if br is not None:
-            v1, v2 = br
-            side = {v: 0 for v in v1} | {v: 1 for v in v2}
+        side, cycle = _signed_two_color(range(graph.n), graph.edges)
+        assert (side is None) == (cycle is not None)
+        assert (side is None) == brute_frustrated_exists(graph)
+        if side is not None:
+            assert sorted(side) == list(range(n)) and set(side.values()) <= {0, 1}
             for u, v, s in edges:
                 crossing = side[u] != side[v]
                 assert crossing == (s == REPULSIVE)
@@ -225,8 +224,8 @@ def test_flipping_one_side_makes_everything_associative():
         ]
         model = model_from_signed_edges(n, edges, rng)
         graph = signed_view(model)
-        v1, v2 = detect_BR(graph)
-        flipped = flip_variables(model, [graph.names[v] for v in v2])
+        side, _ = _signed_two_color(range(graph.n), graph.edges)
+        flipped = flip_variables(model, [graph.names[v] for v in range(n) if side[v] == 1])
         assert all(s == ASSOCIATIVE for _, _, s in signed_view(flipped).edges)
 
 
@@ -303,7 +302,7 @@ def test_plan_forms_match_edge_signs():
         model = random_signed_model(rng, n=6)
         report = classify_model(model)
         sign = {(u, v): s for u, v, s in report.graph.edges}
-        for (u, v), (a, b) in report.plan.items():
+        for (u, v, _), (a, b) in report.forms.items():
             if sign[(u, v)] == ASSOCIATIVE:
                 assert a == b
             else:
@@ -335,7 +334,7 @@ def test_enode_plan_lists_edges_in_sorted_order():
 
 
 def test_enode_plan_matches_the_sorted_plan():
-    """report_to_json's enode_plan against one built from report.plan."""
+    """report_to_json's enode_plan against one built from report.forms."""
     rng = np.random.default_rng(53)
     models = [random_signed_model(rng, n=int(rng.integers(4, 11))) for _ in range(40)]
     models += [random_tractable_model(rng, max_vars=int(rng.integers(3, 13))) for _ in range(40)]
@@ -344,7 +343,7 @@ def test_enode_plan_matches_the_sorted_plan():
         names = report.graph.names
         expected = [
             {"edge": [names[u], names[v]], "form": f"{a}{b}"}
-            for (u, v), (a, b) in sorted(report.plan.items())
+            for (u, v, _), (a, b) in sorted(report.forms.items())
         ]
         assert report_to_json(report)["enode_plan"] == expected
 
@@ -529,7 +528,7 @@ def _front_end_digest():
             digest.update(b"not binary pairwise")
             continue
         digest.update(json.dumps(report_to_json(report)).encode())
-        digest.update(repr(list(report.plan.items())).encode())
+        digest.update(repr([((u, v), form) for (u, v, _), form in report.forms.items()]).encode())
     return digest.hexdigest()
 
 

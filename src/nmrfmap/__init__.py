@@ -14,7 +14,6 @@ from .errors import (
     ModelFormatError,
     NmrfmapError,
     NotBinaryPairwiseError,
-    NotSingleEnodeFormError,
     NotSupermodularError,
     ObjectiveMismatchError,
     SignMismatchError,

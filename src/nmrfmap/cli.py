@@ -36,7 +36,7 @@ import time
 
 from .errors import (
     InconsistentCompletionError,
-    ModelFormatError,
+    IntractableTopologyError,
     NmrfmapError,
     ObjectiveMismatchError,
     TooLargeError,
@@ -64,12 +64,7 @@ from .nmrf import (
     prune,
 )
 from .oracle import brute_force_map
-from .perfection import (
-    binary_pairwise_perfection,
-    is_perfect_small,
-    pruned_to_plain,
-)
-from .errors import IntractableTopologyError, NotSingleEnodeFormError
+from .perfection import binary_pairwise_perfection
 from .structure import classify_model, plan_by_names, report_to_json
 from .submodular import (
     alpha,
@@ -87,13 +82,16 @@ EXIT_TOO_LARGE = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(doc, out_path):
+    _write(json.dumps(doc, indent=2, sort_keys=True), out_path)
 
 
 def _load_json(path):
@@ -179,17 +177,7 @@ def _cmd_solve(args) -> int:
 def _cmd_perfect(args) -> int:
     nmrf = nmrf_from_json(_load_json(args.nmrf))
     pruned = prune(nmrf, args.eps)
-    try:
-        verdict = binary_pairwise_perfection(pruned, args.max_nodes)
-    except NotSingleEnodeFormError:
-        plain, kept = pruned_to_plain(pruned)
-        verdict = is_perfect_small(plain, args.max_nodes)
-        if verdict.witness is not None:
-            verdict = type(verdict)(
-                verdict.perfect,
-                verdict.witness_kind,
-                tuple(kept[i] for i in verdict.witness),
-            )
+    verdict = binary_pairwise_perfection(pruned, args.max_nodes)
     doc = {"perfect": verdict.perfect}
     if not verdict.perfect:
         doc["witness_kind"] = verdict.witness_kind
@@ -290,12 +278,7 @@ def _cmd_bench(args) -> int:
                  "tractable" if report.tractable else "intractable")
             )
     lines = [",".join(str(c) for c in row) for row in rows]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return EXIT_OK
 
 
@@ -383,11 +366,7 @@ def main(argv=None) -> int:
     except (ObjectiveMismatchError, InconsistentCompletionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ModelFormatError, FileNotFoundError, json.JSONDecodeError,
-            KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NmrfmapError as exc:
+    except (NmrfmapError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, never a verdict

@@ -71,10 +71,6 @@ class IntractableTopologyError(NmrfmapError):
         super().__init__(message)
 
 
-class NotSingleEnodeFormError(NmrfmapError):
-    """Pruned NMRF has more than one surviving enode in some edge clique group."""
-
-
 class InconsistentCompletionError(NmrfmapError):
     """A clique group could not be represented while completing a stable set."""
 

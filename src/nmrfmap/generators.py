@@ -7,23 +7,29 @@ import itertools
 import numpy as np
 
 from .model import ASSOCIATIVE, Model, Potential, REPULSIVE
-from .submodular import HighOrderPotential
+from .submodular import HighOrderPotential, is_supermodular
 
 
 def _names(n: int) -> list[str]:
     return [f"X{i + 1}" for i in range(n)]
 
 
+def _signed_table(draw, sign: int, floor: float) -> tuple[float, ...]:
+    """Redraw 2x2 tables from `draw()` until |associativity| >= floor, then
+    swap columns if needed to give the associativity the requested sign."""
+    while True:
+        t = [float(x) for x in draw()]
+        a = t[0] + t[3] - t[1] - t[2]
+        if abs(a) >= floor:
+            break
+    if (a > 0) != (sign == ASSOCIATIVE):
+        t = [t[1], t[0], t[3], t[2]]  # swapping columns negates the associativity
+    return tuple(t)
+
+
 def random_edge_table(rng: np.random.Generator, sign: int, scale: float = 2.0):
     """Random 2x2 table whose associativity has the requested sign."""
-    while True:
-        t = rng.uniform(-scale, scale, size=4)
-        a = t[0] + t[3] - t[1] - t[2]
-        if abs(a) < 1e-3:
-            continue
-        if (a > 0) != (sign == ASSOCIATIVE):
-            t = t[[1, 0, 3, 2]]  # swap columns negates the associativity
-        return tuple(float(x) for x in t)
+    return _signed_table(lambda: rng.uniform(-scale, scale, size=4), sign, 1e-3)
 
 
 def model_from_signed_edges(
@@ -35,24 +41,17 @@ def model_from_signed_edges(
 ) -> Model:
     """Random tables matching given edge signs, plus random singletons."""
     names = _names(n)
-    potentials = []
-    for name in names:
-        if integer:
-            table = tuple(float(x) for x in rng.integers(-3, 4, size=2))
-        else:
-            table = tuple(float(x) for x in rng.uniform(-scale, scale, size=2))
-        potentials.append(Potential((name,), table))
+    if integer:
+        singles = rng.integers(-3, 4, size=(n, 2)).tolist()
+    else:
+        singles = rng.uniform(-scale, scale, size=(n, 2)).tolist()
+    potentials = [
+        Potential((name,), (float(t0), float(t1))) for name, (t0, t1) in zip(names, singles)
+    ]
     for u, v, sign in signed_edges:
         if integer:
-            while True:
-                t = [float(x) for x in rng.integers(-3, 4, size=4)]
-                a = t[0] + t[3] - t[1] - t[2]
-                if a == 0:
-                    continue
-                if (a > 0) != (sign == ASSOCIATIVE):
-                    t = [t[1], t[0], t[3], t[2]]
-                break
-            table = tuple(t)
+            # Integer associativities are whole, so |a| >= 0.5 means a != 0.
+            table = _signed_table(lambda: rng.integers(-3, 4, size=4), sign, 0.5)
         else:
             table = random_edge_table(rng, sign, scale)
         potentials.append(Potential((names[u], names[v]), table))
@@ -160,8 +159,6 @@ def random_signed_model(rng: np.random.Generator, n: int = 6, p: float = 0.5) ->
 
 def random_supermodular_k3(rng: np.random.Generator, scale: float = 2.0) -> HighOrderPotential:
     """Rejection-sample an order-3 supermodular table."""
-    from .submodular import is_supermodular
-
     while True:
         table = tuple(float(x) for x in rng.uniform(-scale, scale, size=8))
         psi = HighOrderPotential(("X1", "X2", "X3"), table)

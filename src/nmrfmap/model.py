@@ -110,10 +110,8 @@ def _bad_entry_index(table) -> int:
 
 def _as_floats(table) -> tuple[float, ...] | None:
     """The entries as a tuple of floats, or None if one is not an int or a
-    float. Plain-float tables are copied as they are; otherwise each
-    distinct entry type is checked once."""
-    if _FLOAT.issuperset(map(type, table)):
-        return tuple(table)
+    float (bools excluded); each distinct entry type is checked once.
+    `validate_model` copies plain-float tables without calling it."""
     for kind in set(map(type, table)):
         if not issubclass(kind, (int, float)) or issubclass(kind, bool):
             return None
@@ -290,7 +288,10 @@ def energy(model: Model, assignment: Mapping[str, int]) -> float:
 def associativity(table) -> float:
     """psi00 + psi11 - psi01 - psi10 of a flat or nested 2x2 edge table."""
     if len(table) == 2 and hasattr(table[0], "__len__"):
-        (t00, t01), (t10, t11) = table
+        try:
+            (t00, t01), (t10, t11) = table
+        except (TypeError, ValueError):  # a row that is not a pair
+            raise ModelFormatError("edge table must be 2x2") from None
     elif len(table) == 4:
         t00, t01, t10, t11 = table
     else:

@@ -169,10 +169,7 @@ class _Dinic:
         back = 0 if mark > 0 else 1
         state[node] = mark
         queue = [node]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             for eid in head[u]:
                 if cap[eid ^ back] > _FLOW_EPS:
                     v = to[eid]

@@ -42,7 +42,6 @@ class PrunedNmrf:
 
     base: Nmrf
     kept: tuple[int, ...]
-    eps: float
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -65,7 +64,8 @@ class PrunedNmrf:
 
 
 def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
-    """True iff the nodes disagree on a shared variable or share a clique group."""
+    """True iff the nodes disagree on a shared variable; two nodes of one
+    clique group differ in their assignment, so they always do."""
     if a is b:
         return False
     bmap = b.assignment_map()
@@ -73,8 +73,6 @@ def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
         other = bmap.get(name)
         if other is not None and other != val:
             return True
-    if a.scope == b.scope and a.assignment != b.assignment:
-        return True
     return False
 
 
@@ -137,7 +135,7 @@ def build_nmrf(model: Model) -> Nmrf:
 
 def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
     kept = tuple(i for i, node in enumerate(nmrf.nodes) if node.weight > eps)
-    return PrunedNmrf(nmrf, kept, eps)
+    return PrunedNmrf(nmrf, kept)
 
 
 def single_enode(t, i: int, j: int, eps: float):

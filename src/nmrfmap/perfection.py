@@ -2,8 +2,11 @@
 
 Perfection is decided through the Strong Perfect Graph Theorem: search for
 an induced chordless odd cycle of length >= 5 in the graph and in its
-complement. The search is exhaustive with a hard vertex cap; this is a
-verification tool, not a production recognizer.
+complement. A pruned NMRF of a binary pairwise model in single-enode form
+(at most one surviving node per edge clique group) has no large odd
+antiholes, so for it the odd-hole search alone decides. The search is
+exhaustive with a hard vertex cap; this is a verification tool, not a
+production recognizer.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotSingleEnodeFormError, TooLargeError
+from .errors import TooLargeError
 from .model import ASSOCIATIVE, REPULSIVE
 from .nmrf import NmrfNode, PrunedNmrf
 
@@ -95,23 +98,29 @@ def pruned_to_plain(pruned: PrunedNmrf) -> tuple[PlainGraph, tuple[int, ...]]:
 def binary_pairwise_perfection(
     pruned: PrunedNmrf, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> PerfectionVerdict:
-    """Perfection of a single-enode pruned NMRF; antihole search is skipped.
+    """Perfection of a pruned NMRF, with the witness as node ids of `pruned.base`.
 
-    For binary pairwise models in single-enode form, large antiholes cannot
-    occur, so absence of odd holes suffices.
+    In single-enode form, where every clique group of two or more variables
+    keeps at most one node, large antiholes cannot occur, so the odd-hole
+    search alone decides; any other graph gets the full hole and antihole
+    search of `is_perfect_small`.
     """
-    base = pruned.base
     kept_set = set(pruned.kept)
-    for scope, ids in base.groups.items():
-        if len(scope) >= 2 and sum(1 for i in ids if i in kept_set) > 1:
-            raise NotSingleEnodeFormError(
-                f"clique group {scope} has more than one surviving enode"
-            )
+    single = all(
+        len(scope) < 2 or sum(1 for i in ids if i in kept_set) <= 1
+        for scope, ids in pruned.base.groups.items()
+    )
     plain, kept = pruned_to_plain(pruned)
-    hole = find_odd_hole(plain, max_vertices)
-    if hole is None:
-        return PerfectionVerdict(True)
-    return PerfectionVerdict(False, "odd_hole", tuple(kept[i] for i in hole))
+    if single:
+        hole = find_odd_hole(plain, max_vertices)
+        if hole is None:
+            return PerfectionVerdict(True)
+        verdict = PerfectionVerdict(False, "odd_hole", hole)
+    else:
+        verdict = is_perfect_small(plain, max_vertices)
+        if verdict.perfect:
+            return verdict
+    return PerfectionVerdict(False, verdict.witness_kind, tuple(kept[i] for i in verdict.witness))
 
 
 def cycle_to_induced_hole(

@@ -9,7 +9,7 @@ cycle. One writer, `_block_plan`, gives each edge its enode form, keyed by
 the edge's signed triple; `report.forms` is built from it when first read,
 `solve_map` never reads it, and `plan_by_names` keys it by names for the
 compiler. A T/U test rejects any block without the 2n - 3 edges of that
-shape before it builds neighbour maps.
+shape before it counts degrees.
 """
 
 from __future__ import annotations
@@ -195,10 +195,7 @@ def _signed_two_color(vertices, edges):
         side[start] = 0
         parent[start] = None
         queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             su = side[u]
             for w, sign in nbr[u]:
                 want = su ^ (1 if sign == REPULSIVE else 0)
@@ -213,26 +210,16 @@ def _signed_two_color(vertices, edges):
 
 
 def _conflict_cycle(parent, u, v):
-    anc = {}
-    x = u
-    pos = 0
-    while x is not None:
-        anc[x] = pos
-        pos += 1
-        x = parent[x]
-    path_v = [v]
-    x = v
-    while x not in anc:
-        x = parent[x]
-        path_v.append(x)
-    lca = x
-    path_u = []
-    x = u
-    while x != lca:
-        path_u.append(x)
-        x = parent[x]
+    up = [u]  # u and its ancestors up to the root
+    while parent[up[-1]] is not None:
+        up.append(parent[up[-1]])
+    on_up = set(up)
+    down = [v]  # v and its ancestors up to the first one shared with u
+    while down[-1] not in on_up:
+        down.append(parent[down[-1]])
+    lca = down[-1]
     # u ... lca ... v, closed by the conflict edge (v, u)
-    return tuple(path_u + [lca] + list(reversed(path_v[:-1])))
+    return tuple(up[:up.index(lca) + 1] + down[-2::-1])
 
 
 def classify_block(block: Block) -> BlockClass:
@@ -257,17 +244,12 @@ def classify_block(block: Block) -> BlockClass:
             v = min(rep[0])
             s, t = sorted(x for x in block.vertices if x != v)
             return BlockClass("U", {"s": s, "t": t, "v": (v,), "n": 1})
-        # balanced triangle: two-color it directly
-        side = {}
-        a, b, sign_ab = block.edges[0]
-        side[a] = 0
-        side[b] = 1 if sign_ab == REPULSIVE else 0
-        c = next(x for x in block.vertices if x not in side)
-        for u, v, s in block.edges[1:]:
-            if c in (u, v):
-                other = v if u == c else u
-                side[c] = side[other] ^ (1 if s == REPULSIVE else 0)
-                break
+        # balanced triangle: colour both neighbours of one vertex from it
+        a = block.edges[0][0]
+        side = {a: 0}
+        for u, v, s in block.edges:
+            if a in (u, v):
+                side[v if u == a else u] = 1 if s == REPULSIVE else 0
         v1 = tuple(v for v in block.vertices if side[v] == 0)
         v2 = tuple(v for v in block.vertices if side[v] == 1)
         return BlockClass("BR", {"V1": v1, "V2": v2})
@@ -286,43 +268,43 @@ def classify_block(block: Block) -> BlockClass:
 
 
 def _hub_class(block: Block) -> Optional[BlockClass]:
-    """T or U class of a block of triangles on one base edge (s, t), or None."""
+    """T or U class of a block of triangles on one base edge (s, t), or None.
+
+    The shape: s and t are the only vertices of degree > 2, no edge joins
+    two spokes, and every triangle s-x-t is frustrated. With 2n - 3 edges
+    and no spoke-spoke edge, the base edge and one leg from each spoke to
+    each hub all exist. A repulsive base makes a T block, its spokes split
+    by leg sign into `r` and `a`; an associative base, a U block.
+    """
     # A base edge plus two legs per spoke: every T and U shape has this many.
     if len(block.edges) != 2 * len(block.vertices) - 3:
         return None
-    nbr: dict[int, dict[int, int]] = {v: {} for v in block.vertices}
-    for u, v, s in block.edges:
-        nbr[u][v] = s
-        nbr[v][u] = s
-
-    hubs = [v for v in block.vertices if len(nbr[v]) >= 3]
+    degree = dict.fromkeys(block.vertices, 0)
+    for u, v, _ in block.edges:
+        degree[u] += 1
+        degree[v] += 1
+    hubs = [v for v in block.vertices if degree[v] > 2]
     if len(hubs) != 2:
         return None
     s, t = sorted(hubs)
-    base_sign = nbr[s].get(t)
-    others = [v for v in block.vertices if v != s and v != t]
-    spokes_ok = base_sign is not None and all(
-        len(nbr[v]) == 2 and set(nbr[v]) == {s, t} for v in others
-    )
-    if spokes_ok and base_sign == REPULSIVE:
-        r = tuple(
-            v for v in others
-            if nbr[v][s] == REPULSIVE and nbr[v][t] == REPULSIVE
-        )
-        a = tuple(
-            v for v in others
-            if nbr[v][s] == ASSOCIATIVE and nbr[v][t] == ASSOCIATIVE
-        )
-        if len(r) + len(a) == len(others):
-            return BlockClass(
-                "T", {"s": s, "t": t, "r": r, "a": a, "m": len(r), "n": len(a)}
-            )
-    elif spokes_ok and base_sign == ASSOCIATIVE:
-        if all(nbr[v][s] != nbr[v][t] for v in others):
-            return BlockClass(
-                "U", {"s": s, "t": t, "v": tuple(others), "n": len(others)}
-            )
-    return None
+    to_s: dict[int, int] = {}
+    to_t: dict[int, int] = {}
+    for u, v, sign in block.edges:
+        if u == s or v == s:
+            to_s[v if u == s else u] = sign
+        elif u == t or v == t:
+            to_t[v if u == t else u] = sign
+        else:
+            return None  # a spoke-spoke edge
+    base = to_s[t]
+    spokes = [v for v in block.vertices if v != s and v != t]
+    if any(to_s[x] * to_t[x] != -base for x in spokes):
+        return None
+    if base == REPULSIVE:
+        r = tuple(x for x in spokes if to_s[x] == REPULSIVE)
+        a = tuple(x for x in spokes if to_s[x] == ASSOCIATIVE)
+        return BlockClass("T", {"s": s, "t": t, "r": r, "a": a, "m": len(r), "n": len(a)})
+    return BlockClass("U", {"s": s, "t": t, "v": tuple(spokes), "n": len(spokes)})
 
 
 # An enode form (a, b) by its index 2a + b, shared by every edge.

@@ -118,7 +118,6 @@ def alpha(psi: HighOrderPotential) -> float:
     For k = 2 this equals the supermodularity (and the edge associativity).
     """
     total = 0.0
-    k = psi.k
     for idx, val in enumerate(psi.table):
         total += val if idx.bit_count() % 2 == 0 else -val
     return total
@@ -141,36 +140,24 @@ def construct_k3(
         raise NotSupermodularError(witness)
     names = psi.names
     a3 = alpha(psi)
-    zero: dict[frozenset[str], float] = {}
-    one: dict[frozenset[str], float] = {}
+    # The background bit `rest` holds every variable outside an indicator:
+    # 1 for all-zeros indicators, 0 for all-ones ones.
+    rest = 1 if a3 >= 0 else 0
+    weights: dict[frozenset[str], float] = {}
 
     def clamp(w):
         return 0.0 if -eps <= w < 0.0 else w
 
-    if a3 >= 0:
-        constant = psi.value((1, 1, 1))
-        zero[frozenset(names)] = clamp(a3)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            rest = ({x: 1 for x in range(3) if x not in (i, j)})
-            zero[frozenset((names[i], names[j]))] = clamp(
-                supermodularity(psi, i, j, rest)
-            )
-        for i in range(3):
-            bits = [1, 1, 1]
-            bits[i] = 0
-            zero[frozenset((names[i],))] = psi.value(bits) - constant
-    else:
-        constant = psi.value((0, 0, 0))
-        one[frozenset(names)] = clamp(-a3)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            rest = ({x: 0 for x in range(3) if x not in (i, j)})
-            one[frozenset((names[i], names[j]))] = clamp(
-                supermodularity(psi, i, j, rest)
-            )
-        for i in range(3):
-            bits = [0, 0, 0]
-            bits[i] = 1
-            one[frozenset((names[i],))] = psi.value(bits) - constant
+    constant = psi.value((rest,) * 3)
+    weights[frozenset(names)] = clamp(a3 if rest else -a3)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        others = {x: rest for x in range(3) if x not in (i, j)}
+        weights[frozenset((names[i], names[j]))] = clamp(supermodularity(psi, i, j, others))
+    for i in range(3):
+        bits = [rest] * 3
+        bits[i] = 1 - rest
+        weights[frozenset((names[i],))] = psi.value(bits) - constant
+    zero, one = (weights, {}) if rest else ({}, weights)
     return IndicatorRepresentation(names, constant, zero, one)
 
 

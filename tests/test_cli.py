@@ -23,6 +23,7 @@ from nmrfmap.model import (
     model_to_json,
 )
 from nmrfmap.mwss import MapSolution, solve_map
+from nmrfmap.nmrf import build_nmrf, nmrf_to_json
 from nmrfmap.structure import classify_graph, classify_model, report_to_json
 
 
@@ -125,6 +126,32 @@ def test_perfect_rejects_with_witness(frustrated_model, tmp_path, capsys):
         assert loaded["witness_kind"] == "odd_hole"
     else:
         assert loaded["perfect"]
+
+
+def test_perfect_multi_enode_graph_gets_the_full_search(tmp_path, capsys):
+    # an unrewritten model keeps several enodes per edge; the witness ids
+    # are the exported graph's own node ids
+    model = random_signed_model(np.random.default_rng(5), n=4, p=0.6)
+    path = write_json(tmp_path / "g.json", nmrf_to_json(build_nmrf(model)))
+    code, out, err = run(capsys, "perfect", path)
+    assert (code, err) == (1, "")
+    assert out == json.dumps(
+        {"perfect": False, "witness": [2, 13, 11, 16, 21], "witness_kind": "odd_hole"},
+        indent=2, sort_keys=True) + "\n"
+
+
+def test_solve_bnb_over_the_node_cap_exits_3(frustrated_model, capsys):
+    assert run(capsys, "solve", frustrated_model, "--method", "bnb", "--max-nodes", "2") == (
+        3, "", "error: pruned NMRF has 16 nodes, exceeds cap 2\n")
+
+
+@pytest.mark.parametrize("verb", ["classify", "solve"])
+def test_non_binary_model_is_an_input_error(verb, tmp_path, capsys):
+    path = write_json(tmp_path / "m3.json", {
+        "variables": [{"name": "A", "card": 3}, {"name": "B", "card": 2}],
+        "potentials": [{"scope": ["A", "B"], "table": [1, 0, 0, 2, 0.5, 0]}],
+    })
+    assert run(capsys, verb, path) == (2, "", "error: model must be binary pairwise\n")
 
 
 def test_solve_with_oracle_check(chain_model, capsys):
@@ -483,6 +510,18 @@ def test_bench_deterministic(capsys):
     # identical apart from the timing column
     assert strip(out1) == strip(out2)
     assert all(row.endswith("ok") for row in strip(out1)[1:])
+
+
+def test_bench_block_chain(capsys):
+    code, out, err = run(capsys, "bench", "block-chain", "--count", "2")
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()]
+    assert [row[:3] + row[4:] for row in rows] == [
+        ["family", "instance", "size", "status"],
+        ["block-chain", "0", "6", "tractable"],
+        ["block-chain", "1", "6", "tractable"],
+    ]
+    assert out.endswith("tractable\n")
 
 
 def test_bench_oracle_agreement(capsys):

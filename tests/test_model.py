@@ -188,6 +188,17 @@ def test_associativity_sign():
     assert associativity([[1.0, 0.0], [0.0, 1.0]]) == 2.0
 
 
+@pytest.mark.parametrize("table", [
+    [1, 2, 3],
+    [[1, 2, 3], [4, 5, 6]],
+    [[1, 2], [3]],
+    [[1, 2], 3],
+])
+def test_associativity_rejects_tables_that_are_not_2x2(table):
+    with pytest.raises(ModelFormatError, match="edge table must be 2x2"):
+        associativity(table)
+
+
 def test_is_binary_pairwise():
     model = validate_model(two_var_raw())
     assert is_binary_pairwise(model)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nmrfmap.errors import NotSingleEnodeFormError, TooLargeError
+from nmrfmap.errors import TooLargeError
 from nmrfmap.generators import model_from_signed_edges, random_signed_model
 from nmrfmap.model import ASSOCIATIVE, REPULSIVE
 from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nodes_conflict, prune
@@ -83,13 +83,27 @@ def test_vertex_cap_enforced():
 
 
 def test_binary_pairwise_requires_single_enode_form():
-    model = model_from_signed_edges(
-        2, [(0, 1, ASSOCIATIVE)], np.random.default_rng(0)
-    )
-    pruned = prune(build_nmrf(model))
-    # an untouched generic edge keeps several surviving enodes
-    with pytest.raises(NotSingleEnodeFormError):
-        binary_pairwise_perfection(pruned)
+    # Untouched generic edges keep several surviving enodes, so these graphs
+    # get the full hole and antihole search, witness ids in the base NMRF.
+    rng = np.random.default_rng(5)
+    models = [model_from_signed_edges(2, [(0, 1, ASSOCIATIVE)], rng)]
+    models += [random_signed_model(rng, n=4, p=0.6) for _ in range(20)]
+    seen_imperfect = 0
+    for model in models:
+        nmrf = build_nmrf(model)
+        pruned = prune(nmrf)
+        kept_set = set(pruned.kept)
+        assert any(sum(i in kept_set for i in ids) > 1
+                   for scope, ids in nmrf.groups.items() if len(scope) == 2)
+        weights, edges, kept = pruned.subgraph()
+        full = is_perfect_small(PlainGraph.from_edges(len(weights), edges))
+        verdict = binary_pairwise_perfection(pruned)
+        assert (verdict.perfect, verdict.witness_kind) == (full.perfect, full.witness_kind)
+        if not full.perfect:
+            seen_imperfect += 1
+            assert verdict.witness == tuple(kept[i] for i in full.witness)
+            assert max(verdict.witness) >= len(kept)  # the ids really moved
+    assert 0 < seen_imperfect < len(models)
 
 
 def compiled_pruned(model):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -170,3 +171,35 @@ def test_cycle_parity_random():
         reps = sum(1 for s in signs if s == REPULSIVE)
         assert len(hole) >= L
         assert len(hole) % 2 == reps % 2
+
+
+# sha256 over the first hole of 1500 seeded random graphs (n 5-14, edge
+# density 0.2-0.8) and of their complements, then over the
+# binary_pairwise_perfection verdicts, or the TooLargeError message, of 120
+# seeded random signed models compiled with and without their enode plan.
+GOLDEN_HOLE_WITNESSES = "4d7186b5bded6f1d056eab2ab1e8dab42d2810451c5cc261561aefdbcaabd1dc"
+
+
+def test_hole_witnesses_match_golden_digest():
+    rng = np.random.default_rng(67)
+    h = hashlib.sha256()
+    found = 0
+    for _ in range(1500):
+        n = int(rng.integers(5, 15))
+        density = float(rng.uniform(0.2, 0.8))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        g = PlainGraph.from_edges(n, edges)
+        holes = find_odd_hole(g), find_odd_hole(g.complement())
+        found += sum(hole is not None for hole in holes)
+        h.update(repr((n, *holes)).encode())
+    assert 0 < found < 3000
+    for _ in range(120):
+        model = random_signed_model(rng, n=int(rng.integers(3, 6)), p=0.6)
+        plan = plan_by_names(classify_model(model))
+        for m in (apply_enode_plan(model, plan), model):
+            try:
+                verdict = binary_pairwise_perfection(prune(build_nmrf(m)))
+            except TooLargeError as exc:
+                verdict = f"TooLargeError: {exc}"
+            h.update(repr(verdict).encode())
+    assert h.hexdigest() == GOLDEN_HOLE_WITNESSES

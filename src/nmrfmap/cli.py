@@ -294,6 +294,17 @@ def _eps(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    """A --seed, --count or --size value: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmrfmap",
@@ -343,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="seeded generator benchmarks (CSV)")
     p.add_argument("family", help="|".join(FAMILIES))
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--size", type=int, default=8)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--count", type=_nonnegative_int, default=10)
+    p.add_argument("--size", type=_nonnegative_int, default=8)
     p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

@@ -115,6 +115,8 @@ def random_tractable_model(
     rng: np.random.Generator, max_vars: int = 8, integer: bool = False
 ) -> Model:
     """Chain of random tractable blocks glued at cut vertices."""
+    if max_vars < 2:
+        raise ValueError(f"max_vars must be >= 2 (one edge), not {max_vars}")
     edges = []
     base = 0
     n = 0

@@ -1,10 +1,11 @@
 """Compilation of models to weighted NAND conflict graphs (NMRFs).
 
-Every scope of the model becomes a complete clique group with one node per
+Every scope of the model becomes a clique group with one node per
 assignment, and a singleton clique group is materialized for every variable
-even when no explicit singleton potential exists. Weights are normalized so
-each group's minimum is exactly zero; the subtracted constants are recorded
-so the original objective can be reconstructed.
+even when no explicit singleton potential exists. One rule gives every
+conflict, those inside a group too: two nodes conflict when they set a shared
+variable to different values. Weights are normalized so each group's minimum
+is exactly zero; the subtracted constants are recorded to rebuild the objective.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelFormatError, SignMismatchError, ZeroAssociativityError
 from .model import DEFAULT_EPS, Model, Potential, _as_floats, _reorder_table, _summed_pairwise
 
 
-@dataclass(frozen=True, slots=True)
-class NmrfNode:
+class NmrfNode(NamedTuple):
     scope: tuple[str, ...]
     assignment: tuple[int, ...]
     weight: float
@@ -105,6 +105,7 @@ def build_nmrf(model: Model) -> Nmrf:
     # Node ids by (variable, value).
     by_value = {name: [[] for _ in range(card)] for name, card in model.variables}
     constant = 0.0
+    new = tuple.__new__  # skips the Python-level NamedTuple constructor
     for scope, table in scopes:
         lo = min(table)
         constant += lo
@@ -113,17 +114,12 @@ def build_nmrf(model: Model) -> Nmrf:
         for k, vals in enumerate(itertools.product(*(range(cards[n]) for n in scope))):
             for name, val in zip(scope, vals):
                 by_value[name][val].append(start + k)
-            nodes.append(NmrfNode(scope, vals, table[k] - lo))
+            nodes.append(new(NmrfNode, (scope, vals, table[k] - lo)))
         groups[scope] = tuple(range(start, len(nodes)))
 
-    # Two nodes conflict when they lie in one clique group or set a shared
-    # variable to different values, so only nodes that share a group or a
-    # variable are compared.
+    # Nodes that set a shared variable to different values conflict; two nodes
+    # of one group differ on some variable of it, so each group is a clique.
     adj: list[set[int]] = [set() for _ in nodes]
-    for ids in groups.values():
-        for i in ids:
-            adj[i].update(ids)
-            adj[i].discard(i)
     for per_value in by_value.values():
         for val, ids in enumerate(per_value):
             for other, others in enumerate(per_value):

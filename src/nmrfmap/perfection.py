@@ -51,29 +51,28 @@ class PerfectionVerdict:
 
 
 def find_odd_hole(graph: PlainGraph, max_vertices: int = DEFAULT_MAX_VERTICES):
-    """First induced chordless odd cycle of length >= 5 in a fixed search order."""
+    """First induced chordless odd cycle of length >= 5 in a fixed search order:
+    from each start in turn, induced paths through larger ids grow depth first,
+    neighbours in increasing order, sorted and bit-masked once per graph."""
     if graph.n > max_vertices:
         raise TooLargeError(f"{graph.n} vertices exceeds cap {max_vertices}")
-    adj = graph.adj
-    for start in range(graph.n):
-        # Induced paths from `start` using only larger-id vertices; a path
-        # closes into a hole when its tip is adjacent to `start` alone.
-        stack = [([start, v], {start, v}) for v in sorted(adj[start]) if v > start]
-        stack.reverse()
+    nbrs = [sorted(a) for a in graph.adj]
+    masks = [sum(1 << u for u in a) for a in graph.adj]
+    for start, near in enumerate(masks):
+        # `blocked` masks the vertices up to `start`, the path's own, and every
+        # neighbour of its interior (a chord); a path closes at a start neighbour.
+        stack = [([start, v], (2 << start) - 1 | 1 << v) for v in nbrs[start][::-1] if v > start]
         while stack:
-            path, used = stack.pop()
+            path, blocked = stack.pop()
             tip = path[-1]
-            body = path[1:-1]
-            for u in sorted(adj[tip]):
-                if u <= start or u in used:
+            for u in nbrs[tip]:
+                if blocked >> u & 1:
                     continue
-                if any(u in adj[x] for x in body):
-                    continue  # chord against the path interior
-                if u in adj[start]:
+                if near >> u & 1:
                     if len(path) + 1 >= 5 and (len(path) + 1) % 2 == 1:
                         return tuple(path + [u])
                     continue  # closing early or evenly; a chord blocks extension
-                stack.append((path + [u], used | {u}))
+                stack.append((path + [u], blocked | 1 << u | masks[tip]))
     return None
 
 

@@ -37,6 +37,8 @@ class HighOrderPotential:
             # Too few variables is an input error; too many, a resource cap.
             error = ValueError if k < 2 else TooLargeError
             raise error(f"order {k} outside [2, {MAX_ORDER}]")
+        if len(set(self.names)) != k:
+            raise ValueError(f"variable names must be distinct: {self.names!r}")
         if len(self.table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries")
         if not all(map(math.isfinite, self.table)):

@@ -549,6 +549,25 @@ def test_bench_passes_eps_on(capsys):
     assert not any(classify_model(m).tractable for m in models)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["random-signed", "--size=-3"], "argument --size: must be an integer >= 0, not '-3'"),
+    (["random-signed", "--seed=-1"], "argument --seed: must be an integer >= 0, not '-1'"),
+    (["random-signed", "--count=-2"], "argument --count: must be an integer >= 0, not '-2'"),
+    (["random-signed", "--size", "1.5"], "argument --size: must be an integer >= 0, not '1.5'"),
+], ids=["size", "seed", "count", "fraction"])
+def test_bench_counts_are_integers_at_least_zero(args, message, capsys):
+    code, out, err = run(capsys, "bench", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nmrfmap bench")
+    assert err.splitlines()[-1] == f"nmrfmap bench: error: {message}"
+
+
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_bench_random_tractable_needs_two_variables(size, capsys):
+    assert run(capsys, "bench", "random-tractable", "--size", size) == (
+        2, "", f"error: max_vars must be >= 2 (one edge), not {size}\n")
+
+
 def test_bench_unknown_family(capsys):
     code, _, err = run(capsys, "bench", "no-such-family")
     assert code == 2

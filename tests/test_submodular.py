@@ -82,6 +82,19 @@ def test_order_bounds():
         HighOrderPotential(("A", "B"), (0.0, 0.0))
 
 
+def test_repeated_variable_is_rejected():
+    # ab + bc + ac + 2abc: with names (A, A, B) the two A's would merge into
+    # one indicator member, and construct_k3 would evaluate (1, 0, 1) to 0.0
+    # where the table holds 1.0.
+    table = tuple(
+        float(a * b + b * c + a * c + 2 * a * b * c)
+        for a, b, c in itertools.product((0, 1), repeat=3)
+    )
+    for names in (("A", "A", "B"), ("A", "B", "A"), ("A", "A")):
+        with pytest.raises(ValueError, match="distinct"):
+            HighOrderPotential(names, table[: 1 << len(names)])
+
+
 def test_construct_k3_reconstructs_table():
     rng = np.random.default_rng(97)
     for _ in range(80):

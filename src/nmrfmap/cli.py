@@ -295,7 +295,7 @@ def _eps(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """A --seed, --count or --size value: an integer >= 0."""
+    """A --seed, --count, --size or --max-nodes value: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -336,14 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     common(p)
     p.add_argument("--method", default="blocks", choices=("blocks", "bnb"))
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_BNB_CAP)
+    p.add_argument("--max-nodes", type=_nonnegative_int, default=DEFAULT_BNB_CAP)
     p.add_argument("--oracle-check", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("perfect", help="perfection check of an exported graph")
     p.add_argument("nmrf")
     common(p)
-    p.add_argument("--max-nodes", type=int, default=24)
+    p.add_argument("--max-nodes", type=_nonnegative_int, default=24)
     p.set_defaults(func=_cmd_perfect)
 
     p = sub.add_parser("submodular", help="higher-order potential analysis")

@@ -134,8 +134,9 @@ def _scope_error(scope, index) -> ModelFormatError:
 def validate_model(raw: Mapping) -> Model:
     """Build a Model from a raw JSON-style description, enforcing invariants.
 
-    A scope is a list or tuple of declared variable names, and a table a
-    list or tuple of finite ints or floats, one per labeling of the scope.
+    `variables` and `potentials` are lists or tuples, empty when absent. A
+    scope is a list or tuple of declared variable names, and a table a list
+    or tuple of finite ints or floats, one per labeling of the scope.
     Scopes are put in variable declaration order and duplicate scopes are
     merged by entrywise sum, left to right; every merged entry must be finite.
     The potentials come sorted by their scopes' declaration positions,
@@ -149,9 +150,14 @@ def validate_model(raw: Mapping) -> Model:
     if extra:
         raise ModelFormatError(f"unknown keys: {sorted(extra)}")
 
+    entries = {key: raw.get(key, []) for key in ("variables", "potentials")}
+    for key, value in entries.items():
+        if not isinstance(value, (list, tuple)):
+            raise ModelFormatError(f"{key} must be a list: {value!r}")
+
     variables: list[tuple[str, int]] = []
     index: dict[str, int] = {}
-    for entry in raw.get("variables", []):
+    for entry in entries["variables"]:
         # A dict is tested first: isinstance against an ABC costs a Python call.
         if not (
             (type(entry) is dict or isinstance(entry, Mapping))
@@ -179,7 +185,7 @@ def validate_model(raw: Mapping) -> Model:
     wide = False  # some key is a tuple
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
-    for entry in raw.get("potentials", []):
+    for entry in entries["potentials"]:
         if not (
             (type(entry) is dict or isinstance(entry, Mapping))
             and len(entry) == 2 and "scope" in entry and "table" in entry
@@ -324,7 +330,7 @@ class PairwiseView:
 
     graph: SignedGraph  # the names, and every kept edge with its sign
     singles: dict[int, tuple[float, float]]
-    edges: dict[tuple[int, int], tuple[float, float, float, float]]  # kept, u < v
+    edges: dict[tuple[int, int], tuple[float, float, float, float]]  # kept, u < v, as in graph.edges
     constant: float
     # Bound on how far folding near-zero-associativity edges moved any
     # labeling's objective.

@@ -2,25 +2,31 @@
 
 `solve_map` reads the model once through `model.pairwise_view`, which sums
 repeated scopes and folds near-zero edges into their ends, classifies the
-view's signed graph once and solves every tractable block with one exact
-core, the bipartite MWSS of its enodes and snodes as a min cut. It walks
-the block tree that `classify_graph` returns in index order, each block
-before the block it hangs off. Fixing a block's attachment cut vertex, and
-in a T/U block one hub, leaves a BR block, whose sides the classification
-already gives (a T/U block's free star is two-coloured here). Its edges are
-rewritten to single enodes once and their deltas summed into the free
-vertices' unaries once; each labeling of the pinned vertices copies those
-sums and adds only its pinned vertices' edge rows before its one min cut.
-The cut's network has one flow node per snode: an enode, which conflicts
-with at most two snodes, contracts into a source arc and one arc between
-them (`_snode_cut`). A pre-flow cancels each node's terminal capacities
-and pushes along the length-3 paths; Dinic's algorithm, with an explicit
-path stack and so no recursion limit, completes the flow. This value pass
-combines the block maxima and keeps the residual graph of each optimal min
-cut. The closed sets of a residual graph are exactly the optimal cuts
-(Picard and Queyranne, 1980), so the decode reads the lexicographically
-smallest optimal assignment off these graphs by closure propagation, in
-time linear in their size, without solving again.
+view's signed graph once and solves it region by region with one exact
+core, the bipartite MWSS of enodes and snodes as a min cut. Every cycle
+lies inside one block, so a connected union of balanced blocks is balanced
+(Harary, 1953). A region is a top block, T/U or BR without a parent, with
+every BR block below it down to the next T/U block; fixing the top's
+attachment cut vertex, and hub s of a T/U top attached at neither hub,
+leaves it balanced. So a tree, a forest or a chain of BR blocks is one
+region and one min cut. The regions are solved in the order of their tops,
+each after the regions below it. Their sides come from the classification
+(each BR block's, flipped to agree at its attachment; a T/U top's free
+star is coloured here), each free edge is rewritten to its single enode
+once and its deltas summed into its ends' unaries once, and each labeling
+of the pinned vertices adds only its pinned vertices' edge rows before its
+one min cut. The cut's network has one flow node per snode: an enode,
+which conflicts with at most two snodes, contracts into a source arc and
+one arc between them (`_snode_cut`). A pre-flow cancels each node's
+terminal capacities and pushes along the length-3 paths; Dinic's
+algorithm, with an explicit path stack and so no recursion limit,
+completes the flow. This value pass combines the region maxima and closes
+each kept min cut from both terminals as soon as it is solved: a cut that
+the closures decide keeps only its labels, any other its residual graph.
+The closed sets of a residual graph are exactly the optimal cuts (Picard
+and Queyranne, 1980), so the decode reads the lexicographically smallest
+optimal assignment off these graphs by closure propagation, in time
+linear in their size, without solving again.
 
 `solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
 pruned NMRF. It handles small models of any order and labels; its compile,
@@ -39,9 +45,9 @@ from .errors import (
     ObjectiveMismatchError,
     TooLargeError,
 )
-from .model import DEFAULT_EPS, Model, PairwiseView, energy, pairwise_view
+from .model import DEFAULT_EPS, REPULSIVE, Model, PairwiseView, energy, pairwise_view
 from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, single_enode
-from .structure import Block, BlockClass, _signed_two_color, classify_graph
+from .structure import classify_graph
 
 DEFAULT_BNB_CAP = 40
 # Objective error allowed per unit of table magnitude (see objective_tolerance).
@@ -100,7 +106,8 @@ class _Dinic:
 
     def max_flow(self, s, t):
         """Complete the flow to a maximum one by Dinic's algorithm, with an
-        explicit path stack in place of recursion."""
+        explicit path stack in place of recursion. Returns the nodes that s
+        then reaches by residual arcs, its closure, found by the last BFS."""
         n, to, cap, head = self.n, self.to, self.cap, self.head
         while True:
             # Levels by BFS, up to the sink's: a node no closer to the source
@@ -119,7 +126,7 @@ class _Dinic:
                 if level[t] >= 0:
                     break
             else:
-                return
+                return queue
             # Blocking flow: advance along the current arc it[u] of each
             # node on the path, retreat from dead ends.
             it = [0] * n
@@ -304,45 +311,96 @@ def decode_map(mmwss: StableSetSolution, nmrf: Nmrf, model: Model) -> MapSolutio
 
 
 # ---------------------------------------------------------------------------
-# block-tree conditioning
+# regions of the block tree
 
 
-@dataclass
-class _Cut:
-    """The min cut that solved a block for one labeling of its pinned
-    vertices, kept for the decode.
+class _Region:
+    """A top block, T/U or BR without a parent, with every BR block below
+    it down to the next T/U block: balanced once its pinned vertices are
+    fixed, so one min cut per pinned labeling solves it.
 
-    A free vertex in `snode` takes label side[v] while its snode lies on the
-    source side and the other label on the sink side; every other vertex of
-    the block has its label in `labels`. `state` holds, per flow node, the
-    side (1 source, -1 sink) that every optimal cut still allowed puts it
-    on, 0 while both remain: the value pass leaves the source closure in
-    it, the decode adds the sink closure. `alive` turns false once no
-    optimal assignment uses this cut.
+    `pinned` holds the top's attachment, if any, then the T/U top's hub s
+    (`hub`) when the attachment is neither hub. `free` holds the other
+    vertices the region's blocks hold without attaching there. `enodes`
+    has the single enode of every edge between free vertices, and
+    folds[i] the edge rows that pinned[i] adds to the other end of each
+    edge at it, by its label; `mag` sums the region's edge tables'
+    largest |entry| when a hub is pinned, and is 0.0 otherwise.
     """
 
-    labels: dict[int, int]
-    snode: dict[int, int]  # vertex -> flow node of its snode
-    vertex: list[int]  # snode -> its vertex
-    side: dict[int, int]
-    flow: _Dinic
-    state: list[int]
-    alive: bool = True
+    __slots__ = ("pinned", "hub", "free", "enodes", "folds", "mag")
+
+    def __init__(self, pinned: list[int], hub: Optional[int]):
+        self.pinned = pinned
+        self.hub = hub
+        self.free: list[int] = []
+        self.enodes: list[tuple[int, int, float]] = []
+        self.folds: tuple[list, list] = ([], [])
+        self.mag = 0.0
+
+
+class _Cut:
+    """The min cut that solved a region for one labeling of its pinned
+    vertices, kept for the decode and closed from both terminals as soon
+    as it was solved.
+
+    `labels` gives the label of every vertex of the region that the cut
+    settles on its own: the pinned ones and the free ones whose unary
+    decides them. When the two closures decide every flow node, their
+    vertices' labels are added too and that is all the cut keeps. Any
+    other cut keeps, for each other free vertex v, its flow node snode[v]
+    (vertex[node] = v): on the source side (state 1) v takes label side[v],
+    on the sink side (-1) the other, and while state is 0 either label
+    still gives an optimum; `flow` holds the residual network whose
+    closures decide it. `alive` turns false once no optimal assignment
+    uses this cut.
+    """
+
+    __slots__ = ("labels", "snode", "vertex", "side", "flow", "state", "alive")
+
+    def __init__(
+        self,
+        labels: dict[int, int],
+        snode: Optional[dict[int, int]] = None,
+        side: Optional[list[int]] = None,
+        flow: Optional[_Dinic] = None,
+        state: Optional[list[int]] = None,
+    ):
+        self.labels = labels
+        self.snode = snode
+        self.vertex = None if snode is None else list(snode)
+        self.side = side
+        self.flow = flow
+        self.state = state
+        self.alive = True
 
     def allowed(self, v: int) -> tuple[int, ...]:
-        node = self.snode.get(v)
-        if node is None:
-            return (self.labels[v],)
-        mark = self.state[node]
+        label = self.labels.get(v)
+        if label is not None:
+            return (label,)
+        mark = self.state[self.snode[v]]
         if not mark:
             return (0, 1)
         return (self.side[v] if mark > 0 else 1 - self.side[v],)
 
 
+def _kept_cut(labels, snode, side, flow, state) -> _Cut:
+    """The `_Cut` of a kept labeling, whose source closure `_snode_cut`
+    left in `state`: closed from the sink, and reduced to its labels when
+    no flow node is left undecided."""
+    if flow is not None:
+        flow.close(state, flow.n - 1, -1)
+        if 0 in state:
+            return _Cut(labels, snode, side, flow, state)
+        for v, x in snode.items():
+            labels[v] = side[v] if state[x] > 0 else 1 - side[v]
+    return _Cut(labels)
+
+
 def _snode_cut(
     weights: Sequence[float], snode: Mapping[int, int], enodes
 ) -> tuple[float, _Dinic, list[int]]:
-    """Maximum-weight stable set of a block's snodes and enodes by one min
+    """Maximum-weight stable set of a region's snodes and enodes by one min
     cut, on a network with one flow node per snode: nodes 0..k-1 for the
     k `weights`, then source k and sink k + 1.
 
@@ -418,111 +476,92 @@ def _snode_cut(
             to += (sink, x)
             cap += (-left[x], left[x] - d)
     flow = _Dinic(to, cap, head)
-    flow.max_flow(src, sink)
     state = [0] * (k + 2)
-    flow.close(state, src, 1)
+    for x in flow.max_flow(src, sink):
+        state[x] = 1
     chosen = [w for x, w in enumerate(weights) if not state[x]]
     chosen += (w for x, y, w in ends if state[x] == state[y] == 1)
     return sum(chosen), flow, state
 
 
 def _block_values(
-    pw: PairwiseView,
-    block: Block,
-    cls: BlockClass,
-    parent: Optional[int],
-    unary: Mapping[int, tuple[float, float]],
-    eps: float,
-) -> tuple[list[tuple[float, _Cut]], float]:
-    """Best value of a block's own terms, and the min cut attaining it, for
-    each labeling of its pinned vertices: the parent cut vertex, if any, and
-    in a T/U block hub s unless the parent is a hub. What is left is BR.
-    The parent's label varies slowest. Also returns the block's tie share,
-    TOLERANCE times the `_magnitude` of its edge tables, within which two
-    labelings of one parent label count as equally good; only a pinned hub
-    gives a parent label two labelings, so without one the share is 0.0.
+    region: _Region, u0: list[float], u1: list[float], side: list[int]
+) -> list[tuple]:
+    """Best value of a region's own terms, and the min cut attaining it,
+    for each labeling of its pinned vertices, the top's attachment varying
+    slowest: per labeling (value, labels, snode, flow, state) as `_Cut`
+    reads them, with only the source closure in `state`.
 
-    A BR block keeps the sides its classification gave it; the free part of
-    a T/U block, a star, is two-coloured here. Each free edge (u, v) is
-    rewritten once to the single enode (side[u], side[v]), and its deltas
-    are added once to the free vertices' own unaries; a pinned labeling
-    copies those sums and adds only its pinned vertices' edge rows. A free
-    vertex whose unary prefers its side by more than _FLOW_EPS takes it in
-    every optimum and needs no node. Any other vertex gets an snode for the
-    other label, of weight >= 0 (0 on a tie), numbered in vertex order; it
-    conflicts with the vertex's enodes, so enodes and snodes are the sides
-    of one bipartite MWSS. `_snode_cut` solves it on a network with one
-    flow node per snode, each enode contracted into arcs between them.
+    u0 and u1 hold each vertex's unary for labels 0 and 1 with its free
+    edges' enode deltas and the best values of the regions below it
+    already added. A labeling adds its pinned vertices' folds to their
+    other ends for the length of its solve, and the pinned hub's own unary
+    to its value. A free vertex whose unary prefers its side by more than
+    _FLOW_EPS takes it in every optimum and needs no node. Any other vertex
+    gets an snode for the other label, of weight >= 0 (0 on a tie),
+    numbered in `region.free` order; it conflicts with the vertex's enodes,
+    so enodes and snodes are the sides of one bipartite MWSS. `_snode_cut`
+    solves it on a network with one flow node per snode, each enode
+    contracted into arcs between them. A labeling without an snode builds
+    no network: it chooses every enode.
     """
-    pinned = [] if parent is None else [parent]
-    if cls.kind == "BR":
-        side = dict.fromkeys(cls.params["V1"], 0)
-        side.update(dict.fromkeys(cls.params["V2"], 1))
-    else:
-        if parent not in (cls.params["s"], cls.params["t"]):
-            pinned.append(cls.params["s"])
-        side, _ = _signed_two_color(
-            [v for v in block.vertices if v not in pinned],
-            [e for e in block.edges if e[0] not in pinned and e[1] not in pinned],
-        )
-    # Own unaries plus enode deltas, of every vertex but the parent.
-    base = {v: unary.get(v, (0.0, 0.0)) for v in block.vertices if v != parent}
-    # An edge at a pinned vertex folds into its other end x, on behalf of its
-    # first end in `pinned`: add[label] is what it adds to x's unary.
-    folds = [[] for _ in pinned]
-    enodes = []
-    for u, v, _ in block.edges:
-        t = pw.edges[(u, v)]
-        if u in pinned or v in pinned:
-            for i, f in enumerate(pinned):
-                if f == u:
-                    folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
-                    break
-                if f == v:
-                    folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
-                    break
-        else:
-            i = side[u]
-            weight, fi, row0, row1 = single_enode(t, i, side[v], eps)
-            w0, w1 = base[u]
-            base[u] = (w0 + fi, w1) if i == 0 else (w0, w1 + fi)
-            w0, w1 = base[v]
-            base[v] = (w0 + row0, w1 + row1)
-            enodes.append((u, v, weight))
+    pinned, hub, free, enodes = region.pinned, region.hub, region.free, region.enodes
+    folds = region.folds
+    targets = [x for fold in folds for x, _ in fold]
+    saved = [(u0[x], u1[x]) for x in targets]
     results = []
     for pins in itertools.product((0, 1), repeat=len(pinned)):
-        acc = dict(base)
         total = 0.0
         for f, label, fold in zip(pinned, pins, folds):
-            total += acc.pop(f, (0.0, 0.0))[label]
-            for x, add in fold:
-                w0, w1 = acc[x]
-                a0, a1 = add[label]
-                acc[x] = (w0 + a0, w1 + a1)
-        weights: list[float] = []
+            if f == hub:
+                total += u1[f] if label else u0[f]
+            for x, rows in fold:
+                a0, a1 = rows[label]
+                u0[x] += a0
+                u1[x] += a1
         labels = dict(zip(pinned, pins))
         snode: dict[int, int] = {}
-        for v, w in acc.items():
-            on, off = w[side[v]], w[1 - side[v]]
+        weights: list[float] = []
+        for v in free:
+            if side[v]:
+                on, off = u1[v], u0[v]
+            else:
+                on, off = u0[v], u1[v]
             total += on
             if on - off > _FLOW_EPS:
                 labels[v] = side[v]
             else:
                 snode[v] = len(weights)
                 weights.append(off - on if off >= on else 0.0)  # max(off - on, 0.0)
-        weight, flow, state = _snode_cut(weights, snode, enodes)
-        results.append(
-            (total + weight, _Cut(labels, snode, list(snode), side, flow, state))
-        )
-    if len(pinned) > (parent is not None):  # a pinned hub
-        return results, TOLERANCE * _magnitude(pw.edges[(u, v)] for u, v, _ in block.edges)
-    return results, 0.0
+        for x, (w0, w1) in zip(targets, saved):
+            u0[x] = w0
+            u1[x] = w1
+        if weights:
+            weight, flow, state = _snode_cut(weights, snode, enodes)
+        else:
+            weight = sum(w for _, _, w in enodes if w > _FLOW_EPS)
+            flow = state = None
+        results.append((total + weight, labels, snode, flow, state))
+    return results
 
 
 def _value_pass(pw: PairwiseView, eps: float):
-    """Optimal objective of a pairwise view, and for every block
-    with edges its vertices and the cuts of the pinned labelings that attain
-    the block's best value for their parent label."""
+    """Optimal objective of a pairwise view, and for every region its
+    vertices and the cuts of the pinned labelings that attain the region's
+    best value for their attachment's label.
+
+    One pass over the blocks, parents first, builds the regions in flat
+    arrays, each BR block joining the region of its parent block (the later
+    block that holds its attachment without attaching there), and gives
+    every free vertex its side: 0 at a T/U top's free hub and at each spoke
+    what its leg's sign gives; a BR block's `V1`/`V2`, flipped to agree
+    with its parent at its attachment unless that is the pinned hub. One
+    pass over the edges rewrites each free edge to its single enode, adding
+    its deltas to its ends' unaries, and keeps each pinned edge as a fold.
+    The regions are then solved in the order of their tops, each finding
+    the best values per label of the regions below it in its unaries, and
+    each kept cut is closed from the sink at once (`_kept_cut`).
+    """
     report = classify_graph(pw.graph)
     if not report.tractable:
         witness = next(
@@ -532,55 +571,142 @@ def _value_pass(pw: PairwiseView, eps: float):
         raise IntractableTopologyError(
             tuple(names[v] for v in witness), report=report
         )
-    # Blocks come before their parents: a solved block adds its best value
-    # per label to its attachment vertex's unary before the parent is solved.
-    unary = dict(pw.singles)
-    total = pw.constant
-    kept: list[tuple[tuple[int, ...], list[_Cut]]] = []
     tree = report.tree
-    for block, cls, c in zip(tree.blocks, report.classes, tree.attach):
+    blocks, classes, attach = tree.blocks, report.classes, tree.attach
+    n = len(pw.graph.names)
+    owner = [0] * n  # the block that holds v without attaching there
+    region = [0] * len(blocks)  # the top block of each block's region
+    regions: list[Optional[_Region]] = [None] * len(blocks)  # by top block
+    side = [0] * n
+    for bi in range(len(blocks) - 1, -1, -1):
+        block, cls, c = blocks[bi], classes[bi], attach[bi]
         if not block.edges:  # an isolated vertex
-            total += max(unary.get(block.vertices[0], (0.0, 0.0)))
             continue
-        results, tie = _block_values(pw, block, cls, c, unary, eps)
+        if cls.kind == "BR":
+            if c is None:
+                r = bi
+                regions[bi] = _Region([], None)
+            else:
+                r = region[owner[c]]
+            reg = regions[r]
+            v1 = cls.params["V1"]
+            # Flipped so that c keeps its side (a pinned hub has none).
+            flip = 0 if c is None or c == reg.hub else side[c] ^ (c not in v1)
+            for v in v1:
+                side[v] = flip
+            for v in cls.params["V2"]:
+                side[v] = 1 - flip
+            for v in block.vertices:
+                if v != c:
+                    owner[v] = bi
+                    reg.free.append(v)
+        else:
+            r = bi
+            s, t = cls.params["s"], cls.params["t"]
+            if c == s or c == t:
+                reg = regions[bi] = _Region([c], None)
+            else:
+                reg = regions[bi] = _Region([s] if c is None else [c, s], s)
+                owner[s] = bi
+            reg.free += [v for v in block.vertices if v not in reg.pinned]
+            for v in reg.free:
+                owner[v] = bi
+            # The free part is a star on the hub that is not pinned.
+            h = s if c == t else t
+            side[h] = 0
+            for u, v, sign in block.edges:
+                if u == h or v == h:
+                    x = v if u == h else u
+                    if x != c:
+                        side[x] = 1 if sign == REPULSIVE else 0
+        region[bi] = r
+
+    u0 = [0.0] * n
+    u1 = [0.0] * n
+    for v, (w0, w1) in pw.singles.items():
+        u0[v] = w0
+        u1[v] = w1
+    # pw.edges holds the tables of graph.edges, in the same order. An edge
+    # whose ends lie in two regions is in the one attached at its other end.
+    for (u, v, _), t in zip(pw.graph.edges, pw.edges.values()):
+        r = region[owner[u]]
+        rv = region[owner[v]]
+        if r != rv and attach[rv] == u:
+            r = rv
+        reg = regions[r]
+        pinned = reg.pinned
+        if reg.hub is not None:
+            reg.mag += max(map(abs, t))
+        if u in pinned or v in pinned:
+            # Folded on behalf of its first end in `pinned`: rows[label] is
+            # what that end adds to the other end's unary.
+            i = 0 if pinned[0] == u or pinned[0] == v else 1
+            if pinned[i] == u:
+                reg.folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
+            else:
+                reg.folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
+        else:
+            i = side[u]
+            weight, fi, row0, row1 = single_enode(t, i, side[v], eps)
+            if i:
+                u1[u] += fi
+            else:
+                u0[u] += fi
+            u0[v] += row0
+            u1[v] += row1
+            reg.enodes.append((u, v, weight))
+
+    total = pw.constant
+    kept: list[tuple[list[int], list[_Cut]]] = []
+    for bi, reg in enumerate(regions):
+        if reg is None:
+            if not blocks[bi].edges:  # an isolated vertex
+                v = blocks[bi].vertices[0]
+                total += max(u0[v], u1[v])
+            continue
+        results = _block_values(reg, u0, u1, side)
+        c = attach[bi]
         half = len(results) // 2
         groups = [results] if c is None else [results[:half], results[half:]]
-        best = [max(value for value, _ in group) for group in groups]
+        best = [max(result[0] for result in group) for group in groups]
         if c is None:
             total += best[0]
         else:
-            u0, u1 = unary.get(c, (0.0, 0.0))
-            unary[c] = (u0 + best[0], u1 + best[1])
-        # `tie` is this block's share of the objective tolerance; summed over
-        # the blocks it stays within objective_tolerance.
+            u0[c] += best[0]
+            u1[c] += best[1]
+        # Two labelings of one attachment label within this region's share
+        # of the objective tolerance tie; summed over the regions the shares
+        # stay within objective_tolerance.
+        tie = TOLERANCE * reg.mag
         cuts = [
-            cut
+            _kept_cut(labels, snode, side, flow, state)
             for group, top in zip(groups, best)
-            for value, cut in group
+            for value, labels, snode, flow, state in group
             if value >= top - tie
         ]
-        kept.append((block.vertices, cuts))
+        kept.append((reg.free + reg.pinned, cuts))
     return total, kept
 
 
 def _decode(pw: PairwiseView, kept) -> list[int]:
     """Labels of the lexicographically smallest optimal assignment.
 
-    An assignment is optimal iff each block's labeling is optimal for the
-    block given its parent label: one of the `kept` cuts pins it, and its
-    free part is a closed set of that cut's residual graph. `possible` has
-    a bit per label that some optimal assignment still gives a vertex;
-    `count` counts, per block, vertex and label, the live cuts allowing it.
-    A label that no live cut of some block allows leaves the vertex. The
-    vertex's other blocks then drop the cuts that give it that label and
-    close its snode to the other side in the rest. Blocks meet only at cut
-    vertices of a tree, so this arc consistency leaves every possible label
-    extendable to an optimum: fixing the variables in declaration order,
-    each to 0 while 0 is possible, needs no backtracking.
+    An assignment is optimal iff each region's labeling is optimal for the
+    region given its attachment's label: one of the `kept` cuts pins it,
+    and its free part is a closed set of that cut's residual graph.
+    `possible` has a bit per label that some optimal assignment still gives
+    a vertex; `count` counts, per region, vertex and label, the live cuts
+    allowing it. A label that no live cut of some region allows leaves the
+    vertex. The vertex's other regions then drop the cuts that give it
+    that label and close its snode to the other side in the rest. Regions
+    meet only at cut vertices of a tree, so this arc consistency leaves
+    every possible label extendable to an optimum: fixing the variables in
+    declaration order, each to 0 while 0 is possible, needs no
+    backtracking.
     """
     n = len(pw.graph.names)
     possible = [3] * n
-    blocks_at: dict[int, list[int]] = {}
+    regions_at: dict[int, list[int]] = {}
     count: list[dict[int, list[int]]] = []
     queue: list[tuple[int, int]] = []
 
@@ -593,8 +719,8 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
                 )
             queue.append((v, label))
 
-    def lose(bi, v, label):
-        tally = count[bi][v]
+    def lose(ri, v, label):
+        tally = count[ri][v]
         tally[label] -= 1
         if not tally[label]:
             exclude(v, label)
@@ -602,39 +728,47 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     def propagate():
         while queue:
             v, label = queue.pop()
-            for bi in blocks_at[v]:
-                vertices, cuts = kept[bi]
+            for ri in regions_at[v]:
+                vertices, cuts = kept[ri]
                 for cut in cuts:
                     if not cut.alive:
                         continue
-                    node = cut.snode.get(v)
-                    if node is not None and not cut.state[node]:
-                        mark = 1 if cut.side[v] != label else -1
-                        for w in cut.flow.close(cut.state, node, mark):
-                            u = cut.vertex[w]
-                            lose(bi, u, cut.side[u] ^ (mark > 0))
-                    elif cut.allowed(v) == (label,):
+                    has = cut.labels.get(v)
+                    if has is None:
+                        side = cut.side
+                        node = cut.snode[v]
+                        mark = cut.state[node]
+                        if not mark:
+                            mark = 1 if side[v] != label else -1
+                            for w in cut.flow.close(cut.state, node, mark):
+                                u = cut.vertex[w]
+                                lose(ri, u, side[u] ^ (mark > 0))
+                            continue
+                        has = side[v] if mark > 0 else 1 - side[v]
+                    if has == label:
                         cut.alive = False
                         for u in vertices:
                             for other in cut.allowed(u):
-                                lose(bi, u, other)
+                                lose(ri, u, other)
 
-    for bi, (vertices, cuts) in enumerate(kept):
+    for ri, (vertices, cuts) in enumerate(kept):
         tally = {v: [0, 0] for v in vertices}
         for cut in cuts:
-            cut.flow.close(cut.state, cut.flow.n - 1, -1)  # sink
-            for v in vertices:
-                for label in cut.allowed(v):
-                    tally[v][label] += 1
+            for v, label in cut.labels.items():
+                tally[v][label] += 1
+            if cut.snode is not None:
+                for v in cut.snode:
+                    for label in cut.allowed(v):
+                        tally[v][label] += 1
         count.append(tally)
         for v in vertices:
-            blocks_at.setdefault(v, []).append(bi)
+            regions_at.setdefault(v, []).append(ri)
             for label in (0, 1):
                 if not tally[v][label]:
                     exclude(v, label)
     propagate()
     for v in range(n):
-        if v not in blocks_at:  # in no block with edges
+        if v not in regions_at:  # in no block with edges
             w0, w1 = pw.singles.get(v, (0.0, 0.0))
             possible[v] = 2 if w1 - w0 > _FLOW_EPS else 1
         elif possible[v] == 3:
@@ -644,10 +778,10 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
 
 
 def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
-    """Exact MAP inference on a binary pairwise model, block by block.
+    """Exact MAP inference on a binary pairwise model, region by region.
 
-    The value pass solves each block once per labeling of its pinned
-    vertices and keeps those min cuts' residual graphs; the decode reads the
+    The value pass solves each region once per labeling of its pinned
+    vertices and keeps those min cuts, closed; the decode reads the
     lexicographically smallest optimal assignment off them. Its energy must
     match the optimum within `objective_tolerance`.
     """

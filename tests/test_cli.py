@@ -370,6 +370,42 @@ def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "classify", "solve"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("variables", None), ("variables", 3), ("variables", True),
+     ("potentials", None), ("potentials", 2.5), ("potentials", True)],
+)
+def test_variables_and_potentials_must_be_lists(verb, key, value, tmp_path, capsys):
+    """A model whose `variables` or `potentials` is no list is an input
+    error, not a TypeError from iterating it."""
+    doc = _model_doc(["A"], [0, 1])
+    doc[key] = value
+    code, out, err = run(capsys, verb, write_json(tmp_path / "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} must be a list: {value!r}\n"
+
+
+@pytest.mark.parametrize("verb", ["solve", "perfect"])
+def test_max_nodes_is_an_integer_at_least_zero(verb, chain_model, tmp_path, capsys):
+    """A negative or fractional cap is an input error (exit 2), not a model
+    too large for it (exit 3); a cap of 0 is valid and too small."""
+    argv = {
+        "solve": ["solve", chain_model, "--method", "bnb"],
+        "perfect": ["perfect", write_json(tmp_path / "g.json", _TWO_NODES)],
+    }[verb]
+    for value in ("-1", "1.5", "x"):
+        code, out, err = run(capsys, *argv, f"--max-nodes={value}")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"nmrfmap {verb}: error: argument --max-nodes: must be an integer >= 0, not '{value}'"
+        )
+    code, out, err = run(capsys, *argv, "--max-nodes=0")
+    assert (code, out) == (3, "") and "exceeds cap 0" in err
+    code, out, _ = run(capsys, *argv, "--max-nodes=40")
+    assert code == 0 and json.loads(out)
+
+
 @pytest.mark.parametrize(
     "verb", ["validate", "classify", "compile", "solve", "perfect", "submodular", "bench"]
 )

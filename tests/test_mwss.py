@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -12,6 +13,7 @@ from nmrfmap.errors import (
     TooLargeError,
 )
 from nmrfmap.generators import (
+    _random_block,
     block_chain_model,
     model_from_signed_edges,
     random_br_model,
@@ -400,14 +402,19 @@ def test_balanced_blocks_reuse_the_classification_colouring(monkeypatch):
 
     two_color = nmrfmap.structure._signed_two_color
     monkeypatch.setattr(nmrfmap.structure, "_signed_two_color", counted)
-    monkeypatch.setattr(nmrfmap.mwss, "_signed_two_color", refuse)
+    # The solve imports no colouring of its own; should it ever, refuse it.
+    monkeypatch.setattr(nmrfmap.mwss, "_signed_two_color", refuse, raising=False)
     rng = np.random.default_rng(103)
     pinned_blocks = 0
     for _ in range(40):
         model = random_br_model(rng, n=int(rng.integers(4, 13)), p=float(rng.uniform(0.2, 0.6)))
+        before = colourings
         tree = classify_model(model).tree
+        by_classify = colourings - before
         pinned_blocks += sum(c is not None for c in tree.attach)
+        before = colourings
         sol = solve_map(model)
+        assert colourings - before == by_classify  # its one classification
         ref = brute_force_map(model)
         assert sol.objective == pytest.approx(ref.objective)
         assert sol.assignment == ref.assignment
@@ -575,6 +582,174 @@ def test_exact_ties_across_blocks_and_hubs_match_brute_force():
         assert sol.objective == ref.objective
         assert sol.assignment == ref.assignment
     assert hub_blocks >= 100
+
+
+# ---------------------------------------------------------------------------
+# regions: each BR block solved in the min cut of its parent block's region
+
+
+def _counting_cuts(monkeypatch):
+    """Count `_snode_cut` calls: returns the list each call appends to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return snode_cut(*args)
+
+    snode_cut = nmrfmap.mwss._snode_cut
+    monkeypatch.setattr(nmrfmap.mwss, "_snode_cut", counted)
+    return calls
+
+
+def _per_block_cuts(report):
+    """Min cuts that solving every block on its own takes: one per labeling
+    of its attachment and, in a T/U block attached at neither hub, hub s."""
+    cuts = 0
+    for block, cls, c in zip(report.tree.blocks, report.classes, report.tree.attach):
+        if block.edges:
+            pinned = c is not None
+            if cls.kind != "BR" and c not in (cls.params["s"], cls.params["t"]):
+                pinned += 1
+            cuts += 2 ** pinned
+    return cuts
+
+
+def test_balanced_tree_takes_one_min_cut(monkeypatch):
+    """A tree is balanced, so it is one region: one min cut where solving
+    its 1999 bridges one by one took 3,997. The cut is closed from both
+    terminals when it is solved, and a cut that the closures decide keeps
+    no flow network."""
+    n = 2000
+    rng = np.random.default_rng(2000)
+    edges = [
+        (int(rng.integers(0, v)), v, ASSOCIATIVE if rng.random() < 0.5 else REPULSIVE)
+        for v in range(1, n)
+    ]
+    model = model_from_signed_edges(n, edges, rng)
+    assert _per_block_cuts(classify_model(model)) == 3997
+    calls = _counting_cuts(monkeypatch)
+    best, kept = _value_pass(pairwise_view(model), DEFAULT_EPS)
+    assert len(calls) == 1 and calls[0] > n // 4
+    for _, cuts in kept:
+        for cut in cuts:
+            if cut.flow is not None:
+                closed = list(cut.state)
+                cut.flow.close(closed, cut.flow.n - 1, -1)
+                assert 0 in closed  # a flow node that neither closure decides
+
+    # max-sum over the tree, children (higher ids) first
+    table = {p.scope: p.table for p in model.potentials}
+    names = model.names
+    value = [list(table[(x,)]) for x in names]
+    for u, v, _ in reversed(edges):
+        t = table[(names[u], names[v])]
+        for x in (0, 1):
+            value[u][x] += max(t[2 * x + y] + value[v][y] for y in (0, 1))
+    assert best == pytest.approx(max(value[0]))
+    sol = solve_map(model)
+    assert sol.objective == pytest.approx(max(value[0]))
+    assert len(calls) == 2
+
+
+def _block_chain(rng, n_blocks, integer=False):
+    """n_blocks random K2, BR, T and U blocks, each sharing its last vertex
+    with the next one's first."""
+    edges, base = [], 0
+    for _ in range(n_blocks):
+        block, used = _random_block(rng, base, 5)
+        edges += [(min(u, v), max(u, v), sign) for u, v, sign in block]
+        base += used - 1
+    return model_from_signed_edges(base + 1, edges, rng, integer=integer)
+
+
+def test_block_chains_take_fewer_min_cuts_than_blocks(monkeypatch):
+    """A T/U block and the BR blocks below it share one min cut per pinned
+    labeling, so a chain takes at most four per T/U block plus four, and
+    fewer than solving each block on its own."""
+    rng = np.random.default_rng(211)
+    calls = _counting_cuts(monkeypatch)
+    for _ in range(20):
+        model = _block_chain(rng, 30)
+        report = classify_model(model)
+        hub_blocks = sum(c.kind in ("T", "U") for c in report.classes)
+        del calls[:]
+        solve_map(model)
+        assert len(calls) < _per_block_cuts(report)
+        assert len(calls) <= 4 * (hub_blocks + 1)
+
+
+def _hung_blocks_model(rng, max_vars, integer):
+    """Random K2, BR, T and U blocks, each after the first hung by a random
+    one of its vertices at a random vertex of those before it."""
+    edges, used = _random_block(rng, 0, max_vars)
+    n = used
+    while True:
+        block, used = _random_block(rng, n, 5)
+        if n + used - 1 > max_vars:
+            return model_from_signed_edges(n, edges, rng, integer=integer)
+        at, hung = int(rng.integers(0, n)), n + int(rng.integers(0, used))
+
+        def vertex(x):
+            return at if x == hung else x - (x > hung)
+
+        edges += [(min(vertex(u), vertex(v)), max(vertex(u), vertex(v)), sign) for u, v, sign in block]
+        n += used - 1
+
+
+def _hung_shapes(report):
+    """Where the BR blocks of a block tree hang: at a free spoke, the free
+    hub or the pinned hub s of a T/U block, at the vertex where a T/U block
+    is attached (in the region above it), or beside a BR sibling at one
+    cut vertex."""
+    tree, classes = report.tree, report.classes
+    owner = {}
+    for bi, (block, c) in enumerate(zip(tree.blocks, tree.attach)):
+        for v in block.vertices:
+            if v != c:
+                owner[v] = bi
+    shapes = collections.Counter()
+    br_at = collections.Counter()
+    hub_at = set()
+    for block, cls, c in zip(tree.blocks, classes, tree.attach):
+        if c is None or not block.edges:
+            continue
+        if cls.kind != "BR":
+            hub_at.add(c)
+            continue
+        br_at[c] += 1
+        parent = classes[owner[c]]
+        if parent.kind == "BR":
+            continue
+        s, t = parent.params["s"], parent.params["t"]
+        if c not in (s, t):
+            shapes["free spoke"] += 1
+        elif c == s and tree.attach[owner[c]] not in (s, t):
+            shapes["pinned hub"] += 1
+        else:
+            shapes["free hub"] += 1
+    shapes["at attachment"] = sum(br_at[c] for c in hub_at)
+    shapes["siblings"] = sum(k for k in br_at.values() if k > 1)
+    return shapes
+
+
+def test_hung_blocks_match_brute_force():
+    """Regions of every shape, on integer tables where ties are common:
+    solve_map's optimum and its choice among tied optima, the
+    lexicographically smallest, are those of enumeration."""
+    rng = np.random.default_rng(223)
+    shapes = collections.Counter()
+    for trial in range(100):
+        model = _hung_blocks_model(rng, int(rng.integers(6, 14)), integer=trial % 2 == 0)
+        if trial % 4 == 1:
+            model = _with_small_integer_tables(model, rng)
+        shapes += _hung_shapes(classify_model(model))
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == ref.objective
+        assert sol.assignment == ref.assignment
+    assert min(shapes[k] for k in (
+        "free spoke", "free hub", "pinned hub", "at attachment", "siblings"
+    )) >= 10, shapes
 
 
 def test_rounding_level_gap_is_a_tie():

@@ -5,6 +5,12 @@ topology, classify each 2-connected block, rewrite every edge to one
 conflict node and solve each block's stable set by a min cut, conditioned
 on cut-vertex labels. Higher-order potentials get a supermodularity and
 indicator-representation analysis; only capped branch and bound solves them.
+
+`import nmrfmap` loads only the modules a request runs: `errors`, `model`,
+`structure` and `mwss`, which validate, classify, solve and report. The
+names exported from `nmrf` (compile), `perfection`, `submodular` and
+`oracle` are resolved when first used (PEP 562), so a program that never
+touches them never loads those modules; `dir(nmrfmap)` lists them all.
 """
 
 from .errors import (
@@ -36,18 +42,6 @@ from .model import (
     signed_view,
     validate_model,
 )
-from .nmrf import (
-    Nmrf,
-    NmrfNode,
-    PrunedNmrf,
-    apply_enode_plan,
-    build_nmrf,
-    nmrf_from_json,
-    nmrf_to_dot,
-    nmrf_to_json,
-    nodes_conflict,
-    prune,
-)
 from .structure import (
     Block,
     BlockClass,
@@ -60,15 +54,6 @@ from .structure import (
     plan_by_names,
     report_to_json,
 )
-from .perfection import (
-    PerfectionVerdict,
-    PlainGraph,
-    binary_pairwise_perfection,
-    cycle_to_induced_hole,
-    find_odd_hole,
-    is_perfect_small,
-    pruned_to_plain,
-)
 from .mwss import (
     MapSolution,
     StableSetSolution,
@@ -80,17 +65,60 @@ from .mwss import (
     solve_map,
     solve_map_bnb,
 )
-from .submodular import (
-    FeasibilityVerdict,
-    HighOrderPotential,
-    IndicatorRepresentation,
-    alpha,
-    construct_k3,
-    is_supermodular,
-    representation_feasible,
-    representation_to_model,
-    supermodularity,
-)
-from .oracle import brute_force_map, brute_force_mwss
 
 __version__ = "0.1.0"
+
+# The names each module loaded on first use exports.
+_LAZY = {
+    "nmrf": (
+        "Nmrf",
+        "NmrfNode",
+        "PrunedNmrf",
+        "apply_enode_plan",
+        "build_nmrf",
+        "nmrf_from_json",
+        "nmrf_to_dot",
+        "nmrf_to_json",
+        "nodes_conflict",
+        "prune",
+    ),
+    "perfection": (
+        "PerfectionVerdict",
+        "PlainGraph",
+        "binary_pairwise_perfection",
+        "cycle_to_induced_hole",
+        "find_odd_hole",
+        "is_perfect_small",
+        "pruned_to_plain",
+    ),
+    "submodular": (
+        "FeasibilityVerdict",
+        "HighOrderPotential",
+        "IndicatorRepresentation",
+        "alpha",
+        "construct_k3",
+        "is_supermodular",
+        "representation_feasible",
+        "representation_to_model",
+        "supermodularity",
+    ),
+    "oracle": ("brute_force_map", "brute_force_mwss"),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None and name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    if module is None:  # the module itself
+        return import_module(f"{__name__}.{name}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_SOURCE})

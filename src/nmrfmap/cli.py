@@ -13,16 +13,23 @@ missing file, malformed JSON, KeyError, ValueError), 3 resource cap
 exceeded (TooLargeError), 4 internal error (a solver fault:
 ObjectiveMismatchError or InconsistentCompletionError; or any other
 exception, such as RecursionError or OverflowError), printed as
-`internal error: <Type>: <message>` without a traceback.
+`internal error: <Type>: <message>` without a traceback, 5 standard output
+closed before the output was written (BrokenPipeError, as when piped into
+`head`), printing nothing.
 `--oracle-check` accepts an objective within `objective_tolerance` of the
 brute-force optimum, the tolerance `solve_map` itself checks against, plus,
 for `--method blocks`, twice the folding slack of near-zero edges. On a
 model too large to enumerate it still prints the solution, with
 `"oracle": {"checked": false, "reason": ...}`, and exits 3, so the skipped
 check is not silent.
+Each verb imports inside itself the modules only it uses. `validate`,
+`classify` and `solve` run on the four that `import nmrfmap` loads (errors,
+model, structure, mwss). `compile` and `solve --method bnb` also load
+`nmrf`; `perfect` loads `nmrf` and `perfection`; `submodular` loads
+`submodular`; `--oracle-check` loads `oracle`.
 Only `bench` imports numpy (with the seeded generators), and only
-`submodular`, when it runs the order 4-6 feasibility LP, imports scipy; both
-are imported where they are used, so every other verb loads neither.
+`submodular`, when it runs the order 4-6 feasibility LP, imports scipy, so
+every other verb loads neither.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 
@@ -45,7 +53,6 @@ from .model import (
     DEFAULT_EPS,
     is_binary_pairwise,
     model_from_json_file,
-    model_to_json,
     pairwise_view,
 )
 from .mwss import (
@@ -55,31 +62,14 @@ from .mwss import (
     solve_map,
     solve_map_bnb,
 )
-from .nmrf import (
-    apply_enode_plan,
-    build_nmrf,
-    nmrf_from_json,
-    nmrf_to_dot,
-    nmrf_to_json,
-    prune,
-)
-from .oracle import brute_force_map
-from .perfection import binary_pairwise_perfection
 from .structure import classify_model, plan_by_names, report_to_json
-from .submodular import (
-    alpha,
-    construct_k3,
-    is_supermodular,
-    potential_from_json,
-    representation_feasible,
-    representation_to_json,
-)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT_CLOSED = 5
 
 
 def _write(text, out_path):
@@ -121,6 +111,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from .nmrf import apply_enode_plan, build_nmrf, nmrf_to_dot, nmrf_to_json
+
     model = model_from_json_file(args.model)
     if is_binary_pairwise(model):
         report = classify_model(model, args.eps)
@@ -154,6 +146,8 @@ def _cmd_solve(args) -> int:
         return EXIT_NEGATIVE
     doc = map_solution_to_json(sol)
     if args.oracle_check:
+        from .oracle import brute_force_map
+
         try:
             ref = brute_force_map(model)
         except TooLargeError as exc:
@@ -175,6 +169,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_perfect(args) -> int:
+    from .nmrf import nmrf_from_json, prune
+    from .perfection import binary_pairwise_perfection
+
     nmrf = nmrf_from_json(_load_json(args.nmrf))
     pruned = prune(nmrf, args.eps)
     verdict = binary_pairwise_perfection(pruned, args.max_nodes)
@@ -187,6 +184,15 @@ def _cmd_perfect(args) -> int:
 
 
 def _cmd_submodular(args) -> int:
+    from .submodular import (
+        alpha,
+        construct_k3,
+        is_supermodular,
+        potential_from_json,
+        representation_feasible,
+        representation_to_json,
+    )
+
     psi = potential_from_json(_load_json(args.potential))
     ok, witness = is_supermodular(psi, args.eps)
     doc = {"order": psi.k, "supermodular": ok, "alpha": alpha(psi)}
@@ -230,6 +236,8 @@ def _cmd_bench(args) -> int:
         random_supermodular_k3,
         random_tractable_model,
     )
+    from .oracle import brute_force_map
+    from .submodular import construct_k3
 
     rng = np.random.default_rng(args.seed)
     rows = [("family", "instance", "size", "elapsed_s", "status")]
@@ -370,7 +378,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of the output went away, as `head` does: exit quietly,
+        # and point stdout at the null device so that flushing what is left
+        # at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -11,11 +11,9 @@ a binary pairwise model's tables, sums such repeats.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,8 +22,10 @@ from .errors import (
     ModelFormatError,
     NonFiniteEntryError,
     NotBinaryPairwiseError,
+    SignMismatchError,
     TableSizeMismatchError,
     UnknownVariableError,
+    ZeroAssociativityError,
 )
 
 DEFAULT_EPS = 1e-9
@@ -41,12 +41,21 @@ class Potential(NamedTuple):
     table: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Model:
-    """Variables with finite label counts plus potentials over scopes."""
+def _read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of a record that caches derived
+    values in its `__dict__`: its fields and every other name stay as built."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
+
+class _ModelFields(NamedTuple):
     variables: tuple[tuple[str, int], ...]
     potentials: tuple[Potential, ...]
+
+
+class Model(_ModelFields):
+    """Variables with finite label counts plus potentials over scopes."""
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -275,6 +284,8 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json_file(path: str) -> Model:
+    import json  # the request path takes a parsed document
+
     with open(path) as fh:
         return validate_model(json.load(fh))
 
@@ -306,14 +317,34 @@ def associativity(table) -> float:
     return t00 + t11 - t01 - t10
 
 
+def single_enode(t, i: int, j: int, eps: float):
+    """Rewrite of the flat edge table t = (t00, t01, t10, t11) to the single
+    enode (i, j) by singleton transformations, as plain floats
+    (weight, f_i, row0, row1): the enode weighs |associativity|, the first
+    end's unary gains f_i at label i, and the second end's gains row 1 - i
+    of t, (row0, row1).
+    """
+    a = t[0] + t[3] - t[1] - t[2]
+    if abs(a) <= eps:
+        raise ZeroAssociativityError("edge has zero associativity")
+    if (i == j) != (a > 0):
+        raise SignMismatchError(
+            f"form {i}{j} incompatible with associativity {a:g}"
+        )
+    # Solve t[2x + y] = f(x) + g(y) for the three zeroed entries, with
+    # f(1 - i) = 0 fixed: g is row 1 - i, and the survivor then equals
+    # +/- associativity.
+    r = 2 - 2 * i
+    return abs(a), t[2 * i + 1 - j] - t[r + 1 - j], t[r], t[r + 1]
+
+
 def is_binary_pairwise(model: Model) -> bool:
     return all(c == 2 for _, c in model.variables) and all(
         len(p.scope) <= 2 for p in model.potentials
     )
 
 
-@dataclass(frozen=True)
-class SignedGraph:
+class SignedGraph(NamedTuple):
     """Pairwise topology with each edge labeled by the sign of its associativity."""
 
     names: tuple[str, ...]
@@ -324,8 +355,7 @@ class SignedGraph:
         return len(self.names)
 
 
-@dataclass(frozen=True, slots=True)
-class PairwiseView:
+class PairwiseView(NamedTuple):
     """A binary pairwise model as read once by `pairwise_view`."""
 
     graph: SignedGraph  # the names, and every kept edge with its sign

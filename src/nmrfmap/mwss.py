@@ -30,14 +30,14 @@ linear in their size, without solving again.
 
 `solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
 pruned NMRF. It handles small models of any order and labels; its compile,
-`build_nmrf`, sums repeated scopes too.
+`build_nmrf`, sums repeated scopes too. Only it loads the `nmrf` module, when
+it runs: `solve_map` rewrites each edge itself, with `model.single_enode`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     InconsistentCompletionError,
@@ -45,9 +45,19 @@ from .errors import (
     ObjectiveMismatchError,
     TooLargeError,
 )
-from .model import DEFAULT_EPS, REPULSIVE, Model, PairwiseView, energy, pairwise_view
-from .nmrf import Nmrf, PrunedNmrf, build_nmrf, prune, single_enode
+from .model import (
+    DEFAULT_EPS,
+    REPULSIVE,
+    Model,
+    PairwiseView,
+    energy,
+    pairwise_view,
+    single_enode,
+)
 from .structure import classify_graph
+
+if TYPE_CHECKING:
+    from .nmrf import Nmrf, PrunedNmrf
 
 DEFAULT_BNB_CAP = 40
 # Objective error allowed per unit of table magnitude (see objective_tolerance).
@@ -58,14 +68,12 @@ TOLERANCE = 1e-9
 _FLOW_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class StableSetSolution:
+class StableSetSolution(NamedTuple):
     nodes: tuple[int, ...]
     weight: float
 
 
-@dataclass(frozen=True)
-class MapSolution:
+class MapSolution(NamedTuple):
     assignment: dict[str, int]
     objective: float
     method: str
@@ -802,6 +810,8 @@ def solve_map_bnb(
     model: Model, eps: float = DEFAULT_EPS, max_nodes: int = DEFAULT_BNB_CAP
 ) -> MapSolution:
     """MAP by branch and bound on the whole pruned NMRF (any order/labels)."""
+    from .nmrf import build_nmrf, prune
+
     nmrf = build_nmrf(model)
     pruned = prune(nmrf, eps)
     weights, edges, kept = pruned.subgraph()

@@ -11,12 +11,21 @@ is exactly zero; the subtracted constants are recorded to rebuild the objective.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass
+import sys
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ModelFormatError, SignMismatchError, ZeroAssociativityError
-from .model import DEFAULT_EPS, Model, Potential, _as_floats, _reorder_table, _summed_pairwise
+from .errors import ModelFormatError, TooLargeError
+from .model import (
+    DEFAULT_EPS,
+    Model,
+    Potential,
+    _as_floats,
+    _reorder_table,
+    _summed_pairwise,
+    single_enode,
+)
 
 
 class NmrfNode(NamedTuple):
@@ -28,16 +37,14 @@ class NmrfNode(NamedTuple):
         return dict(zip(self.scope, self.assignment))
 
 
-@dataclass(frozen=True)
-class Nmrf:
+class Nmrf(NamedTuple):
     nodes: tuple[NmrfNode, ...]
     adj: tuple[frozenset[int], ...]
     groups: dict[tuple[str, ...], tuple[int, ...]]
     constant: float
 
 
-@dataclass(frozen=True)
-class PrunedNmrf:
+class PrunedNmrf(NamedTuple):
     """Induced subgraph on positive-weight nodes plus the pruned-node record."""
 
     base: Nmrf
@@ -77,9 +84,15 @@ def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
 
 
 def build_nmrf(model: Model) -> Nmrf:
-    """Compile a model into its normalized NMRF."""
+    """Compile a model into its normalized NMRF. A clique group of more
+    nodes than a sequence can index raises TooLargeError before any node is
+    built."""
     cards = model.cards
     index = model.index
+    for scope in itertools.chain(((name,) for name in cards), (p.scope for p in model.potentials)):
+        size = math.prod([cards[n] for n in scope])
+        if size > sys.maxsize:
+            raise TooLargeError(f"clique group {list(scope)} has {size} nodes, more than can be indexed")
     # A scope given twice, in any variable order, as only a Model built
     # without validate_model has it, is one clique group over the sum of its
     # tables, taken in the order the scope was first given.
@@ -132,27 +145,6 @@ def build_nmrf(model: Model) -> Nmrf:
 def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
     kept = tuple(i for i, node in enumerate(nmrf.nodes) if node.weight > eps)
     return PrunedNmrf(nmrf, kept)
-
-
-def single_enode(t, i: int, j: int, eps: float):
-    """Rewrite of the flat edge table t = (t00, t01, t10, t11) to the single
-    enode (i, j) by singleton transformations, as plain floats
-    (weight, f_i, row0, row1): the enode weighs |associativity|, the first
-    end's unary gains f_i at label i, and the second end's gains row 1 - i
-    of t, (row0, row1).
-    """
-    a = t[0] + t[3] - t[1] - t[2]
-    if abs(a) <= eps:
-        raise ZeroAssociativityError("edge has zero associativity")
-    if (i == j) != (a > 0):
-        raise SignMismatchError(
-            f"form {i}{j} incompatible with associativity {a:g}"
-        )
-    # Solve t[2x + y] = f(x) + g(y) for the three zeroed entries, with
-    # f(1 - i) = 0 fixed: g is row 1 - i, and the survivor then equals
-    # +/- associativity.
-    r = 2 - 2 * i
-    return abs(a), t[2 * i + 1 - j] - t[r + 1 - j], t[r], t[r + 1]
 
 
 def apply_enode_plan(

@@ -11,8 +11,7 @@ production recognizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import TooLargeError
 from .model import ASSOCIATIVE, REPULSIVE
@@ -21,8 +20,7 @@ from .nmrf import NmrfNode, PrunedNmrf
 DEFAULT_MAX_VERTICES = 24
 
 
-@dataclass(frozen=True)
-class PlainGraph:
+class PlainGraph(NamedTuple):
     n: int
     adj: tuple[frozenset[int], ...]
 
@@ -43,8 +41,7 @@ class PlainGraph:
         )
 
 
-@dataclass(frozen=True)
-class PerfectionVerdict:
+class PerfectionVerdict(NamedTuple):
     perfect: bool
     witness_kind: Optional[str] = None  # "odd_hole" | "odd_antihole"
     witness: Optional[tuple[int, ...]] = None

@@ -15,9 +15,8 @@ shape before it counts degrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     ASSOCIATIVE,
@@ -25,18 +24,17 @@ from .model import (
     Model,
     REPULSIVE,
     SignedGraph,
+    _read_only,
     signed_view,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class BlockTree:
+class BlockTree(NamedTuple):
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     # Per block, the cut vertex it shares with its parent block, which comes
@@ -44,19 +42,21 @@ class BlockTree:
     attach: tuple[Optional[int], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BlockClass:
+class BlockClass(NamedTuple):
     kind: str  # "BR" | "T" | "U" | "INTRACTABLE"
     params: dict
     witness: Optional[tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class TractabilityReport:
+class _ReportFields(NamedTuple):
     tractable: bool
     graph: SignedGraph
     tree: BlockTree
     classes: tuple[BlockClass, ...]
+
+
+class TractabilityReport(_ReportFields):
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def forms(self) -> dict[tuple[int, int, int], tuple[int, int]]:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadIndicesError, ModelFormatError, NotSupermodularError, TooLargeError
 from .model import DEFAULT_EPS, Model, Potential, _as_floats
@@ -24,25 +23,29 @@ MAX_ORDER = 10
 MAX_FEASIBILITY_ORDER = 6
 
 
-@dataclass(frozen=True)
-class HighOrderPotential:
-    """Order-k table over binary variables, indexed with the last one fastest."""
-
+class _HighOrderFields(NamedTuple):
     names: tuple[str, ...]
     table: tuple[float, ...]
 
-    def __post_init__(self):
-        k = len(self.names)
+
+class HighOrderPotential(_HighOrderFields):
+    """Order-k table over binary variables, indexed with the last one fastest."""
+
+    __slots__ = ()
+
+    def __new__(cls, names, table):
+        k = len(names)
         if not 2 <= k <= MAX_ORDER:
             # Too few variables is an input error; too many, a resource cap.
             error = ValueError if k < 2 else TooLargeError
             raise error(f"order {k} outside [2, {MAX_ORDER}]")
-        if len(set(self.names)) != k:
-            raise ValueError(f"variable names must be distinct: {self.names!r}")
-        if len(self.table) != 1 << k:
+        if len(set(names)) != k:
+            raise ValueError(f"variable names must be distinct: {names!r}")
+        if len(table) != 1 << k:
             raise ValueError(f"table must have {1 << k} entries")
-        if not all(map(math.isfinite, self.table)):
+        if not all(map(math.isfinite, table)):
             raise ValueError("table entries must be finite")
+        return super().__new__(cls, names, table)
 
     @property
     def k(self) -> int:
@@ -55,8 +58,7 @@ class HighOrderPotential:
         return self.table[idx]
 
 
-@dataclass(frozen=True)
-class IndicatorRepresentation:
+class IndicatorRepresentation(NamedTuple):
     """Constant plus weighted all-zeros (Z) / all-ones (A) subset indicators."""
 
     names: tuple[str, ...]
@@ -163,8 +165,7 @@ def construct_k3(
     return IndicatorRepresentation(names, constant, zero, one)
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     feasible: bool
     reason: Optional[str] = None  # "not_supermodular" | "negative_alpha" | "lp"
     witness: Optional[object] = None

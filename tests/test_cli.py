@@ -521,6 +521,92 @@ def test_only_bench_and_the_lp_import_numpy_or_scipy(chain_model, tmp_path):
     assert len(seen) == 5
 
 
+_LEAN = """
+import json, sys
+before = set(sys.modules)
+import nmrfmap
+seen = {"import": sorted(set(sys.modules) - before)}
+doc, intractable, out = json.load(open(sys.argv[1])), json.load(open(sys.argv[2])), sys.argv[3]
+before = set(sys.modules)
+nmrfmap.solve_map(nmrfmap.validate_model(doc))
+try:
+    nmrfmap.solve_map(nmrfmap.validate_model(intractable))
+except nmrfmap.IntractableTopologyError as exc:
+    nmrfmap.report_to_json(exc.report)
+nmrfmap.report_to_json(nmrfmap.classify_model(nmrfmap.validate_model(doc)))
+seen["requests"] = sorted(set(sys.modules) - before)
+import nmrfmap.cli
+for verb, path in (("validate", sys.argv[1]), ("classify", sys.argv[1]),
+                   ("solve", sys.argv[1]), ("solve", sys.argv[2])):
+    nmrfmap.cli.main([verb, path, "--out", out])
+seen["verbs"] = sorted(set(sys.modules) & {
+    "dataclasses", "nmrfmap.nmrf", "nmrfmap.perfection", "nmrfmap.submodular", "nmrfmap.oracle"})
+seen["unresolved"] = [name for name in dir(nmrfmap) if not hasattr(nmrfmap, name)]
+print(json.dumps(seen))
+"""
+
+
+def test_import_loads_only_the_request_path(chain_model, frustrated_model, tmp_path):
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN, chain_model, frustrated_model, str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    package = {"nmrfmap", "nmrfmap.errors", "nmrfmap.model", "nmrfmap.structure", "nmrfmap.mwss"}
+    assert {m for m in seen["import"] if m.startswith("nmrfmap")} == package
+    assert "dataclasses" not in seen["import"]
+    assert seen["requests"] == []  # serving a request imports nothing
+    assert seen["verbs"] == []
+    assert seen["unresolved"] == []
+
+
+def _chain_document(n_edges):
+    names = [f"x{i}" for i in range(n_edges + 1)]
+    return {
+        "variables": [{"name": name, "card": 2} for name in names],
+        "potentials": [
+            {"scope": [u, v], "table": [1.0, 0.0, 0.0, 1.0] if i % 2 else [0.0, 1.0, 1.0, 0.0]}
+            for i, (u, v) in enumerate(zip(names, names[1:]))
+        ],
+    }
+
+
+def test_closed_stdout_exits_5_quietly(tmp_path):
+    # A report of about 900 KB: far more than a pipe buffers, so the writer
+    # is still writing when the reader goes away.
+    path = write_json(tmp_path / "chain.json", _chain_document(3000))
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nmrfmap", "classify", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 5
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+
+
+@pytest.mark.parametrize("verb", [["compile"], ["solve", "--method", "bnb"]])
+def test_unindexable_cardinality_is_too_large(verb, tmp_path, capsys):
+    path = write_json(tmp_path / "huge.json", {
+        "variables": [{"name": "A", "card": 2}, {"name": "Huge", "card": 10**30}],
+        "potentials": [{"scope": ["A"], "table": [0.0, 1.0]}],
+    })
+    code, out, err = run(capsys, verb[0], path, *verb[1:])
+    assert code == 3
+    assert out == ""
+    assert "clique group ['Huge']" in err and "internal error" not in err
+
+
 def test_python_m_runs_the_cli(chain_model):
     src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -22,6 +22,7 @@ from nmrfmap.generators import (
     random_weighted_graph,
 )
 import nmrfmap.mwss
+import nmrfmap.nmrf
 import nmrfmap.structure
 from nmrfmap.model import (
     ASSOCIATIVE,
@@ -343,7 +344,7 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
         raise AssertionError("tractable blocks must use the bipartite core")
 
     monkeypatch.setattr(nmrfmap.mwss, "mwss_branch_bound", refuse)
-    monkeypatch.setattr(nmrfmap.mwss, "build_nmrf", refuse)
+    monkeypatch.setattr(nmrfmap.nmrf, "build_nmrf", refuse)
     rng = np.random.default_rng(101)
     hub_blocks = 0
     for _ in range(40):

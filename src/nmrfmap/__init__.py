@@ -35,10 +35,10 @@ from .model import (
     SignedGraph,
     associativity,
     energy,
-    flip_variables,
     is_binary_pairwise,
     model_from_json_file,
     model_to_json,
+    objective_tolerance,
     signed_view,
     validate_model,
 )
@@ -61,7 +61,6 @@ from .mwss import (
     map_solution_to_json,
     mmwss_complete,
     mwss_branch_bound,
-    objective_tolerance,
     solve_map,
     solve_map_bnb,
 )
@@ -79,7 +78,6 @@ _LAZY = {
         "nmrf_from_json",
         "nmrf_to_dot",
         "nmrf_to_json",
-        "nodes_conflict",
         "prune",
     ),
     "perfection": (

@@ -16,12 +16,10 @@ exception, such as RecursionError or OverflowError), printed as
 `internal error: <Type>: <message>` without a traceback, 5 standard output
 closed before the output was written (BrokenPipeError, as when piped into
 `head`), printing nothing.
-`--oracle-check` accepts an objective within `objective_tolerance` of the
-brute-force optimum, the tolerance `solve_map` itself checks against, plus,
-for `--method blocks`, twice the folding slack of near-zero edges. On a
-model too large to enumerate it still prints the solution, with
-`"oracle": {"checked": false, "reason": ...}`, and exits 3, so the skipped
-check is not silent.
+`--oracle-check` accepts an objective within `oracle_tolerance` of the
+brute-force optimum. On a model too large to enumerate it still prints the
+solution, with `"oracle": {"checked": false, "reason": ...}`, and exits 3,
+so the skipped check is not silent.
 Each verb imports inside itself the modules only it uses. `validate`,
 `classify` and `solve` run on the four that `import nmrfmap` loads (errors,
 model, structure, mwss). `compile` and `solve --method bnb` also load
@@ -53,12 +51,12 @@ from .model import (
     DEFAULT_EPS,
     is_binary_pairwise,
     model_from_json_file,
-    pairwise_view,
+    oracle_tolerance,
+    tolerance,
 )
 from .mwss import (
     DEFAULT_BNB_CAP,
     map_solution_to_json,
-    objective_tolerance,
     solve_map,
     solve_map_bnb,
 )
@@ -155,10 +153,8 @@ def _cmd_solve(args) -> int:
             _emit(doc, args.out)
             print(f"error: oracle check skipped: {exc}", file=sys.stderr)
             return EXIT_TOO_LARGE
-        bound = objective_tolerance(model)
-        if args.method == "blocks":
-            bound += 2 * pairwise_view(model, args.eps).slack
-        agree = abs(ref.objective - sol.objective) <= bound
+        folded = args.eps if args.method == "blocks" else None
+        agree = abs(ref.objective - sol.objective) <= oracle_tolerance(model, folded)
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:
             _emit(doc, args.out)
@@ -250,7 +246,7 @@ def _cmd_bench(args) -> int:
             status = "ok"
             if args.oracle_check:
                 gap = abs(brute_force_map(model).objective - sol.objective)
-                agree = gap <= objective_tolerance(model) + 2 * pairwise_view(model, args.eps).slack
+                agree = gap <= oracle_tolerance(model, args.eps)
                 status = "agree" if agree else "disagree"
             rows.append((args.family, i, len(model.variables), elapsed, status))
         elif args.family == "random-signed":
@@ -272,7 +268,8 @@ def _cmd_bench(args) -> int:
                 for bits in itertools.product((0, 1), repeat=3)
             )
             rows.append(
-                (args.family, i, 3, elapsed, "ok" if err <= 1e-9 else "mismatch")
+                (args.family, i, 3, elapsed,
+                 "ok" if err <= tolerance([psi.table]) else "mismatch")
             )
         else:  # block-chain
             n_blocks = max(args.size // 3, 1)  # 3 edges per block

@@ -58,7 +58,8 @@ class ZeroAssociativityError(NmrfmapError):
 
 
 class TooLargeError(NmrfmapError):
-    """Instance exceeds a desk-scale resource cap."""
+    """Instance exceeds a desk-scale resource cap, or tables whose sums
+    overflow the float range a solve accepts."""
 
 
 class IntractableTopologyError(NmrfmapError):

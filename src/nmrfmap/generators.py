@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .model import ASSOCIATIVE, Model, Potential, REPULSIVE
@@ -200,23 +198,3 @@ def block_chain_model(n_blocks: int, seed: int = 0) -> Model:
     variables = tuple((name, 2) for name in names)
     return Model(variables, tuple(potentials))
 
-
-def random_weighted_graph(rng: np.random.Generator, n: int, p: float = 0.4):
-    """(weights, edges) with nonnegative weights."""
-    weights = [float(w) for w in rng.uniform(0.0, 5.0, size=n)]
-    edges = [
-        (u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p
-    ]
-    return weights, edges
-
-
-def random_bipartite_graph(rng: np.random.Generator, n: int, p: float = 0.4):
-    """(weights, edges, sides) with edges only across sides."""
-    sides = [int(rng.integers(0, 2)) for _ in range(n)]
-    weights = [float(w) for w in rng.uniform(0.0, 5.0, size=n)]
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(range(n), 2)
-        if sides[u] != sides[v] and rng.random() < p
-    ]
-    return weights, edges, sides

@@ -1,4 +1,4 @@
-"""MRF data model: validation, energies, signed views and variable flips.
+"""MRF data model: validation, energies, signed views and the tolerance policy.
 
 Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,7 +28,16 @@ from .errors import (
     ZeroAssociativityError,
 )
 
+# The tolerance policy, one rule: each threshold is a stated multiple of the
+# scale of the tables it decides about, the sum of each one's largest |entry|
+# (a region's edge tables, a lone vertex's unary, a model's tables). TIE times
+# a region's scale is a rounding tie of its flow; TOLERANCE times it, a tie of
+# its pinned labelings; `tolerance`, an accepted error, to which a fold adds
+# its `slack` (`oracle_tolerance`). Only the user's `eps` is absolute.
+# `solve_map` accepts scales up to 1e300 and refuses overflowing sums.
 DEFAULT_EPS = 1e-9
+TOLERANCE = 1e-9
+TIE = 1e-12
 
 ASSOCIATIVE = 1
 REPULSIVE = -1
@@ -68,13 +77,6 @@ class Model(_ModelFields):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
-
-    def potential_for(self, scope: Iterable[str]) -> Potential | None:
-        key = frozenset(scope)
-        for p in self.potentials:
-            if frozenset(p.scope) == key:
-                return p
-        return None
 
 
 def table_index(cards: Sequence[int], values: Sequence[int]) -> int:
@@ -338,6 +340,22 @@ def single_enode(t, i: int, j: int, eps: float):
     return abs(a), t[2 * i + 1 - j] - t[r + 1 - j], t[r], t[r + 1]
 
 
+def tolerance(tables) -> float:
+    """TOLERANCE times the scale of `tables`, or TOLERANCE if that is below 1."""
+    return TOLERANCE * max(1.0, sum(max(map(abs, t)) for t in tables))
+
+
+def objective_tolerance(model: Model) -> float:
+    """Largest accepted gap between a returned objective and the optimum."""
+    return tolerance(p.table for p in model.potentials)
+
+
+def oracle_tolerance(model: Model, eps: float | None) -> float:
+    """`objective_tolerance` plus twice the `slack` of a solve that folded at `eps`."""
+    slack = 0.0 if eps is None else pairwise_view(model, eps).slack
+    return objective_tolerance(model) + 2 * slack
+
+
 def is_binary_pairwise(model: Model) -> bool:
     return all(c == 2 for _, c in model.variables) and all(
         len(p.scope) <= 2 for p in model.potentials
@@ -439,25 +457,3 @@ def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
     """Signed graph of a binary pairwise model; near-zero edges are omitted."""
     return pairwise_view(model, eps).graph
 
-
-def flip_variables(model: Model, flip: Iterable[str]) -> Model:
-    """Replace each X in `flip` by 1 - X, permuting tables to preserve energy."""
-    if not is_binary_pairwise(model):
-        raise NotBinaryPairwiseError("model must be binary pairwise")
-    flip_set = set(flip)
-    for name in flip_set:
-        if name not in model.index:
-            raise UnknownVariableError(name)
-    potentials = []
-    for p in model.potentials:
-        mask = [name in flip_set for name in p.scope]
-        if not any(mask):
-            potentials.append(p)
-            continue
-        cards = [2] * len(p.scope)
-        table = [0.0] * len(p.table)
-        for vals in itertools.product((0, 1), repeat=len(p.scope)):
-            src = [1 - v if m else v for v, m in zip(vals, mask)]
-            table[table_index(cards, vals)] = p.table[table_index(cards, src)]
-        potentials.append(Potential(p.scope, tuple(table)))
-    return Model(model.variables, tuple(potentials))

@@ -17,16 +17,18 @@ once and its deltas summed into its ends' unaries once, and each labeling
 of the pinned vertices adds only its pinned vertices' edge rows before its
 one min cut. The cut's network has one flow node per snode: an enode,
 which conflicts with at most two snodes, contracts into a source arc and
-one arc between them (`_snode_cut`). A pre-flow cancels each node's
-terminal capacities and pushes along the length-3 paths; Dinic's
+one arc between them (`_snode_cut`), and its rounding tie is TIE times the
+region's scale (the tolerance policy in `model`). A pre-flow cancels each
+node's terminal capacities and pushes along the length-3 paths; Dinic's
 algorithm, with an explicit path stack and so no recursion limit,
-completes the flow. This value pass combines the region maxima and closes
-each kept min cut from both terminals as soon as it is solved: a cut that
-the closures decide keeps only its labels, any other its residual graph.
-The closed sets of a residual graph are exactly the optimal cuts (Picard
-and Queyranne, 1980), so the decode reads the lexicographically smallest
-optimal assignment off these graphs by closure propagation, in time
-linear in their size, without solving again.
+completes the flow. This value pass combines the region maxima, refusing
+sums past float range, and closes each kept min cut from both terminals as
+soon as it is solved: a cut that the closures decide keeps only its
+labels, any other its residual graph. The closed sets of a residual graph
+are exactly the optimal cuts (Picard and Queyranne, 1980), so the decode
+reads the lexicographically smallest optimal assignment off these graphs
+by closure propagation, in time linear in their size, without solving
+again.
 
 `solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
 pruned NMRF. It handles small models of any order and labels; its compile,
@@ -37,6 +39,7 @@ it runs: `solve_map` rewrites each edge itself, with `model.single_enode`.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -48,9 +51,12 @@ from .errors import (
 from .model import (
     DEFAULT_EPS,
     REPULSIVE,
+    TIE,
+    TOLERANCE,
     Model,
     PairwiseView,
     energy,
+    objective_tolerance,
     pairwise_view,
     single_enode,
 )
@@ -60,12 +66,6 @@ if TYPE_CHECKING:
     from .nmrf import Nmrf, PrunedNmrf
 
 DEFAULT_BNB_CAP = 40
-# Objective error allowed per unit of table magnitude (see objective_tolerance).
-TOLERANCE = 1e-9
-# Capacities and unary gaps at most this are float-rounding ties: max flow
-# saturates such arcs, residual closures skip them, and a block vertex or an
-# isolated vertex whose label preference is this small stays free to decode.
-_FLOW_EPS = 1e-12
 
 
 class StableSetSolution(NamedTuple):
@@ -77,17 +77,6 @@ class MapSolution(NamedTuple):
     assignment: dict[str, int]
     objective: float
     method: str
-
-
-def _magnitude(tables) -> float:
-    return sum(max(map(abs, t)) for t in tables)
-
-
-def objective_tolerance(model: Model) -> float:
-    """Largest accepted gap between a returned objective and the optimum:
-    TOLERANCE times the sum of each table's largest |entry|, or TOLERANCE
-    if that sum is below 1."""
-    return TOLERANCE * max(1.0, _magnitude(p.table for p in model.potentials))
 
 
 def map_solution_to_json(sol: MapSolution) -> dict:
@@ -104,19 +93,21 @@ def map_solution_to_json(sol: MapSolution) -> dict:
 
 class _Dinic:
     """A flow network as paired arcs: arc e runs to to[e] with residual
-    capacity cap[e], e ^ 1 is its reverse, and head[u] lists u's arcs."""
+    capacity cap[e], e ^ 1 is its reverse, and head[u] lists u's arcs. A
+    residual capacity at most `tie` is a rounding tie: saturated, skipped."""
 
-    def __init__(self, to: list[int], cap: list[float], head: list[list[int]]):
+    def __init__(self, to: list[int], cap: list[float], head: list[list[int]], tie: float):
         self.n = len(head)
         self.to = to
         self.cap = cap
         self.head = head
+        self.tie = tie
 
     def max_flow(self, s, t):
         """Complete the flow to a maximum one by Dinic's algorithm, with an
         explicit path stack in place of recursion. Returns the nodes that s
         then reaches by residual arcs, its closure, found by the last BFS."""
-        n, to, cap, head = self.n, self.to, self.cap, self.head
+        n, to, cap, head, tie = self.n, self.to, self.cap, self.head, self.tie
         while True:
             # Levels by BFS, up to the sink's: a node no closer to the source
             # than the sink lies on no shortest augmenting path.
@@ -126,7 +117,7 @@ class _Dinic:
             for u in queue:
                 below = level[u] + 1
                 for eid in head[u]:
-                    if cap[eid] > _FLOW_EPS:
+                    if cap[eid] > tie:
                         v = to[eid]
                         if level[v] < 0:
                             level[v] = below
@@ -151,7 +142,7 @@ class _Dinic:
                         cap[eid ^ 1] += pushed
                     # Resume at the tail of the first arc it saturated.
                     for k, eid in enumerate(path):
-                        if cap[eid] <= _FLOW_EPS:
+                        if cap[eid] <= tie:
                             u = to[eid ^ 1]
                             del path[k:]
                             break
@@ -161,7 +152,7 @@ class _Dinic:
                 i, end = it[u], len(arcs)
                 while i < end:
                     eid = arcs[i]
-                    if cap[eid] > _FLOW_EPS and level[to[eid]] == below:
+                    if cap[eid] > tie and level[to[eid]] == below:
                         break
                     i += 1
                 it[u] = i
@@ -180,13 +171,13 @@ class _Dinic:
         source side, all that reach it on the sink side. Returns the nodes
         newly placed. Each closed set of the residual graph is one min cut.
         """
-        to, cap, head = self.to, self.cap, self.head
+        to, cap, head, tie = self.to, self.cap, self.head, self.tie
         back = 0 if mark > 0 else 1
         state[node] = mark
         queue = [node]
         for u in queue:
             for eid in head[u]:
-                if cap[eid ^ back] > _FLOW_EPS:
+                if cap[eid ^ back] > tie:
                     v = to[eid]
                     if state[v] == 0:
                         state[v] = mark
@@ -332,8 +323,8 @@ class _Region:
     vertices the region's blocks hold without attaching there. `enodes`
     has the single enode of every edge between free vertices, and
     folds[i] the edge rows that pinned[i] adds to the other end of each
-    edge at it, by its label; `mag` sums the region's edge tables'
-    largest |entry| when a hub is pinned, and is 0.0 otherwise.
+    edge at it, by its label; `mag`, the region's scale, sums its edge
+    tables' largest |entry|.
     """
 
     __slots__ = ("pinned", "hub", "free", "enodes", "folds", "mag")
@@ -406,7 +397,7 @@ def _kept_cut(labels, snode, side, flow, state) -> _Cut:
 
 
 def _snode_cut(
-    weights: Sequence[float], snode: Mapping[int, int], enodes
+    weights: Sequence[float], snode: Mapping[int, int], enodes, tie: float
 ) -> tuple[float, _Dinic, list[int]]:
     """Maximum-weight stable set of a region's snodes and enodes by one min
     cut, on a network with one flow node per snode: nodes 0..k-1 for the
@@ -419,10 +410,10 @@ def _snode_cut(
     is, w on the arc source -> u and an arc u -> v of capacity w
     (Kolmogorov and Zabih, 2004). An end without an snode is never in, so
     an enode with one such end adds w to the other end's source arc, and
-    one with two is always chosen; an enode of weight <= _FLOW_EPS never
-    is. The pre-flow cancels each node's two terminal capacities by their
-    minimum, then pushes greedily along each path source -> u -> v -> sink;
-    Dinic's algorithm completes the flow.
+    one with two is always chosen; an enode of weight <= `tie`, the
+    region's rounding tie, never is. The pre-flow cancels each node's two
+    terminal capacities by their minimum, then pushes greedily along each
+    path source -> u -> v -> sink; Dinic's algorithm completes the flow.
 
     Returns the stable set's weight, summed over the chosen snodes and
     then the chosen enodes in order; the residual network, whose closed
@@ -437,7 +428,7 @@ def _snode_cut(
     # an snode, which is never in.
     ends = []
     for u, v, w in enodes:
-        if w > _FLOW_EPS:
+        if w > tie:
             x, y = snode.get(u, src), snode.get(v, src)
             ends.append((x, y, w))
             if x == src:
@@ -463,7 +454,7 @@ def _snode_cut(
             pushed = w
         if -left[y] < pushed:
             pushed = -left[y]
-        if pushed > _FLOW_EPS:
+        if pushed > tie:
             left[x] -= pushed
             left[y] += pushed
         else:
@@ -473,17 +464,17 @@ def _snode_cut(
         to += (y, x)
         cap += (w - pushed, pushed)
     for x, d in enumerate(excess):
-        if d > _FLOW_EPS:
+        if d > tie:
             head[src].append(len(to))
             head[x].append(len(to) + 1)
             to += (x, src)
             cap += (left[x], d - left[x])
-        elif d < -_FLOW_EPS:
+        elif d < -tie:
             head[x].append(len(to))
             head[sink].append(len(to) + 1)
             to += (sink, x)
             cap += (-left[x], left[x] - d)
-    flow = _Dinic(to, cap, head)
+    flow = _Dinic(to, cap, head, tie)
     state = [0] * (k + 2)
     for x in flow.max_flow(src, sink):
         state[x] = 1
@@ -505,16 +496,17 @@ def _block_values(
     already added. A labeling adds its pinned vertices' folds to their
     other ends for the length of its solve, and the pinned hub's own unary
     to its value. A free vertex whose unary prefers its side by more than
-    _FLOW_EPS takes it in every optimum and needs no node. Any other vertex
-    gets an snode for the other label, of weight >= 0 (0 on a tie),
-    numbered in `region.free` order; it conflicts with the vertex's enodes,
-    so enodes and snodes are the sides of one bipartite MWSS. `_snode_cut`
-    solves it on a network with one flow node per snode, each enode
-    contracted into arcs between them. A labeling without an snode builds
-    no network: it chooses every enode.
+    TIE times the region's scale takes it in every optimum and needs no
+    node. Any other vertex gets an snode for the other label, of weight >= 0
+    (0 on a tie), numbered in `region.free` order; it conflicts with the
+    vertex's enodes, so enodes and snodes are the sides of one bipartite
+    MWSS. `_snode_cut` solves it on a network with one flow node per snode,
+    each enode contracted into arcs between them. A labeling without an
+    snode builds no network: it chooses every enode.
     """
     pinned, hub, free, enodes = region.pinned, region.hub, region.free, region.enodes
     folds = region.folds
+    tie = TIE * region.mag
     targets = [x for fold in folds for x, _ in fold]
     saved = [(u0[x], u1[x]) for x in targets]
     results = []
@@ -536,7 +528,7 @@ def _block_values(
             else:
                 on, off = u0[v], u1[v]
             total += on
-            if on - off > _FLOW_EPS:
+            if on - off > tie:
                 labels[v] = side[v]
             else:
                 snode[v] = len(weights)
@@ -545,9 +537,9 @@ def _block_values(
             u0[x] = w0
             u1[x] = w1
         if weights:
-            weight, flow, state = _snode_cut(weights, snode, enodes)
+            weight, flow, state = _snode_cut(weights, snode, enodes, tie)
         else:
-            weight = sum(w for _, _, w in enodes if w > _FLOW_EPS)
+            weight = sum(w for _, _, w in enodes if w > tie)
             flow = state = None
         results.append((total + weight, labels, snode, flow, state))
     return results
@@ -643,16 +635,16 @@ def _value_pass(pw: PairwiseView, eps: float):
             r = rv
         reg = regions[r]
         pinned = reg.pinned
-        if reg.hub is not None:
-            reg.mag += max(map(abs, t))
+        t00, t01, t10, t11 = t
+        reg.mag += max(abs(t00), abs(t01), abs(t10), abs(t11))
         if u in pinned or v in pinned:
             # Folded on behalf of its first end in `pinned`: rows[label] is
             # what that end adds to the other end's unary.
             i = 0 if pinned[0] == u or pinned[0] == v else 1
             if pinned[i] == u:
-                reg.folds[i].append((v, ((t[0], t[1]), (t[2], t[3]))))
+                reg.folds[i].append((v, ((t00, t01), (t10, t11))))
             else:
-                reg.folds[i].append((u, ((t[0], t[2]), (t[1], t[3]))))
+                reg.folds[i].append((u, ((t00, t10), (t01, t11))))
         else:
             i = side[u]
             weight, fi, row0, row1 = single_enode(t, i, side[v], eps)
@@ -682,8 +674,8 @@ def _value_pass(pw: PairwiseView, eps: float):
         else:
             u0[c] += best[0]
             u1[c] += best[1]
-        # Two labelings of one attachment label within this region's share
-        # of the objective tolerance tie; summed over the regions the shares
+        # Labelings within TOLERANCE times the region's scale of the best for
+        # their attachment label tie; summed over the regions, these shares
         # stay within objective_tolerance.
         tie = TOLERANCE * reg.mag
         cuts = [
@@ -693,6 +685,11 @@ def _value_pass(pw: PairwiseView, eps: float):
             if value >= top - tie
         ]
         kept.append((reg.free + reg.pinned, cuts))
+    # Past the accepted scale a sum may overflow (see model.py).
+    if not math.isfinite(total + sum(reg.mag for reg in regions if reg)):
+        raise TooLargeError(
+            f"optimum {total!r}: the tables' scale overflows floats, past the 1e300 accepted"
+        )
     return total, kept
 
 
@@ -778,7 +775,7 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     for v in range(n):
         if v not in regions_at:  # in no block with edges
             w0, w1 = pw.singles.get(v, (0.0, 0.0))
-            possible[v] = 2 if w1 - w0 > _FLOW_EPS else 1
+            possible[v] = 2 if w1 - w0 > TIE * max(abs(w0), abs(w1)) else 1
         elif possible[v] == 3:
             exclude(v, 1)
             propagate()

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ModelFormatError, TooLargeError
@@ -26,6 +25,9 @@ from .model import (
     _summed_pairwise,
     single_enode,
 )
+
+# Desk scale: each node is a record plus the set of the nodes it conflicts with.
+MAX_NODES = 1 << 20
 
 
 class NmrfNode(NamedTuple):
@@ -70,29 +72,20 @@ class PrunedNmrf(NamedTuple):
         return weights, edges, self.kept
 
 
-def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
-    """True iff the nodes disagree on a shared variable; two nodes of one
-    clique group differ in their assignment, so they always do."""
-    if a is b:
-        return False
-    bmap = b.assignment_map()
-    for name, val in zip(a.scope, a.assignment):
-        other = bmap.get(name)
-        if other is not None and other != val:
-            return True
-    return False
-
-
 def build_nmrf(model: Model) -> Nmrf:
-    """Compile a model into its normalized NMRF. A clique group of more
-    nodes than a sequence can index raises TooLargeError before any node is
-    built."""
+    """Compile a model into its normalized NMRF. A graph of more than
+    MAX_NODES nodes raises TooLargeError, naming the clique group that
+    passes the cap, before any node is built."""
     cards = model.cards
     index = model.index
-    for scope in itertools.chain(((name,) for name in cards), (p.scope for p in model.potentials)):
-        size = math.prod([cards[n] for n in scope])
-        if size > sys.maxsize:
-            raise TooLargeError(f"clique group {list(scope)} has {size} nodes, more than can be indexed")
+    size = 0
+    given = itertools.chain(((name,) for name in cards), (p.scope for p in model.potentials))
+    for scope in dict.fromkeys(given):
+        size += math.prod([cards[n] for n in scope])
+        if size > MAX_NODES:
+            raise TooLargeError(
+                f"clique group {list(scope)} brings the graph to {size} nodes, past the cap {MAX_NODES}"
+            )
     # A scope given twice, in any variable order, as only a Model built
     # without validate_model has it, is one clique group over the sum of its
     # tables, taken in the order the scope was first given.

@@ -12,15 +12,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from helpers import nodes_conflict, random_bipartite_graph, random_weighted_graph
 from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
     random_br_model,
-    random_bipartite_graph,
     random_signed_model,
     random_supermodular_k3,
     random_tractable_model,
-    random_weighted_graph,
 )
 from nmrfmap.model import (
     ASSOCIATIVE,
@@ -32,7 +31,7 @@ from nmrfmap.model import (
     signed_view,
 )
 from nmrfmap.mwss import mwss_branch_bound, solve_map
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nodes_conflict, prune
+from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.perfection import (
     PlainGraph,

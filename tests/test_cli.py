@@ -115,7 +115,8 @@ def test_compile_then_perfect_round_trip(chain_model, tmp_path, capsys):
 
 def test_perfect_rejects_with_witness(frustrated_model, tmp_path, capsys):
     # force the odd hole to survive: zero singletons, explicit biased ones
-    doc = json.loads(open(frustrated_model).read())
+    with open(frustrated_model) as fh:
+        doc = json.load(fh)
     nmrf_path = tmp_path / "f.json"
     code, _, _ = run(capsys, "compile", frustrated_model, "--out", str(nmrf_path))
     assert code == 0
@@ -605,6 +606,53 @@ def test_unindexable_cardinality_is_too_large(verb, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "clique group ['Huge']" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("verb", [["compile"], ["solve", "--method", "bnb"]])
+def test_huge_clique_group_is_too_large_before_allocating(verb, tmp_path):
+    """A group of 2**40 nodes can be indexed but not built: the node cap
+    refuses it before any node is, even with 2 GB of address space."""
+    resource = pytest.importorskip("resource")
+    path = write_json(tmp_path / "huge.json", {
+        "variables": [{"name": "Huge", "card": 2**40}], "potentials": [],
+    })
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    limit = 2 * 1024**3
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmrfmap", verb[0], path, *verb[1:]],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "clique group ['Huge']" in proc.stderr and "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize("table", [
+    [0, 1e308, 1e308, 0], [1e308, 0, 0, 1e308], [0, 0, 0, 1e308], [1e308, 1e308, 0, 0],
+])
+def test_tables_past_the_accepted_scale_are_refused(table, tmp_path, capsys):
+    """Finite entries whose sums overflow floats: `solve` refuses the model
+    with exit 3 instead of failing inside the decode; `classify` and
+    branch and bound still answer."""
+    path = write_json(tmp_path / "big.json", {
+        "variables": [{"name": n, "card": 2} for n in "ABC"],
+        "potentials": [
+            {"scope": ["A", "B"], "table": table},
+            {"scope": ["B", "C"], "table": [0, 1, 1, 0]},
+        ],
+    })
+    code, out, err = run(capsys, "solve", path)
+    assert code == 3 and out == ""
+    assert "scale" in err and "internal error" not in err
+    for verb in (["classify"], ["solve", "--method", "bnb"]):
+        code, out, err = run(capsys, verb[0], path, *verb[1:])
+        assert code == 0 and err == ""
+        json.loads(out)
 
 
 def test_python_m_runs_the_cli(chain_model):

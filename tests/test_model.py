@@ -6,6 +6,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from helpers import flip_variables, potential_for
 from nmrfmap.errors import (
     DuplicateVariableError,
     ModelFormatError,
@@ -21,7 +22,6 @@ from nmrfmap.model import (
     Potential,
     associativity,
     energy,
-    flip_variables,
     is_binary_pairwise,
     model_to_json,
     pairwise_view,
@@ -52,12 +52,12 @@ def test_scope_canonicalized_to_declaration_order():
     # same table expressed over the reversed scope
     raw["potentials"][1] = {"scope": ["B", "A"], "table": [2.0, 0.0, 0.0, 3.0]}
     model = validate_model(raw)
-    p = model.potential_for(("A", "B"))
+    p = potential_for(model, ("A", "B"))
     assert p.scope == ("A", "B")
     assert p.table == (2.0, 0.0, 0.0, 3.0)  # symmetric table is unchanged
 
     raw["potentials"][1] = {"scope": ["B", "A"], "table": [0.0, 5.0, 1.0, 0.0]}
-    p = validate_model(raw).potential_for(("A", "B"))
+    p = potential_for(validate_model(raw), ("A", "B"))
     # entry (B=0, A=1) = 5 must land at (A=1, B=0)
     assert p.table == (0.0, 1.0, 5.0, 0.0)
 
@@ -67,7 +67,7 @@ def test_duplicate_scopes_merge_by_sum():
     raw["potentials"].append({"scope": ["B", "A"], "table": [1.0, 1.0, 1.0, 1.0]})
     model = validate_model(raw)
     assert len(model.potentials) == 2
-    assert model.potential_for(("A", "B")).table == (3.0, 1.0, 1.0, 4.0)
+    assert potential_for(model, ("A", "B")).table == (3.0, 1.0, 1.0, 4.0)
 
 
 def test_validate_rejects_unknown_keys():

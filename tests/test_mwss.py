@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import flip_variables, random_weighted_graph, scaled
 from nmrfmap.errors import (
     IntractableTopologyError,
     ObjectiveMismatchError,
@@ -19,7 +20,6 @@ from nmrfmap.generators import (
     random_br_model,
     random_signed_model,
     random_tractable_model,
-    random_weighted_graph,
 )
 import nmrfmap.mwss
 import nmrfmap.nmrf
@@ -28,16 +28,15 @@ from nmrfmap.model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
     REPULSIVE,
+    TIE,
     Model,
     Potential,
     associativity,
     energy,
-    flip_variables,
     pairwise_view,
     validate_model,
 )
 from nmrfmap.mwss import (
-    _FLOW_EPS,
     TOLERANCE,
     _snode_cut,
     _value_pass,
@@ -910,6 +909,23 @@ def test_dense_solutions_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_DENSE_SOLUTIONS
 
 
+def test_power_of_two_scaling_changes_no_solution():
+    """Every threshold of the solve is a multiple of the scale of the tables
+    it decides about, so tables times 2**k, exact in floating point, give
+    the same assignment and exactly 2**k times the objective. An absolute
+    flow threshold of 1e-12 gave a suboptimal assignment to about half of
+    these models at k = -40."""
+    rng = np.random.default_rng(0)
+    models = [random_tractable_model(rng, max_vars=9) for _ in range(200)]
+    models += [*_golden_solution_corpus(), *_dense_solution_corpus()]
+    for model in models:
+        sol = solve_map(model, eps=0)
+        for k in (-60, -40, -30, 0, 30, 60):
+            moved = solve_map(scaled(model, k), eps=0)
+            assert moved.assignment == sol.assignment, k
+            assert moved.objective * 2.0**-k == sol.objective, k
+
+
 # ---------------------------------------------------------------------------
 # the contracted block network against the explicit enode/snode graph
 
@@ -930,13 +946,14 @@ def _residual_closures(graph, src, sink):
     return nx.descendants(arcs, src) | {src}, nx.ancestors(arcs, sink) | {sink}
 
 
-def _check_snode_cut(weights, snode, enodes):
+def _check_snode_cut(weights, snode, enodes, tie):
     """One pinned labeling's min cut, from the network with a flow node per
-    snode, against networkx's max flow on the explicit graph: enodes on the
-    source side of the snodes, an infinite arc from each enode to the snode
-    of each of its ends that has one."""
+    snode and rounding tie `tie`, against networkx's max flow on the
+    explicit graph: enodes on the source side of the snodes, an infinite
+    arc from each enode to the snode of each of its ends that has one."""
     k, m = len(weights), len(enodes)
-    value, flow, state = _snode_cut(weights, snode, enodes)
+    value, flow, state = _snode_cut(weights, snode, enodes, tie)
+    assert flow.tie == tie
     every = [*weights, *(w for _, _, w in enodes)]
     edges = [
         (k + j, snode[x])
@@ -947,8 +964,8 @@ def _check_snode_cut(weights, snode, enodes):
     graph = nx.DiGraph()
     graph.add_nodes_from(["s", "t", *range(k + m)])
     for i, w in enumerate(every):
-        # A capacity <= _FLOW_EPS is a tie: saturated, as in the library.
-        graph.add_edge(*(("s", i) if i >= k else (i, "t")), capacity=w if w > _FLOW_EPS else 0.0)
+        # A capacity <= the network's tie is saturated, as in the library.
+        graph.add_edge(*(("s", i) if i >= k else (i, "t")), capacity=w if w > flow.tie else 0.0)
     graph.add_edges_from(edges)  # no capacity attribute: infinite
     cut_value, _ = nx.minimum_cut(graph, "s", "t")
     assert value == pytest.approx(sum(every) - cut_value, abs=1e-9)
@@ -969,7 +986,7 @@ def _check_snode_cut(weights, snode, enodes):
     pairs = []
     for u, v, w in enodes:
         ends = [snode[x] for x in (u, v) if x in snode]
-        if w > _FLOW_EPS and ends:
+        if w > flow.tie and ends:
             gain[ends[0]] += w
             if len(ends) == 2:
                 pairs.append((*ends, w))
@@ -992,7 +1009,7 @@ def _check_snode_cut(weights, snode, enodes):
         net[tail] -= moved
         net[head] += moved
     assert seen == pytest.approx(
-        [d if abs(d) > _FLOW_EPS else 0.0 for d in terminal], abs=1e-9
+        [d if abs(d) > flow.tie else 0.0 for d in terminal], abs=1e-9
     )
     assert len(seen_pairs) == len(pairs)
     for (x, y, limit), (x0, y0, w) in zip(sorted(seen_pairs), sorted(pairs)):
@@ -1013,7 +1030,7 @@ def test_block_network_matches_explicit_graph_on_random_labelings():
 
         def draw():
             if rng.random() < 0.1:
-                return 1e-13  # at most _FLOW_EPS: saturated, never chosen
+                return 1e-13  # at most the tie: saturated, never chosen
             if integer:
                 return float(rng.integers(0, 4))
             return 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 3.0))
@@ -1029,7 +1046,8 @@ def test_block_network_matches_explicit_graph_on_random_labelings():
             for u, v in itertools.combinations(range(n), 2)
             if rng.random() < p
         ]
-        _check_snode_cut(weights, snode, enodes)
+        # The tie of a region of scale 1, as the draws are about that size.
+        _check_snode_cut(weights, snode, enodes, TIE)
 
 
 def test_block_network_matches_explicit_graph_in_solved_blocks(monkeypatch):
@@ -1037,9 +1055,9 @@ def test_block_network_matches_explicit_graph_in_solved_blocks(monkeypatch):
     with and without a pinned parent, T/U blocks and exact ties."""
     calls = []
 
-    def recording(weights, snode, enodes):
-        calls.append((list(weights), dict(snode), list(enodes)))
-        return snode_cut(weights, snode, enodes)
+    def recording(weights, snode, enodes, tie):
+        calls.append((list(weights), dict(snode), list(enodes), tie))
+        return snode_cut(weights, snode, enodes, tie)
 
     snode_cut = nmrfmap.mwss._snode_cut
     monkeypatch.setattr(nmrfmap.mwss, "_snode_cut", recording)
@@ -1062,29 +1080,18 @@ def test_block_network_matches_explicit_graph_in_solved_blocks(monkeypatch):
         assert sol.objective == pytest.approx(brute_force_map(model).objective)
     assert pinned >= 50 and unpinned >= 50
     assert any(len(snode) < len({x for u, v, _ in enodes for x in (u, v)})
-               for _, snode, enodes in calls)  # some vertex needs no snode
-    for weights, snode, enodes in calls:
-        _check_snode_cut(weights, snode, enodes)
+               for _, snode, enodes, _ in calls)  # some vertex needs no snode
+    for weights, snode, enodes, tie in calls:
+        _check_snode_cut(weights, snode, enodes, tie)
 
 
-def test_large_grid_block_matches_networkx_graph_cut():
-    """A 40x40 ferromagnetic grid with continuous unaries, one BR block of
-    1600 vertices, against the textbook graph cut for the cost -objective:
-    vertex i on the source side takes label 0; s -> i costs label 1 and
-    i -> t label 0, both shifted by their minimum; each edge of table
-    [c, 0, 0, c] costs c [x_i != x_j] - c, an arc of capacity c each way."""
-    k = 40
-    rng = np.random.default_rng(131)
+def _assert_grid_matches_graph_cut(k, unary, edges):
+    """A k x k grid of edge tables [c, 0, 0, c] and unaries [0, w], one BR
+    block of k*k vertices, against the textbook graph cut for the cost
+    -objective: vertex i on the source side takes label 0; s -> i costs
+    label 1 and i -> t label 0, both shifted by their minimum; each edge
+    costs c [x_i != x_j] - c, an arc of capacity c each way."""
     names = [f"X{i}_{j}" for i in range(k) for j in range(k)]
-    unary = rng.normal(0.0, 1.0, size=k * k)
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            if j + 1 < k:
-                edges.append((v, v + 1, float(rng.uniform(0.2, 1.0))))
-            if i + 1 < k:
-                edges.append((v, v + k, float(rng.uniform(0.2, 1.0))))
     model = validate_model(
         {
             "variables": [{"name": x, "card": 2} for x in names],
@@ -1117,6 +1124,38 @@ def test_large_grid_block_matches_networkx_graph_cut():
     sol = solve_map(model)
     assert sol.objective == pytest.approx(best, abs=1e-6)
     assert sol.assignment == assignment
+
+
+def _grid_edges(k, coupling):
+    """The edges (v, right or lower neighbour, coupling()) of a k x k grid."""
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            if j + 1 < k:
+                edges.append((v, v + 1, coupling()))
+            if i + 1 < k:
+                edges.append((v, v + k, coupling()))
+    return edges
+
+
+def test_large_grid_block_matches_networkx_graph_cut():
+    """A 40x40 ferromagnetic grid with continuous unaries and weak couplings
+    U(0.2, 1)."""
+    k = 40
+    rng = np.random.default_rng(131)
+    unary = rng.normal(0.0, 1.0, size=k * k)
+    edges = _grid_edges(k, lambda: float(rng.uniform(0.2, 1.0)))
+    _assert_grid_matches_graph_cut(k, unary, edges)
+
+
+def test_strongly_coupled_grid_matches_networkx_graph_cut():
+    """A 60x60 grid of coupling 1 with unaries U(-1, 1): its flow takes
+    many phases and augmentations, so float rounding builds up along them."""
+    k = 60
+    rng = np.random.default_rng(131)
+    unary = rng.uniform(-1.0, 1.0, size=k * k)
+    _assert_grid_matches_graph_cut(k, unary, _grid_edges(k, lambda: 1.0))
 
 
 # ---------------------------------------------------------------------------

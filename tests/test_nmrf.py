@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import nodes_conflict
 from nmrfmap.errors import NotBinaryPairwiseError, SignMismatchError, ZeroAssociativityError
 from nmrfmap.model import DEFAULT_EPS, energy, validate_model
 from nmrfmap.nmrf import (
@@ -14,7 +15,6 @@ from nmrfmap.nmrf import (
     nmrf_from_json,
     nmrf_to_dot,
     nmrf_to_json,
-    nodes_conflict,
     prune,
     single_enode,
 )

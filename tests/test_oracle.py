@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import random_weighted_graph
 from nmrfmap.errors import TooLargeError
-from nmrfmap.generators import random_weighted_graph
 from nmrfmap.model import validate_model
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 

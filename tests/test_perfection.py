@@ -4,10 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import nodes_conflict
 from nmrfmap.errors import TooLargeError
 from nmrfmap.generators import model_from_signed_edges, random_signed_model
 from nmrfmap.model import ASSOCIATIVE, REPULSIVE
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nodes_conflict, prune
+from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.perfection import (
     PlainGraph,
     binary_pairwise_perfection,

@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from helpers import flip_variables, scaled
 from nmrfmap.errors import NotBinaryPairwiseError
 from nmrfmap.generators import (
     block_chain_model,
@@ -19,7 +20,6 @@ from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
     SignedGraph,
-    flip_variables,
     model_to_json,
     pairwise_view,
     signed_view,
@@ -415,6 +415,24 @@ def _report_digest(model):
 def test_report_json_matches_golden_digest(seed):
     assert _report_digest(_golden_chain(seed, 5 + 7 * seed)) == GOLDEN_CHAIN_REPORTS[seed]
     assert _report_digest(_golden_frustrated(seed)) == GOLDEN_FRUSTRATED_REPORTS[seed]
+
+
+def test_power_of_two_scaling_changes_no_report():
+    """Tables times 2**k, exact in floating point, leave the signs, blocks,
+    classes, witnesses and forms of the report as they are."""
+    rng = np.random.default_rng(0)
+    models = [random_tractable_model(rng, max_vars=9) for _ in range(200)]
+    for seed in range(10):
+        models += [_golden_chain(seed, 5 + 7 * seed), _golden_frustrated(seed)]
+    models += [
+        model for model in map(validate_model, _front_end_corpus())
+        if all(card == 2 for _, card in model.variables)
+        and all(len(p.scope) <= 2 for p in model.potentials)
+    ]
+    for model in models:
+        report = report_to_json(classify_model(model, eps=0))
+        for k in (-60, -40, -30, 0, 30, 60):
+            assert report_to_json(classify_model(scaled(model, k), eps=0)) == report, k
 
 
 # ---------------------------------------------------------------------------

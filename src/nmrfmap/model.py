@@ -4,8 +4,8 @@ Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
 fastest. Scopes are canonicalized to variable declaration order on load and
 duplicate scopes are merged by entrywise sum. A Model built without
-validation may still repeat a scope; `_summed_pairwise`, the one reader of
-a binary pairwise model's tables, sums such repeats.
+validation may still repeat a scope; `_summed_pairwise`, the one reader of a
+binary pairwise model's tables, sums such repeats into flat lists.
 """
 
 from __future__ import annotations
@@ -377,8 +377,10 @@ class PairwiseView(NamedTuple):
     """A binary pairwise model as read once by `pairwise_view`."""
 
     graph: SignedGraph  # the names, and every kept edge with its sign
-    singles: dict[int, tuple[float, float]]
-    edges: dict[tuple[int, int], tuple[float, float, float, float]]  # kept, u < v, as in graph.edges
+    u0: list[float]  # each variable's unary for label 0, folded edges' parts added
+    u1: list[float]  # and for label 1
+    tables: list[tuple[float, float, float, float]]  # each kept edge's summed table, as graph.edges
+    scales: list[float]  # each kept table's largest |entry|, as graph.edges
     constant: float
     # Bound on how far folding near-zero-associativity edges moved any
     # labeling's objective.
@@ -386,36 +388,36 @@ class PairwiseView(NamedTuple):
 
 
 def _summed_pairwise(model: Model):
-    """The unary tables keyed by variable position i and the pair tables
-    keyed (u, v) with u < v, each scope given more than once, in either
-    order, summed left to right. Raises NotBinaryPairwiseError as
-    `pairwise_view` does."""
+    """Flat lists (u0, u1, us, vs, tables): the unaries of each variable for
+    labels 0 and 1, and each pair table over (us[k], vs[k]), us[k] < vs[k],
+    in the order the scopes first appear, a repeat in either order summed
+    in, left to right. Raises NotBinaryPairwiseError as `pairwise_view` does."""
     if not all(card == 2 for _, card in model.variables):
         raise NotBinaryPairwiseError("model must be binary pairwise")
     index = model.index
-    # Each potential's own table is stored; a repeat stores the sum.
-    singles: dict[int, tuple[float, float]] = {}
-    edges: dict[tuple[int, int], tuple[float, float, float, float]] = {}
-    for p in model.potentials:
-        scope, t = p.scope, p.table
+    n = len(index)
+    u0, u1 = [0.0] * n, [0.0] * n
+    us, vs, tables = [], [], []
+    at: dict[int, int] = {}  # the position in `tables` of pair (u, v), by u * n + v
+    for scope, t in model.potentials:
         if len(scope) == 2:
             u, v = index[scope[0]], index[scope[1]]
             if u > v:
                 u, v, t = v, u, (t[0], t[2], t[1], t[3])
-            key = (u, v)
-            if key in edges:
-                s = edges[key]
-                t = (s[0] + t[0], s[1] + t[1], s[2] + t[2], s[3] + t[3])
-            edges[key] = t
+            k = at.setdefault(u * n + v, len(tables))
+            if k < len(tables):
+                tables[k] = tuple(map(operator.add, tables[k], t))
+                continue
+            us.append(u)
+            vs.append(v)
+            tables.append(t)
         elif len(scope) == 1:
             i = index[scope[0]]
-            if i in singles:
-                s = singles[i]
-                t = (s[0] + t[0], s[1] + t[1])
-            singles[i] = t
+            u0[i] += t[0]
+            u1[i] += t[1]
         else:
             raise NotBinaryPairwiseError("model must be binary pairwise")
-    return singles, edges
+    return u0, u1, us, vs, tables
 
 
 def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
@@ -423,34 +425,39 @@ def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
     either order, sign each edge by its associativity, and fold each edge
     with |associativity| <= eps into its two ends.
 
-    For every labeling, the singles, the kept edge tables and the constant
-    add up to the model's energy within `slack`. Raises
-    NotBinaryPairwiseError for a label count other than 2 or a scope of
-    more than two variables.
+    Each summed table is unpacked once, for its sign, fold and scale. For
+    every labeling, the unaries, kept tables and constant add up to the
+    energy within `slack`. Raises NotBinaryPairwiseError for a label count
+    other than 2 or a scope of more than two variables.
     """
-    singles, edges = _summed_pairwise(model)
-    signed = []
-    folded = []
+    u0, u1, us, vs, tables = _summed_pairwise(model)
+    signed, kept, scales = [], [], []
     constant = slack = 0.0
-    for (u, v), (t00, t01, t10, t11) in edges.items():
+    for u, v, t in zip(us, vs, tables):
+        t00, t01, t10, t11 = t
         a = t00 + t11 - t01 - t10  # associativity
         if abs(a) <= eps:
             # Fold the separable part into the ends; the dropped interaction
             # residual is at most eps/4 per configuration.
-            folded.append((u, v))
             c = (t00 + t01 + t10 + t11) / 4.0
-            s = singles.get(u, (0.0, 0.0))
-            singles[u] = (s[0] + ((t00 + t01) / 2.0 - c), s[1] + ((t10 + t11) / 2.0 - c))
-            s = singles.get(v, (0.0, 0.0))
-            singles[v] = (s[0] + ((t00 + t10) / 2.0 - c), s[1] + ((t01 + t11) / 2.0 - c))
+            u0[u] += (t00 + t01) / 2.0 - c
+            u1[u] += (t10 + t11) / 2.0 - c
+            u0[v] += (t00 + t10) / 2.0 - c
+            u1[v] += (t01 + t11) / 2.0 - c
             constant += c
             slack += abs(a) / 4.0
         else:
             signed.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
-    for key in folded:
-        del edges[key]
+            kept.append(t)
+            # max |entry| by comparisons: abs and max calls cost three times as much
+            hi = t00 if t00 > t01 else t01
+            lo = t00 if t00 < t01 else t01
+            hi2 = t10 if t10 > t11 else t11
+            lo2 = t10 if t10 < t11 else t11
+            hi, lo = (hi if hi > hi2 else hi2), (lo if lo < lo2 else lo2)
+            scales.append(hi if hi > -lo else -lo)
     graph = SignedGraph(model.names, tuple(signed))
-    return PairwiseView(graph, singles, edges, constant, slack)
+    return PairwiseView(graph, u0, u1, kept, scales, constant, slack)
 
 
 def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:

@@ -1,8 +1,9 @@
 """The MAP pipeline and its two stable-set solvers.
 
 `solve_map` reads the model once through `model.pairwise_view`, which sums
-repeated scopes and folds near-zero edges into their ends, classifies the
-view's signed graph once and solves it region by region with one exact
+repeated scopes, folds near-zero edges into their ends and lists each kept
+edge's table and scale by the edge's position in the signed graph. It
+classifies that graph once and solves it region by region with one exact
 core, the bipartite MWSS of enodes and snodes as a min cut. Every cycle
 lies inside one block, so a connected union of balanced blocks is balanced
 (Harary, 1953). A region is a top block, T/U or BR without a parent, with
@@ -10,9 +11,10 @@ every BR block below it down to the next T/U block; fixing the top's
 attachment cut vertex, and hub s of a T/U top attached at neither hub,
 leaves it balanced. So a tree, a forest or a chain of BR blocks is one
 region and one min cut. The regions are solved in the order of their tops,
-each after the regions below it. Their sides come from the classification
-(each BR block's, flipped to agree at its attachment; a T/U top's free
-star is coloured here), each free edge is rewritten to its single enode
+each after the regions below it. Each edge reaches its region through its
+block. The sides come from the classification (each BR block's, flipped
+to agree at its attachment; the sides of a T/U top's star on its free hub
+as its class gives them), each free edge is rewritten to its single enode
 once and its deltas summed into its ends' unaries once, and each labeling
 of the pinned vertices adds only its pinned vertices' edge rows before its
 one min cut. The cut's network has one flow node per snode: an enode,
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .model import (
     DEFAULT_EPS,
-    REPULSIVE,
     TIE,
     TOLERANCE,
     Model,
@@ -553,10 +554,11 @@ def _value_pass(pw: PairwiseView, eps: float):
     One pass over the blocks, parents first, builds the regions in flat
     arrays, each BR block joining the region of its parent block (the later
     block that holds its attachment without attaching there), and gives
-    every free vertex its side: 0 at a T/U top's free hub and at each spoke
-    what its leg's sign gives; a BR block's `V1`/`V2`, flipped to agree
-    with its parent at its attachment unless that is the pinned hub. One
-    pass over the edges rewrites each free edge to its single enode, adding
+    every free vertex its side: a T/U top's class `sides` on its free hub's
+    star; a BR block's `V1`/`V2`, flipped to agree with its parent at its
+    attachment unless that is the pinned hub. One pass over the view's
+    edges, each in the region of its block (`tree.edge_block`), sums each
+    region's scale, rewrites each free edge to its single enode, adding
     its deltas to its ends' unaries, and keeps each pinned edge as a fold.
     The regions are then solved in the order of their tops, each finding
     the best values per label of the regions below it in its unaries, and
@@ -607,39 +609,27 @@ def _value_pass(pw: PairwiseView, eps: float):
                 reg = regions[bi] = _Region([c], None)
             else:
                 reg = regions[bi] = _Region([s] if c is None else [c, s], s)
-                owner[s] = bi
-            reg.free += [v for v in block.vertices if v not in reg.pinned]
-            for v in reg.free:
-                owner[v] = bi
-            # The free part is a star on the hub that is not pinned.
+            # The free part is the star on the unpinned hub h; on s's, a U spoke flips.
             h = s if c == t else t
+            flip = h == s and cls.kind == "U"
+            for v, x in zip(block.vertices, cls.sides):
+                if v != c:
+                    owner[v] = bi
+                    side[v] = x ^ flip
+                    if v != reg.hub:
+                        reg.free.append(v)
             side[h] = 0
-            for u, v, sign in block.edges:
-                if u == h or v == h:
-                    x = v if u == h else u
-                    if x != c:
-                        side[x] = 1 if sign == REPULSIVE else 0
         region[bi] = r
 
-    u0 = [0.0] * n
-    u1 = [0.0] * n
-    for v, (w0, w1) in pw.singles.items():
-        u0[v] = w0
-        u1[v] = w1
-    # pw.edges holds the tables of graph.edges, in the same order. An edge
-    # whose ends lie in two regions is in the one attached at its other end.
-    for (u, v, _), t in zip(pw.graph.edges, pw.edges.values()):
-        r = region[owner[u]]
-        rv = region[owner[v]]
-        if r != rv and attach[rv] == u:
-            r = rv
-        reg = regions[r]
+    u0, u1 = pw.u0[:], pw.u1[:]
+    for (u, v, _), t, scale, bi in zip(pw.graph.edges, pw.tables, pw.scales, tree.edge_block):
+        reg = regions[region[bi]]
+        reg.mag += scale
         pinned = reg.pinned
-        t00, t01, t10, t11 = t
-        reg.mag += max(abs(t00), abs(t01), abs(t10), abs(t11))
         if u in pinned or v in pinned:
             # Folded on behalf of its first end in `pinned`: rows[label] is
             # what that end adds to the other end's unary.
+            t00, t01, t10, t11 = t
             i = 0 if pinned[0] == u or pinned[0] == v else 1
             if pinned[i] == u:
                 reg.folds[i].append((v, ((t00, t01), (t10, t11))))
@@ -774,7 +764,7 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     propagate()
     for v in range(n):
         if v not in regions_at:  # in no block with edges
-            w0, w1 = pw.singles.get(v, (0.0, 0.0))
+            w0, w1 = pw.u0[v], pw.u1[v]
             possible[v] = 2 if w1 - w0 > TIE * max(abs(w0), abs(w1)) else 1
         elif possible[v] == 3:
             exclude(v, 1)

@@ -26,8 +26,11 @@ from .model import (
     single_enode,
 )
 
-# Desk scale: each node is a record plus the set of the nodes it conflicts with.
+# Desk scale: each node is a record plus the set of the nodes it conflicts
+# with, and each entry of those sets takes about 66 bytes while they are built,
+# so the entry cap is about half a gigabyte.
 MAX_NODES = 1 << 20
+MAX_CONFLICTS = 1 << 23
 
 
 class NmrfNode(NamedTuple):
@@ -74,8 +77,9 @@ class PrunedNmrf(NamedTuple):
 
 def build_nmrf(model: Model) -> Nmrf:
     """Compile a model into its normalized NMRF. A graph of more than
-    MAX_NODES nodes raises TooLargeError, naming the clique group that
-    passes the cap, before any node is built."""
+    MAX_NODES nodes, naming the clique group that passes the cap, or with
+    more than MAX_CONFLICTS conflict-set entries raises TooLargeError
+    before any node is built."""
     cards = model.cards
     index = model.index
     size = 0
@@ -105,6 +109,17 @@ def build_nmrf(model: Model) -> Nmrf:
     ]
     scopes += tables.items()
     scopes.sort(key=lambda item: tuple(index[n] for n in item[0]))
+    # The conflicts of a variable: every ordered pair of the nodes that set
+    # it, less the pairs that set it alike, an equal share per value.
+    setting = dict.fromkeys(cards, 0)
+    for scope, table in scopes:
+        for name in scope:
+            setting[name] += len(table)
+    entries = sum(k * k - (k // cards[name]) ** 2 * cards[name] for name, k in setting.items())
+    if entries > MAX_CONFLICTS:
+        raise TooLargeError(
+            f"the conflict sets would hold {entries} entries, past the cap {MAX_CONFLICTS}"
+        )
 
     nodes: list[NmrfNode] = []
     groups: dict[tuple[str, ...], tuple[int, ...]] = {}
@@ -154,13 +169,9 @@ def apply_enode_plan(
     NotBinaryPairwiseError. Edges absent from the plan keep their summed table.
     """
     names = model.names
-    unaries, pairs = _summed_pairwise(model)
-    singles = [[0.0, 0.0] for _ in names]
-    for i, (t0, t1) in unaries.items():
-        singles[i][0] += t0
-        singles[i][1] += t1
+    u0, u1, us, vs, tables = _summed_pairwise(model)
     edges = []
-    for (u, v), t in pairs.items():
+    for u, v, t in zip(us, vs, tables):
         scope = (names[u], names[v])
         form = plan.get(scope)
         if form is None:
@@ -171,12 +182,10 @@ def apply_enode_plan(
         table = [0.0] * 4
         table[2 * i + j] = weight
         edges.append(Potential(scope, tuple(table)))
-        singles[u][i] += fi
-        singles[v][0] += row0
-        singles[v][1] += row1
-    potentials = [
-        Potential((name,), tuple(s)) for name, s in zip(names, singles)
-    ] + edges
+        (u1 if i else u0)[u] += fi
+        u0[v] += row0
+        u1[v] += row1
+    potentials = [Potential((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)] + edges
     return Model(model.variables, tuple(potentials))
 
 

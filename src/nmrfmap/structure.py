@@ -15,7 +15,9 @@ shape before it counts degrees.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -27,6 +29,8 @@ from .model import (
     _read_only,
     signed_view,
 )
+
+_new = tuple.__new__  # a record without the Python-level NamedTuple constructor
 
 
 class Block(NamedTuple):
@@ -40,12 +44,16 @@ class BlockTree(NamedTuple):
     # Per block, the cut vertex it shares with its parent block, which comes
     # later; None for each component's last block and each isolated vertex.
     attach: tuple[Optional[int], ...]
+    # Each edge's block by position in graph.edges; an array, so no int per block outlives it.
+    edge_block: array
 
 
 class BlockClass(NamedTuple):
     kind: str  # "BR" | "T" | "U" | "INTRACTABLE"
     params: dict
     witness: Optional[tuple[int, ...]] = None
+    # T/U: each vertex's side on hub t's star (a U spoke flips on s's); not in the JSON.
+    sides: Optional[tuple[int, ...]] = None
 
 
 class _ReportFields(NamedTuple):
@@ -102,17 +110,15 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     edges_at = [0] * n  # edge-stack height before each vertex's tree edge
     verts_at = [0] * n  # vertex-stack height before each vertex
     timer = 0
-    edge_stack: list[tuple[int, int, int]] = []
+    edge_stack: list[int] = []
     vert_stack: list[int] = []
-    isolated: list[Block] = []
+    isolated = [_new(Block, ((v,), ())) for v in range(n) if not degree[v]]
     blocks: list[Block] = []
     attach: list[Optional[int]] = []
+    edge_block = array("q", [0]) * len(edges)
 
     for root in range(n):
-        if disc[root] != -1:
-            continue
-        if not degree[root]:
-            isolated.append(Block((root,), ()))
+        if disc[root] != -1 or not degree[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
@@ -137,13 +143,13 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     timer += 1
                     tree_edge[w] = eid
                     edges_at[w] = len(edge_stack)
-                    edge_stack.append(edges[eid])
+                    edge_stack.append(eid)
                     verts_at[w] = len(vert_stack)
                     vert_stack.append(w)
                     stack.append(w)
                     break
                 if dw < dv:
-                    edge_stack.append(edges[eid])
+                    edge_stack.append(eid)
                     if dw < low[v]:
                         low[v] = dw
             else:
@@ -156,24 +162,29 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     low[u] = lv
                 if lv >= disc[u]:
                     at = edges_at[v]
+                    bi = len(isolated) + len(blocks)
                     if at == len(edge_stack) - 1:  # a bridge, u-v alone
                         vert_stack.pop()
-                        blocks.append(Block((u, v) if u < v else (v, u), (edge_stack.pop(),)))
+                        eid = edge_stack.pop()
+                        edge_block[eid] = bi
+                        blocks.append(_new(Block, ((u, v) if u < v else (v, u), (edges[eid],))))
                     else:
                         comp = edge_stack[at:]
                         del edge_stack[at:]
                         comp.reverse()
+                        for eid in comp:
+                            edge_block[eid] = bi
                         at = verts_at[v]
                         verts = vert_stack[at:]
                         del vert_stack[at:]
                         verts.append(u)
                         verts.sort()
-                        blocks.append(Block(tuple(verts), tuple(comp)))
+                        blocks.append(_new(Block, (tuple(verts), itemgetter(*comp)(edges))))
                     attach.append(u)
         attach[-1] = None
 
     attached = (None,) * len(isolated) + tuple(attach)
-    return BlockTree(tuple(isolated + blocks), frozenset(attached) - {None}, attached)
+    return BlockTree(tuple(isolated + blocks), frozenset(attached) - {None}, attached, edge_block)
 
 
 def _signed_two_color(vertices, edges):
@@ -226,55 +237,46 @@ def classify_block(block: Block) -> BlockClass:
     if len(block.vertices) == 1:
         return BlockClass("BR", {"V1": block.vertices, "V2": ()})
     if len(block.vertices) == 2:
-        u, v, s = block.edges[0]
-        lo, hi = (u, v) if u < v else (v, u)
-        if s == REPULSIVE:
-            return BlockClass("BR", {"V1": (lo,), "V2": (hi,)})
-        return BlockClass("BR", {"V1": (lo, hi), "V2": ()})
+        vs = block.vertices
+        v1, v2 = (vs[:1], vs[1:]) if block.edges[0][2] == REPULSIVE else (vs, ())
+        return _new(BlockClass, ("BR", {"V1": v1, "V2": v2}, None, None))
+    start = block.vertices  # where the two-colouring starts
     if len(block.vertices) == 3 and len(block.edges) == 3:
         rep = [(u, v) for u, v, s in block.edges if s == REPULSIVE]
         if len(rep) % 2 == 1:
-            # frustrated triangle: tractable via the base/spoke shapes
+            # Frustrated: a T_{1,0} on the two lowest vertices, or a U_1 off the
+            # repulsive edge's lower end; its sides are those of the star on t.
+            vs = block.vertices
             if len(rep) == 3:
-                s, t, r = sorted(block.vertices)
-                return BlockClass(
-                    "T", {"s": s, "t": t, "r": (r,), "a": (), "m": 1, "n": 0}
-                )
-            # one repulsive edge: a U_1 triangle (equivalently T_{0,1})
+                s, t, r = sorted(vs)
+                params = {"s": s, "t": t, "r": (r,), "a": (), "m": 1, "n": 0}
+                return _new(BlockClass, ("T", params, None, tuple([int(x != t) for x in vs])))
             v = min(rep[0])
-            s, t = sorted(x for x in block.vertices if x != v)
-            return BlockClass("U", {"s": s, "t": t, "v": (v,), "n": 1})
-        # balanced triangle: colour both neighbours of one vertex from it
-        a = block.edges[0][0]
-        side = {a: 0}
-        for u, v, s in block.edges:
-            if a in (u, v):
-                side[v if u == a else u] = 1 if s == REPULSIVE else 0
-        v1 = tuple(v for v in block.vertices if side[v] == 0)
-        v2 = tuple(v for v in block.vertices if side[v] == 1)
-        return BlockClass("BR", {"V1": v1, "V2": v2})
-
-    # Every T or U shape holds a frustrated triangle, so testing the shape
-    # before the two-colouring never hides a BR block.
-    hub = _hub_class(block)
-    if hub is not None:
-        return hub
-    side, cycle = _signed_two_color(block.vertices, block.edges)
+            s, t = sorted(x for x in vs if x != v)
+            sides = tuple([1 if x == v and t in rep[0] else 0 for x in vs])
+            return _new(BlockClass, ("U", {"s": s, "t": t, "v": (v,), "n": 1}, None, sides))
+        start = (block.edges[0][0], *start)  # a balanced triangle: at its first edge
+    else:
+        # Every T or U shape holds a frustrated triangle, so testing the
+        # shape before the two-colouring never hides a BR block.
+        hub = _hub_class(block)
+        if hub is not None:
+            return hub
+    side, cycle = _signed_two_color(start, block.edges)
     if side is not None:
         v1 = tuple(v for v in block.vertices if side[v] == 0)
         v2 = tuple(v for v in block.vertices if side[v] == 1)
-        return BlockClass("BR", {"V1": v1, "V2": v2})
+        return _new(BlockClass, ("BR", {"V1": v1, "V2": v2}, None, None))
     return BlockClass("INTRACTABLE", {}, witness=cycle)
 
 
 def _hub_class(block: Block) -> Optional[BlockClass]:
-    """T or U class of a block of triangles on one base edge (s, t), or None.
-
-    The shape: s and t are the only vertices of degree > 2, no edge joins
-    two spokes, and every triangle s-x-t is frustrated. With 2n - 3 edges
-    and no spoke-spoke edge, the base edge and one leg from each spoke to
-    each hub all exist. A repulsive base makes a T block, its spokes split
-    by leg sign into `r` and `a`; an associative base, a U block.
+    """T or U class of a block of triangles on one base edge (s, t), s < t,
+    its only vertices of degree > 2, or None. Every edge meets s or t and
+    every triangle s-x-t is frustrated: with 2n - 3 edges, the base edge and
+    one leg from each spoke to each hub all exist. A repulsive base makes a
+    T block, its spokes split by leg sign into `r` and `a`; an associative
+    one, a U block. Its `sides` are those of the star on t, from t's legs.
     """
     # A base edge plus two legs per spoke: every T and U shape has this many.
     if len(block.edges) != 2 * len(block.vertices) - 3:
@@ -296,15 +298,21 @@ def _hub_class(block: Block) -> Optional[BlockClass]:
             to_t[v if u == t else u] = sign
         else:
             return None  # a spoke-spoke edge
-    base = to_s[t]
-    spokes = [v for v in block.vertices if v != s and v != t]
-    if any(to_s[x] * to_t[x] != -base for x in spokes):
-        return None
+    base = to_t[s] = to_s[t]
+    spokes, r, a, sides = [], [], [], []
+    for x in block.vertices:
+        leg = to_t.get(x)  # None at t
+        sides.append(1 if leg == REPULSIVE else 0)
+        if x != s and x != t:
+            if to_s[x] * leg != -base:
+                return None  # the triangle s-x-t is not frustrated
+            spokes.append(x)
+            (r if to_s[x] == REPULSIVE else a).append(x)
     if base == REPULSIVE:
-        r = tuple(x for x in spokes if to_s[x] == REPULSIVE)
-        a = tuple(x for x in spokes if to_s[x] == ASSOCIATIVE)
-        return BlockClass("T", {"s": s, "t": t, "r": r, "a": a, "m": len(r), "n": len(a)})
-    return BlockClass("U", {"s": s, "t": t, "v": tuple(spokes), "n": len(spokes)})
+        kind, params = "T", {"s": s, "t": t, "r": tuple(r), "a": tuple(a), "m": len(r), "n": len(a)}
+    else:
+        kind, params = "U", {"s": s, "t": t, "v": tuple(spokes), "n": len(spokes)}
+    return _new(BlockClass, (kind, params, None, tuple(sides)))
 
 
 # An enode form (a, b) by its index 2a + b, shared by every edge.

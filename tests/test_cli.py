@@ -608,28 +608,47 @@ def test_unindexable_cardinality_is_too_large(verb, tmp_path, capsys):
     assert "clique group ['Huge']" in err and "internal error" not in err
 
 
-@pytest.mark.parametrize("verb", [["compile"], ["solve", "--method", "bnb"]])
-def test_huge_clique_group_is_too_large_before_allocating(verb, tmp_path):
-    """A group of 2**40 nodes can be indexed but not built: the node cap
-    refuses it before any node is, even with 2 GB of address space."""
+def _run_with_address_space(argv, limit):
+    """`python -m nmrfmap *argv` in a child process with `limit` bytes of
+    address space, so that a build that is not refused fails in the child."""
     resource = pytest.importorskip("resource")
-    path = write_json(tmp_path / "huge.json", {
-        "variables": [{"name": "Huge", "card": 2**40}], "potentials": [],
-    })
-    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
-    limit = 2 * 1024**3
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "nmrfmap", verb[0], path, *verb[1:]],
+    src = os.path.dirname(os.path.dirname(nmrfmap.cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "nmrfmap", *argv],
         capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
         env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+@pytest.mark.parametrize("verb", [["compile"], ["solve", "--method", "bnb"]])
+def test_huge_clique_group_is_too_large_before_allocating(verb, tmp_path):
+    """A group of 2**40 nodes can be indexed but not built: the node cap
+    refuses it before any node is, even with 2 GB of address space."""
+    path = write_json(tmp_path / "huge.json", {
+        "variables": [{"name": "Huge", "card": 2**40}], "potentials": [],
+    })
+    proc = _run_with_address_space([verb[0], path, *verb[1:]], 2 * 1024**3)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "clique group ['Huge']" in proc.stderr and "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", [["compile"], ["solve", "--method", "bnb"]])
+def test_huge_conflict_sets_are_too_large_before_allocating(verb, tmp_path):
+    """One variable of 20,000 labels is 20,000 nodes, within the node cap,
+    whose conflict sets would hold 20,000 * 19,999 entries: the conflict
+    cap refuses it before any node is built, with 1 GB of address space."""
+    path = write_json(tmp_path / "big.json", {
+        "variables": [{"name": "Big", "card": 20000}], "potentials": [],
+    })
+    proc = _run_with_address_space([verb[0], path, *verb[1:]], 1024**3)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "399980000 entries" in proc.stderr and "internal error" not in proc.stderr
 
 
 @pytest.mark.parametrize("table", [

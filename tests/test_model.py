@@ -29,6 +29,8 @@ from nmrfmap.model import (
     table_index,
     validate_model,
 )
+from nmrfmap.nmrf import apply_enode_plan
+from nmrfmap.structure import classify_model, plan_by_names
 
 
 def two_var_raw():
@@ -271,22 +273,53 @@ def test_pairwise_view_adds_up_to_the_energy():
     for _ in range(60):
         model = _repeated_scope_model(rng)
         view = pairwise_view(model)
-        assert {(u, v) for u, v, _ in view.graph.edges} == set(view.edges)
-        for (u, v), t in view.edges.items():
-            assert u < v and abs(associativity(t)) > 1e-9
-        assert dict(((u, v), s) for u, v, s in view.graph.edges) == {
-            e: ASSOCIATIVE if associativity(t) > 0 else REPULSIVE
-            for e, t in view.edges.items()
-        }
+        assert len(view.tables) == len(view.scales) == len(view.graph.edges)
+        assert len(view.u0) == len(view.u1) == len(model.variables)
+        ends = [(u, v) for u, v, _ in view.graph.edges]
+        assert len(set(ends)) == len(ends)
+        for (u, v, sign), t, scale in zip(view.graph.edges, view.tables, view.scales):
+            a = associativity(t)
+            assert u < v and abs(a) > 1e-9
+            assert sign == (ASSOCIATIVE if a > 0 else REPULSIVE)
+            assert scale == max(map(abs, t))
         folded += view.slack > 0
         rounding = 1e-12 * sum(max(map(abs, p.table)) for p in model.potentials)
         for labels in itertools.product((0, 1), repeat=len(model.variables)):
             x = dict(zip(model.names, labels))
             value = view.constant
-            value += sum(view.singles[i][labels[i]] for i in view.singles)
-            value += sum(t[2 * labels[u] + labels[v]] for (u, v), t in view.edges.items())
+            value += sum((view.u1 if y else view.u0)[i] for i, y in enumerate(labels))
+            value += sum(
+                t[2 * labels[u] + labels[v]] for (u, v, _), t in zip(view.graph.edges, view.tables)
+            )
             assert abs(value - energy(model, x)) <= view.slack + rounding
     assert folded > 10
+
+
+def test_enode_rewrite_sums_repeated_scopes_and_keeps_the_energy():
+    """`apply_enode_plan`, the view's other reader, on scopes repeated in
+    both orders with folded and near-zero edges: one unary per variable and
+    one potential per summed pair scope, a single enode on each planned
+    edge, and every labeling's energy unchanged."""
+    rng = np.random.default_rng(43)
+    planned = 0
+    for _ in range(60):
+        model = _repeated_scope_model(rng)
+        plan = plan_by_names(classify_model(model))
+        rewritten = apply_enode_plan(model, plan)
+        pairs = {frozenset(p.scope) for p in model.potentials if len(p.scope) == 2}
+        scopes = [p.scope for p in rewritten.potentials]
+        assert scopes[:len(model.variables)] == [(name,) for name in model.names]
+        assert len(set(scopes)) == len(scopes) == len(model.variables) + len(pairs)
+        assert {frozenset(s) for s in scopes if len(s) == 2} == pairs
+        for p in rewritten.potentials:
+            if p.scope in plan:
+                planned += 1
+                assert sum(1 for x in p.table if x != 0.0) == 1
+        rounding = 1e-12 * sum(max(map(abs, p.table)) for p in model.potentials)
+        for labels in itertools.product((0, 1), repeat=len(model.variables)):
+            x = dict(zip(model.names, labels))
+            assert abs(energy(rewritten, x) - energy(model, x)) <= rounding
+    assert planned > 40
 
 
 def test_pairwise_view_refuses_other_models():

@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import nmrfmap.nmrf
 from helpers import nodes_conflict
-from nmrfmap.errors import NotBinaryPairwiseError, SignMismatchError, ZeroAssociativityError
+from nmrfmap.errors import (
+    NotBinaryPairwiseError,
+    SignMismatchError,
+    TooLargeError,
+    ZeroAssociativityError,
+)
 from nmrfmap.model import DEFAULT_EPS, energy, validate_model
 from nmrfmap.nmrf import (
     NmrfNode,
@@ -38,6 +44,17 @@ def test_two_var_edge_model_has_eight_nodes():
     assert len(ids) == 4
     for i, j in itertools.combinations(ids, 2):
         assert j in nmrf.adj[i]
+
+
+def test_conflict_entries_are_counted_before_any_node_is_built(monkeypatch):
+    """One variable of 5 labels: 5 nodes, each conflicting with the other 4,
+    20 conflict-set entries in all, counted from the group sizes alone."""
+    model = validate_model({"variables": [{"name": "X", "card": 5}], "potentials": []})
+    monkeypatch.setattr(nmrfmap.nmrf, "MAX_CONFLICTS", 20)
+    assert sum(map(len, build_nmrf(model).adj)) == 20
+    monkeypatch.setattr(nmrfmap.nmrf, "MAX_CONFLICTS", 19)
+    with pytest.raises(TooLargeError, match="20 entries, past the cap 19"):
+        build_nmrf(model)
 
 
 def test_multilabel_singleton_is_a_clique():

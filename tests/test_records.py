@@ -40,11 +40,12 @@ def _model():
 RECORDS = [
     (Model, ("variables", "potentials"), _model),
     (SignedGraph, ("names", "edges"), lambda: pairwise_view(_model()).graph),
-    (PairwiseView, ("graph", "singles", "edges", "constant", "slack"),
+    (PairwiseView, ("graph", "u0", "u1", "tables", "scales", "constant", "slack"),
      lambda: pairwise_view(_model())),
     (Block, ("vertices", "edges"), lambda: classify_model(_model()).tree.blocks[-1]),
-    (BlockTree, ("blocks", "cut_vertices", "attach"), lambda: classify_model(_model()).tree),
-    (BlockClass, ("kind", "params", "witness"), lambda: classify_model(_model()).classes[-1]),
+    (BlockTree, ("blocks", "cut_vertices", "attach", "edge_block"),
+     lambda: classify_model(_model()).tree),
+    (BlockClass, ("kind", "params", "witness", "sides"), lambda: classify_model(_model()).classes[-1]),
     (TractabilityReport, ("tractable", "graph", "tree", "classes"),
      lambda: classify_model(_model())),
     (StableSetSolution, ("nodes", "weight"), lambda: StableSetSolution((0, 2), 1.5)),
@@ -82,6 +83,7 @@ def test_records_are_immutable_with_a_field_repr(cls, fields, make):
 
 def test_record_defaults():
     assert BlockClass("BR", {}).witness is None
+    assert BlockClass("BR", {}).sides is None
     assert PerfectionVerdict(True) == PerfectionVerdict(True, None, None)
     assert FeasibilityVerdict(True) == FeasibilityVerdict(True, None, None)
 

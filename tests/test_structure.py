@@ -286,6 +286,30 @@ def test_classify_triangles():
     assert classify_block(tri(REPULSIVE, REPULSIVE, ASSOCIATIVE)).kind == "BR"
 
 
+def test_hub_classes_colour_the_star_on_t():
+    """A T or U class's `sides` give 0 at hub t and 1 across each repulsive
+    edge to t. On the star on s a T spoke keeps its side and a U spoke's
+    flips, so one colouring serves whichever hub the solve leaves free."""
+    rng = np.random.default_rng(59)
+    kinds = set()
+    for _ in range(200):
+        report = classify_model(random_tractable_model(rng, max_vars=int(rng.integers(3, 12))))
+        for block, cls in zip(report.tree.blocks, report.classes):
+            if cls.kind == "BR":
+                assert cls.sides is None
+                continue
+            kinds.add((cls.kind, len(block.vertices) == 3))
+            s, t = cls.params["s"], cls.params["t"]
+            side = dict(zip(block.vertices, cls.sides))
+            assert side[t] == 0
+            for u, v, sign in block.edges:
+                hub = t if t in (u, v) else s
+                spoke = v if u == hub else u
+                flip = hub == s and spoke != t and cls.kind == "U"
+                assert side[spoke] ^ flip == (sign == REPULSIVE)
+    assert kinds == {("T", True), ("T", False), ("U", True), ("U", False)}
+
+
 def test_k4_with_frustrated_triangle_is_intractable():
     edges = [(0, 1, REPULSIVE)] + [
         (u, v, ASSOCIATIVE)

@@ -17,7 +17,8 @@ exception, such as RecursionError or OverflowError), printed as
 closed before the output was written (BrokenPipeError, as when piped into
 `head`), printing nothing.
 `--oracle-check` accepts an objective within `oracle_tolerance` of the
-brute-force optimum. On a model too large to enumerate it still prints the
+brute-force optimum, or for bnb within `objective_tolerance` plus its
+prune slack. On a model too large to enumerate it still prints the
 solution, with `"oracle": {"checked": false, "reason": ...}`, and exits 3,
 so the skipped check is not silent.
 Each verb imports inside itself the modules only it uses. `validate`,
@@ -51,6 +52,7 @@ from .model import (
     DEFAULT_EPS,
     is_binary_pairwise,
     model_from_json_file,
+    objective_tolerance,
     oracle_tolerance,
     tolerance,
 )
@@ -58,7 +60,7 @@ from .mwss import (
     DEFAULT_BNB_CAP,
     map_solution_to_json,
     solve_map,
-    solve_map_bnb,
+    solve_map_bnb_with_slack,
 )
 from .structure import classify_model, plan_by_names, report_to_json
 
@@ -128,9 +130,10 @@ def _cmd_compile(args) -> int:
 
 def _cmd_solve(args) -> int:
     model = model_from_json_file(args.model)
+    slack = None
     try:
         if args.method == "bnb":
-            sol = solve_map_bnb(model, args.eps, args.max_nodes)
+            sol, slack = solve_map_bnb_with_slack(model, args.eps, args.max_nodes)
         else:
             sol = solve_map(model, args.eps)
     except IntractableTopologyError as exc:
@@ -153,8 +156,11 @@ def _cmd_solve(args) -> int:
             _emit(doc, args.out)
             print(f"error: oracle check skipped: {exc}", file=sys.stderr)
             return EXIT_TOO_LARGE
-        folded = args.eps if args.method == "blocks" else None
-        agree = abs(ref.objective - sol.objective) <= oracle_tolerance(model, folded)
+        if slack is None:
+            accepted = oracle_tolerance(model, args.eps)
+        else:  # bnb folds nothing, but its prune may cost up to `slack`
+            accepted = objective_tolerance(model) + slack
+        agree = abs(ref.objective - sol.objective) <= accepted
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:
             _emit(doc, args.out)
@@ -261,7 +267,7 @@ def _cmd_bench(args) -> int:
         elif args.family == "random-supermodular-k3":
             psi = random_supermodular_k3(rng)
             t0 = time.perf_counter()
-            rep = construct_k3(psi)
+            rep = construct_k3(psi, args.eps)
             elapsed = time.perf_counter() - t0
             err = max(
                 abs(rep.evaluate(bits) - psi.value(bits))

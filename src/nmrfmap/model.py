@@ -33,7 +33,8 @@ from .errors import (
 # (a region's edge tables, a lone vertex's unary, a model's tables). TIE times
 # a region's scale is a rounding tie of its flow; TOLERANCE times it, a tie of
 # its pinned labelings; `tolerance`, an accepted error, to which a fold adds
-# its `slack` (`oracle_tolerance`). Only the user's `eps` is absolute.
+# its `slack` (`oracle_tolerance`) and bnb's prune its own
+# (`PrunedNmrf.slack`). Only the user's `eps` is absolute.
 # `solve_map` accepts scales up to 1e300 and refuses overflowing sums.
 DEFAULT_EPS = 1e-9
 TOLERANCE = 1e-9
@@ -350,10 +351,9 @@ def objective_tolerance(model: Model) -> float:
     return tolerance(p.table for p in model.potentials)
 
 
-def oracle_tolerance(model: Model, eps: float | None) -> float:
+def oracle_tolerance(model: Model, eps: float) -> float:
     """`objective_tolerance` plus twice the `slack` of a solve that folded at `eps`."""
-    slack = 0.0 if eps is None else pairwise_view(model, eps).slack
-    return objective_tolerance(model) + 2 * slack
+    return objective_tolerance(model) + 2 * pairwise_view(model, eps).slack
 
 
 def is_binary_pairwise(model: Model) -> bool:

@@ -17,20 +17,22 @@ to agree at its attachment; the sides of a T/U top's star on its free hub
 as its class gives them), each free edge is rewritten to its single enode
 once and its deltas summed into its ends' unaries once, and each labeling
 of the pinned vertices adds only its pinned vertices' edge rows before its
-one min cut. The cut's network has one flow node per snode: an enode,
-which conflicts with at most two snodes, contracts into a source arc and
-one arc between them (`_snode_cut`), and its rounding tie is TIE times the
-region's scale (the tolerance policy in `model`). A pre-flow cancels each
-node's terminal capacities and pushes along the length-3 paths; Dinic's
-algorithm, with an explicit path stack and so no recursion limit,
-completes the flow. This value pass combines the region maxima, refusing
-sums past float range, and closes each kept min cut from both terminals as
-soon as it is solved: a cut that the closures decide keeps only its
-labels, any other its residual graph. The closed sets of a residual graph
-are exactly the optimal cuts (Picard and Queyranne, 1980), so the decode
-reads the lexicographically smallest optimal assignment off these graphs
-by closure propagation, in time linear in their size, without solving
-again.
+one min cut. Each region vertex has one position, its flow node: a
+pinned vertex, or one that its unary decides, is an idle node, and any
+other vertex's node is its snode. An enode, which conflicts with at most
+two snodes, contracts into a source arc and one arc between them
+(`_snode_cut`), and its rounding tie is TIE times the region's scale (the
+tolerance policy in `model`). A pre-flow cancels each node's terminal
+capacities and pushes along the length-3 paths; Dinic's algorithm, with
+an explicit path stack and so no recursion limit, completes the flow.
+This value pass combines the region maxima, refusing sums past float
+range, and closes each kept min cut from both terminals as soon as it is
+solved: each cut keeps one mark per position, and a cut that the closures
+leave open somewhere also its residual graph. The closed sets of a
+residual graph are exactly the optimal cuts (Picard and Queyranne, 1980),
+so the decode reads the lexicographically smallest optimal assignment off
+these graphs by closure propagation, in time linear in their size,
+without solving again.
 
 `solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
 pruned NMRF. It handles small models of any order and labels; its compile,
@@ -344,65 +346,33 @@ class _Cut:
     vertices, kept for the decode and closed from both terminals as soon
     as it was solved.
 
-    `labels` gives the label of every vertex of the region that the cut
-    settles on its own: the pinned ones and the free ones whose unary
-    decides them. When the two closures decide every flow node, their
-    vertices' labels are added too and that is all the cut keeps. Any
-    other cut keeps, for each other free vertex v, its flow node snode[v]
-    (vertex[node] = v): on the source side (state 1) v takes label side[v],
-    on the sink side (-1) the other, and while state is 0 either label
-    still gives an optimum; `flow` holds the residual network whose
-    closures decide it. `alive` turns false once no optimal assignment
-    uses this cut.
+    `state` has one entry per position of the region's vertices (its free
+    vertices in `free` order, then its pinned ones), then the source and
+    the sink: 1 if the vertex v there takes label side[v] in every optimum
+    this cut allows, -1 if it takes the other, 0 while either label still
+    gives one. A pinned vertex, and a free one whose unary decides it, is
+    an idle node of the network, marked when the cut was solved; `flow`
+    holds the residual network whose closures decide the rest, and is
+    dropped once no position is 0. `alive` turns false once no optimal
+    assignment uses this cut.
     """
 
-    __slots__ = ("labels", "snode", "vertex", "side", "flow", "state", "alive")
+    __slots__ = ("state", "side", "flow", "alive")
 
-    def __init__(
-        self,
-        labels: dict[int, int],
-        snode: Optional[dict[int, int]] = None,
-        side: Optional[list[int]] = None,
-        flow: Optional[_Dinic] = None,
-        state: Optional[list[int]] = None,
-    ):
-        self.labels = labels
-        self.snode = snode
-        self.vertex = None if snode is None else list(snode)
+    def __init__(self, state: list[int], side: list[int], flow: Optional[_Dinic]):
+        self.state = state
         self.side = side
         self.flow = flow
-        self.state = state
         self.alive = True
-
-    def allowed(self, v: int) -> tuple[int, ...]:
-        label = self.labels.get(v)
-        if label is not None:
-            return (label,)
-        mark = self.state[self.snode[v]]
-        if not mark:
-            return (0, 1)
-        return (self.side[v] if mark > 0 else 1 - self.side[v],)
-
-
-def _kept_cut(labels, snode, side, flow, state) -> _Cut:
-    """The `_Cut` of a kept labeling, whose source closure `_snode_cut`
-    left in `state`: closed from the sink, and reduced to its labels when
-    no flow node is left undecided."""
-    if flow is not None:
-        flow.close(state, flow.n - 1, -1)
-        if 0 in state:
-            return _Cut(labels, snode, side, flow, state)
-        for v, x in snode.items():
-            labels[v] = side[v] if state[x] > 0 else 1 - side[v]
-    return _Cut(labels)
 
 
 def _snode_cut(
     weights: Sequence[float], snode: Mapping[int, int], enodes, tie: float
 ) -> tuple[float, _Dinic, list[int]]:
     """Maximum-weight stable set of a region's snodes and enodes by one min
-    cut, on a network with one flow node per snode: nodes 0..k-1 for the
-    k `weights`, then source k and sink k + 1.
+    cut, on a network with one flow node per position: nodes 0..k-1 for
+    the k `weights`, then source k and sink k + 1. A position that is no
+    vertex's snode has weight 0 and so no arc: an idle node.
 
     An snode lies in the stable set when its node is on the sink side, so
     its weight is the arc node -> sink. An enode (u, v, w) conflicts with
@@ -464,7 +434,8 @@ def _snode_cut(
         head[y].append(len(to) + 1)
         to += (y, x)
         cap += (w - pushed, pushed)
-    for x, d in enumerate(excess):
+    for x in snode.values():  # an idle node has no arc
+        d = excess[x]
         if d > tie:
             head[src].append(len(to))
             head[x].append(len(to) + 1)
@@ -479,7 +450,7 @@ def _snode_cut(
     state = [0] * (k + 2)
     for x in flow.max_flow(src, sink):
         state[x] = 1
-    chosen = [w for x, w in enumerate(weights) if not state[x]]
+    chosen = [weights[x] for x in snode.values() if not state[x]]
     chosen += (w for x, y, w in ends if state[x] == state[y] == 1)
     return sum(chosen), flow, state
 
@@ -489,27 +460,29 @@ def _block_values(
 ) -> list[tuple]:
     """Best value of a region's own terms, and the min cut attaining it,
     for each labeling of its pinned vertices, the top's attachment varying
-    slowest: per labeling (value, labels, snode, flow, state) as `_Cut`
-    reads them, with only the source closure in `state`.
+    slowest: per labeling (value, flow, state) as `_Cut` reads them, with
+    the decided positions and only the source closure in `state`.
 
     u0 and u1 hold each vertex's unary for labels 0 and 1 with its free
     edges' enode deltas and the best values of the regions below it
     already added. A labeling adds its pinned vertices' folds to their
     other ends for the length of its solve, and the pinned hub's own unary
     to its value. A free vertex whose unary prefers its side by more than
-    TIE times the region's scale takes it in every optimum and needs no
-    node. Any other vertex gets an snode for the other label, of weight >= 0
-    (0 on a tie), numbered in `region.free` order; it conflicts with the
+    TIE times the region's scale takes it in every optimum, as a pinned
+    vertex takes its label: its position is marked at once and is an idle
+    node, of weight 0. Any other vertex's position is its snode for the
+    other label, of weight >= 0 (0 on a tie); it conflicts with the
     vertex's enodes, so enodes and snodes are the sides of one bipartite
-    MWSS. `_snode_cut` solves it on a network with one flow node per snode,
-    each enode contracted into arcs between them. A labeling without an
-    snode builds no network: it chooses every enode.
+    MWSS. `_snode_cut` solves it on a network with one flow node per
+    position, each enode contracted into arcs between snodes. A labeling
+    without an snode builds no network: it chooses every enode.
     """
     pinned, hub, free, enodes = region.pinned, region.hub, region.free, region.enodes
     folds = region.folds
     tie = TIE * region.mag
     targets = [x for fold in folds for x, _ in fold]
     saved = [(u0[x], u1[x]) for x in targets]
+    k = len(free) + len(pinned)
     results = []
     for pins in itertools.product((0, 1), repeat=len(pinned)):
         total = 0.0
@@ -520,29 +493,33 @@ def _block_values(
                 a0, a1 = rows[label]
                 u0[x] += a0
                 u1[x] += a1
-        labels = dict(zip(pinned, pins))
         snode: dict[int, int] = {}
-        weights: list[float] = []
-        for v in free:
+        weights = [0.0] * k
+        decided = []  # the free positions whose unary decides them
+        for i, v in enumerate(free):
             if side[v]:
                 on, off = u1[v], u0[v]
             else:
                 on, off = u0[v], u1[v]
             total += on
             if on - off > tie:
-                labels[v] = side[v]
+                decided.append(i)
             else:
-                snode[v] = len(weights)
-                weights.append(off - on if off >= on else 0.0)  # max(off - on, 0.0)
+                snode[v] = i
+                weights[i] = off - on if off >= on else 0.0  # max(off - on, 0.0)
         for x, (w0, w1) in zip(targets, saved):
             u0[x] = w0
             u1[x] = w1
-        if weights:
+        if snode:
             weight, flow, state = _snode_cut(weights, snode, enodes, tie)
         else:
             weight = sum(w for _, _, w in enodes if w > tie)
-            flow = state = None
-        results.append((total + weight, labels, snode, flow, state))
+            flow, state = None, [0] * k + [1, -1]
+        for i in decided:
+            state[i] = 1
+        for i, v, label in zip(range(len(free), k), pinned, pins):
+            state[i] = 1 if label == side[v] else -1
+        results.append((total + weight, flow, state))
     return results
 
 
@@ -562,7 +539,8 @@ def _value_pass(pw: PairwiseView, eps: float):
     its deltas to its ends' unaries, and keeps each pinned edge as a fold.
     The regions are then solved in the order of their tops, each finding
     the best values per label of the regions below it in its unaries, and
-    each kept cut is closed from the sink at once (`_kept_cut`).
+    each kept cut is closed from the sink at once, its network dropped
+    if that decides every position.
     """
     report = classify_graph(pw.graph)
     if not report.tractable:
@@ -668,12 +646,15 @@ def _value_pass(pw: PairwiseView, eps: float):
         # their attachment label tie; summed over the regions, these shares
         # stay within objective_tolerance.
         tie = TOLERANCE * reg.mag
-        cuts = [
-            _kept_cut(labels, snode, side, flow, state)
-            for group, top in zip(groups, best)
-            for value, labels, snode, flow, state in group
-            if value >= top - tie
-        ]
+        cuts = []
+        for group, top in zip(groups, best):
+            for value, flow, state in group:
+                if value >= top - tie:
+                    if flow is not None:
+                        flow.close(state, flow.n - 1, -1)
+                        if 0 not in state:
+                            flow = None
+                    cuts.append(_Cut(state, side, flow))
         kept.append((reg.free + reg.pinned, cuts))
     # Past the accepted scale a sum may overflow (see model.py).
     if not math.isfinite(total + sum(reg.mag for reg in regions if reg)):
@@ -690,84 +671,90 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     region given its attachment's label: one of the `kept` cuts pins it,
     and its free part is a closed set of that cut's residual graph.
     `possible` has a bit per label that some optimal assignment still gives
-    a vertex; `count` counts, per region, vertex and label, the live cuts
-    allowing it. A label that no live cut of some region allows leaves the
+    a vertex. `count` counts, per region and position, the live cuts that
+    allow the vertex there its side (in the first list) and the other
+    label (in the second); `at` lists each vertex's (region, position)
+    pairs. A label that no live cut of some region allows leaves the
     vertex. The vertex's other regions then drop the cuts that give it
-    that label and close its snode to the other side in the rest. Regions
-    meet only at cut vertices of a tree, so this arc consistency leaves
-    every possible label extendable to an optimum: fixing the variables in
-    declaration order, each to 0 while 0 is possible, needs no
-    backtracking.
+    that label and close its position to the other side in the rest.
+    Regions meet only at cut vertices of a tree, so this arc consistency
+    leaves every possible label extendable to an optimum: fixing the
+    variables in declaration order, each to 0 while 0 is possible, needs
+    no backtracking.
     """
     n = len(pw.graph.names)
     possible = [3] * n
-    regions_at: dict[int, list[int]] = {}
-    count: list[dict[int, list[int]]] = []
-    queue: list[tuple[int, int]] = []
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ri, (vertices, _) in enumerate(kept):
+        for i, v in enumerate(vertices):
+            at[v].append((ri, i))
+    count: list[tuple[list[int], list[int]]] = []
+    queue: list[tuple[int, int, int]] = []
 
-    def exclude(v, label):
+    def exclude(v, label, origin):
+        # Every live cut of region `origin` already refuses the label, so
+        # only the vertex's other regions have work to do.
         if possible[v] >> label & 1:
             possible[v] ^= 1 << label
             if not possible[v]:
                 raise InconsistentCompletionError(
                     f"no optimal label left for {pw.graph.names[v]!r}"
                 )
-            queue.append((v, label))
-
-    def lose(ri, v, label):
-        tally = count[ri][v]
-        tally[label] -= 1
-        if not tally[label]:
-            exclude(v, label)
+            if origin < 0 or len(at[v]) > 1:
+                queue.append((v, label, origin))
 
     def propagate():
         while queue:
-            v, label = queue.pop()
-            for ri in regions_at[v]:
+            v, label, origin = queue.pop()
+            for ri, i in at[v]:
+                if ri == origin:
+                    continue
                 vertices, cuts = kept[ri]
+                side = cuts[0].side
+                # The label's offset in `count`, and its mark in a state.
+                off = side[v] ^ label
+                mark = 1 - 2 * off
                 for cut in cuts:
                     if not cut.alive:
                         continue
-                    has = cut.labels.get(v)
-                    if has is None:
-                        side = cut.side
-                        node = cut.snode[v]
-                        mark = cut.state[node]
-                        if not mark:
-                            mark = 1 if side[v] != label else -1
-                            for w in cut.flow.close(cut.state, node, mark):
-                                u = cut.vertex[w]
-                                lose(ri, u, side[u] ^ (mark > 0))
-                            continue
-                        has = side[v] if mark > 0 else 1 - side[v]
-                    if has == label:
+                    state = cut.state
+                    if not state[i]:
+                        allow = count[ri][off]
+                        for j in cut.flow.close(state, i, -mark):
+                            allow[j] -= 1
+                            if not allow[j]:
+                                u = vertices[j]
+                                exclude(u, side[u] ^ off, ri)
+                    elif state[i] == mark:
                         cut.alive = False
-                        for u in vertices:
-                            for other in cut.allowed(u):
-                                lose(ri, u, other)
+                        for x, allow in enumerate(count[ri]):
+                            refused = 2 * x - 1
+                            for j, u in enumerate(vertices):
+                                if state[j] != refused:
+                                    allow[j] -= 1
+                                    if not allow[j]:
+                                        exclude(u, side[u] ^ x, ri)
 
     for ri, (vertices, cuts) in enumerate(kept):
-        tally = {v: [0, 0] for v in vertices}
+        side = cuts[0].side
+        k = len(vertices)
+        tally = ([len(cuts)] * k, [len(cuts)] * k)
         for cut in cuts:
-            for v, label in cut.labels.items():
-                tally[v][label] += 1
-            if cut.snode is not None:
-                for v in cut.snode:
-                    for label in cut.allowed(v):
-                        tally[v][label] += 1
+            for i, mark in zip(range(k), cut.state):
+                if mark:  # +1 refuses the other label, -1 the side
+                    tally[mark > 0][i] -= 1
         count.append(tally)
-        for v in vertices:
-            regions_at.setdefault(v, []).append(ri)
-            for label in (0, 1):
-                if not tally[v][label]:
-                    exclude(v, label)
+        for x, allow in enumerate(tally):
+            for i, v in enumerate(vertices):
+                if not allow[i]:
+                    exclude(v, side[v] ^ x, ri)
     propagate()
     for v in range(n):
-        if v not in regions_at:  # in no block with edges
+        if not at[v]:  # in no block with edges
             w0, w1 = pw.u0[v], pw.u1[v]
             possible[v] = 2 if w1 - w0 > TIE * max(abs(w0), abs(w1)) else 1
         elif possible[v] == 3:
-            exclude(v, 1)
+            exclude(v, 1, -1)
             propagate()
     return [possible[v] >> 1 for v in range(n)]
 
@@ -797,6 +784,15 @@ def solve_map_bnb(
     model: Model, eps: float = DEFAULT_EPS, max_nodes: int = DEFAULT_BNB_CAP
 ) -> MapSolution:
     """MAP by branch and bound on the whole pruned NMRF (any order/labels)."""
+    return solve_map_bnb_with_slack(model, eps, max_nodes)[0]
+
+
+def solve_map_bnb_with_slack(
+    model: Model, eps: float = DEFAULT_EPS, max_nodes: int = DEFAULT_BNB_CAP
+) -> tuple[MapSolution, float]:
+    """`solve_map_bnb`'s solution and the most its objective may miss the
+    optimum by, past `objective_tolerance`: the prune's `slack`, since
+    nodes of weight <= `eps` are dropped."""
     from .nmrf import build_nmrf, prune
 
     nmrf = build_nmrf(model)
@@ -810,4 +806,4 @@ def solve_map_bnb(
     base = StableSetSolution(tuple(kept[i] for i in sol.nodes), sol.weight)
     full = mmwss_complete(pruned, base)
     decoded = decode_map(full, nmrf, model)
-    return MapSolution(decoded.assignment, decoded.objective, "bnb")
+    return MapSolution(decoded.assignment, decoded.objective, "bnb"), pruned.slack

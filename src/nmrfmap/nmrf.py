@@ -60,6 +60,18 @@ class PrunedNmrf(NamedTuple):
         kept = set(self.kept)
         return tuple(i for i in range(len(self.base.nodes)) if i not in kept)
 
+    @property
+    def slack(self) -> float:
+        """The most the pruning can cost a stable set: it holds at most one
+        node per clique group, so it loses at most the sum over the groups
+        of the largest weight pruned from each."""
+        kept = set(self.kept)
+        nodes = self.base.nodes
+        return sum(
+            max((nodes[i].weight for i in ids if i not in kept), default=0.0)
+            for ids in self.base.groups.values()
+        )
+
     def subgraph(self):
         """(weights, edges, kept) with edges as index pairs into `kept`."""
         base = self.base

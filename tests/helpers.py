@@ -1,6 +1,7 @@
 """Code that only the tests call: a variable flip, a scope lookup, a
-power-of-two rescaling, two random stable-set instances and the conflict
-rule of the NMRF, used as an oracle apart from the code it checks."""
+power-of-two rescaling, two random stable-set instances, the conflict
+rule of the NMRF, used as an oracle apart from the code it checks, and an
+order-5 table that only the feasibility LP refuses."""
 
 import itertools
 from typing import Iterable
@@ -84,3 +85,15 @@ def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
         if other is not None and other != val:
             return True
     return False
+
+
+def lp_refused_table() -> tuple[float, ...]:
+    """f = max(0, s - 2) + max(0, s - 5) with s = A + 3B + 3C + 3D + E, A the
+    most significant bit of the index: supermodular, with alternating sum
+    0, yet no sum of nonnegative indicators of two or more variables."""
+    table = []
+    for idx in range(32):
+        a, b, c, d, e = ((idx >> (4 - p)) & 1 for p in range(5))
+        s = a + 3 * b + 3 * c + 3 * d + e
+        table.append(float(max(0, s - 2) + max(0, s - 5)))
+    return tuple(table)

@@ -9,6 +9,8 @@ import pytest
 import nmrfmap.cli
 import nmrfmap.mwss
 import nmrfmap.structure
+import nmrfmap.submodular
+from helpers import lp_refused_table
 from nmrfmap.cli import main
 from nmrfmap.errors import (
     InconsistentCompletionError,
@@ -17,6 +19,7 @@ from nmrfmap.errors import (
 from nmrfmap.generators import block_chain_model, model_from_signed_edges, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
+    DEFAULT_EPS,
     REPULSIVE,
     energy,
     model_from_json_file,
@@ -217,6 +220,44 @@ def test_oracle_check_allows_twice_the_folding_slack(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["objective"] == 0.0
     assert doc["oracle"] == {"objective": pytest.approx(1.5e-9), "agree": True}
+
+
+def _tiny_unaries(tmp_path, gains):
+    doc = {
+        "variables": [{"name": f"X{i}", "card": 2} for i in range(len(gains))],
+        "potentials": [{"scope": [f"X{i}"], "table": [0.0, g]} for i, g in enumerate(gains)],
+    }
+    return write_json(tmp_path / "unaries.json", doc)
+
+
+def test_bnb_oracle_check_allows_the_prune_slack(tmp_path, capsys):
+    """bnb prunes every node of weight <= eps: five unaries [0, 1e-9] lose
+    the optimum 5e-9 entirely, one largest pruned weight per clique group."""
+    path = _tiny_unaries(tmp_path, [1e-9] * 5)
+    code, out, err = run(capsys, "solve", path, "--method", "bnb", "--oracle-check")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["objective"] == 0.0
+    assert doc["oracle"] == {"objective": pytest.approx(5e-9), "agree": True}
+
+
+def test_bnb_oracle_check_refuses_a_drift_past_the_prune_slack(tmp_path, capsys,
+                                                               monkeypatch):
+    """With a sixth unary [0, 1e-8] kept, the slack is 5e-9 and the accepted
+    gap 6e-9: a stable set that misses the kept node (gap 1.5e-8) is out."""
+    path = _tiny_unaries(tmp_path, [1e-9] * 5 + [1e-8])
+    code, out, _ = run(capsys, "solve", path, "--method", "bnb", "--oracle-check")
+    assert code == 0
+    assert json.loads(out)["oracle"]["agree"]
+
+    monkeypatch.setattr(nmrfmap.mwss, "mwss_branch_bound",
+                        lambda weights, edges, cap: nmrfmap.mwss.StableSetSolution((), 0.0))
+    code, out, err = run(capsys, "solve", path, "--method", "bnb", "--oracle-check")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["objective"] == 0.0
+    assert doc["oracle"] == {"objective": pytest.approx(1.5e-8), "agree": False}
+    assert "oracle disagreement" in err
 
 
 @pytest.mark.parametrize(
@@ -458,6 +499,16 @@ def test_submodular_rejects_non_supermodular(tmp_path, capsys):
     doc = json.loads(out)
     assert not doc["supermodular"]
     assert "witness" in doc
+
+
+def test_submodular_lp_refusal(tmp_path, capsys):
+    """An order-5 table that passes both fast checks and that the LP refuses."""
+    path = write_json(tmp_path / "psi.json",
+                      {"scope": list("ABCDE"), "table": list(lp_refused_table())})
+    code, out, err = run(capsys, "submodular", path)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"alpha": 0.0, "feasible": False, "order": 5,
+                               "reason": "lp", "supermodular": True}
 
 
 @pytest.mark.parametrize("scope, table", [([], [0.0]), (["A"], [0, 1])], ids=["order-0", "order-1"])
@@ -736,6 +787,24 @@ def test_bench_passes_eps_on(capsys):
     assert status == expected
     assert [i for i, s in enumerate(status) if s == "tractable"] == [1, 3]
     assert not any(classify_model(m).tractable for m in models)
+
+
+def test_bench_passes_eps_to_construct_k3(capsys, monkeypatch):
+    """random-supermodular-k3 builds each representation at --eps, as the
+    submodular verb does."""
+    seen = []
+
+    def recording(psi, eps=DEFAULT_EPS):
+        seen.append(eps)
+        return construct_k3(psi, eps)
+
+    construct_k3 = nmrfmap.submodular.construct_k3
+    monkeypatch.setattr(nmrfmap.submodular, "construct_k3", recording)
+    code, out, _ = run(capsys, "bench", "random-supermodular-k3", "--seed", "5",
+                       "--count", "3", "--eps", "0.001")
+    assert code == 0
+    assert seen == [0.001] * 3
+    assert all(row.endswith("ok") for row in out.strip().splitlines()[1:])
 
 
 @pytest.mark.parametrize("args, message", [

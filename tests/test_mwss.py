@@ -1,6 +1,8 @@
 import collections
+import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -589,11 +591,12 @@ def test_exact_ties_across_blocks_and_hubs_match_brute_force():
 
 
 def _counting_cuts(monkeypatch):
-    """Count `_snode_cut` calls: returns the list each call appends to."""
+    """Count `_snode_cut` calls: returns the list each call appends to, of
+    the snodes of each."""
     calls = []
 
     def counted(*args):
-        calls.append(len(args[0]))
+        calls.append(len(args[1]))
         return snode_cut(*args)
 
     snode_cut = nmrfmap.mwss._snode_cut
@@ -649,6 +652,30 @@ def test_balanced_tree_takes_one_min_cut(monkeypatch):
     sol = solve_map(model)
     assert sol.objective == pytest.approx(max(value[0]))
     assert len(calls) == 2
+
+
+def test_kept_cuts_are_flat_state_lists():
+    """Each kept cut is one state list over its region's positions plus the
+    two terminals, with a network only while some position is open; on a
+    chain of 1000 triangles what the value pass keeps stays under 1 MiB."""
+    pw = pairwise_view(block_chain_model(1000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        best, kept = _value_pass(pw, DEFAULT_EPS)
+        gc.collect()  # empties the free lists, which hold no live object
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 2**20
+    networks = 0
+    for vertices, cuts in kept:
+        for cut in cuts:
+            assert not any(isinstance(getattr(cut, slot), dict) for slot in cut.__slots__)
+            assert len(cut.state) == len(vertices) + 2
+            assert (cut.flow is None) == (0 not in cut.state[: len(vertices)])
+            networks += cut.flow is not None
+    assert 0 < networks < sum(len(cuts) for _, cuts in kept)
 
 
 def _block_chain(rng, n_blocks, integer=False):

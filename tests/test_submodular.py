@@ -3,6 +3,9 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.optimize import nnls
+
+from helpers import lp_refused_table
 
 from nmrfmap.errors import BadIndicesError, NotSupermodularError, TooLargeError
 from nmrfmap.generators import random_supermodular_k3
@@ -173,6 +176,41 @@ def test_feasibility_fast_and_lp_paths():
     assert not verdict.feasible
     assert verdict.reason == "not_supermodular"
     assert verdict.witness is not None
+
+
+def _indicator_residual(table, k):
+    """Least-squares residual of `table` over a constant, k linear terms of
+    any sign (split into two nonnegative columns each) and nonnegative
+    weights on the all-zeros and all-ones indicator of every subset of two
+    or more variables, by scipy's nnls rather than the library's LP."""
+    subsets = [s for r in range(2, k + 1) for s in itertools.combinations(range(k), r)]
+    rows = []
+    for idx in range(1 << k):
+        bits = [(idx >> (k - 1 - p)) & 1 for p in range(k)]
+        free = [1.0, *map(float, bits)]
+        rows.append(free + [-x for x in free] + [
+            float(all(bits[p] == x for p in sub)) for sub in subsets for x in (0, 1)
+        ])
+    return nnls(np.array(rows), np.array(table))[1]
+
+
+def test_lp_refuses_what_the_fast_checks_pass():
+    """A supermodular order-5 table with alternating sum 0: neither fast
+    check fires, and the LP finds no nonnegative indicator weights, as
+    nnls on the same equations confirms (residual 0.5)."""
+    table = lp_refused_table()
+    psi = HighOrderPotential(tuple("ABCDE"), table)
+    assert is_supermodular(psi) == (True, None)
+    assert alpha(psi) == 0.0
+    assert representation_feasible(psi) == (False, "lp", None)
+    assert _indicator_residual(table, 5) == pytest.approx(0.5)
+    # The oracle itself: a sum of indicators with a signed linear part fits.
+    fitted = [
+        3.0 - 2.0 * a + 0.5 * e + 2.0 * (a and b and c) + 1.0 * (not (b or d))
+        for a, b, c, d, e in itertools.product((0, 1), repeat=5)
+    ]
+    assert _indicator_residual(fitted, 5) < 1e-9
+    assert representation_feasible(HighOrderPotential(tuple("ABCDE"), tuple(fitted))).feasible
 
 
 def test_feasibility_matches_construction_for_k3():

@@ -135,18 +135,6 @@ def random_tractable_model(
     return model_from_signed_edges(n, edges, rng, integer=integer)
 
 
-def random_br_model(rng: np.random.Generator, n: int = 6, p: float = 0.5) -> Model:
-    """Random BR-structured model: signs follow a hidden bipartition."""
-    side = [int(rng.integers(0, 2)) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                sign = REPULSIVE if side[u] != side[v] else ASSOCIATIVE
-                edges.append((u, v, sign))
-    return model_from_signed_edges(n, edges, rng)
-
-
 def random_signed_model(rng: np.random.Generator, n: int = 6, p: float = 0.5) -> Model:
     edges = []
     for u in range(n):

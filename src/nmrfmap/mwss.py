@@ -417,7 +417,9 @@ def _snode_cut(
     left = list(excess)
     to: list[int] = []
     cap: list[float] = []
-    head: list[list[int]] = [[] for _ in range(k + 2)]
+    head: list = [()] * k + [[], []]  # an idle node, with no arc, holds the shared ()
+    for x in snode.values():
+        head[x] = []
     for x, y, w in pairs:
         # min(left[x], w, -left[y]); the builtin parses its arguments slowly
         pushed = left[x]
@@ -531,12 +533,13 @@ def _value_pass(pw: PairwiseView, eps: float):
     One pass over the blocks, parents first, builds the regions in flat
     arrays, each BR block joining the region of its parent block (the later
     block that holds its attachment without attaching there), and gives
-    every free vertex its side: a T/U top's class `sides` on its free hub's
-    star; a BR block's `V1`/`V2`, flipped to agree with its parent at its
-    attachment unless that is the pinned hub. One pass over the view's
-    edges, each in the region of its block (`tree.edge_block`), sums each
-    region's scale, rewrites each free edge to its single enode, adding
-    its deltas to its ends' unaries, and keeps each pinned edge as a fold.
+    every free vertex its side, in one loop, from its block's class `sides`:
+    a T/U top's on its free hub's star; a BR block's flipped to agree with
+    its parent at its attachment unless that is the pinned hub. One pass
+    over the view's edges, each in the region of its block
+    (`tree.edge_block`), sums each region's scale, rewrites each free edge
+    to its single enode, adding its deltas to its ends' unaries, and keeps
+    each pinned edge as a fold.
     The regions are then solved in the order of their tops, each finding
     the best values per label of the regions below it in its unaries, and
     each kept cut is closed from the sink at once, its network dropped
@@ -563,26 +566,15 @@ def _value_pass(pw: PairwiseView, eps: float):
         if not block.edges:  # an isolated vertex
             continue
         if cls.kind == "BR":
+            r = bi if c is None else region[owner[c]]
             if c is None:
-                r = bi
                 regions[bi] = _Region([], None)
-            else:
-                r = region[owner[c]]
             reg = regions[r]
-            v1 = cls.params["V1"]
             # Flipped so that c keeps its side (a pinned hub has none).
-            flip = 0 if c is None or c == reg.hub else side[c] ^ (c not in v1)
-            for v in v1:
-                side[v] = flip
-            for v in cls.params["V2"]:
-                side[v] = 1 - flip
-            for v in block.vertices:
-                if v != c:
-                    owner[v] = bi
-                    reg.free.append(v)
+            flip = 0 if c is None or c == reg.hub else side[c] ^ cls.sides[block.vertices.index(c)]
         else:
             r = bi
-            s, t = cls.params["s"], cls.params["t"]
+            s, t = cls.hubs
             if c == s or c == t:
                 reg = regions[bi] = _Region([c], None)
             else:
@@ -590,12 +582,13 @@ def _value_pass(pw: PairwiseView, eps: float):
             # The free part is the star on the unpinned hub h; on s's, a U spoke flips.
             h = s if c == t else t
             flip = h == s and cls.kind == "U"
-            for v, x in zip(block.vertices, cls.sides):
-                if v != c:
-                    owner[v] = bi
-                    side[v] = x ^ flip
-                    if v != reg.hub:
-                        reg.free.append(v)
+        for v, x in zip(block.vertices, cls.sides):
+            if v != c:
+                owner[v] = bi
+                side[v] = x ^ flip
+                if v != reg.hub:
+                    reg.free.append(v)
+        if cls.kind != "BR":
             side[h] = 0
         region[bi] = r
 

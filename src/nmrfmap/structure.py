@@ -4,12 +4,13 @@ A binary pairwise model is solvable by the stable-set pipeline exactly when
 every block of its signed graph is one of three shapes: repulsive-bipartite
 (BR), triangles on a repulsive base (T), or mixed triangles on an
 associative base (U). Classification runs in linear time and produces a
-certificate: a bipartition, structure parameters, or a witness frustrated
-cycle. One writer, `_block_plan`, gives each edge its enode form, keyed by
-the edge's signed triple; `report.forms` is built from it when first read,
-`solve_map` never reads it, and `plan_by_names` keys it by names for the
-compiler. A T/U test rejects any block without the 2n - 3 edges of that
-shape before it counts degrees.
+certificate: a two-colouring (`sides`) with, for T and U, the base edge
+(`hubs`), or a witness frustrated cycle; the JSON's `params` follow from
+these and exist only in `report_to_json`. One writer, `_block_plan`, gives
+each edge its enode form, keyed by the edge's signed triple; `report.forms`
+is built from it when first read, `solve_map` never reads it, and
+`plan_by_names` keys it by names for the compiler. A T/U test rejects any
+block without the 2n - 3 edges of that shape before it counts degrees.
 """
 
 from __future__ import annotations
@@ -50,10 +51,15 @@ class BlockTree(NamedTuple):
 
 class BlockClass(NamedTuple):
     kind: str  # "BR" | "T" | "U" | "INTRACTABLE"
-    params: dict
-    witness: Optional[tuple[int, ...]] = None
-    # T/U: each vertex's side on hub t's star (a U spoke flips on s's); not in the JSON.
+    # Tractable: each vertex's side, aligned with block.vertices; BR: V2 on
+    # side 1; T/U: the star on hub t's (a U spoke flips on s's).
     sides: Optional[tuple[int, ...]] = None
+    hubs: Optional[tuple[int, int]] = None  # T/U: the base edge (s, t), s < t
+    witness: Optional[tuple[int, ...]] = None
+
+
+# The classes of a lone vertex, an associative and a repulsive bridge.
+_LONE, _SAME, _ACROSS = (BlockClass("BR", sides) for sides in ((0,), (0, 0), (0, 1)))
 
 
 class _ReportFields(NamedTuple):
@@ -235,11 +241,9 @@ def _conflict_cycle(parent, u, v):
 
 def classify_block(block: Block) -> BlockClass:
     if len(block.vertices) == 1:
-        return BlockClass("BR", {"V1": block.vertices, "V2": ()})
+        return _LONE
     if len(block.vertices) == 2:
-        vs = block.vertices
-        v1, v2 = (vs[:1], vs[1:]) if block.edges[0][2] == REPULSIVE else (vs, ())
-        return _new(BlockClass, ("BR", {"V1": v1, "V2": v2}, None, None))
+        return _ACROSS if block.edges[0][2] == REPULSIVE else _SAME
     start = block.vertices  # where the two-colouring starts
     if len(block.vertices) == 3 and len(block.edges) == 3:
         rep = [(u, v) for u, v, s in block.edges if s == REPULSIVE]
@@ -248,13 +252,11 @@ def classify_block(block: Block) -> BlockClass:
             # repulsive edge's lower end; its sides are those of the star on t.
             vs = block.vertices
             if len(rep) == 3:
-                s, t, r = sorted(vs)
-                params = {"s": s, "t": t, "r": (r,), "a": (), "m": 1, "n": 0}
-                return _new(BlockClass, ("T", params, None, tuple([int(x != t) for x in vs])))
+                return _new(BlockClass, ("T", (1, 0, 1), vs[:2], None))
             v = min(rep[0])
             s, t = sorted(x for x in vs if x != v)
             sides = tuple([1 if x == v and t in rep[0] else 0 for x in vs])
-            return _new(BlockClass, ("U", {"s": s, "t": t, "v": (v,), "n": 1}, None, sides))
+            return _new(BlockClass, ("U", sides, (s, t), None))
         start = (block.edges[0][0], *start)  # a balanced triangle: at its first edge
     else:
         # Every T or U shape holds a frustrated triangle, so testing the
@@ -264,10 +266,8 @@ def classify_block(block: Block) -> BlockClass:
             return hub
     side, cycle = _signed_two_color(start, block.edges)
     if side is not None:
-        v1 = tuple(v for v in block.vertices if side[v] == 0)
-        v2 = tuple(v for v in block.vertices if side[v] == 1)
-        return _new(BlockClass, ("BR", {"V1": v1, "V2": v2}, None, None))
-    return BlockClass("INTRACTABLE", {}, witness=cycle)
+        return _new(BlockClass, ("BR", tuple(map(side.__getitem__, block.vertices)), None, None))
+    return BlockClass("INTRACTABLE", witness=cycle)
 
 
 def _hub_class(block: Block) -> Optional[BlockClass]:
@@ -275,8 +275,8 @@ def _hub_class(block: Block) -> Optional[BlockClass]:
     its only vertices of degree > 2, or None. Every edge meets s or t and
     every triangle s-x-t is frustrated: with 2n - 3 edges, the base edge and
     one leg from each spoke to each hub all exist. A repulsive base makes a
-    T block, its spokes split by leg sign into `r` and `a`; an associative
-    one, a U block. Its `sides` are those of the star on t, from t's legs.
+    T block, each spoke's legs of one sign; an associative one, a U block.
+    Its `sides` are those of the star on t, from t's legs.
     """
     # A base edge plus two legs per spoke: every T and U shape has this many.
     if len(block.edges) != 2 * len(block.vertices) - 3:
@@ -299,20 +299,13 @@ def _hub_class(block: Block) -> Optional[BlockClass]:
         else:
             return None  # a spoke-spoke edge
     base = to_t[s] = to_s[t]
-    spokes, r, a, sides = [], [], [], []
+    sides = []
     for x in block.vertices:
         leg = to_t.get(x)  # None at t
         sides.append(1 if leg == REPULSIVE else 0)
-        if x != s and x != t:
-            if to_s[x] * leg != -base:
-                return None  # the triangle s-x-t is not frustrated
-            spokes.append(x)
-            (r if to_s[x] == REPULSIVE else a).append(x)
-    if base == REPULSIVE:
-        kind, params = "T", {"s": s, "t": t, "r": tuple(r), "a": tuple(a), "m": len(r), "n": len(a)}
-    else:
-        kind, params = "U", {"s": s, "t": t, "v": tuple(spokes), "n": len(spokes)}
-    return _new(BlockClass, (kind, params, None, tuple(sides)))
+        if x != s and x != t and to_s[x] * leg != -base:
+            return None  # the triangle s-x-t is not frustrated
+    return _new(BlockClass, ("T" if base == REPULSIVE else "U", tuple(sides), (s, t), None))
 
 
 # An enode form (a, b) by its index 2a + b, shared by every edge.
@@ -323,19 +316,16 @@ def _block_plan(block: Block, cls: BlockClass, forms: dict) -> None:
     """Add the enode form of every edge of `block` to `forms`, keyed by the
     edge's signed triple; the form (a, b) is for its ends u < v."""
     if cls.kind == "BR":
-        v2 = set(cls.params["V2"])
-        for edge in block.edges:
+        side = dict(zip(block.vertices, cls.sides))
+        for edge in block.edges:  # repulsive: (0, 1), or (1, 0) if its lower end is on side 1
             u, v, s = edge
-            if s == ASSOCIATIVE:
-                forms[edge] = (0, 0)
-            else:
-                forms[edge] = (1, 0) if (u if u < v else v) in v2 else (0, 1)
+            forms[edge] = (0, 0) if s == ASSOCIATIVE else _FORMS[1 + side[u if u < v else v]]
         return
 
     if cls.kind in ("T", "U"):
         # A spoke enode disagrees with the base enode on its hub; its own
         # end then follows from the edge sign.
-        s, t = cls.params["s"], cls.params["t"]
+        s, t = cls.hubs
         hub_vals = {s: 0, t: 1 if cls.kind == "T" else 0}
         for edge in block.edges:
             u, v, sign = edge
@@ -370,6 +360,28 @@ def classify_graph(graph: SignedGraph) -> TractabilityReport:
 _FORM_TEXT = {(0, 0): "00", (0, 1): "01", (1, 0): "10", (1, 1): "11"}
 
 
+def _br_params(vertices, cls, names):
+    v1, v2 = ([names[v] for v, x in zip(vertices, cls.sides) if x == side] for side in (0, 1))
+    return {"V1": v1, "V2": v2}
+
+
+def _t_params(vertices, cls, names):
+    s, t = cls.hubs  # s on side 1, t on side 0, each other vertex a spoke
+    r = [names[v] for v, x in zip(vertices, cls.sides) if x and v != s]
+    a = [names[v] for v, x in zip(vertices, cls.sides) if not x and v != t]
+    return {"s": names[s], "t": names[t], "r": r, "a": a, "m": len(r), "n": len(a)}
+
+
+def _u_params(vertices, cls, names):
+    s, t = cls.hubs
+    spokes = [names[v] for v in vertices if v != s and v != t]
+    return {"s": names[s], "t": names[t], "v": spokes, "n": len(spokes)}
+
+
+# The JSON params of each class kind, from its block's vertices and its class.
+_PARAMS = {"BR": _br_params, "T": _t_params, "U": _u_params, "INTRACTABLE": lambda *_: {}}
+
+
 def report_to_json(report: TractabilityReport) -> dict:
     """The report as JSON-ready names: each block with its class, params and
     witness, the enode form of every edge, and the cut vertices.
@@ -384,14 +396,7 @@ def report_to_json(report: TractabilityReport) -> dict:
 
     blocks = []
     for block, cls in zip(report.tree.blocks, report.classes):
-        params = {}
-        for key, val in cls.params.items():
-            if isinstance(val, tuple):
-                params[key] = list(map(get, val))
-            elif isinstance(val, int) and key in ("s", "t"):
-                params[key] = names[val]
-            else:
-                params[key] = val
+        params = _PARAMS[cls.kind](block.vertices, cls, names)
         entry = {"vertices": list(map(get, block.vertices)), "class": cls.kind, "params": params}
         if cls.witness is not None:
             entry["witness"] = list(map(get, cls.witness))

@@ -1,7 +1,7 @@
 """Code that only the tests call: a variable flip, a scope lookup, a
-power-of-two rescaling, two random stable-set instances, the conflict
-rule of the NMRF, used as an oracle apart from the code it checks, and an
-order-5 table that only the feasibility LP refuses."""
+power-of-two rescaling, a random BR model, two random stable-set
+instances, the conflict rule of the NMRF, used as an oracle apart from the
+code it checks, and an order-5 table that only the feasibility LP refuses."""
 
 import itertools
 from typing import Iterable
@@ -9,7 +9,8 @@ from typing import Iterable
 import numpy as np
 
 from nmrfmap.errors import NotBinaryPairwiseError, UnknownVariableError
-from nmrfmap.model import Model, Potential, is_binary_pairwise, table_index
+from nmrfmap.generators import model_from_signed_edges
+from nmrfmap.model import ASSOCIATIVE, REPULSIVE, Model, Potential, is_binary_pairwise, table_index
 from nmrfmap.nmrf import NmrfNode
 
 
@@ -51,6 +52,18 @@ def scaled(model: Model, k: int) -> Model:
         model.variables,
         tuple(Potential(p.scope, tuple(factor * x for x in p.table)) for p in model.potentials),
     )
+
+
+def random_br_model(rng: np.random.Generator, n: int = 6, p: float = 0.5) -> Model:
+    """Random BR-structured model: signs follow a hidden bipartition."""
+    side = [int(rng.integers(0, 2)) for _ in range(n)]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                sign = REPULSIVE if side[u] != side[v] else ASSOCIATIVE
+                edges.append((u, v, sign))
+    return model_from_signed_edges(n, edges, rng)
 
 
 def random_weighted_graph(rng: np.random.Generator, n: int, p: float = 0.4):

@@ -12,11 +12,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import nodes_conflict, random_bipartite_graph, random_weighted_graph
+from helpers import nodes_conflict, random_bipartite_graph, random_br_model, random_weighted_graph
 from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
-    random_br_model,
     random_signed_model,
     random_supermodular_k3,
     random_tractable_model,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import flip_variables, random_weighted_graph, scaled
+from helpers import flip_variables, random_br_model, random_weighted_graph, scaled
 from nmrfmap.errors import (
     IntractableTopologyError,
     ObjectiveMismatchError,
@@ -19,7 +19,6 @@ from nmrfmap.generators import (
     _random_block,
     block_chain_model,
     model_from_signed_edges,
-    random_br_model,
     random_signed_model,
     random_tractable_model,
 )
@@ -611,7 +610,7 @@ def _per_block_cuts(report):
     for block, cls, c in zip(report.tree.blocks, report.classes, report.tree.attach):
         if block.edges:
             pinned = c is not None
-            if cls.kind != "BR" and c not in (cls.params["s"], cls.params["t"]):
+            if cls.kind != "BR" and c not in cls.hubs:
                 pinned += 1
             cuts += 2 ** pinned
     return cuts
@@ -674,6 +673,10 @@ def test_kept_cuts_are_flat_state_lists():
             assert not any(isinstance(getattr(cut, slot), dict) for slot in cut.__slots__)
             assert len(cut.state) == len(vertices) + 2
             assert (cut.flow is None) == (0 not in cut.state[: len(vertices)])
+            # A position decided without an arc is an idle node: the shared empty tuple.
+            assert cut.flow is None or all(
+                arcs == () for arcs, mark in zip(cut.flow.head, cut.state[: len(vertices)]) if mark and not arcs
+            )
             networks += cut.flow is not None
     assert 0 < networks < sum(len(cuts) for _, cuts in kept)
 
@@ -747,7 +750,7 @@ def _hung_shapes(report):
         parent = classes[owner[c]]
         if parent.kind == "BR":
             continue
-        s, t = parent.params["s"], parent.params["t"]
+        s, t = parent.hubs
         if c not in (s, t):
             shapes["free spoke"] += 1
         elif c == s and tree.attach[owner[c]] not in (s, t):

@@ -45,7 +45,7 @@ RECORDS = [
     (Block, ("vertices", "edges"), lambda: classify_model(_model()).tree.blocks[-1]),
     (BlockTree, ("blocks", "cut_vertices", "attach", "edge_block"),
      lambda: classify_model(_model()).tree),
-    (BlockClass, ("kind", "params", "witness", "sides"), lambda: classify_model(_model()).classes[-1]),
+    (BlockClass, ("kind", "sides", "hubs", "witness"), lambda: classify_model(_model()).classes[-1]),
     (TractabilityReport, ("tractable", "graph", "tree", "classes"),
      lambda: classify_model(_model())),
     (StableSetSolution, ("nodes", "weight"), lambda: StableSetSolution((0, 2), 1.5)),
@@ -82,8 +82,9 @@ def test_records_are_immutable_with_a_field_repr(cls, fields, make):
 
 
 def test_record_defaults():
-    assert BlockClass("BR", {}).witness is None
-    assert BlockClass("BR", {}).sides is None
+    assert BlockClass("INTRACTABLE").witness is None
+    assert BlockClass("INTRACTABLE").sides is None
+    assert BlockClass("BR", (0,)).hubs is None
     assert PerfectionVerdict(True) == PerfectionVerdict(True, None, None)
     assert FeasibilityVerdict(True) == FeasibilityVerdict(True, None, None)
 

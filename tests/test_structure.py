@@ -18,6 +18,7 @@ from nmrfmap.generators import (
 )
 from nmrfmap.model import (
     ASSOCIATIVE,
+    Model,
     REPULSIVE,
     SignedGraph,
     model_to_json,
@@ -246,17 +247,30 @@ def star_block(m, n):
     return Block(tuple(range(v)), tuple(edges))
 
 
+def _block_json(block):
+    """The JSON entry of a 2-connected block, classified as a graph of its own."""
+    return report_to_json(classify_graph(sg(len(block.vertices), block.edges)))["blocks"][-1]
+
+
 def test_classify_canonical_shapes():
-    cls = classify_block(star_block(2, 3))
+    star = star_block(2, 3)
+    cls = classify_block(star)
     assert cls.kind == "T"
-    assert (cls.params["m"], cls.params["n"]) == (2, 3)
+    # s and the two repulsive spokes on side 1, t and the three associative ones on 0
+    assert cls.hubs == (0, 1)
+    assert cls.sides == (1, 0, 1, 1, 0, 0, 0)
+    assert _block_json(star)["params"] == {
+        "s": "X0", "t": "X1", "r": ["X2", "X3"], "a": ["X4", "X5", "X6"], "m": 2, "n": 3
+    }
 
     edges = [(0, 1, ASSOCIATIVE)]
     for v, up in ((2, ASSOCIATIVE), (3, REPULSIVE)):
         edges += [(0, v, up), (1, v, -up)]
-    cls = classify_block(Block((0, 1, 2, 3), tuple(edges)))
+    block = Block((0, 1, 2, 3), tuple(edges))
+    cls = classify_block(block)
     assert cls.kind == "U"
-    assert cls.params["n"] == 2
+    assert cls.hubs == (0, 1)
+    assert _block_json(block)["params"] == {"s": "X0", "t": "X1", "v": ["X2", "X3"], "n": 2}
 
     # balanced square
     sq = Block(
@@ -289,17 +303,39 @@ def test_classify_triangles():
 def test_hub_classes_colour_the_star_on_t():
     """A T or U class's `sides` give 0 at hub t and 1 across each repulsive
     edge to t. On the star on s a T spoke keeps its side and a U spoke's
-    flips, so one colouring serves whichever hub the solve leaves free."""
+    flips, so one colouring serves whichever hub the solve leaves free. A
+    BR class's `sides` put each repulsive edge across and each associative
+    one within a side, the JSON's V1 on side 0 and V2 on side 1; a lone
+    vertex and each kind of bridge share one record."""
+    lone = classify_block(Block((0,), ()))
+    bridge = {sign: classify_block(Block((0, 1), ((0, 1, sign),))) for sign in (ASSOCIATIVE, REPULSIVE)}
+    assert (lone.sides, bridge[ASSOCIATIVE].sides, bridge[REPULSIVE].sides) == ((0,), (0, 0), (0, 1))
+    assert classify_block(Block((7,), ())) is lone
     rng = np.random.default_rng(59)
     kinds = set()
-    for _ in range(200):
-        report = classify_model(random_tractable_model(rng, max_vars=int(rng.integers(3, 12))))
-        for block, cls in zip(report.tree.blocks, report.classes):
+    for trial in range(200):
+        model = random_tractable_model(rng, max_vars=int(rng.integers(3, 12)))
+        if trial % 10 == 0:  # a variable in no potential: a lone vertex
+            model = Model(model.variables + (("Z", 2),), model.potentials)
+        report = classify_model(model)
+        doc = report_to_json(report)
+        names = report.graph.names
+        for block, cls, entry in zip(report.tree.blocks, report.classes, doc["blocks"]):
             if cls.kind == "BR":
-                assert cls.sides is None
+                side = dict(zip(block.vertices, cls.sides))
+                for u, v, sign in block.edges:
+                    assert side[u] ^ side[v] == (sign == REPULSIVE)
+                for x, key in enumerate(("V1", "V2")):
+                    assert entry["params"][key] == [names[v] for v in block.vertices if side[v] == x]
+                if not block.edges:
+                    kinds.add("lone")
+                    assert cls is lone
+                elif len(block.vertices) == 2:
+                    kinds.add("bridge")
+                    assert cls is bridge[block.edges[0][2]]
                 continue
             kinds.add((cls.kind, len(block.vertices) == 3))
-            s, t = cls.params["s"], cls.params["t"]
+            s, t = cls.hubs
             side = dict(zip(block.vertices, cls.sides))
             assert side[t] == 0
             for u, v, sign in block.edges:
@@ -307,7 +343,7 @@ def test_hub_classes_colour_the_star_on_t():
                 spoke = v if u == hub else u
                 flip = hub == s and spoke != t and cls.kind == "U"
                 assert side[spoke] ^ flip == (sign == REPULSIVE)
-    assert kinds == {("T", True), ("T", False), ("U", True), ("U", False)}
+    assert kinds == {("T", True), ("T", False), ("U", True), ("U", False), "lone", "bridge"}
 
 
 def test_k4_with_frustrated_triangle_is_intractable():

@@ -51,6 +51,7 @@ from .structure import (
     classify_block,
     classify_graph,
     classify_model,
+    enode_forms,
     plan_by_names,
     report_to_json,
 )

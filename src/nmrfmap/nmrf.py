@@ -229,6 +229,9 @@ def nmrf_from_json(data: Mapping) -> Nmrf:
     for k, entry in enumerate(data["nodes"]):
         if not isinstance(entry, Mapping) or type(entry.get("id")) is not int or entry["id"] != k:
             raise ModelFormatError(f"node {k} must be a mapping with id {k}")
+        for key in ("group", "assignment", "weight"):
+            if key not in entry:
+                raise ModelFormatError(f"node {k} has no key {key!r}")
         scope, values = entry["group"], entry["assignment"]
         weight = _as_floats([entry["weight"]])
         labels = isinstance(scope, list) and isinstance(values, Mapping) and all(

@@ -6,18 +6,17 @@ every block of its signed graph is one of three shapes: repulsive-bipartite
 associative base (U). Classification runs in linear time and produces a
 certificate: a two-colouring (`sides`) with, for T and U, the base edge
 (`hubs`), or a witness frustrated cycle; the JSON's `params` follow from
-these and exist only in `report_to_json`. One writer, `_block_plan`, gives
-each edge its enode form, keyed by the edge's signed triple; `report.forms`
-is built from it when first read, `solve_map` never reads it, and
-`plan_by_names` keys it by names for the compiler. A T/U test rejects any
-block without the 2n - 3 edges of that shape before it counts degrees.
+these and exist only in `report_to_json`. `enode_forms` gives each edge its
+enode form in a list aligned with `graph.edges`; its two readers,
+`report_to_json` and `plan_by_names` (names-keyed, for the compiler), build
+it, and `solve_map` never does. A T/U test rejects any block without the
+2n - 3 edges of that shape before it counts degrees.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -27,7 +26,6 @@ from .model import (
     Model,
     REPULSIVE,
     SignedGraph,
-    _read_only,
     signed_view,
 )
 
@@ -62,25 +60,11 @@ class BlockClass(NamedTuple):
 _LONE, _SAME, _ACROSS = (BlockClass("BR", sides) for sides in ((0,), (0, 0), (0, 1)))
 
 
-class _ReportFields(NamedTuple):
+class TractabilityReport(NamedTuple):
     tractable: bool
     graph: SignedGraph
     tree: BlockTree
     classes: tuple[BlockClass, ...]
-
-
-class TractabilityReport(_ReportFields):
-    __setattr__ = __delattr__ = _read_only
-
-    @cached_property
-    def forms(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        """The enode form (a, b) of every edge, keyed by its signed triple
-        (u, v, sign) as in `graph.edges`, block by block; built on first
-        read, and `solve_map` never reads it."""
-        forms: dict[tuple[int, int, int], tuple[int, int]] = {}
-        for block, cls in zip(self.tree.blocks, self.classes):
-            _block_plan(block, cls, forms)
-        return forms
 
 
 def block_decompose(graph: SignedGraph) -> BlockTree:
@@ -312,40 +296,48 @@ def _hub_class(block: Block) -> Optional[BlockClass]:
 _FORMS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _block_plan(block: Block, cls: BlockClass, forms: dict) -> None:
-    """Add the enode form of every edge of `block` to `forms`, keyed by the
-    edge's signed triple; the form (a, b) is for its ends u < v."""
-    if cls.kind == "BR":
-        side = dict(zip(block.vertices, cls.sides))
-        for edge in block.edges:  # repulsive: (0, 1), or (1, 0) if its lower end is on side 1
-            u, v, s = edge
-            forms[edge] = (0, 0) if s == ASSOCIATIVE else _FORMS[1 + side[u if u < v else v]]
-        return
-
-    if cls.kind in ("T", "U"):
-        # A spoke enode disagrees with the base enode on its hub; its own
-        # end then follows from the edge sign.
-        s, t = cls.hubs
-        hub_vals = {s: 0, t: 1 if cls.kind == "T" else 0}
-        for edge in block.edges:
-            u, v, sign = edge
-            lo, hi = (u, v) if u < v else (v, u)
-            if lo in hub_vals and hi in hub_vals:  # the base edge
-                forms[edge] = _FORMS[2 * hub_vals[lo] + hub_vals[hi]]
+def enode_forms(report: TractabilityReport) -> list[tuple[int, int]]:
+    """The enode form (a, b) of every edge, for its ends u < v, aligned with
+    `report.graph.edges`; `solve_map` never builds it."""
+    tree, classes = report.tree, report.classes
+    # Each vertex's side in the BR block that holds it without attaching
+    # there; of a repulsive BR edge, at most one end is its block's attachment.
+    side = [0] * report.graph.n
+    for block, cls, at in zip(tree.blocks, classes, tree.attach):
+        if cls.kind == "BR":
+            for v, x in zip(block.vertices, cls.sides):
+                if v != at:
+                    side[v] = x
+    forms = []
+    for (u, v, sign), bi in zip(report.graph.edges, tree.edge_block):
+        cls = classes[bi]
+        kind = cls.kind
+        if kind == "T" or kind == "U":
+            # The base enode (s, t) reads (0, 1) for T and (0, 0) for U. A
+            # spoke enode disagrees with it on its hub; its own end then
+            # follows from the edge sign.
+            s, t = cls.hubs
+            if u == s and v == t:
+                forms.append(_FORMS[kind == "T"])
                 continue
-            v_hub = 1 - hub_vals[lo if lo in hub_vals else hi]
+            hub = u if u == s or u == t else v
+            v_hub = 0 if hub == t and kind == "T" else 1
             v_spoke = v_hub if sign == ASSOCIATIVE else 1 - v_hub
-            forms[edge] = _FORMS[2 * v_hub + v_spoke if lo in hub_vals else 2 * v_spoke + v_hub]
-        return
-
-    # Intractable blocks keep the default forms so diagnostics stay buildable.
-    for edge in block.edges:
-        forms[edge] = (0, 0) if edge[2] == ASSOCIATIVE else (0, 1)
+            forms.append(_FORMS[2 * v_hub + v_spoke if hub == u else 2 * v_spoke + v_hub])
+        elif sign == ASSOCIATIVE:
+            forms.append(_FORMS[0])
+        elif kind == "INTRACTABLE":  # the default form, so diagnostics stay buildable
+            forms.append(_FORMS[1])
+        elif u == tree.attach[bi]:  # BR: (0, 1), or (1, 0) if u is on side 1
+            forms.append(_FORMS[2 - side[v]])
+        else:
+            forms.append(_FORMS[1 + side[u]])
+    return forms
 
 
 def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport:
-    """Per-block classification and overall verdict; the report builds the
-    enode-form plan when it is first read."""
+    """Per-block classification and overall verdict; `enode_forms` builds
+    the enode-form plan from the report."""
     graph = signed_view(model, eps)
     return classify_graph(graph)
 
@@ -401,10 +393,10 @@ def report_to_json(report: TractabilityReport) -> dict:
         if cls.witness is not None:
             entry["witness"] = list(map(get, cls.witness))
         blocks.append(entry)
-    forms = report.forms
-    enode_plan = []
-    for edge in sorted(report.graph.edges):
-        enode_plan.append({"edge": [names[edge[0]], names[edge[1]]], "form": _FORM_TEXT[forms[edge]]})
+    enode_plan = [
+        {"edge": [names[u], names[v]], "form": _FORM_TEXT[form]}
+        for (u, v, _), form in sorted(zip(report.graph.edges, enode_forms(report)))
+    ]
     return {
         "tractable": report.tractable,
         "blocks": blocks,
@@ -414,10 +406,8 @@ def report_to_json(report: TractabilityReport) -> dict:
 
 
 def plan_by_names(report: TractabilityReport) -> dict[tuple[str, str], tuple[int, int]]:
-    """Each edge's enode form from `report.forms`, keyed by its two names
-    in declaration order."""
+    """Each edge's enode form from `enode_forms`, keyed by its two names in
+    declaration order."""
     names = report.graph.names
-    return {
-        (names[u], names[v]) if u < v else (names[v], names[u]): form
-        for (u, v, _), form in report.forms.items()
-    }
+    forms = enode_forms(report)
+    return {(names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, forms)}

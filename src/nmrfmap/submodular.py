@@ -264,6 +264,9 @@ def potential_from_json(data: Mapping) -> HighOrderPotential:
     extra = set(data) - {"scope", "table"}
     if extra:
         raise ValueError(f"unknown keys: {sorted(extra)}")
+    for key in ("scope", "table"):
+        if key not in data:
+            raise ModelFormatError(f"potential description has no key {key!r}")
     scope, table = data["scope"], data["table"]
     names = isinstance(scope, list) and all(isinstance(n, str) for n in scope)
     values = _as_floats(table) if isinstance(table, list) else None

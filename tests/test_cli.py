@@ -412,6 +412,26 @@ def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "verb, doc, err",
+    [
+        ("perfect", {"nodes": [{"id": 0, "weight": 1.0}], "edges": []},
+         "error: node 0 has no key 'group'\n"),
+        ("perfect", {"nodes": [{"id": 0, "group": ["A"], "weight": 1.0}], "edges": []},
+         "error: node 0 has no key 'assignment'\n"),
+        ("perfect", {"nodes": [{"id": 0, "group": ["A"], "assignment": {"A": 0}}], "edges": []},
+         "error: node 0 has no key 'weight'\n"),
+        ("submodular", {"table": [0, 0, 0, 1]}, "error: potential description has no key 'scope'\n"),
+        ("submodular", {"scope": ["a", "b"]}, "error: potential description has no key 'table'\n"),
+    ],
+    ids=["no-group", "no-assignment", "no-weight", "no-scope", "no-table"],
+)
+def test_missing_keys_are_named(verb, doc, err, tmp_path, capsys):
+    """A node or potential without one of its keys is a ModelFormatError
+    that names the key, not a bare KeyError."""
+    assert run(capsys, verb, write_json(tmp_path / "doc.json", doc)) == (2, "", err)
+
+
 @pytest.mark.parametrize("verb", ["validate", "classify", "solve"])
 @pytest.mark.parametrize(
     "key, value",

@@ -360,31 +360,27 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
 
 
 def test_solve_map_builds_no_enode_plan(monkeypatch):
-    """The enode plan is for the compiler: a report builds it on first read,
-    equal to the plan built block by block, and solve_map solves BR, T and U
-    blocks without building it."""
+    """The enode plan is for the compiler: `enode_forms` gives one form per
+    edge of `graph.edges`, `plan_by_names` keys those forms by names, and
+    solve_map solves BR, T and U blocks without building them."""
     def refuse(*args, **kwargs):
         raise AssertionError("solve_map must not build the enode plan")
 
-    block_plan = nmrfmap.structure._block_plan
     rng = np.random.default_rng(107)
     models = [random_tractable_model(rng, max_vars=int(rng.integers(3, 13))) for _ in range(40)]
     kinds = set()
     for model in models + [random_signed_model(rng, n=8) for _ in range(10)]:
         report = classify_model(model)
         kinds.update(c.kind for c in report.classes)
-        eager = {}
-        for block, cls in zip(report.tree.blocks, report.classes):
-            block_plan(block, cls, eager)
-        assert report.forms == eager
-        assert report.forms is report.forms
+        forms = nmrfmap.structure.enode_forms(report)
+        assert len(forms) == len(report.graph.edges)
         names = report.graph.names
         assert plan_by_names(report) == {
-            (names[u], names[v]): form for (u, v, _), form in eager.items()
+            (names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, forms)
         }
     assert kinds == {"BR", "T", "U", "INTRACTABLE"}
     solutions = [solve_map(model) for model in models]
-    monkeypatch.setattr(nmrfmap.structure, "_block_plan", refuse)
+    monkeypatch.setattr(nmrfmap.structure, "enode_forms", refuse)
     assert [solve_map(model) for model in models] == solutions
 
 

@@ -113,16 +113,15 @@ def test_cached_values_are_computed_once_per_instance(monkeypatch):
     assert other == model and other.index is not model.index
 
     calls = []
-    plan = nmrfmap.structure._block_plan
+    forms_of = nmrfmap.structure.enode_forms
 
-    def counted(block, cls, forms):
-        calls.append(block)
-        plan(block, cls, forms)
+    def counted(report):
+        calls.append(report)
+        return forms_of(report)
 
-    monkeypatch.setattr(nmrfmap.structure, "_block_plan", counted)
+    monkeypatch.setattr(nmrfmap.structure, "enode_forms", counted)
     report = classify_model(model)
-    assert calls == []  # built on first read only
-    forms = report.forms
-    assert report.forms is forms
-    assert len(calls) == len(report.tree.blocks)
-    assert set(forms) == set(report.graph.edges)
+    assert calls == []  # built by its readers only
+    doc = nmrfmap.structure.report_to_json(report)
+    assert calls == [report]
+    assert len(doc["enode_plan"]) == len(report.graph.edges)

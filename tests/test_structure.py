@@ -19,6 +19,7 @@ from nmrfmap.generators import (
 from nmrfmap.model import (
     ASSOCIATIVE,
     Model,
+    Potential,
     REPULSIVE,
     SignedGraph,
     model_to_json,
@@ -32,6 +33,8 @@ from nmrfmap.structure import (
     classify_block,
     classify_graph,
     classify_model,
+    enode_forms,
+    plan_by_names,
     report_to_json,
     _signed_two_color,
 )
@@ -356,17 +359,50 @@ def test_k4_with_frustrated_triangle_is_intractable():
     assert cls.kind == "INTRACTABLE"
 
 
+def _attached_in_v2_model():
+    """A-C associative; B-C, C-D, D-E and B-E repulsive. The 4-cycle hangs
+    off the A-C bridge at C, which the bridge puts on side 0 and the cycle
+    in V2: the one case where C-D's form reads the edge's other end."""
+    tables = {ASSOCIATIVE: (1.0, 0.0, 0.0, 1.0), REPULSIVE: (0.0, 1.0, 1.0, 0.0)}
+    edges = [("A", "C", ASSOCIATIVE)] + [(u, v, REPULSIVE) for u, v in ("BC", "CD", "DE", "BE")]
+    return Model(
+        tuple((name, 2) for name in "ABCDE"),
+        tuple(Potential((u, v), tables[sign]) for u, v, sign in edges),
+    )
+
+
 def test_plan_forms_match_edge_signs():
+    """Each edge's form against its sign and the report's JSON, not against
+    the code that builds it: a repulsive BR edge (u, v) reads (0, 1) when u
+    is in its block's V1 and (1, 0) when in V2; a T base edge reads 01 and a
+    U base edge 00."""
     rng = np.random.default_rng(37)
-    for _ in range(25):
-        model = random_signed_model(rng, n=6)
+    models = [random_signed_model(rng, n=6) for _ in range(25)]
+    models += [random_tractable_model(rng, max_vars=int(rng.integers(3, 12))) for _ in range(25)]
+    models.append(_attached_in_v2_model())
+    checked = set()
+    for model in models:
         report = classify_model(model)
-        sign = {(u, v): s for u, v, s in report.graph.edges}
-        for (u, v, _), (a, b) in report.forms.items():
-            if sign[(u, v)] == ASSOCIATIVE:
-                assert a == b
-            else:
-                assert a != b
+        doc = report_to_json(report)
+        names = report.graph.names
+        for (u, v, sign), (a, b) in zip(report.graph.edges, enode_forms(report)):
+            assert (a == b) == (sign == ASSOCIATIVE)
+            ends = {names[u], names[v]}
+            # Two vertices share at most one block, so the edge's is the one holding both.
+            (entry,) = [e for e in doc["blocks"] if ends <= set(e["vertices"])]
+            kind, params = entry["class"], entry["params"]
+            if kind == "BR" and sign == REPULSIVE:
+                assert (a == 0) == (names[u] in params["V1"])
+                checked.add("BR")
+            elif kind in ("T", "U") and ends == {params["s"], params["t"]}:
+                assert f"{a}{b}" == ("01" if kind == "T" else "00")
+                checked.add(kind)
+    assert checked == {"BR", "T", "U"}
+    doc = report_to_json(classify_model(_attached_in_v2_model()))
+    assert "C" in doc["cut_vertices"]
+    assert {"vertices": ["B", "C", "D", "E"], "class": "BR",
+            "params": {"V1": ["B", "D"], "V2": ["C", "E"]}} in doc["blocks"]
+    assert {"edge": ["C", "D"], "form": "10"} in doc["enode_plan"]
 
 
 def test_report_json_shape():
@@ -394,17 +430,16 @@ def test_enode_plan_lists_edges_in_sorted_order():
 
 
 def test_enode_plan_matches_the_sorted_plan():
-    """report_to_json's enode_plan against one built from report.forms."""
+    """report_to_json's enode_plan against one built from plan_by_names,
+    ordered by the declaration positions of each edge's two names."""
     rng = np.random.default_rng(53)
     models = [random_signed_model(rng, n=int(rng.integers(4, 11))) for _ in range(40)]
     models += [random_tractable_model(rng, max_vars=int(rng.integers(3, 13))) for _ in range(40)]
     for model in models:
         report = classify_model(model)
-        names = report.graph.names
-        expected = [
-            {"edge": [names[u], names[v]], "form": f"{a}{b}"}
-            for (u, v, _), (a, b) in sorted(report.forms.items())
-        ]
+        index = model.index
+        plan = sorted(plan_by_names(report).items(), key=lambda item: [index[x] for x in item[0]])
+        expected = [{"edge": [x, y], "form": f"{a}{b}"} for (x, y), (a, b) in plan]
         assert report_to_json(report)["enode_plan"] == expected
 
 
@@ -606,7 +641,8 @@ def _front_end_digest():
             digest.update(b"not binary pairwise")
             continue
         digest.update(json.dumps(report_to_json(report)).encode())
-        digest.update(repr([((u, v), form) for (u, v, _), form in report.forms.items()]).encode())
+        forms = dict(zip(report.graph.edges, enode_forms(report)))
+        digest.update(repr([(e[:2], forms[e]) for b in report.tree.blocks for e in b.edges]).encode())
     return digest.hexdigest()
 
 

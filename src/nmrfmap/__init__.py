@@ -58,9 +58,7 @@ from .structure import (
 from .mwss import (
     MapSolution,
     StableSetSolution,
-    decode_map,
     map_solution_to_json,
-    mmwss_complete,
     mwss_branch_bound,
     solve_map,
     solve_map_bnb,

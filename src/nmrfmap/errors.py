@@ -73,7 +73,8 @@ class IntractableTopologyError(NmrfmapError):
 
 
 class InconsistentCompletionError(NmrfmapError):
-    """A clique group could not be represented while completing a stable set."""
+    """The min-cut decode of `solve_map` found a residual arc forcing a flow
+    node to both sides, or no optimal label left for a variable."""
 
 
 class ObjectiveMismatchError(NmrfmapError):

@@ -35,16 +35,18 @@ these graphs by closure propagation, in time linear in their size,
 without solving again.
 
 `solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
-pruned NMRF. It handles small models of any order and labels; its compile,
-`build_nmrf`, sums repeated scopes too. Only it loads the `nmrf` module, when
-it runs: `solve_map` rewrites each edge itself, with `model.single_enode`.
+pruned NMRF and reads its assignment off the stable set: the chosen nodes'
+labels, and 0 for every variable they leave unset. It handles small models
+of any order and labels; its compile, `build_nmrf`, sums repeated scopes
+too. Only it loads the `nmrf` module, when it runs: `solve_map` rewrites
+each edge itself, with `model.single_enode`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     InconsistentCompletionError,
@@ -64,9 +66,6 @@ from .model import (
     single_enode,
 )
 from .structure import classify_graph
-
-if TYPE_CHECKING:
-    from .nmrf import Nmrf, PrunedNmrf
 
 DEFAULT_BNB_CAP = 40
 
@@ -257,59 +256,6 @@ def mwss_branch_bound(
 
     chosen = tuple(i for i in range(n) if best_mask >> i & 1)
     return StableSetSolution(chosen, sum(weights[i] for i in chosen))
-
-
-# ---------------------------------------------------------------------------
-# completion and decoding
-
-
-def mmwss_complete(pruned: PrunedNmrf, base: StableSetSolution) -> StableSetSolution:
-    """Extend a MWSS of the pruned graph to one node per clique group."""
-    nodes = pruned.base.nodes
-    assignment: dict[str, int] = {}
-    represented: set[tuple[str, ...]] = set()
-    selected = list(base.nodes)
-    for nid in selected:
-        node = nodes[nid]
-        represented.add(node.scope)
-        assignment.update(node.assignment_map())
-    for scope, ids in pruned.base.groups.items():
-        if scope in represented:
-            continue
-        for nid in ids:
-            node = nodes[nid]
-            if all(
-                assignment.get(name, val) == val
-                for name, val in zip(scope, node.assignment)
-            ):
-                selected.append(nid)
-                represented.add(scope)
-                assignment.update(node.assignment_map())
-                break
-        else:
-            raise InconsistentCompletionError(f"no consistent node for group {scope}")
-    selected.sort()
-    return StableSetSolution(tuple(selected), sum(nodes[i].weight for i in selected))
-
-
-def decode_map(mmwss: StableSetSolution, nmrf: Nmrf, model: Model) -> MapSolution:
-    """Read the MAP assignment off the singleton nodes and check that their
-    energy matches the stable set's weight within `objective_tolerance`."""
-    assignment: dict[str, int] = {}
-    for nid in mmwss.nodes:
-        node = nmrf.nodes[nid]
-        if len(node.scope) == 1:
-            assignment[node.scope[0]] = node.assignment[0]
-    missing = [name for name, _ in model.variables if name not in assignment]
-    if missing:
-        raise InconsistentCompletionError(f"no singleton node selected for {missing}")
-    objective = energy(model, assignment)
-    reconstructed = mmwss.weight + nmrf.constant
-    if abs(objective - reconstructed) > objective_tolerance(model):
-        raise ObjectiveMismatchError(
-            f"objective {objective!r} != weight+constants {reconstructed!r}"
-        )
-    return MapSolution(assignment, objective, "decode")
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +731,12 @@ def solve_map_bnb_with_slack(
 ) -> tuple[MapSolution, float]:
     """`solve_map_bnb`'s solution and the most its objective may miss the
     optimum by, past `objective_tolerance`: the prune's `slack`, since
-    nodes of weight <= `eps` are dropped."""
+    nodes of weight <= `eps` are dropped.
+
+    In each group that no chosen node covers, the node that fits the
+    assignment weighs >= 0 and is pruned (a kept one would extend the
+    stable set), so the energy exceeds the constants plus the stable set's
+    weight by at most the slack."""
     from .nmrf import build_nmrf, prune
 
     nmrf = build_nmrf(model)
@@ -796,7 +747,14 @@ def solve_map_bnb_with_slack(
             f"pruned NMRF has {len(weights)} nodes, exceeds cap {max_nodes}"
         )
     sol = mwss_branch_bound(weights, edges, max_nodes)
-    base = StableSetSolution(tuple(kept[i] for i in sol.nodes), sol.weight)
-    full = mmwss_complete(pruned, base)
-    decoded = decode_map(full, nmrf, model)
-    return MapSolution(decoded.assignment, decoded.objective, "bnb"), pruned.slack
+    assignment = dict.fromkeys(model.names, 0)
+    for i in sol.nodes:
+        node = nmrf.nodes[kept[i]]
+        assignment.update(zip(node.scope, node.assignment))
+    objective = energy(model, assignment)
+    if abs(objective - nmrf.constant - sol.weight) > objective_tolerance(model) + pruned.slack:
+        raise ObjectiveMismatchError(
+            f"objective {objective!r} != stable set weight + constants "
+            f"{sol.weight + nmrf.constant!r}"
+        )
+    return MapSolution(assignment, objective, "bnb"), pruned.slack

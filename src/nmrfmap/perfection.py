@@ -2,11 +2,10 @@
 
 Perfection is decided through the Strong Perfect Graph Theorem: search for
 an induced chordless odd cycle of length >= 5 in the graph and in its
-complement. A pruned NMRF of a binary pairwise model in single-enode form
-(at most one surviving node per edge clique group) has no large odd
-antiholes, so for it the odd-hole search alone decides. The search is
-exhaustive with a hard vertex cap; this is a verification tool, not a
-production recognizer.
+complement. Both searches always run, since a graph read from a file need
+not follow the conflict rule that would rule out large odd antiholes. The
+search is exhaustive with a hard vertex cap; this is a verification tool,
+not a production recognizer.
 """
 
 from __future__ import annotations
@@ -94,28 +93,12 @@ def pruned_to_plain(pruned: PrunedNmrf) -> tuple[PlainGraph, tuple[int, ...]]:
 def binary_pairwise_perfection(
     pruned: PrunedNmrf, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> PerfectionVerdict:
-    """Perfection of a pruned NMRF, with the witness as node ids of `pruned.base`.
-
-    In single-enode form, where every clique group of two or more variables
-    keeps at most one node, large antiholes cannot occur, so the odd-hole
-    search alone decides; any other graph gets the full hole and antihole
-    search of `is_perfect_small`.
-    """
-    kept_set = set(pruned.kept)
-    single = all(
-        len(scope) < 2 or sum(1 for i in ids if i in kept_set) <= 1
-        for scope, ids in pruned.base.groups.items()
-    )
+    """Perfection of a pruned NMRF by the full hole and antihole search of
+    `is_perfect_small`, with the witness as node ids of `pruned.base`."""
     plain, kept = pruned_to_plain(pruned)
-    if single:
-        hole = find_odd_hole(plain, max_vertices)
-        if hole is None:
-            return PerfectionVerdict(True)
-        verdict = PerfectionVerdict(False, "odd_hole", hole)
-    else:
-        verdict = is_perfect_small(plain, max_vertices)
-        if verdict.perfect:
-            return verdict
+    verdict = is_perfect_small(plain, max_vertices)
+    if verdict.perfect:
+        return verdict
     return PerfectionVerdict(False, verdict.witness_kind, tuple(kept[i] for i in verdict.witness))
 
 

@@ -263,7 +263,7 @@ def potential_from_json(data: Mapping) -> HighOrderPotential:
         raise ModelFormatError("potential description must be a mapping")
     extra = set(data) - {"scope", "table"}
     if extra:
-        raise ValueError(f"unknown keys: {sorted(extra)}")
+        raise ModelFormatError(f"unknown keys: {sorted(extra)}")
     for key in ("scope", "table"):
         if key not in data:
             raise ModelFormatError(f"potential description has no key {key!r}")

@@ -144,6 +144,31 @@ def test_perfect_multi_enode_graph_gets_the_full_search(tmp_path, capsys):
         indent=2, sort_keys=True) + "\n"
 
 
+def _antihole_c7(group):
+    """Seven nodes joined as the complement of the 7-cycle 0-1-...-6, each
+    node in the group that `group(i)` names."""
+    nodes = [
+        {"id": i, "group": group(i), "assignment": {name: 0 for name in group(i)}, "weight": 1.0}
+        for i in range(7)
+    ]
+    edges = [[i, j] for i in range(7) for j in range(i + 2, 7) if (i, j) != (0, 6)]
+    return {"nodes": nodes, "edges": edges, "constants": 0.0}
+
+
+@pytest.mark.parametrize(
+    "group", [lambda i: [f"V{i}"], lambda i: ["X", "Y"]], ids=["singletons", "one-group"]
+)
+def test_perfect_finds_an_odd_antihole_in_any_grouping(group, tmp_path, capsys):
+    """`perfect` never assumes that the edges follow the conflict rule: an
+    odd antihole is found whether or not every group keeps one node."""
+    path = write_json(tmp_path / "g.json", _antihole_c7(group))
+    code, out, err = run(capsys, "perfect", path)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "perfect": False, "witness_kind": "odd_antihole", "witness": list(range(7)),
+    }
+
+
 def test_solve_bnb_over_the_node_cap_exits_3(frustrated_model, capsys):
     assert run(capsys, "solve", frustrated_model, "--method", "bnb", "--max-nodes", "2") == (
         3, "", "error: pruned NMRF has 16 nodes, exceeds cap 2\n")
@@ -423,12 +448,15 @@ def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
          "error: node 0 has no key 'weight'\n"),
         ("submodular", {"table": [0, 0, 0, 1]}, "error: potential description has no key 'scope'\n"),
         ("submodular", {"scope": ["a", "b"]}, "error: potential description has no key 'table'\n"),
+        ("submodular", {"scope": ["a", "b"], "table": [0, 0, 0, 1], "x": 1},
+         "error: unknown keys: ['x']\n"),
     ],
-    ids=["no-group", "no-assignment", "no-weight", "no-scope", "no-table"],
+    ids=["no-group", "no-assignment", "no-weight", "no-scope", "no-table", "unknown-key"],
 )
 def test_missing_keys_are_named(verb, doc, err, tmp_path, capsys):
-    """A node or potential without one of its keys is a ModelFormatError
-    that names the key, not a bare KeyError."""
+    """A node or potential without one of its keys, or a potential with a
+    key it does not know, is a ModelFormatError that names the key, not a
+    bare KeyError or ValueError."""
     assert run(capsys, verb, write_json(tmp_path / "doc.json", doc)) == (2, "", err)
 
 

@@ -41,14 +41,12 @@ from nmrfmap.mwss import (
     TOLERANCE,
     _snode_cut,
     _value_pass,
-    decode_map,
-    mmwss_complete,
     mwss_branch_bound,
     objective_tolerance,
     solve_map,
     solve_map_bnb,
 )
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
+from nmrfmap.nmrf import apply_enode_plan
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.structure import classify_model, plan_by_names
 
@@ -70,7 +68,9 @@ def test_branch_bound_cap():
         mwss_branch_bound([1.0] * 50, [], max_nodes=40)
 
 
-def test_mmwss_complete_one_node_per_group():
+def test_bnb_gives_unset_variables_label_0():
+    """bnb reads the chosen nodes' labels and gives 0 to every variable they
+    leave unset, a variable in no potential included."""
     model = validate_model(
         {
             "variables": [{"name": "A", "card": 2}, {"name": "B", "card": 2}],
@@ -79,36 +79,36 @@ def test_mmwss_complete_one_node_per_group():
             ],
         }
     )
-    nmrf = build_nmrf(model)
-    pruned = prune(nmrf)
-    weights, edges, kept = pruned.subgraph()
-    sol = mwss_branch_bound(weights, edges)
-    base = type(sol)(tuple(kept[i] for i in sol.nodes), sol.weight)
-    full = mmwss_complete(pruned, base)
-    scopes = [nmrf.nodes[i].scope for i in full.nodes]
-    assert sorted(scopes) == sorted(nmrf.groups)
-    decoded = decode_map(full, nmrf, model)
-    assert decoded.assignment == {"A": 1, "B": 1}
-    assert decoded.objective == pytest.approx(2.0)
+    sol = solve_map_bnb(model)
+    assert sol.assignment == {"A": 1, "B": 1}
+    assert sol.objective == pytest.approx(2.0)
+    assert sol.method == "bnb"
+    model = Model(model.variables + (("C", 3),), model.potentials)
+    sol = solve_map_bnb(model)
+    assert sol.assignment == {"A": 1, "B": 1, "C": 0}
+    assert list(sol.assignment) == ["A", "B", "C"]
+    assert sol.objective == pytest.approx(2.0)
 
 
-def test_decode_map_checks_weight_against_objective_tolerance():
+def test_bnb_checks_its_energy_against_the_stable_set_weight(monkeypatch):
+    """bnb's energy must match the weight that branch and bound reports,
+    plus the constants, within objective_tolerance plus the prune slack."""
     rng = np.random.default_rng(131)
     for _ in range(20):
         model = random_tractable_model(rng, max_vars=5)
-        nmrf = build_nmrf(model)
-        pruned = prune(nmrf)
-        weights, edges, kept = pruned.subgraph()
-        sol = mwss_branch_bound(weights, edges, max_nodes=80)
-        base = type(sol)(tuple(kept[i] for i in sol.nodes), sol.weight)
-        full = mmwss_complete(pruned, base)
-        assert decode_map(full, nmrf, model).objective == pytest.approx(
+        assert solve_map_bnb(model, max_nodes=80).objective == pytest.approx(
             brute_force_map(model).objective
         )
         scale = sum(max(abs(x) for x in p.table) for p in model.potentials)
-        off = type(full)(full.nodes, full.weight + 1e-8 * scale)
-        with pytest.raises(ObjectiveMismatchError):
-            decode_map(off, nmrf, model)
+
+        def heavier(weights, edges, max_nodes):
+            sol = mwss_branch_bound(weights, edges, max_nodes)
+            return type(sol)(sol.nodes, sol.weight + 1e-8 * scale)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nmrfmap.mwss, "mwss_branch_bound", heavier)
+            with pytest.raises(ObjectiveMismatchError):
+                solve_map_bnb(model, max_nodes=80)
 
 
 def test_solve_map_reads_the_tables_again_only_for_a_large_gap(monkeypatch):

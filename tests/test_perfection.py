@@ -85,8 +85,8 @@ def test_vertex_cap_enforced():
 
 
 def test_binary_pairwise_requires_single_enode_form():
-    # Untouched generic edges keep several surviving enodes, so these graphs
-    # get the full hole and antihole search, witness ids in the base NMRF.
+    # Untouched generic edges keep several surviving enodes; the verdict is
+    # the full hole and antihole search's, witness ids in the base NMRF.
     rng = np.random.default_rng(5)
     models = [model_from_signed_edges(2, [(0, 1, ASSOCIATIVE)], rng)]
     models += [random_signed_model(rng, n=4, p=0.6) for _ in range(20)]

@@ -7,7 +7,7 @@ from scipy.optimize import nnls
 
 from helpers import lp_refused_table
 
-from nmrfmap.errors import BadIndicesError, NotSupermodularError, TooLargeError
+from nmrfmap.errors import BadIndicesError, ModelFormatError, NotSupermodularError, TooLargeError
 from nmrfmap.generators import random_supermodular_k3
 from nmrfmap.model import energy
 from nmrfmap.nmrf import build_nmrf, prune
@@ -233,7 +233,7 @@ def test_potential_json():
     doc = {"scope": ["A", "B", "C"], "table": [0] * 8}
     psi = potential_from_json(doc)
     assert psi.k == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError, match=r"^unknown keys: \['x'\]$"):
         potential_from_json({"scope": ["A", "B"], "table": [0] * 4, "x": 1})
     rep = construct_k3(random_supermodular_k3(np.random.default_rng(1)))
     enc = representation_to_json(rep)

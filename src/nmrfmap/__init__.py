@@ -82,11 +82,9 @@ _LAZY = {
     "perfection": (
         "PerfectionVerdict",
         "PlainGraph",
-        "binary_pairwise_perfection",
         "cycle_to_induced_hole",
         "find_odd_hole",
         "is_perfect_small",
-        "pruned_to_plain",
     ),
     "submodular": (
         "FeasibilityVerdict",

@@ -16,9 +16,9 @@ exception, such as RecursionError or OverflowError), printed as
 `internal error: <Type>: <message>` without a traceback, 5 standard output
 closed before the output was written (BrokenPipeError, as when piped into
 `head`), printing nothing.
-`--oracle-check` accepts an objective within `oracle_tolerance` of the
-brute-force optimum, or for bnb within `objective_tolerance` plus its
-prune slack. On a model too large to enumerate it still prints the
+`--oracle-check` accepts an objective within `objective_tolerance` plus
+the solution's own `slack` of the brute-force optimum, whichever method
+solved it. On a model too large to enumerate it still prints the
 solution, with `"oracle": {"checked": false, "reason": ...}`, and exits 3,
 so the skipped check is not silent.
 Each verb imports inside itself the modules only it uses. `validate`,
@@ -53,14 +53,13 @@ from .model import (
     is_binary_pairwise,
     model_from_json_file,
     objective_tolerance,
-    oracle_tolerance,
     tolerance,
 )
 from .mwss import (
     DEFAULT_BNB_CAP,
     map_solution_to_json,
     solve_map,
-    solve_map_bnb_with_slack,
+    solve_map_bnb,
 )
 from .structure import classify_model, plan_by_names, report_to_json
 
@@ -130,10 +129,9 @@ def _cmd_compile(args) -> int:
 
 def _cmd_solve(args) -> int:
     model = model_from_json_file(args.model)
-    slack = None
     try:
         if args.method == "bnb":
-            sol, slack = solve_map_bnb_with_slack(model, args.eps, args.max_nodes)
+            sol = solve_map_bnb(model, args.eps, args.max_nodes)
         else:
             sol = solve_map(model, args.eps)
     except IntractableTopologyError as exc:
@@ -156,11 +154,7 @@ def _cmd_solve(args) -> int:
             _emit(doc, args.out)
             print(f"error: oracle check skipped: {exc}", file=sys.stderr)
             return EXIT_TOO_LARGE
-        if slack is None:
-            accepted = oracle_tolerance(model, args.eps)
-        else:  # bnb folds nothing, but its prune may cost up to `slack`
-            accepted = objective_tolerance(model) + slack
-        agree = abs(ref.objective - sol.objective) <= accepted
+        agree = abs(ref.objective - sol.objective) <= objective_tolerance(model) + sol.slack
         doc["oracle"] = {"objective": ref.objective, "agree": agree}
         if not agree:
             _emit(doc, args.out)
@@ -172,15 +166,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_perfect(args) -> int:
     from .nmrf import nmrf_from_json, prune
-    from .perfection import binary_pairwise_perfection
+    from .perfection import PlainGraph, is_perfect_small
 
-    nmrf = nmrf_from_json(_load_json(args.nmrf))
-    pruned = prune(nmrf, args.eps)
-    verdict = binary_pairwise_perfection(pruned, args.max_nodes)
+    pruned = prune(nmrf_from_json(_load_json(args.nmrf)), args.eps)
+    plain = PlainGraph.from_edges(len(pruned.kept), pruned.edges)
+    verdict = is_perfect_small(plain, args.max_nodes)
     doc = {"perfect": verdict.perfect}
     if not verdict.perfect:
         doc["witness_kind"] = verdict.witness_kind
-        doc["witness"] = list(verdict.witness)
+        doc["witness"] = [pruned.kept[i] for i in verdict.witness]  # the file's node ids
     _emit(doc, args.out)
     return EXIT_OK if verdict.perfect else EXIT_NEGATIVE
 
@@ -252,7 +246,7 @@ def _cmd_bench(args) -> int:
             status = "ok"
             if args.oracle_check:
                 gap = abs(brute_force_map(model).objective - sol.objective)
-                agree = gap <= oracle_tolerance(model, args.eps)
+                agree = gap <= objective_tolerance(model) + sol.slack
                 status = "agree" if agree else "disagree"
             rows.append((args.family, i, len(model.variables), elapsed, status))
         elif args.family == "random-signed":

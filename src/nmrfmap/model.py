@@ -32,9 +32,10 @@ from .errors import (
 # scale of the tables it decides about, the sum of each one's largest |entry|
 # (a region's edge tables, a lone vertex's unary, a model's tables). TIE times
 # a region's scale is a rounding tie of its flow; TOLERANCE times it, a tie of
-# its pinned labelings; `tolerance`, an accepted error, to which a fold adds
-# its `slack` (`oracle_tolerance`) and bnb's prune its own
-# (`PrunedNmrf.slack`). Only the user's `eps` is absolute.
+# its pinned labelings; `tolerance`, an accepted error, past which a solve
+# may miss the optimum by its own `MapSolution.slack` (twice a fold's
+# `PairwiseView.slack`, or bnb's `PrunedNmrf.slack`). Only the user's `eps`
+# is absolute.
 # `solve_map` accepts scales up to 1e300 and refuses overflowing sums.
 DEFAULT_EPS = 1e-9
 TOLERANCE = 1e-9
@@ -349,11 +350,6 @@ def tolerance(tables) -> float:
 def objective_tolerance(model: Model) -> float:
     """Largest accepted gap between a returned objective and the optimum."""
     return tolerance(p.table for p in model.potentials)
-
-
-def oracle_tolerance(model: Model, eps: float) -> float:
-    """`objective_tolerance` plus twice the `slack` of a solve that folded at `eps`."""
-    return objective_tolerance(model) + 2 * pairwise_view(model, eps).slack
 
 
 def is_binary_pairwise(model: Model) -> bool:

@@ -34,12 +34,15 @@ so the decode reads the lexicographically smallest optimal assignment off
 these graphs by closure propagation, in time linear in their size,
 without solving again.
 
-`solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the whole
-pruned NMRF and reads its assignment off the stable set: the chosen nodes'
-labels, and 0 for every variable they leave unset. It handles small models
-of any order and labels; its compile, `build_nmrf`, sums repeated scopes
-too. Only it loads the `nmrf` module, when it runs: `solve_map` rewrites
-each edge itself, with `model.single_enode`.
+`solve_map_bnb` runs the other solver, `mwss_branch_bound`, on the
+weights and edges that `nmrf.prune` builds once, and reads its assignment
+off the stable set: the chosen nodes' labels, and 0 for every variable
+they leave unset. It handles small models of any order and labels; its
+compile, `build_nmrf`, sums repeated scopes too. Only it loads the `nmrf`
+module, when it runs: `solve_map` rewrites each edge itself, with
+`model.single_enode`. Each solver returns, as `MapSolution.slack`, the
+most its objective may miss the optimum by past `objective_tolerance`:
+twice the fold's slack for `solve_map`, the prune's for `solve_map_bnb`.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class MapSolution(NamedTuple):
     assignment: dict[str, int]
     objective: float
     method: str
+    # The most `objective` may miss the optimum by, past objective_tolerance.
+    slack: float = 0.0
 
 
 def map_solution_to_json(sol: MapSolution) -> dict:
@@ -716,40 +721,32 @@ def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
         raise ObjectiveMismatchError(
             f"decoded objective {objective!r} != optimum {best!r}"
         )
-    return MapSolution(assignment, objective, "blocks")
+    # The fold moves each labeling's energy by at most pw.slack, so the folded
+    # optimum may miss the true one by twice that.
+    return MapSolution(assignment, objective, "blocks", 2 * pw.slack)
 
 
 def solve_map_bnb(
     model: Model, eps: float = DEFAULT_EPS, max_nodes: int = DEFAULT_BNB_CAP
 ) -> MapSolution:
-    """MAP by branch and bound on the whole pruned NMRF (any order/labels)."""
-    return solve_map_bnb_with_slack(model, eps, max_nodes)[0]
+    """MAP by branch and bound on the whole pruned NMRF (any order/labels).
 
-
-def solve_map_bnb_with_slack(
-    model: Model, eps: float = DEFAULT_EPS, max_nodes: int = DEFAULT_BNB_CAP
-) -> tuple[MapSolution, float]:
-    """`solve_map_bnb`'s solution and the most its objective may miss the
-    optimum by, past `objective_tolerance`: the prune's `slack`, since
-    nodes of weight <= `eps` are dropped.
-
-    In each group that no chosen node covers, the node that fits the
-    assignment weighs >= 0 and is pruned (a kept one would extend the
-    stable set), so the energy exceeds the constants plus the stable set's
-    weight by at most the slack."""
+    Its `slack` is the prune's: in each group that no chosen node covers,
+    the node that fits the assignment weighs >= 0 and is pruned (a kept one
+    would extend the stable set), so the energy exceeds the constants plus
+    the stable set's weight by at most the prune's slack."""
     from .nmrf import build_nmrf, prune
 
     nmrf = build_nmrf(model)
     pruned = prune(nmrf, eps)
-    weights, edges, kept = pruned.subgraph()
-    if len(weights) > max_nodes:
+    if len(pruned.kept) > max_nodes:
         raise TooLargeError(
-            f"pruned NMRF has {len(weights)} nodes, exceeds cap {max_nodes}"
+            f"pruned NMRF has {len(pruned.kept)} nodes, exceeds cap {max_nodes}"
         )
-    sol = mwss_branch_bound(weights, edges, max_nodes)
+    sol = mwss_branch_bound(pruned.weights, pruned.edges, max_nodes)
     assignment = dict.fromkeys(model.names, 0)
     for i in sol.nodes:
-        node = nmrf.nodes[kept[i]]
+        node = nmrf.nodes[pruned.kept[i]]
         assignment.update(zip(node.scope, node.assignment))
     objective = energy(model, assignment)
     if abs(objective - nmrf.constant - sol.weight) > objective_tolerance(model) + pruned.slack:
@@ -757,4 +754,4 @@ def solve_map_bnb_with_slack(
             f"objective {objective!r} != stable set weight + constants "
             f"{sol.weight + nmrf.constant!r}"
         )
-    return MapSolution(assignment, objective, "bnb"), pruned.slack
+    return MapSolution(assignment, objective, "bnb", pruned.slack)

@@ -50,41 +50,19 @@ class Nmrf(NamedTuple):
 
 
 class PrunedNmrf(NamedTuple):
-    """Induced subgraph on positive-weight nodes plus the pruned-node record."""
+    """The subgraph induced on the nodes of weight > eps, built by `prune`.
+
+    `weights` and `edges` index the kept nodes by position, `edges` as pairs
+    i < j; `kept[i]` is position i's node id in `base`. `slack` is the most
+    the pruning can cost a stable set: it holds at most one node per clique
+    group, so it loses at most the sum over the groups of the largest weight
+    pruned from each."""
 
     base: Nmrf
     kept: tuple[int, ...]
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        kept = set(self.kept)
-        return tuple(i for i in range(len(self.base.nodes)) if i not in kept)
-
-    @property
-    def slack(self) -> float:
-        """The most the pruning can cost a stable set: it holds at most one
-        node per clique group, so it loses at most the sum over the groups
-        of the largest weight pruned from each."""
-        kept = set(self.kept)
-        nodes = self.base.nodes
-        return sum(
-            max((nodes[i].weight for i in ids if i not in kept), default=0.0)
-            for ids in self.base.groups.values()
-        )
-
-    def subgraph(self):
-        """(weights, edges, kept) with edges as index pairs into `kept`."""
-        base = self.base
-        pos = {nid: i for i, nid in enumerate(self.kept)}
-        weights = [base.nodes[nid].weight for nid in self.kept]
-        edges = []
-        for nid in self.kept:
-            i = pos[nid]
-            for other in base.adj[nid]:
-                j = pos.get(other)
-                if j is not None and i < j:
-                    edges.append((i, j))
-        return weights, edges, self.kept
+    weights: tuple[float, ...]
+    edges: tuple[tuple[int, int], ...]
+    slack: float
 
 
 def build_nmrf(model: Model) -> Nmrf:
@@ -163,8 +141,20 @@ def build_nmrf(model: Model) -> Nmrf:
 
 
 def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
-    kept = tuple(i for i, node in enumerate(nmrf.nodes) if node.weight > eps)
-    return PrunedNmrf(nmrf, kept)
+    nodes = nmrf.nodes
+    kept = tuple(i for i, node in enumerate(nodes) if node.weight > eps)
+    pos = {nid: i for i, nid in enumerate(kept)}
+    edges = tuple(
+        (i, j)
+        for i, nid in enumerate(kept)
+        for j in sorted(pos[other] for other in nmrf.adj[nid] if other in pos)
+        if i < j
+    )
+    slack = sum(
+        max((nodes[i].weight for i in ids if i not in pos), default=0.0)
+        for ids in nmrf.groups.values()
+    )
+    return PrunedNmrf(nmrf, kept, tuple(nodes[i].weight for i in kept), edges, slack)
 
 
 def apply_enode_plan(
@@ -219,11 +209,15 @@ def nmrf_to_json(nmrf: Nmrf) -> dict:
 
 def nmrf_from_json(data: Mapping) -> Nmrf:
     """Read back what `nmrf_to_json` writes; a document that breaks its schema
-    (node k has id k, each edge joins two nodes) raises ModelFormatError."""
+    (node k has id k, finite numbers, each edge joins two nodes) raises
+    ModelFormatError."""
     ok = isinstance(data, Mapping) and all(type(data.get(k)) is list for k in ("nodes", "edges"))
+    # json reads NaN and Infinity; a NaN weight would be pruned without notice.
     constant = _as_floats([data.get("constants", 0.0)]) if ok else None
-    if constant is None:
-        raise ModelFormatError("an NMRF needs lists 'nodes' and 'edges' and a number 'constants'")
+    if constant is None or not math.isfinite(constant[0]):
+        raise ModelFormatError(
+            "an NMRF needs lists 'nodes' and 'edges' and a finite number 'constants'"
+        )
     nodes = []
     groups: dict[tuple[str, ...], list[int]] = {}
     for k, entry in enumerate(data["nodes"]):
@@ -237,8 +231,8 @@ def nmrf_from_json(data: Mapping) -> Nmrf:
         labels = isinstance(scope, list) and isinstance(values, Mapping) and all(
             isinstance(n, str) and type(values.get(n)) is int and values[n] >= 0 for n in scope
         )
-        if weight is None or not labels:
-            raise ModelFormatError(f"node {k} needs a weight and an int >= 0 per group name")
+        if weight is None or not math.isfinite(weight[0]) or not labels:
+            raise ModelFormatError(f"node {k} needs a finite weight and an int >= 0 per group name")
         scope = tuple(scope)
         nodes.append(NmrfNode(scope, tuple(values[n] for n in scope), weight[0]))
         groups.setdefault(scope, []).append(k)

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import TooLargeError
 from .model import ASSOCIATIVE, REPULSIVE
-from .nmrf import NmrfNode, PrunedNmrf
+from .nmrf import NmrfNode
 
 DEFAULT_MAX_VERTICES = 24
 
@@ -82,24 +82,6 @@ def is_perfect_small(
     if antihole is not None:
         return PerfectionVerdict(False, "odd_antihole", antihole)
     return PerfectionVerdict(True)
-
-
-def pruned_to_plain(pruned: PrunedNmrf) -> tuple[PlainGraph, tuple[int, ...]]:
-    """Induced positive-weight subgraph as a plain graph, with original ids."""
-    _, edges, kept = pruned.subgraph()
-    return PlainGraph.from_edges(len(kept), edges), kept
-
-
-def binary_pairwise_perfection(
-    pruned: PrunedNmrf, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> PerfectionVerdict:
-    """Perfection of a pruned NMRF by the full hole and antihole search of
-    `is_perfect_small`, with the witness as node ids of `pruned.base`."""
-    plain, kept = pruned_to_plain(pruned)
-    verdict = is_perfect_small(plain, max_vertices)
-    if verdict.perfect:
-        return verdict
-    return PerfectionVerdict(False, verdict.witness_kind, tuple(kept[i] for i in verdict.witness))
 
 
 def cycle_to_induced_hole(

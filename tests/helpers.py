@@ -1,7 +1,8 @@
 """Code that only the tests call: a variable flip, a scope lookup, a
 power-of-two rescaling, a random BR model, two random stable-set
 instances, the conflict rule of the NMRF, used as an oracle apart from the
-code it checks, and an order-5 table that only the feasibility LP refuses."""
+code it checks, an induced odd cycle check of a perfection witness, and an
+order-5 table that only the feasibility LP refuses."""
 
 import itertools
 from typing import Iterable
@@ -98,6 +99,17 @@ def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
         if other is not None and other != val:
             return True
     return False
+
+
+def verify_hole(graph, hole):
+    """The returned vertex list must be an induced chordless odd cycle."""
+    assert len(hole) >= 5 and len(hole) % 2 == 1
+    assert len(set(hole)) == len(hole)
+    for i, u in enumerate(hole):
+        for j in range(i + 1, len(hole)):
+            v = hole[j]
+            consecutive = j - i == 1 or (i == 0 and j == len(hole) - 1)
+            assert (v in graph.adj[u]) == consecutive, (hole, u, v)
 
 
 def lp_refused_table() -> tuple[float, ...]:

@@ -12,7 +12,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import nodes_conflict, random_bipartite_graph, random_br_model, random_weighted_graph
+from helpers import (
+    nodes_conflict,
+    random_bipartite_graph,
+    random_br_model,
+    random_weighted_graph,
+    verify_hole,
+)
 from nmrfmap.generators import (
     block_chain_model,
     model_from_signed_edges,
@@ -34,7 +40,6 @@ from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.perfection import (
     PlainGraph,
-    binary_pairwise_perfection,
     cycle_to_induced_hole,
     is_perfect_small,
 )
@@ -151,8 +156,7 @@ def test_balanced_models_compile_to_bipartite_nmrfs():
         rep, pruned = compile_pruned(model)
         assert rep.tractable
         assert all(c.kind == "BR" for c in rep.classes)
-        weights, edges_, _ = pruned.subgraph()
-        assert nx.is_bipartite(nx.Graph(edges_)), i
+        assert nx.is_bipartite(nx.Graph(pruned.edges)), i
         checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -194,7 +198,7 @@ def test_intractable_topologies_yield_odd_hole_witnesses():
         adv, _ = adversarial_model(graph, rep)
         rewritten = apply_enode_plan(adv, plan_by_names(rep))
         pruned = prune(build_nmrf(rewritten))
-        verdict = binary_pairwise_perfection(pruned)
+        verdict = is_perfect_small(PlainGraph.from_edges(len(pruned.kept), pruned.edges))
         assert not verdict.perfect and verdict.witness_kind == "odd_hole", name
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -304,9 +308,8 @@ def test_exhaustive_small_topology_agreement():
                 memo_key = (class_key, tuple(pattern))
                 verdict = perfection_memo.get(memo_key)
                 if verdict is None:
-                    weights, sub_edges, _ = pruned.subgraph()
                     verdict = is_perfect_small(
-                        PlainGraph.from_edges(len(weights), sub_edges)
+                        PlainGraph.from_edges(len(pruned.kept), pruned.edges)
                     ).perfect
                     perfection_memo[memo_key] = verdict
                 if rep.tractable:
@@ -317,9 +320,8 @@ def test_exhaustive_small_topology_agreement():
                 adv, _ = adversarial_model(graph, rep)
                 rewritten = apply_enode_plan(adv, plan_by_names(rep))
                 pruned = prune(build_nmrf(rewritten))
-                weights, sub_edges, _ = pruned.subgraph()
                 assert not is_perfect_small(
-                    PlainGraph.from_edges(len(weights), sub_edges)
+                    PlainGraph.from_edges(len(pruned.kept), pruned.edges)
                 ).perfect, class_key
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -373,8 +375,7 @@ def test_order3_construction_and_bipartiteness():
         if i % 10 == 0:
             model, constant = representation_to_model(rep)
             pruned = prune(build_nmrf(model))
-            ws, es, _ = pruned.subgraph()
-            assert nx.is_bipartite(nx.Graph(es)), i
+            assert nx.is_bipartite(nx.Graph(pruned.edges)), i
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report("200 supermodular order-3 tables reconstruct exactly and "
@@ -452,17 +453,23 @@ def test_perfection_checker_sanity():
         ]
         assert is_perfect_small(PlainGraph.from_edges(n, bip_edges)).perfect
 
-    checked = 0
+    # Compiled conflict graphs: perfect when the model is tractable, and an
+    # imperfect one shows an induced odd hole.
+    checked = imperfect = 0
     while checked < 100:
         model = random_signed_model(rng, n=int(rng.integers(4, 6)), p=0.7)
         rep, pruned = compile_pruned(model)
-        weights, edges, _ = pruned.subgraph()
-        if len(weights) > 20:
+        if len(pruned.kept) > 20:
             continue
-        fast = binary_pairwise_perfection(pruned)
-        slow = is_perfect_small(PlainGraph.from_edges(len(weights), edges))
-        assert fast.perfect == slow.perfect
+        graph = PlainGraph.from_edges(len(pruned.kept), pruned.edges)
+        verdict = is_perfect_small(graph)
+        assert verdict.perfect or not rep.tractable
+        if not verdict.perfect:
+            imperfect += 1
+            assert verdict.witness_kind == "odd_hole"
+            verify_hole(graph, verdict.witness)
         checked += 1
+    assert 0 < imperfect < checked
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report("perfection checker sanity: known graphs and 100 compiled "

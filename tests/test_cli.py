@@ -438,6 +438,39 @@ def test_malformed_documents_are_input_errors(verb, doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "weights, constants",
+    [("NaN", "0.0"), ("Infinity", "0.0"), ("-Infinity", "0.0"), ("1.0", "NaN")],
+    ids=["nan-weight", "inf-weight", "minus-inf-weight", "nan-constants"],
+)
+def test_perfect_refuses_non_finite_numbers(weights, constants, tmp_path, capsys):
+    """json reads NaN and Infinity; a NaN node would be pruned without
+    notice, so a weight or constants that is not finite is an input error."""
+    nodes = ", ".join(
+        f'{{"id": {i}, "group": ["A"], "assignment": {{"A": {i}}}, "weight": {w}}}'
+        for i, w in enumerate([weights, "Infinity" if weights == "NaN" else "1.0"])
+    )
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"nodes": [{nodes}], "edges": [[0, 1]], "constants": {constants}}}')
+    code, out, err = run(capsys, "perfect", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "finite" in err
+
+
+def test_cli_defaults_are_the_library_constants():
+    """The parser repeats `perfect --max-nodes` as a literal, so that the CLI
+    loads `perfection` only when `perfect` runs."""
+    from nmrfmap.mwss import DEFAULT_BNB_CAP
+    from nmrfmap.perfection import DEFAULT_MAX_VERTICES
+
+    parser = nmrfmap.cli._build_parser()
+    assert parser.parse_args(["perfect", "g.json"]).max_nodes == DEFAULT_MAX_VERTICES
+    assert parser.parse_args(["solve", "m.json"]).max_nodes == DEFAULT_BNB_CAP
+    for argv in (["validate", "m"], ["classify", "m"], ["compile", "m"], ["solve", "m"],
+                 ["perfect", "g"], ["submodular", "p"], ["bench", "block-chain"]):
+        assert parser.parse_args(argv).eps == DEFAULT_EPS
+
+
+@pytest.mark.parametrize(
     "verb, doc, err",
     [
         ("perfect", {"nodes": [{"id": 0, "weight": 1.0}], "edges": []},

@@ -46,7 +46,7 @@ from nmrfmap.mwss import (
     solve_map,
     solve_map_bnb,
 )
-from nmrfmap.nmrf import apply_enode_plan
+from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.structure import classify_model, plan_by_names
 
@@ -109,6 +109,29 @@ def test_bnb_checks_its_energy_against_the_stable_set_weight(monkeypatch):
             patch.setattr(nmrfmap.mwss, "mwss_branch_bound", heavier)
             with pytest.raises(ObjectiveMismatchError):
                 solve_map_bnb(model, max_nodes=80)
+
+
+def test_each_solution_carries_its_own_slack():
+    """A solution's slack is the most its objective may miss the optimum by
+    past objective_tolerance: twice the fold's for solve_map, the prune's for
+    bnb, 0 for enumeration. At eps = 0.1 the view folds A-B (associativity
+    0.03) and the prune drops every node of that group."""
+    model = validate_model({
+        "variables": [{"name": n, "card": 2} for n in "ABC"],
+        "potentials": [
+            {"scope": ["A", "B"], "table": [0.0, 0.05, 0.02, 0.1]},
+            {"scope": ["B", "C"], "table": [2.0, 0.0, 0.0, 2.0]},
+            {"scope": ["A"], "table": [0.0, 0.5]},
+        ],
+    })
+    eps = 0.1
+    fold, cut = pairwise_view(model, eps).slack, prune(build_nmrf(model), eps).slack
+    assert fold > 0 and cut > 0
+    ref = brute_force_map(model)
+    assert ref.slack == 0.0
+    for sol, slack in ((solve_map(model, eps), 2 * fold), (solve_map_bnb(model, eps), cut)):
+        assert sol.slack == slack
+        assert abs(sol.objective - ref.objective) <= objective_tolerance(model) + sol.slack
 
 
 def test_solve_map_reads_the_tables_again_only_for_a_large_gap(monkeypatch):

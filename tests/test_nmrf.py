@@ -286,9 +286,18 @@ def test_pair_given_in_both_orders_compiles_to_one_group():
 def test_prune_drops_only_zero_weight_nodes():
     nmrf = build_nmrf(edge_model((2.0, 0.0, 0.0, 3.0)))
     pruned = prune(nmrf)
-    kept_weights = [nmrf.nodes[i].weight for i in pruned.kept]
-    assert all(w > 0 for w in kept_weights)
-    assert set(pruned.kept) | set(pruned.zero) == set(range(len(nmrf.nodes)))
+    assert pruned.weights == tuple(nmrf.nodes[i].weight for i in pruned.kept)
+    assert all(w > 0 for w in pruned.weights)
+    dropped = set(range(len(nmrf.nodes))) - set(pruned.kept)
+    assert dropped and all(nmrf.nodes[i].weight == 0.0 for i in dropped)
+    assert pruned.slack == 0.0
+    # the induced subgraph, as position pairs i < j into `kept`
+    assert set(pruned.edges) == {
+        (i, j)
+        for i, j in itertools.combinations(range(len(pruned.kept)), 2)
+        if pruned.kept[j] in nmrf.adj[pruned.kept[i]]
+    }
+    assert len(pruned.edges) == len(set(pruned.edges))
 
 
 def test_json_round_trip_and_dot():

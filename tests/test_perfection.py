@@ -1,17 +1,18 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from helpers import nodes_conflict
+from helpers import nodes_conflict, verify_hole
+from nmrfmap.cli import main
 from nmrfmap.errors import TooLargeError
 from nmrfmap.generators import model_from_signed_edges, random_signed_model
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
+from nmrfmap.model import ASSOCIATIVE, DEFAULT_EPS, REPULSIVE
+from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nmrf_to_json, prune
 from nmrfmap.perfection import (
     PlainGraph,
-    binary_pairwise_perfection,
     cycle_to_induced_hole,
     find_odd_hole,
     is_perfect_small,
@@ -21,17 +22,6 @@ from nmrfmap.structure import classify_model, plan_by_names
 
 def cycle_graph(n):
     return PlainGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def verify_hole(graph, hole):
-    """The returned vertex list must be an induced chordless odd cycle."""
-    assert len(hole) >= 5 and len(hole) % 2 == 1
-    assert len(set(hole)) == len(hole)
-    for i, u in enumerate(hole):
-        for j in range(i + 1, len(hole)):
-            v = hole[j]
-            consecutive = j - i == 1 or (i == 0 and j == len(hole) - 1)
-            assert (v in graph.adj[u]) == consecutive, (hole, u, v)
 
 
 def test_odd_cycles_rejected_even_accepted():
@@ -84,50 +74,59 @@ def test_vertex_cap_enforced():
     assert find_odd_hole(cycle_graph(31), max_vertices=64) is not None
 
 
-def test_binary_pairwise_requires_single_enode_form():
-    # Untouched generic edges keep several surviving enodes; the verdict is
-    # the full hole and antihole search's, witness ids in the base NMRF.
+def test_perfect_witness_ids_are_the_files_own(tmp_path, capsys):
+    """`perfect` on a compiled graph whose pruning moves ids: its verdict is
+    the search's on the subgraph of the file's positive-weight nodes, and a
+    witness lists the file's node ids, read here off the file's own edges."""
     rng = np.random.default_rng(5)
     models = [model_from_signed_edges(2, [(0, 1, ASSOCIATIVE)], rng)]
     models += [random_signed_model(rng, n=4, p=0.6) for _ in range(20)]
-    seen_imperfect = 0
+    seen_imperfect = moved = 0
     for model in models:
-        nmrf = build_nmrf(model)
-        pruned = prune(nmrf)
-        kept_set = set(pruned.kept)
-        assert any(sum(i in kept_set for i in ids) > 1
-                   for scope, ids in nmrf.groups.items() if len(scope) == 2)
-        weights, edges, kept = pruned.subgraph()
-        full = is_perfect_small(PlainGraph.from_edges(len(weights), edges))
-        verdict = binary_pairwise_perfection(pruned)
-        assert (verdict.perfect, verdict.witness_kind) == (full.perfect, full.witness_kind)
-        if not full.perfect:
-            seen_imperfect += 1
-            assert verdict.witness == tuple(kept[i] for i in full.witness)
-            assert max(verdict.witness) >= len(kept)  # the ids really moved
+        doc = nmrf_to_json(build_nmrf(model))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code = main(["perfect", str(path)])
+        verdict = json.loads(capsys.readouterr().out)
+        kept = [node["id"] for node in doc["nodes"] if node["weight"] > DEFAULT_EPS]
+        assert len(kept) < len(doc["nodes"])
+        pos = {nid: i for i, nid in enumerate(kept)}
+        plain = PlainGraph.from_edges(
+            len(kept), [(pos[u], pos[v]) for u, v in doc["edges"] if u in pos and v in pos]
+        )
+        assert verdict["perfect"] == is_perfect_small(plain).perfect
+        assert code == (0 if verdict["perfect"] else 1)
+        if verdict["perfect"]:
+            continue
+        seen_imperfect += 1
+        witness = verdict["witness"]
+        assert set(witness) <= set(kept)
+        moved += max(witness) >= len(kept)
+        full = PlainGraph.from_edges(len(doc["nodes"]), doc["edges"])
+        verify_hole(full.complement() if verdict["witness_kind"] == "odd_antihole" else full,
+                    witness)
     assert 0 < seen_imperfect < len(models)
+    assert moved > 0  # the ids really moved
 
 
-def compiled_pruned(model):
-    report = classify_model(model)
-    rewritten = apply_enode_plan(model, plan_by_names(report))
-    return prune(build_nmrf(rewritten))
-
-
-def test_binary_pairwise_agrees_with_full_check():
+def test_compiled_imperfect_graphs_show_an_odd_hole():
+    """A compiled graph with every edge rewritten to its single enode is
+    perfect when its model is tractable; when it is not perfect, the search
+    finds an odd hole, never only an odd antihole."""
     rng = np.random.default_rng(47)
     seen_imperfect = 0
     for _ in range(60):
         model = random_signed_model(rng, n=5, p=0.6)
-        pruned = compiled_pruned(model)
-        fast = binary_pairwise_perfection(pruned)
-        weights, edges, kept = pruned.subgraph()
-        slow = is_perfect_small(PlainGraph.from_edges(len(weights), edges))
-        assert fast.perfect == slow.perfect
-        seen_imperfect += not fast.perfect
-        if not fast.perfect:
-            assert fast.witness_kind == "odd_hole"
-    assert seen_imperfect > 0  # the sample must exercise both verdicts
+        report = classify_model(model)
+        pruned = prune(build_nmrf(apply_enode_plan(model, plan_by_names(report))))
+        graph = PlainGraph.from_edges(len(pruned.kept), pruned.edges)
+        verdict = is_perfect_small(graph)
+        assert verdict.perfect or not report.tractable
+        if not verdict.perfect:
+            seen_imperfect += 1
+            assert verdict.witness_kind == "odd_hole"
+            verify_hole(graph, verdict.witness)
+    assert 0 < seen_imperfect < 60  # the sample must exercise both verdicts
 
 
 def test_cycle_to_induced_hole_shapes():
@@ -176,8 +175,9 @@ def test_cycle_parity_random():
 
 # sha256 over the first hole of 1500 seeded random graphs (n 5-14, edge
 # density 0.2-0.8) and of their complements, then over the
-# binary_pairwise_perfection verdicts, or the TooLargeError message, of 120
-# seeded random signed models compiled with and without their enode plan.
+# perfection verdicts of the pruned graphs (witnesses as compiled node ids),
+# or the TooLargeError message, of 120 seeded random signed models compiled
+# with and without their enode plan.
 GOLDEN_HOLE_WITNESSES = "4d7186b5bded6f1d056eab2ab1e8dab42d2810451c5cc261561aefdbcaabd1dc"
 
 
@@ -198,9 +198,13 @@ def test_hole_witnesses_match_golden_digest():
         model = random_signed_model(rng, n=int(rng.integers(3, 6)), p=0.6)
         plan = plan_by_names(classify_model(model))
         for m in (apply_enode_plan(model, plan), model):
+            pruned = prune(build_nmrf(m))
             try:
-                verdict = binary_pairwise_perfection(prune(build_nmrf(m)))
+                verdict = is_perfect_small(PlainGraph.from_edges(len(pruned.kept), pruned.edges))
             except TooLargeError as exc:
                 verdict = f"TooLargeError: {exc}"
+            else:  # witnesses as node ids of the compiled graph
+                if not verdict.perfect:
+                    verdict = verdict._replace(witness=tuple(pruned.kept[i] for i in verdict.witness))
             h.update(repr(verdict).encode())
     assert h.hexdigest() == GOLDEN_HOLE_WITNESSES

@@ -49,9 +49,10 @@ RECORDS = [
     (TractabilityReport, ("tractable", "graph", "tree", "classes"),
      lambda: classify_model(_model())),
     (StableSetSolution, ("nodes", "weight"), lambda: StableSetSolution((0, 2), 1.5)),
-    (MapSolution, ("assignment", "objective", "method"), lambda: solve_map(_model())),
+    (MapSolution, ("assignment", "objective", "method", "slack"), lambda: solve_map(_model())),
     (Nmrf, ("nodes", "adj", "groups", "constant"), lambda: build_nmrf(_model())),
-    (PrunedNmrf, ("base", "kept"), lambda: prune(build_nmrf(_model()))),
+    (PrunedNmrf, ("base", "kept", "weights", "edges", "slack"),
+     lambda: prune(build_nmrf(_model()))),
     (PlainGraph, ("n", "adj"), lambda: PlainGraph.from_edges(3, [(0, 1), (1, 2)])),
     (PerfectionVerdict, ("perfect", "witness_kind", "witness"),
      lambda: is_perfect_small(PlainGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))),
@@ -86,6 +87,7 @@ def test_record_defaults():
     assert BlockClass("INTRACTABLE").sides is None
     assert BlockClass("BR", (0,)).hubs is None
     assert PerfectionVerdict(True) == PerfectionVerdict(True, None, None)
+    assert MapSolution({"A": 0}, 0.0, "bnb") == MapSolution({"A": 0}, 0.0, "bnb", 0.0)
     assert FeasibilityVerdict(True) == FeasibilityVerdict(True, None, None)
 
 

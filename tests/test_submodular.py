@@ -146,8 +146,7 @@ def test_representation_model_round_trip_and_bipartite():
                 psi.value(bits), abs=1e-9
             )
         pruned = prune(build_nmrf(model))
-        weights, edges, _ = pruned.subgraph()
-        assert nx.is_bipartite(nx.Graph(edges))
+        assert nx.is_bipartite(nx.Graph(pruned.edges))
 
 
 def test_feasibility_fast_and_lp_paths():

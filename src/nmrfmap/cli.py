@@ -8,8 +8,9 @@ the solve itself built, so the model is classified once.
 Machine-readable output (JSON, or CSV for bench) goes to standard output;
 diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
 (intractable / not perfect / infeasible / oracle disagreement), 2 input
-error (ModelFormatError and any other NmrfmapError not named here, a
-missing file, malformed JSON, KeyError, ValueError), 3 resource cap
+error (ModelFormatError and any other NmrfmapError not named here, a path
+that cannot be read or written, such as a missing file or a directory
+(OSError), malformed JSON, KeyError, ValueError), 3 resource cap
 exceeded (TooLargeError), 4 internal error (a solver fault:
 ObjectiveMismatchError or InconsistentCompletionError; or any other
 exception, such as RecursionError or OverflowError), printed as
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
     except (ObjectiveMismatchError, InconsistentCompletionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (NmrfmapError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (NmrfmapError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, never a verdict

@@ -6,15 +6,18 @@ fastest. Scopes are canonicalized to variable declaration order on load and
 duplicate scopes are merged by entrywise sum. A Model built without
 validation may still repeat a scope; `_summed_pairwise`, the one reader of a
 binary pairwise model's tables, sums such repeats into flat lists.
+`validate_model`, `classify_model`, `report_to_json` and `solve_map` run
+with the cyclic garbage collector paused (`_collector_paused`).
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
 from collections.abc import Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 from .errors import (
@@ -81,6 +84,38 @@ class Model(_ModelFields):
         return tuple(name for name, _ in self.variables)
 
 
+_BY_KEYWORD = object()  # the first argument came by name, as in solve_map(model=m)
+
+
+def _collector_paused(fn):
+    """`fn` with the cyclic garbage collector paused while it runs.
+
+    The request path builds acyclic data, which reference counting frees,
+    so a collection during it only walks the request and its model. A call
+    that finds the collector off, turned off by the caller or by another
+    thread's call, leaves it alone: if it turned it off anyway, it could do
+    so just after that other call turned it back on, and leave it off. The
+    pause is process-wide: another thread's collections wait for it. The first
+    argument is taken apart from the rest so that a one-argument call
+    builds no `*args` tuple, an allocation that could start a collection
+    before the pause."""
+
+    @wraps(fn)
+    def call(first=_BY_KEYWORD, /, *rest, **kwargs):
+        enabled = gc.isenabled()
+        if enabled:
+            gc.disable()
+        try:
+            if first is _BY_KEYWORD:
+                return fn(*rest, **kwargs)
+            return fn(first, *rest, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return call
+
+
 def table_index(cards: Sequence[int], values: Sequence[int]) -> int:
     """Row-major flat index, last variable fastest."""
     idx = 0
@@ -144,6 +179,7 @@ def _scope_error(scope, index) -> ModelFormatError:
     raise AssertionError("every name is a known variable")
 
 
+@_collector_paused
 def validate_model(raw: Mapping) -> Model:
     """Build a Model from a raw JSON-style description, enforcing invariants.
 

@@ -63,6 +63,7 @@ from .model import (
     TOLERANCE,
     Model,
     PairwiseView,
+    _collector_paused,
     energy,
     objective_tolerance,
     pairwise_view,
@@ -703,6 +704,7 @@ def _decode(pw: PairwiseView, kept) -> list[int]:
     return [possible[v] >> 1 for v in range(n)]
 
 
+@_collector_paused
 def solve_map(model: Model, eps: float = DEFAULT_EPS) -> MapSolution:
     """Exact MAP inference on a binary pairwise model, region by region.
 

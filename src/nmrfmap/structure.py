@@ -26,6 +26,7 @@ from .model import (
     Model,
     REPULSIVE,
     SignedGraph,
+    _collector_paused,
     signed_view,
 )
 
@@ -335,6 +336,7 @@ def enode_forms(report: TractabilityReport) -> list[tuple[int, int]]:
     return forms
 
 
+@_collector_paused
 def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport:
     """Per-block classification and overall verdict; `enode_forms` builds
     the enode-form plan from the report."""
@@ -374,6 +376,7 @@ def _u_params(vertices, cls, names):
 _PARAMS = {"BR": _br_params, "T": _t_params, "U": _u_params, "INTRACTABLE": lambda *_: {}}
 
 
+@_collector_paused
 def report_to_json(report: TractabilityReport) -> dict:
     """The report as JSON-ready names: each block with its class, params and
     witness, the enode form of every edge, and the cut vertices.

@@ -83,6 +83,22 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", ["classify", "solve", "perfect", "submodular"])
+def test_directory_as_input_is_an_input_error(verb, tmp_path, capsys):
+    code, out, err = run(capsys, verb, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "IsADirectoryError" not in err
+
+
+def test_out_into_a_directory_is_an_input_error(chain_model, tmp_path, capsys):
+    for out_path in (str(tmp_path), str(tmp_path) + os.sep):
+        code, out, err = run(capsys, "classify", chain_model, "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_classify_tractable(chain_model, capsys):
     code, out, _ = run(capsys, "classify", chain_model)
     assert code == 0

@@ -1,20 +1,30 @@
+import gc
+import inspect
 import itertools
 import math
+import sys
+import threading
+import time
 import types
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+import nmrfmap.mwss
+import nmrfmap.structure
 from helpers import flip_variables, potential_for
 from nmrfmap.errors import (
     DuplicateVariableError,
+    IntractableTopologyError,
     ModelFormatError,
+    NmrfmapError,
     NonFiniteEntryError,
     NotBinaryPairwiseError,
     TableSizeMismatchError,
     UnknownVariableError,
 )
+from nmrfmap.generators import block_chain_model, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
@@ -29,8 +39,9 @@ from nmrfmap.model import (
     table_index,
     validate_model,
 )
+from nmrfmap.mwss import solve_map
 from nmrfmap.nmrf import apply_enode_plan
-from nmrfmap.structure import classify_model, plan_by_names
+from nmrfmap.structure import classify_model, plan_by_names, report_to_json
 
 
 def two_var_raw():
@@ -567,3 +578,185 @@ def test_potential_order_is_the_position_tuple_order():
         expected = sorted({tuple(sorted(index[name] for name in p["scope"])) for p in potentials})
         assert got == expected
         assert model == reference_validate_model(raw)
+
+
+def _pairs_doc(names, pairs, unaries=()):
+    return {
+        "variables": [{"name": n, "card": 2} for n in names],
+        "potentials": [{"scope": list(scope), "table": list(t)} for scope, t in pairs]
+        + [{"scope": [name], "table": list(t)} for name, t in unaries],
+    }
+
+
+# A 4-cycle with one repulsive edge: refused by solve_map, reported
+# intractable by classify_model.
+_ATTRACT, _REPEL = (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)
+_FRUSTRATED = _pairs_doc("ABCD", [(("A", "B"), _REPEL), (("B", "C"), _ATTRACT),
+                                  (("C", "D"), _ATTRACT), (("A", "D"), _ATTRACT)])
+_ORDER_3 = {
+    "variables": [{"name": n, "card": 2} for n in "ABC"],
+    "potentials": [{"scope": ["A", "B", "C"], "table": [0.0] * 8}],
+}
+
+
+def _request_round():
+    """Documents of every kind a request brings: tractable, refused,
+    near-tie, folded-edge, repeated-scope, higher-order and malformed."""
+    rng = np.random.default_rng(30)
+    near_tie = _pairs_doc(
+        [f"X{i}" for i in range(12)], [(("X3", "X7"), (1.5, 0.0, 0.0, 0.5))],
+        [(f"X{i}", (0.0, float(rng.uniform(2e-8, 1e-7)))) for i in range(12)],
+    )
+    # (C, D) has associativity 1e-12 and is folded into its ends.
+    folded = _pairs_doc("ABCD", [(("B", "A"), (1.0, 0.0, 0.0, 2.0)), (("B", "C"), (0.0, 1.0, 1.0, 2.0)),
+                                 (("C", "D"), (1.0, 2.0, 3.0, 4.0 + 1e-12))], [("A", (0.0, 0.5))])
+    repeated = _pairs_doc("AB", [(("A", "B"), (2.0, 0.0, 0.0, 2.0)), (("B", "A"), _REPEL)])
+    malformed = [
+        {"variables": [], "junk": 1},
+        _pairs_doc("AB", [(("A", "Z"), (0.0,) * 4)]),
+        _pairs_doc("AB", [(("A", "B"), (0.0, math.nan, 0.0, 0.0))]),
+        _pairs_doc("AB", [(("A", "B"), (0.0,) * 3)]),
+        [1, 2],
+    ]
+    return [
+        model_to_json(block_chain_model(40)),
+        *(model_to_json(random_signed_model(rng, n=8)) for _ in range(6)),
+        _FRUSTRATED, near_tie, folded, repeated, _ORDER_3, *malformed,
+    ]
+
+
+def _set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_points_leave_the_collector_as_they_found_it(enabled):
+    """validate_model, classify_model, report_to_json and solve_map pause
+    the cyclic collector while they run; each returns or raises with it as
+    the caller left it, and never turns on one the caller turned off."""
+    model = validate_model(two_var_raw())
+    calls = [
+        (validate_model, two_var_raw(), None),
+        (classify_model, model, None),
+        (report_to_json, classify_model(model), None),
+        (solve_map, model, None),
+        (validate_model, {"variables": [], "junk": 1}, ModelFormatError),
+        (classify_model, validate_model(_ORDER_3), NotBinaryPairwiseError),
+        (solve_map, validate_model(_FRUSTRATED), IntractableTopologyError),
+    ]
+    was = gc.isenabled()
+    try:
+        for fn, arg, error in calls:
+            _set_collector(enabled)
+            if error is None:
+                fn(arg)
+            else:
+                with pytest.raises(error):
+                    fn(arg)
+            assert gc.isenabled() is enabled, fn.__name__
+    finally:
+        _set_collector(was)
+
+
+def test_threads_leave_the_collector_on():
+    """Calls from many threads at once: one that finds the collector off,
+    because another thread's call paused it, must not turn it off itself,
+    or the collector stays off after that other call turns it back on."""
+
+    def work(stop):
+        while not stop.is_set():
+            validate_model({})
+
+    assert gc.isenabled()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            stop = threading.Event()
+            threads = [threading.Thread(target=work, args=(stop,)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            time.sleep(0.25)
+            stop.set()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable()
+
+
+def test_entry_points_run_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def spy(module, name):
+        inner = getattr(module, name)
+
+        def call(*args):
+            seen.append((name, gc.isenabled()))
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    class Raw(dict):
+        def get(self, *args):
+            seen.append(("validate_model", gc.isenabled()))
+            return super().get(*args)
+
+    spy(nmrfmap.structure, "signed_view")
+    spy(nmrfmap.structure, "enode_forms")
+    spy(nmrfmap.mwss, "pairwise_view")
+    assert gc.isenabled()
+    model = validate_model(Raw(two_var_raw()))
+    report_to_json(classify_model(model))
+    solve_map(model)
+    assert seen == [("validate_model", False)] * 2 + [
+        ("signed_view", False), ("enode_forms", False), ("pairwise_view", False)]
+    assert gc.isenabled()
+
+
+def test_entry_points_keep_their_signatures_and_docs():
+    expected = {
+        validate_model: ("(raw: 'Mapping') -> 'Model'", "Build a Model from a raw JSON-style"),
+        classify_model: ("(model: 'Model', eps: 'float' = 1e-09) -> 'TractabilityReport'",
+                         "Per-block classification and overall verdict"),
+        report_to_json: ("(report: 'TractabilityReport') -> 'dict'",
+                         "The report as JSON-ready names"),
+        solve_map: ("(model: 'Model', eps: 'float' = 1e-09) -> 'MapSolution'",
+                    "Exact MAP inference on a binary pairwise model"),
+    }
+    for fn, (signature, doc) in expected.items():
+        assert str(inspect.signature(fn)) == signature
+        assert fn.__doc__.startswith(doc) and fn.__doc__ == fn.__wrapped__.__doc__
+    assert classify_model(validate_model(two_var_raw()), eps=0.5).tractable
+    assert solve_map(model=validate_model(two_var_raw()), eps=0.5).objective == 4.0
+
+
+def test_request_path_makes_no_reference_cycles():
+    """The premise of the pause: a round of every kind of request, through
+    validate -> classify -> report_to_json and validate -> solve_map with
+    the collector off, leaves nothing for a collection to free, so
+    reference counting alone frees everything the request path builds."""
+    docs = _request_round()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        outcomes = []
+        for doc in docs:
+            try:
+                outcomes.append(report_to_json(classify_model(validate_model(doc)))["tractable"])
+            except NmrfmapError as exc:
+                outcomes.append(type(exc).__name__)
+            try:
+                outcomes.append(solve_map(validate_model(doc)).method)
+            except NmrfmapError as exc:
+                outcomes.append(type(exc).__name__)
+        unreachable = gc.collect()
+    finally:
+        _set_collector(was)
+    assert unreachable == 0
+    assert {True, False, "blocks", "IntractableTopologyError", "NotBinaryPairwiseError",
+            "ModelFormatError", "UnknownVariableError", "NonFiniteEntryError",
+            "TableSizeMismatchError"} <= set(outcomes)

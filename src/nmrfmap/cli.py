@@ -1,13 +1,13 @@
 """Command-line front end.
 
 One verb per pipeline stage: validate, classify, compile, solve, perfect,
-submodular, bench. `solve --method blocks` (the default) solves tractable
-pairwise blocks by bipartite min cut; `--method bnb` runs capped branch and
-bound. An intractable model's refusal carries the tractability report that
-the solve itself built, so the model is classified once.
-Machine-readable output (JSON, or CSV for bench) goes to standard output;
-diagnostics to standard error. Exit codes: 0 success, 1 negative verdict
-(intractable / not perfect / infeasible / oracle disagreement), 2 input
+submodular. `solve --method blocks` (the default) solves tractable pairwise
+blocks by bipartite min cut; `--method bnb` runs capped branch and bound. An
+intractable model's refusal carries the tractability report that the solve
+itself built, so the model is classified once.
+Machine-readable output (JSON) goes to standard output; diagnostics to
+standard error. Exit codes: 0 success, 1 negative verdict (intractable /
+not perfect / infeasible / oracle disagreement), 2 input
 error (ModelFormatError and any other NmrfmapError not named here, a path
 that cannot be read or written, such as a missing file or a directory
 (OSError), malformed JSON, KeyError, ValueError), 3 resource cap
@@ -27,20 +27,17 @@ Each verb imports inside itself the modules only it uses. `validate`,
 model, structure, mwss). `compile` and `solve --method bnb` also load
 `nmrf`; `perfect` loads `nmrf` and `perfection`; `submodular` loads
 `submodular`; `--oracle-check` loads `oracle`.
-Only `bench` imports numpy (with the seeded generators), and only
-`submodular`, when it runs the order 4-6 feasibility LP, imports scipy, so
-every other verb loads neither.
+No verb imports numpy. Only `submodular`, when it runs the order 4-6
+feasibility LP, imports scipy, so every other verb runs on the package alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
-import time
 
 from .errors import (
     InconsistentCompletionError,
@@ -54,7 +51,6 @@ from .model import (
     is_binary_pairwise,
     model_from_json_file,
     objective_tolerance,
-    tolerance,
 )
 from .mwss import (
     DEFAULT_BNB_CAP,
@@ -72,16 +68,13 @@ EXIT_INTERNAL = 4
 EXIT_OUTPUT_CLOSED = 5
 
 
-def _write(text, out_path):
+def _emit(doc, out_path):
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _emit(doc, out_path):
-    _write(json.dumps(doc, indent=2, sort_keys=True), out_path)
 
 
 def _load_json(path):
@@ -216,78 +209,6 @@ def _cmd_submodular(args) -> int:
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
-FAMILIES = ("random-tractable", "random-signed", "random-supermodular-k3",
-            "block-chain")
-
-
-def _cmd_bench(args) -> int:
-    if args.family not in FAMILIES:
-        print(f"unknown family {args.family!r}; choose from {FAMILIES}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    import numpy as np
-
-    from .generators import (
-        block_chain_model,
-        random_signed_model,
-        random_supermodular_k3,
-        random_tractable_model,
-    )
-    from .oracle import brute_force_map
-    from .submodular import construct_k3
-
-    rng = np.random.default_rng(args.seed)
-    rows = [("family", "instance", "size", "elapsed_s", "status")]
-    for i in range(args.count):
-        if args.family == "random-tractable":
-            model = random_tractable_model(rng, max_vars=min(args.size, 8))
-            t0 = time.perf_counter()
-            sol = solve_map(model, args.eps)
-            elapsed = time.perf_counter() - t0
-            status = "ok"
-            if args.oracle_check:
-                gap = abs(brute_force_map(model).objective - sol.objective)
-                agree = gap <= objective_tolerance(model) + sol.slack
-                status = "agree" if agree else "disagree"
-            rows.append((args.family, i, len(model.variables), elapsed, status))
-        elif args.family == "random-signed":
-            model = random_signed_model(rng, n=min(args.size, 10))
-            t0 = time.perf_counter()
-            report = classify_model(model, args.eps)
-            elapsed = time.perf_counter() - t0
-            rows.append(
-                (args.family, i, len(model.variables), elapsed,
-                 "tractable" if report.tractable else "intractable")
-            )
-        elif args.family == "random-supermodular-k3":
-            psi = random_supermodular_k3(rng)
-            t0 = time.perf_counter()
-            rep = construct_k3(psi, args.eps)
-            elapsed = time.perf_counter() - t0
-            err = max(
-                abs(rep.evaluate(bits) - psi.value(bits))
-                for bits in itertools.product((0, 1), repeat=3)
-            )
-            rows.append(
-                (args.family, i, 3, elapsed,
-                 "ok" if err <= tolerance([psi.table]) else "mismatch")
-            )
-        else:  # block-chain
-            n_blocks = max(args.size // 3, 1)  # 3 edges per block
-            model = block_chain_model(n_blocks, seed=args.seed)
-            t0 = time.perf_counter()
-            report = classify_model(model, args.eps)
-            elapsed = time.perf_counter() - t0
-            n_edges = sum(1 for p in model.potentials if len(p.scope) == 2)
-            rows.append(
-                (args.family, i, n_edges, elapsed,
-                 "tractable" if report.tractable else "intractable")
-            )
-    lines = [",".join(str(c) for c in row) for row in rows]
-    _write("\n".join(lines), args.out)
-    return EXIT_OK
-
-
 def _eps(text: str) -> float:
     """An --eps value: a finite number >= 0. NaN compares false with every
     weight, so each `<= eps` test would fail whatever the weight."""
@@ -301,7 +222,7 @@ def _eps(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    """A --seed, --count, --size or --max-nodes value: an integer >= 0."""
+    """A --max-nodes value: an integer >= 0."""
     try:
         value = int(text)
     except ValueError:
@@ -356,15 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("potential")
     common(p)
     p.set_defaults(func=_cmd_submodular)
-
-    p = sub.add_parser("bench", help="seeded generator benchmarks (CSV)")
-    p.add_argument("family", help="|".join(FAMILIES))
-    common(p)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--count", type=_nonnegative_int, default=10)
-    p.add_argument("--size", type=_nonnegative_int, default=8)
-    p.add_argument("--oracle-check", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

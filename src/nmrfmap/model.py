@@ -6,8 +6,9 @@ fastest. Scopes are canonicalized to variable declaration order on load and
 duplicate scopes are merged by entrywise sum. A Model built without
 validation may still repeat a scope; `_summed_pairwise`, the one reader of a
 binary pairwise model's tables, sums such repeats into flat lists.
-`validate_model`, `classify_model`, `report_to_json` and `solve_map` run
-with the cyclic garbage collector paused (`_collector_paused`).
+`model_from_json_file`, `validate_model`, `classify_model`, `report_to_json`
+and `solve_map` run with the cyclic garbage collector paused
+(`_collector_paused`).
 """
 
 from __future__ import annotations
@@ -323,6 +324,7 @@ def model_to_json(model: Model) -> dict:
     }
 
 
+@_collector_paused
 def model_from_json_file(path: str) -> Model:
     import json  # the request path takes a parsed document
 

@@ -1,11 +1,11 @@
-"""Seeded random model generators for tests and benchmarks."""
+"""Seeded random model generators for the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ASSOCIATIVE, Model, Potential, REPULSIVE
-from .submodular import HighOrderPotential, is_supermodular
+from nmrfmap.model import ASSOCIATIVE, Model, Potential, REPULSIVE
+from nmrfmap.submodular import HighOrderPotential, is_supermodular
 
 
 def _names(n: int) -> list[str]:

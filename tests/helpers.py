@@ -9,8 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
+from generators import model_from_signed_edges
 from nmrfmap.errors import NotBinaryPairwiseError, UnknownVariableError
-from nmrfmap.generators import model_from_signed_edges
 from nmrfmap.model import ASSOCIATIVE, REPULSIVE, Model, Potential, is_binary_pairwise, table_index
 from nmrfmap.nmrf import NmrfNode
 

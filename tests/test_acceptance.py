@@ -12,19 +12,19 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from generators import (
+    block_chain_model,
+    model_from_signed_edges,
+    random_signed_model,
+    random_supermodular_k3,
+    random_tractable_model,
+)
 from helpers import (
     nodes_conflict,
     random_bipartite_graph,
     random_br_model,
     random_weighted_graph,
     verify_hole,
-)
-from nmrfmap.generators import (
-    block_chain_model,
-    model_from_signed_edges,
-    random_signed_model,
-    random_supermodular_k3,
-    random_tractable_model,
 )
 from nmrfmap.model import (
     ASSOCIATIVE,

@@ -10,13 +10,13 @@ import nmrfmap.cli
 import nmrfmap.mwss
 import nmrfmap.structure
 import nmrfmap.submodular
+from generators import block_chain_model, model_from_signed_edges, random_signed_model
 from helpers import lp_refused_table
 from nmrfmap.cli import main
 from nmrfmap.errors import (
     InconsistentCompletionError,
     ObjectiveMismatchError,
 )
-from nmrfmap.generators import block_chain_model, model_from_signed_edges, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
@@ -482,7 +482,7 @@ def test_cli_defaults_are_the_library_constants():
     assert parser.parse_args(["perfect", "g.json"]).max_nodes == DEFAULT_MAX_VERTICES
     assert parser.parse_args(["solve", "m.json"]).max_nodes == DEFAULT_BNB_CAP
     for argv in (["validate", "m"], ["classify", "m"], ["compile", "m"], ["solve", "m"],
-                 ["perfect", "g"], ["submodular", "p"], ["bench", "block-chain"]):
+                 ["perfect", "g"], ["submodular", "p"]):
         assert parser.parse_args(argv).eps == DEFAULT_EPS
 
 
@@ -546,7 +546,7 @@ def test_max_nodes_is_an_integer_at_least_zero(verb, chain_model, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "verb", ["validate", "classify", "compile", "solve", "perfect", "submodular", "bench"]
+    "verb", ["validate", "classify", "compile", "solve", "perfect", "submodular"]
 )
 def test_eps_must_be_finite_and_nonnegative(verb, chain_model, tmp_path, capsys):
     """NaN compares false with every weight, so `solve --method bnb --eps
@@ -561,7 +561,6 @@ def test_eps_must_be_finite_and_nonnegative(verb, chain_model, tmp_path, capsys)
         "perfect": ["perfect", write_json(tmp_path / "g.json", _TWO_NODES)],
         "submodular": ["submodular", write_json(
             tmp_path / "psi.json", {"scope": ["A", "B", "C"], "table": [0] * 7 + [2]})],
-        "bench": ["bench", "random-tractable", "--count", "1"],
     }[verb]
     for eps in ("nan", "inf", "-inf", "-1e-9", "x"):
         code, out, err = run(capsys, *argv, f"--eps={eps}")
@@ -650,7 +649,7 @@ print(json.dumps(seen))
 """
 
 
-def test_only_bench_and_the_lp_import_numpy_or_scipy(chain_model, tmp_path):
+def test_no_verb_imports_numpy_and_only_the_lp_imports_scipy(chain_model, tmp_path):
     table = [0.0] * 16
     table[15] = 2.0  # nonnegative all-ones indicator: feasible by the LP
     psi = write_json(tmp_path / "psi4.json",
@@ -833,62 +832,26 @@ def test_python_m_runs_the_cli(chain_model):
     assert json.loads(proc.stdout)["valid"] is True
 
 
-def test_bench_deterministic(capsys):
-    code, out1, _ = run(capsys, "bench", "random-supermodular-k3",
-                        "--seed", "5", "--count", "3")
-    assert code == 0
-    code, out2, _ = run(capsys, "bench", "random-supermodular-k3",
-                        "--seed", "5", "--count", "3")
-    assert code == 0
-    strip = lambda text: [
-        ",".join(c for i, c in enumerate(row.split(",")) if i != 3)
-        for row in text.strip().splitlines()
-    ]
-    # identical apart from the timing column
-    assert strip(out1) == strip(out2)
-    assert all(row.endswith("ok") for row in strip(out1)[1:])
-
-
-def test_bench_block_chain(capsys):
-    code, out, err = run(capsys, "bench", "block-chain", "--count", "2")
-    assert (code, err) == (0, "")
-    rows = [row.split(",") for row in out.splitlines()]
-    assert [row[:3] + row[4:] for row in rows] == [
-        ["family", "instance", "size", "status"],
-        ["block-chain", "0", "6", "tractable"],
-        ["block-chain", "1", "6", "tractable"],
-    ]
-    assert out.endswith("tractable\n")
-
-
-def test_bench_oracle_agreement(capsys):
-    code, out, _ = run(capsys, "bench", "random-tractable", "--seed", "1",
-                       "--count", "5", "--oracle-check")
-    assert code == 0
-    rows = out.strip().splitlines()[1:]
-    assert len(rows) == 5
-    assert all(row.endswith("agree") for row in rows)
-
-
-def test_bench_passes_eps_on(capsys):
+def test_classify_passes_eps_on(tmp_path, capsys):
     """--eps reaches the classification: with eps 1.5 the edges of weaker
     associativity fold away, and the verdicts match classify_model's on the
     same seeded models."""
-    code, out, _ = run(capsys, "bench", "random-signed", "--seed", "2", "--count", "6",
-                       "--size", "10", "--eps", "1.5")
-    assert code == 0
-    status = [row.split(",")[4] for row in out.strip().splitlines()[1:]]
     rng = np.random.default_rng(2)
     models = [random_signed_model(rng, n=10) for _ in range(6)]
-    expected = ["tractable" if classify_model(m, 1.5).tractable else "intractable" for m in models]
-    assert status == expected
-    assert [i for i, s in enumerate(status) if s == "tractable"] == [1, 3]
+    verdicts = []
+    for i, model in enumerate(models):
+        path = write_json(tmp_path / f"signed{i}.json", model_to_json(model))
+        code, out, _ = run(capsys, "classify", path, "--eps", "1.5")
+        tractable = json.loads(out)["tractable"]
+        assert code == (0 if tractable else 1)
+        verdicts.append(tractable)
+    assert verdicts == [classify_model(m, 1.5).tractable for m in models]
+    assert [i for i, tractable in enumerate(verdicts) if tractable] == [1, 3]
     assert not any(classify_model(m).tractable for m in models)
 
 
-def test_bench_passes_eps_to_construct_k3(capsys, monkeypatch):
-    """random-supermodular-k3 builds each representation at --eps, as the
-    submodular verb does."""
+def test_submodular_passes_eps_to_construct_k3(tmp_path, capsys, monkeypatch):
+    """An order-3 potential's representation is built at --eps."""
     seen = []
 
     def recording(psi, eps=DEFAULT_EPS):
@@ -897,35 +860,11 @@ def test_bench_passes_eps_to_construct_k3(capsys, monkeypatch):
 
     construct_k3 = nmrfmap.submodular.construct_k3
     monkeypatch.setattr(nmrfmap.submodular, "construct_k3", recording)
-    code, out, _ = run(capsys, "bench", "random-supermodular-k3", "--seed", "5",
-                       "--count", "3", "--eps", "0.001")
-    assert code == 0
-    assert seen == [0.001] * 3
-    assert all(row.endswith("ok") for row in out.strip().splitlines()[1:])
-
-
-@pytest.mark.parametrize("args, message", [
-    (["random-signed", "--size=-3"], "argument --size: must be an integer >= 0, not '-3'"),
-    (["random-signed", "--seed=-1"], "argument --seed: must be an integer >= 0, not '-1'"),
-    (["random-signed", "--count=-2"], "argument --count: must be an integer >= 0, not '-2'"),
-    (["random-signed", "--size", "1.5"], "argument --size: must be an integer >= 0, not '1.5'"),
-], ids=["size", "seed", "count", "fraction"])
-def test_bench_counts_are_integers_at_least_zero(args, message, capsys):
-    code, out, err = run(capsys, "bench", *args)
-    assert (code, out) == (2, "")
-    assert err.startswith("usage: nmrfmap bench")
-    assert err.splitlines()[-1] == f"nmrfmap bench: error: {message}"
-
-
-@pytest.mark.parametrize("size", ["0", "1"])
-def test_bench_random_tractable_needs_two_variables(size, capsys):
-    assert run(capsys, "bench", "random-tractable", "--size", size) == (
-        2, "", f"error: max_vars must be >= 2 (one edge), not {size}\n")
-
-
-def test_bench_unknown_family(capsys):
-    code, _, err = run(capsys, "bench", "no-such-family")
-    assert code == 2
+    path = write_json(tmp_path / "psi.json",
+                      {"scope": ["A", "B", "C"], "table": [0] * 7 + [2]})
+    code, out, _ = run(capsys, "submodular", path, "--eps", "0.001")
+    assert code == 0 and json.loads(out)["feasible"] is True
+    assert seen == [0.001]
 
 
 def test_usage_error(capsys):

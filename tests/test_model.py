@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import json
 import math
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 import nmrfmap.mwss
 import nmrfmap.structure
+from generators import block_chain_model, random_signed_model
 from helpers import flip_variables, potential_for
 from nmrfmap.errors import (
     DuplicateVariableError,
@@ -24,7 +26,6 @@ from nmrfmap.errors import (
     TableSizeMismatchError,
     UnknownVariableError,
 )
-from nmrfmap.generators import block_chain_model, random_signed_model
 from nmrfmap.model import (
     ASSOCIATIVE,
     REPULSIVE,
@@ -33,6 +34,7 @@ from nmrfmap.model import (
     associativity,
     energy,
     is_binary_pairwise,
+    model_from_json_file,
     model_to_json,
     pairwise_view,
     signed_view,
@@ -630,12 +632,16 @@ def _set_collector(enabled):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_entry_points_leave_the_collector_as_they_found_it(enabled):
-    """validate_model, classify_model, report_to_json and solve_map pause
-    the cyclic collector while they run; each returns or raises with it as
-    the caller left it, and never turns on one the caller turned off."""
+def test_entry_points_leave_the_collector_as_they_found_it(enabled, tmp_path):
+    """model_from_json_file, validate_model, classify_model, report_to_json
+    and solve_map pause the cyclic collector while they run; each returns or
+    raises with it as the caller left it, and never turns on one the caller
+    turned off."""
     model = validate_model(two_var_raw())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(two_var_raw()))
     calls = [
+        (model_from_json_file, str(path), None),
         (validate_model, two_var_raw(), None),
         (classify_model, model, None),
         (report_to_json, classify_model(model), None),
@@ -687,7 +693,7 @@ def test_threads_leave_the_collector_on():
         gc.enable()
 
 
-def test_entry_points_run_with_the_collector_paused(monkeypatch):
+def test_entry_points_run_with_the_collector_paused(monkeypatch, tmp_path):
     seen = []
 
     def spy(module, name):
@@ -704,14 +710,18 @@ def test_entry_points_run_with_the_collector_paused(monkeypatch):
             seen.append(("validate_model", gc.isenabled()))
             return super().get(*args)
 
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(two_var_raw()))
+    spy(json, "load")
     spy(nmrfmap.structure, "signed_view")
     spy(nmrfmap.structure, "enode_forms")
     spy(nmrfmap.mwss, "pairwise_view")
     assert gc.isenabled()
+    model_from_json_file(str(path))
     model = validate_model(Raw(two_var_raw()))
     report_to_json(classify_model(model))
     solve_map(model)
-    assert seen == [("validate_model", False)] * 2 + [
+    assert seen == [("load", False)] + [("validate_model", False)] * 2 + [
         ("signed_view", False), ("enode_forms", False), ("pairwise_view", False)]
     assert gc.isenabled()
 

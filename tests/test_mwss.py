@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import flip_variables, random_br_model, random_weighted_graph, scaled
-from nmrfmap.errors import (
-    IntractableTopologyError,
-    ObjectiveMismatchError,
-    TooLargeError,
-)
-from nmrfmap.generators import (
+from generators import (
     _random_block,
     block_chain_model,
     model_from_signed_edges,
     random_signed_model,
     random_tractable_model,
+)
+from helpers import flip_variables, random_br_model, random_weighted_graph, scaled
+from nmrfmap.errors import (
+    IntractableTopologyError,
+    ObjectiveMismatchError,
+    TooLargeError,
 )
 import nmrfmap.mwss
 import nmrfmap.nmrf

@@ -318,7 +318,7 @@ def test_json_round_trip_and_dot():
 
 
 def _golden_nmrf_models():
-    from nmrfmap.generators import random_signed_model, random_tractable_model
+    from generators import random_signed_model, random_tractable_model
     from nmrfmap.model import Model, Potential
 
     for seed in range(8):

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from generators import model_from_signed_edges, random_signed_model
 from helpers import nodes_conflict, verify_hole
 from nmrfmap.cli import main
 from nmrfmap.errors import TooLargeError
-from nmrfmap.generators import model_from_signed_edges, random_signed_model
 from nmrfmap.model import ASSOCIATIVE, DEFAULT_EPS, REPULSIVE
 from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nmrf_to_json, prune
 from nmrfmap.perfection import (

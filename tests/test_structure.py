@@ -8,14 +8,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import flip_variables, scaled
-from nmrfmap.errors import NotBinaryPairwiseError
-from nmrfmap.generators import (
+from generators import (
     block_chain_model,
     model_from_signed_edges,
     random_signed_model,
     random_tractable_model,
 )
+from helpers import flip_variables, scaled
+from nmrfmap.errors import NotBinaryPairwiseError
 from nmrfmap.model import (
     ASSOCIATIVE,
     Model,
@@ -459,7 +459,7 @@ def test_classify_graph_overall_verdict():
 
 
 def _golden_chain(seed, n_blocks):
-    from nmrfmap.generators import _random_block
+    from generators import _random_block
 
     rng = np.random.default_rng(seed)
     edges, base = [], 0
@@ -542,7 +542,7 @@ def _front_end_pairwise(rng):
     range so that isolated vertices fall in between, with pairs given in
     either scope order, some split into two tables given in opposite
     orders, and some near-zero-associativity edges that fold away."""
-    from nmrfmap.generators import _random_block
+    from generators import _random_block
 
     nrng = np.random.default_rng(rng.randrange(2**32))
     edges, base = [], 0

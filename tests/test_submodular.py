@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from generators import random_supermodular_k3
 from helpers import lp_refused_table
 
 from nmrfmap.errors import BadIndicesError, ModelFormatError, NotSupermodularError, TooLargeError
-from nmrfmap.generators import random_supermodular_k3
 from nmrfmap.model import energy
 from nmrfmap.nmrf import build_nmrf, prune
 from nmrfmap.submodular import (

@@ -52,7 +52,6 @@ from .structure import (
     classify_graph,
     classify_model,
     enode_forms,
-    plan_by_names,
     report_to_json,
 )
 from .mwss import (
@@ -72,8 +71,8 @@ _LAZY = {
         "Nmrf",
         "NmrfNode",
         "PrunedNmrf",
-        "apply_enode_plan",
         "build_nmrf",
+        "compile_pairwise",
         "nmrf_from_json",
         "nmrf_to_dot",
         "nmrf_to_json",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 One verb per pipeline stage: validate, classify, compile, solve, perfect,
-submodular. `solve --method blocks` (the default) solves tractable pairwise
-blocks by bipartite min cut; `--method bnb` runs capped branch and bound. An
-intractable model's refusal carries the tractability report that the solve
-itself built, so the model is classified once.
+submodular. `compile` writes a binary pairwise model's NMRF pruned under its
+enode plan (`compile_pairwise`), any other model's whole. `solve --method
+blocks` (the default) solves tractable pairwise blocks by bipartite min cut;
+`--method bnb` runs capped branch and bound. An intractable model's refusal
+carries the tractability report that the solve itself built, so the model
+is classified once.
 Machine-readable output (JSON) goes to standard output; diagnostics to
 standard error. Exit codes: 0 success, 1 negative verdict (intractable /
 not perfect / infeasible / oracle disagreement), 2 input
@@ -58,7 +60,7 @@ from .mwss import (
     solve_map,
     solve_map_bnb,
 )
-from .structure import classify_model, plan_by_names, report_to_json
+from .structure import classify_model, report_to_json
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -104,16 +106,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    from .nmrf import apply_enode_plan, build_nmrf, nmrf_to_dot, nmrf_to_json
+    from .nmrf import build_nmrf, compile_pairwise, nmrf_to_dot, nmrf_to_json
 
     model = model_from_json_file(args.model)
     if is_binary_pairwise(model):
-        report = classify_model(model, args.eps)
-        model = apply_enode_plan(model, plan_by_names(report), args.eps)
+        nmrf, report = compile_pairwise(model, args.eps)
         if not report.tractable:
-            print("warning: intractable topology; default enode forms used",
-                  file=sys.stderr)
-    nmrf = build_nmrf(model)
+            print("warning: intractable topology; default enode forms used", file=sys.stderr)
+    else:
+        nmrf = build_nmrf(model)
     _emit(nmrf_to_json(nmrf), args.out)
     if args.dot:
         with open(args.dot, "w") as fh:

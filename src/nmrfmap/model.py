@@ -425,30 +425,41 @@ def _summed_pairwise(model: Model):
     """Flat lists (u0, u1, us, vs, tables): the unaries of each variable for
     labels 0 and 1, and each pair table over (us[k], vs[k]), us[k] < vs[k],
     in the order the scopes first appear, a repeat in either order summed
-    in, left to right. Raises NotBinaryPairwiseError as `pairwise_view` does."""
+    in, left to right. Raises NotBinaryPairwiseError as `pairwise_view` does.
+    A lone unary is stored as given, and no pair is keyed until one repeats
+    or comes with a smaller u than the last, as a validated model's never do."""
     if not all(card == 2 for _, card in model.variables):
         raise NotBinaryPairwiseError("model must be binary pairwise")
     index = model.index
     n = len(index)
     u0, u1 = [0.0] * n, [0.0] * n
+    given = bytearray(n)  # 1 once a variable's unary is stored
     us, vs, tables = [], [], []
-    at: dict[int, int] = {}  # the position in `tables` of pair (u, v), by u * n + v
+    at = None  # the position in `tables` of pair (u, v), by u * n + v, once keyed
+    lu, last_u = -1, [-1] * n  # the last pair's u, and the last u paired with each v
     for scope, t in model.potentials:
         if len(scope) == 2:
             u, v = index[scope[0]], index[scope[1]]
             if u > v:
                 u, v, t = v, u, (t[0], t[2], t[1], t[3])
-            k = at.setdefault(u * n + v, len(tables))
-            if k < len(tables):
-                tables[k] = tuple(map(operator.add, tables[k], t))
-                continue
+            if at is None and u >= lu and last_u[v] != u:
+                lu = last_u[v] = u
+            else:
+                if at is None:
+                    at = {x * n + y: k for k, (x, y) in enumerate(zip(us, vs))}
+                k = at.setdefault(u * n + v, len(tables))
+                if k < len(tables):
+                    tables[k] = tuple(map(operator.add, tables[k], t))
+                    continue
             us.append(u)
             vs.append(v)
             tables.append(t)
         elif len(scope) == 1:
             i = index[scope[0]]
-            u0[i] += t[0]
-            u1[i] += t[1]
+            if given[i]:
+                t = (u0[i] + t[0], u1[i] + t[1])
+            given[i] = 1
+            u0[i], u1[i] = t
         else:
             raise NotBinaryPairwiseError("model must be binary pairwise")
     return u0, u1, us, vs, tables

@@ -1,11 +1,13 @@
 """Compilation of models to weighted NAND conflict graphs (NMRFs).
 
-Every scope of the model becomes a clique group with one node per
-assignment, and a singleton clique group is materialized for every variable
-even when no explicit singleton potential exists. One rule gives every
-conflict, those inside a group too: two nodes conflict when they set a shared
-variable to different values. Weights are normalized so each group's minimum
-is exactly zero; the subtracted constants are recorded to rebuild the objective.
+Every scope of the model becomes a clique group with one node per assignment,
+and a singleton clique group is materialized for every variable even when no
+explicit singleton potential exists. One rule gives every conflict, those
+inside a group too: two nodes conflict when they set a shared variable to
+different values. Weights are normalized so each group's minimum is exactly
+zero; the subtracted constants are recorded to rebuild the objective. One
+writer builds every graph: all nodes of any model (`build_nmrf`), or a binary
+pairwise model's of weight > eps under its enode plan (`compile_pairwise`).
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from .errors import ModelFormatError, TooLargeError
 from .model import (
     DEFAULT_EPS,
     Model,
-    Potential,
     _as_floats,
     _reorder_table,
     _summed_pairwise,
     single_enode,
 )
+from .structure import TractabilityReport, classify_model, enode_forms
 
 # Desk scale: each node is a record plus the set of the nodes it conflicts
 # with, and each entry of those sets takes about 66 bytes while they are built,
@@ -66,12 +68,10 @@ class PrunedNmrf(NamedTuple):
 
 
 def build_nmrf(model: Model) -> Nmrf:
-    """Compile a model into its normalized NMRF. A graph of more than
-    MAX_NODES nodes, naming the clique group that passes the cap, or with
-    more than MAX_CONFLICTS conflict-set entries raises TooLargeError
-    before any node is built."""
+    """Compile a model into its normalized NMRF, every node kept. A graph of
+    more than MAX_NODES nodes raises TooLargeError, naming the clique group
+    that passes the cap, before any node is built."""
     cards = model.cards
-    index = model.index
     size = 0
     given = itertools.chain(((name,) for name in cards), (p.scope for p in model.potentials))
     for scope in dict.fromkeys(given):
@@ -98,19 +98,38 @@ def build_nmrf(model: Model) -> Nmrf:
         ((name,), tables.pop((name,), (0.0,) * card)) for name, card in model.variables
     ]
     scopes += tables.items()
-    scopes.sort(key=lambda item: tuple(index[n] for n in item[0]))
-    # The conflicts of a variable: every ordered pair of the nodes that set
-    # it, less the pairs that set it alike, an equal share per value.
-    setting = dict.fromkeys(cards, 0)
-    for scope, table in scopes:
-        for name in scope:
-            setting[name] += len(table)
-    entries = sum(k * k - (k // cards[name]) ** 2 * cards[name] for name, k in setting.items())
-    if entries > MAX_CONFLICTS:
-        raise TooLargeError(
-            f"the conflict sets would hold {entries} entries, past the cap {MAX_CONFLICTS}"
-        )
+    return _write_nmrf(model, scopes)
 
+
+def compile_pairwise(model: Model, eps: float = DEFAULT_EPS) -> tuple[Nmrf, TractabilityReport]:
+    """A binary pairwise model's `prune(build_nmrf(m), eps)`, renumbered, for its
+    enode rewrite m (a folded edge keeps its summed table), written in linear
+    time, and its classification; NotBinaryPairwiseError for any other model."""
+    report = classify_model(model, eps)
+    names = model.names
+    u0, u1, us, vs, tables = _summed_pairwise(model)
+    plan = {(u, v): form for (u, v, _), form in zip(report.graph.edges, enode_forms(report))}
+    pairs = []
+    for u, v, t in zip(us, vs, tables):
+        if (u, v) in plan:  # else the view folds the edge
+            i, j = plan[u, v]
+            weight, fi, row0, row1 = single_enode(t, i, j, eps)
+            t = [0.0] * 4
+            t[2 * i + j] = weight
+            (u1 if i else u0)[u] += fi
+            u0[v] += row0
+            u1[v] += row1
+        pairs.append(((names[u], names[v]), t))
+    unaries = [((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)]
+    return _write_nmrf(model, unaries + pairs, eps), report
+
+
+def _write_nmrf(model: Model, scopes, eps: float = -math.inf) -> Nmrf:
+    """The NMRF of the (scope, table) groups `scopes`, sorted here by variable:
+    the nodes of weight > eps, each table less its minimum, the minima summed
+    to the constant. Past MAX_CONFLICTS conflict-set entries, TooLargeError."""
+    index = model.index
+    scopes.sort(key=lambda item: tuple(index[n] for n in item[0]))
     nodes: list[NmrfNode] = []
     groups: dict[tuple[str, ...], tuple[int, ...]] = {}
     # Node ids by (variable, value).
@@ -122,14 +141,23 @@ def build_nmrf(model: Model) -> Nmrf:
         constant += lo
         start = len(nodes)
         # product() runs row-major, last variable fastest, like the table
-        for k, vals in enumerate(itertools.product(*(range(cards[n]) for n in scope))):
-            for name, val in zip(scope, vals):
-                by_value[name][val].append(start + k)
-            nodes.append(new(NmrfNode, (scope, vals, table[k] - lo)))
+        for w, vals in zip(table, itertools.product(*(range(len(by_value[n])) for n in scope))):
+            w -= lo
+            if w > eps:
+                for name, val in zip(scope, vals):
+                    by_value[name][val].append(len(nodes))
+                nodes.append(new(NmrfNode, (scope, vals, w)))
         groups[scope] = tuple(range(start, len(nodes)))
-
     # Nodes that set a shared variable to different values conflict; two nodes
     # of one group differ on some variable of it, so each group is a clique.
+    # A variable's conflict-set entries: the ordered pairs of the nodes that
+    # set it, less the pairs that set it alike.
+    sizes = [[len(ids) for ids in per_value] for per_value in by_value.values()]
+    entries = sum(sum(c) ** 2 - sum(x * x for x in c) for c in sizes)
+    if entries > MAX_CONFLICTS:
+        raise TooLargeError(
+            f"the conflict sets would hold {entries} entries, past the cap {MAX_CONFLICTS}"
+        )
     adj: list[set[int]] = [set() for _ in nodes]
     for per_value in by_value.values():
         for val, ids in enumerate(per_value):
@@ -155,40 +183,6 @@ def prune(nmrf: Nmrf, eps: float = DEFAULT_EPS) -> PrunedNmrf:
         for ids in nmrf.groups.values()
     )
     return PrunedNmrf(nmrf, kept, tuple(nodes[i].weight for i in kept), edges, slack)
-
-
-def apply_enode_plan(
-    model: Model,
-    plan: Mapping[tuple[str, str], tuple[int, int]],
-    eps: float = DEFAULT_EPS,
-) -> Model:
-    """Reparameterize every planned edge to its single surviving enode form.
-
-    The removed mass moves into the endpoints' singleton tables; total energy
-    is unchanged for every configuration. The tables are read as
-    `pairwise_view` reads them, each pair summed into one edge that is
-    rewritten once, so a model that is not binary pairwise raises
-    NotBinaryPairwiseError. Edges absent from the plan keep their summed table.
-    """
-    names = model.names
-    u0, u1, us, vs, tables = _summed_pairwise(model)
-    edges = []
-    for u, v, t in zip(us, vs, tables):
-        scope = (names[u], names[v])
-        form = plan.get(scope)
-        if form is None:
-            edges.append(Potential(scope, t))
-            continue
-        i, j = form
-        weight, fi, row0, row1 = single_enode(t, i, j, eps)
-        table = [0.0] * 4
-        table[2 * i + j] = weight
-        edges.append(Potential(scope, tuple(table)))
-        (u1 if i else u0)[u] += fi
-        u0[v] += row0
-        u1[v] += row1
-    potentials = [Potential((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)] + edges
-    return Model(model.variables, tuple(potentials))
 
 
 def nmrf_to_json(nmrf: Nmrf) -> dict:
@@ -257,6 +251,8 @@ def nmrf_to_dot(nmrf: Nmrf) -> str:
     for i, node in enumerate(nmrf.nodes):
         setting = ",".join(f"{n}={v}" for n, v in zip(node.scope, node.assignment))
         label = f"{':'.join(node.scope)}:{setting}:{node.weight:g}"
+        # DOT escapes; a label ends in its weight, never in a lone backslash
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for i in range(len(nmrf.nodes)):
         for j in sorted(nmrf.adj[i]):

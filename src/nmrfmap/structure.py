@@ -8,8 +8,8 @@ certificate: a two-colouring (`sides`) with, for T and U, the base edge
 (`hubs`), or a witness frustrated cycle; the JSON's `params` follow from
 these and exist only in `report_to_json`. `enode_forms` gives each edge its
 enode form in a list aligned with `graph.edges`; its two readers,
-`report_to_json` and `plan_by_names` (names-keyed, for the compiler), build
-it, and `solve_map` never does. A T/U test rejects any block without the
+`report_to_json` and the compiler's `nmrf.compile_pairwise`, build it by
+position, and `solve_map` never does. A T/U test rejects any block without the
 2n - 3 edges of that shape before it counts degrees.
 """
 
@@ -406,11 +406,3 @@ def report_to_json(report: TractabilityReport) -> dict:
         "enode_plan": enode_plan,
         "cut_vertices": [names[v] for v in sorted(report.tree.cut_vertices)],
     }
-
-
-def plan_by_names(report: TractabilityReport) -> dict[tuple[str, str], tuple[int, int]]:
-    """Each edge's enode form from `enode_forms`, keyed by its two names in
-    declaration order."""
-    names = report.graph.names
-    forms = enode_forms(report)
-    return {(names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, forms)}

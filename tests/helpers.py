@@ -1,8 +1,10 @@
 """Code that only the tests call: a variable flip, a scope lookup, a
 power-of-two rescaling, a random BR model, two random stable-set
 instances, the conflict rule of the NMRF, used as an oracle apart from the
-code it checks, an induced odd cycle check of a perfection witness, and an
-order-5 table that only the feasibility LP refuses."""
+code it checks, the enode rewrite that `compile` once ran before
+`build_nmrf`, kept as the reference of its pruned graph, an induced odd
+cycle check of a perfection witness, and an order-5 table that only the
+feasibility LP refuses."""
 
 import itertools
 from typing import Iterable
@@ -11,8 +13,19 @@ import numpy as np
 
 from generators import model_from_signed_edges
 from nmrfmap.errors import NotBinaryPairwiseError, UnknownVariableError
-from nmrfmap.model import ASSOCIATIVE, REPULSIVE, Model, Potential, is_binary_pairwise, table_index
+from nmrfmap.model import (
+    ASSOCIATIVE,
+    DEFAULT_EPS,
+    REPULSIVE,
+    Model,
+    Potential,
+    _summed_pairwise,
+    is_binary_pairwise,
+    single_enode,
+    table_index,
+)
 from nmrfmap.nmrf import NmrfNode
+from nmrfmap.structure import classify_model, enode_forms
 
 
 def flip_variables(model: Model, flip: Iterable[str]) -> Model:
@@ -99,6 +112,47 @@ def nodes_conflict(a: NmrfNode, b: NmrfNode) -> bool:
         if other is not None and other != val:
             return True
     return False
+
+
+def forms_by_names(report) -> dict[tuple[str, str], tuple[int, int]]:
+    """Each edge's enode form from `enode_forms`, keyed by its two names in
+    declaration order."""
+    names = report.graph.names
+    return {(names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, enode_forms(report))}
+
+
+def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> Model:
+    """The model with every edge that its classification plans rewritten to
+    its single enode, as `compile` rewrote it before it wrote the pruned
+    graph itself: the reference that `prune(build_nmrf(enode_rewrite(m)))`
+    gives `nmrf.compile_pairwise(m)`, and that the golden digests compile.
+
+    The plan is keyed by each edge's two names (`forms_by_names`). The removed mass moves into
+    the endpoints' unaries, so every configuration keeps its energy. The
+    tables are read as `pairwise_view` reads them, each pair summed into
+    one edge that is rewritten once; an edge the view folds keeps its
+    summed table. A model that is not binary pairwise raises
+    NotBinaryPairwiseError."""
+    names = model.names
+    plan = forms_by_names(classify_model(model, eps))
+    u0, u1, us, vs, tables = _summed_pairwise(model)
+    edges = []
+    for u, v, t in zip(us, vs, tables):
+        scope = (names[u], names[v])
+        form = plan.get(scope)
+        if form is None:
+            edges.append(Potential(scope, t))
+            continue
+        i, j = form
+        weight, fi, row0, row1 = single_enode(t, i, j, eps)
+        table = [0.0] * 4
+        table[2 * i + j] = weight
+        edges.append(Potential(scope, tuple(table)))
+        (u1 if i else u0)[u] += fi
+        u0[v] += row0
+        u1[v] += row1
+    potentials = [Potential((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)] + edges
+    return Model(model.variables, tuple(potentials))
 
 
 def verify_hole(graph, hole):

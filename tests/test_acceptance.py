@@ -20,6 +20,7 @@ from generators import (
     random_tractable_model,
 )
 from helpers import (
+    forms_by_names,
     nodes_conflict,
     random_bipartite_graph,
     random_br_model,
@@ -36,14 +37,14 @@ from nmrfmap.model import (
     signed_view,
 )
 from nmrfmap.mwss import mwss_branch_bound, solve_map
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
+from nmrfmap.nmrf import build_nmrf, compile_pairwise, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
 from nmrfmap.perfection import (
     PlainGraph,
     cycle_to_induced_hole,
     is_perfect_small,
 )
-from nmrfmap.structure import classify_graph, classify_model, plan_by_names
+from nmrfmap.structure import classify_graph, classify_model
 from nmrfmap.submodular import (
     SUPERMODULAR_INFEASIBLE_K4,
     HighOrderPotential,
@@ -61,10 +62,10 @@ def report(name, detail=""):
 
 
 def compile_pruned(model, eps=1e-9):
-    """Classify, rewrite every edge to its planned single enode, prune."""
-    rep = classify_model(model, eps)
-    rewritten = apply_enode_plan(model, plan_by_names(rep), eps)
-    return rep, prune(build_nmrf(rewritten), eps)
+    """The report and the graph that `compile` writes, pruned as `perfect`
+    prunes it."""
+    nmrf, rep = compile_pairwise(model, eps)
+    return rep, prune(nmrf, eps)
 
 
 def witness_hole_nodes(graph: SignedGraph, rep):
@@ -73,7 +74,7 @@ def witness_hole_nodes(graph: SignedGraph, rep):
     cycle = cls.witness
     sign_of = {(u, v): s for u, v, s in graph.edges}
     names = graph.names
-    plan = plan_by_names(rep)
+    plan = forms_by_names(rep)
     L = len(cycle)
     cyc_names, signs, forms = [], [], []
     for i in range(L):
@@ -105,7 +106,7 @@ def adversarial_model(graph: SignedGraph, rep):
         if name in snode_value:
             table[snode_value[name]] = 1.0
         potentials.append(Potential((name,), tuple(table)))
-    for scope, (a, b) in plan_by_names(rep).items():
+    for scope, (a, b) in forms_by_names(rep).items():
         table = [0.0] * 4
         table[2 * a + b] = 1.0
         potentials.append(Potential(scope, tuple(table)))
@@ -196,8 +197,7 @@ def test_intractable_topologies_yield_odd_hole_witnesses():
             assert nodes_conflict(hole[i], hole[j]) == consecutive, name
         # and the compiled adversarial instance is confirmed imperfect
         adv, _ = adversarial_model(graph, rep)
-        rewritten = apply_enode_plan(adv, plan_by_names(rep))
-        pruned = prune(build_nmrf(rewritten))
+        _, pruned = compile_pruned(adv)
         verdict = is_perfect_small(PlainGraph.from_edges(len(pruned.kept), pruned.edges))
         assert not verdict.perfect and verdict.witness_kind == "odd_hole", name
     elapsed = time.perf_counter() - t0
@@ -294,18 +294,14 @@ def test_exhaustive_small_topology_agreement():
             saw_imperfect = False
             for sample in range(50):
                 model = model_from_signed_edges(n, signed_edges, rng)
-                rewritten = apply_enode_plan(model, plan_by_names(rep))
-                pruned = prune(build_nmrf(rewritten))
+                _, pruned = compile_pruned(model)
                 # structure depends only on which singleton nodes survive
-                kept = set(pruned.kept)
-                pattern = []
-                for name in names:
-                    ids = pruned.base.groups[(name,)]
-                    pattern.append(
-                        tuple(pruned.base.nodes[i].assignment[0]
-                              for i in ids if i in kept)
-                    )
-                memo_key = (class_key, tuple(pattern))
+                nodes = pruned.base.nodes
+                pattern = tuple(
+                    tuple(nodes[i].assignment[0] for i in pruned.base.groups[(name,)])
+                    for name in names
+                )
+                memo_key = (class_key, pattern)
                 verdict = perfection_memo.get(memo_key)
                 if verdict is None:
                     verdict = is_perfect_small(
@@ -318,8 +314,7 @@ def test_exhaustive_small_topology_agreement():
                     saw_imperfect = True
             if not rep.tractable:
                 adv, _ = adversarial_model(graph, rep)
-                rewritten = apply_enode_plan(adv, plan_by_names(rep))
-                pruned = prune(build_nmrf(rewritten))
+                _, pruned = compile_pruned(adv)
                 assert not is_perfect_small(
                     PlainGraph.from_edges(len(pruned.kept), pruned.edges)
                 ).perfect, class_key

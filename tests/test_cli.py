@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -788,7 +789,8 @@ def test_huge_clique_group_is_too_large_before_allocating(verb, tmp_path):
 def test_huge_conflict_sets_are_too_large_before_allocating(verb, tmp_path):
     """One variable of 20,000 labels is 20,000 nodes, within the node cap,
     whose conflict sets would hold 20,000 * 19,999 entries: the conflict
-    cap refuses it before any node is built, with 1 GB of address space."""
+    cap refuses it before any conflict set is built, with 1 GB of address
+    space."""
     path = write_json(tmp_path / "big.json", {
         "variables": [{"name": "Big", "card": 20000}], "potentials": [],
     })
@@ -869,3 +871,102 @@ def test_submodular_passes_eps_to_construct_k3(tmp_path, capsys, monkeypatch):
 
 def test_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _star(spokes):
+    """Hub H and `spokes` spokes, couplings alternating [1, 0, 0, 1] and
+    [0, 1, 1, 0], and the unary [0, 0.3] on every variable."""
+    names = ["H"] + [f"S{i}" for i in range(spokes)]
+    tables = ([1, 0, 0, 1], [0, 1, 1, 0])
+    return {
+        "variables": [{"name": name, "card": 2} for name in names],
+        "potentials": [{"scope": [name], "table": [0, 0.3]} for name in names]
+        + [{"scope": ["H", s], "table": tables[i % 2]} for i, s in enumerate(names[1:])],
+    }
+
+
+def test_compile_writes_the_pruned_star_in_linear_size(tmp_path, capsys):
+    """The whole planned NMRF of a 1,500-spoke star would hold 18,039,002
+    conflict entries, past the cap; the pruned graph that `compile` writes
+    has one snode per variable and one enode per edge, each enode joined to
+    the spoke's snode and, through H, to the hub's."""
+    path = write_json(tmp_path / "star.json", _star(1500))
+    code, out, err = run(capsys, "compile", path)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (len(doc["nodes"]), len(doc["edges"])) == (3001, 3000)
+
+
+def _compile_digest(capsys, tmp_path, models):
+    """sha256 over each model's `compile` exit code, output, diagnostics and
+    DOT file."""
+    h = hashlib.sha256()
+    for k, model in enumerate(models):
+        path = write_json(tmp_path / f"m{k}.json", model_to_json(model))
+        dot = tmp_path / f"m{k}.dot"
+        code, out, err = run(capsys, "compile", path, "--dot", str(dot))
+        h.update(repr((code, out, err, dot.read_text())).encode())
+    return h.hexdigest()
+
+
+def _not_binary_pairwise_models():
+    """3-label variables, order-3 scopes, a reversed pair and a 3-label
+    pair, seeded."""
+    from nmrfmap.model import Model, Potential
+
+    rng = np.random.default_rng(808)
+
+    def table(size):
+        return tuple(float(x) for x in rng.uniform(-1, 1, size))
+
+    for _ in range(6):
+        yield Model(
+            (("A", 3), ("B", 2), ("C", 2), ("D", 3)),
+            (
+                Potential(("A", "B", "C"), table(12)),
+                Potential(("D", "A"), table(9)),
+                Potential(("C",), table(2)),
+            ),
+        )
+    for _ in range(6):
+        variables = tuple((f"X{i}", 2) for i in range(5))
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5) if rng.random() < 0.4]
+        yield Model(
+            variables,
+            (Potential(("X0", "X2", "X4"), table(8)),)
+            + tuple(Potential((f"X{u}", f"X{v}"), table(4)) for u, v in pairs),
+        )
+    yield Model((("A", 3), ("B", 2)), (Potential(("A", "B"), table(6)),))
+
+
+# `compile` on models that are not binary pairwise, recorded before
+# `compile_pairwise` took over binary pairwise models; these still go
+# through `build_nmrf` whole.
+GOLDEN_OTHER_COMPILES = "418d934027e7e1ab2a97f87339482a9334b39e8ca77e6b5523fbdb3baf0bee36"
+# `compile` on binary pairwise models: the pruned graph under the enode
+# plan, written by `compile_pairwise`.
+GOLDEN_PAIRWISE_COMPILES = "7d67979d9d74bf7e0351a9897b12313a73261d3cab89b6d08a2f508556517a4a"
+
+
+def test_compile_other_models_matches_golden_digest(tmp_path, capsys):
+    digest = _compile_digest(capsys, tmp_path, _not_binary_pairwise_models())
+    assert digest == GOLDEN_OTHER_COMPILES
+
+
+def test_compile_binary_pairwise_models_matches_golden_digest(tmp_path, capsys):
+    """Tractable, signed (some intractable, with the warning), folded and
+    block-chain models, and the star, at 12 spokes."""
+    from generators import random_tractable_model
+    from nmrfmap.model import validate_model
+
+    rng = np.random.default_rng(909)
+    models = [random_tractable_model(rng, max_vars=int(rng.integers(3, 10))) for _ in range(8)]
+    models += [random_signed_model(rng, n=int(rng.integers(3, 7)), p=0.6) for _ in range(8)]
+    models += [block_chain_model(k) for k in (1, 4)]
+    folded = model_from_signed_edges(4, [(0, 1, ASSOCIATIVE), (1, 2, REPULSIVE)], rng)
+    models.append(folded._replace(potentials=folded.potentials + (
+        folded.potentials[0]._replace(scope=("X1", "X4"), table=(0.5, 1.0, -0.5, 0.0)),
+    )))
+    models.append(validate_model(_star(12)))
+    digest = _compile_digest(capsys, tmp_path, models)
+    assert digest == GOLDEN_PAIRWISE_COMPILES

@@ -42,8 +42,8 @@ from nmrfmap.model import (
     validate_model,
 )
 from nmrfmap.mwss import solve_map
-from nmrfmap.nmrf import apply_enode_plan
-from nmrfmap.structure import classify_model, plan_by_names, report_to_json
+from nmrfmap.nmrf import compile_pairwise
+from nmrfmap.structure import classify_model, enode_forms, report_to_json
 
 
 def two_var_raw():
@@ -309,29 +309,35 @@ def test_pairwise_view_adds_up_to_the_energy():
 
 
 def test_enode_rewrite_sums_repeated_scopes_and_keeps_the_energy():
-    """`apply_enode_plan`, the view's other reader, on scopes repeated in
-    both orders with folded and near-zero edges: one unary per variable and
-    one potential per summed pair scope, a single enode on each planned
-    edge, and every labeling's energy unchanged."""
+    """`compile_pairwise`, the view's other reader, on scopes repeated in
+    both orders with folded and near-zero edges: one clique group per
+    variable and per summed pair scope, a single enode on each planned
+    edge, and every labeling's energy, up to the weights of at most eps
+    that are not written, read off the written nodes that agree with it."""
     rng = np.random.default_rng(43)
     planned = 0
     for _ in range(60):
         model = _repeated_scope_model(rng)
-        plan = plan_by_names(classify_model(model))
-        rewritten = apply_enode_plan(model, plan)
+        nmrf, report = compile_pairwise(model)
+        names = model.names
         pairs = {frozenset(p.scope) for p in model.potentials if len(p.scope) == 2}
-        scopes = [p.scope for p in rewritten.potentials]
-        assert scopes[:len(model.variables)] == [(name,) for name in model.names]
+        scopes = list(nmrf.groups)
+        assert [s for s in scopes if len(s) == 1] == [(name,) for name in names]
         assert len(set(scopes)) == len(scopes) == len(model.variables) + len(pairs)
         assert {frozenset(s) for s in scopes if len(s) == 2} == pairs
-        for p in rewritten.potentials:
-            if p.scope in plan:
-                planned += 1
-                assert sum(1 for x in p.table if x != 0.0) == 1
+        for (u, v, _), form in zip(report.graph.edges, enode_forms(report)):
+            planned += 1
+            ids = nmrf.groups[names[u], names[v]]
+            assert [nmrf.nodes[i].assignment for i in ids] == [form]
         rounding = 1e-12 * sum(max(map(abs, p.table)) for p in model.potentials)
+        unwritten = 1e-9 * len(scopes)
         for labels in itertools.product((0, 1), repeat=len(model.variables)):
-            x = dict(zip(model.names, labels))
-            assert abs(energy(rewritten, x) - energy(model, x)) <= rounding
+            x = dict(zip(names, labels))
+            value = nmrf.constant + sum(
+                node.weight for node in nmrf.nodes
+                if all(x[name] == val for name, val in zip(node.scope, node.assignment))
+            )
+            assert abs(value - energy(model, x)) <= rounding + unwritten
     assert planned > 40
 
 

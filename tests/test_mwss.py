@@ -46,9 +46,9 @@ from nmrfmap.mwss import (
     solve_map,
     solve_map_bnb,
 )
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, prune
+from nmrfmap.nmrf import build_nmrf, compile_pairwise, prune
 from nmrfmap.oracle import brute_force_map, brute_force_mwss
-from nmrfmap.structure import classify_model, plan_by_names
+from nmrfmap.structure import classify_model
 
 
 def test_branch_bound_matches_brute_force():
@@ -384,8 +384,8 @@ def test_tractable_blocks_need_no_branch_bound_or_full_compile(monkeypatch):
 
 def test_solve_map_builds_no_enode_plan(monkeypatch):
     """The enode plan is for the compiler: `enode_forms` gives one form per
-    edge of `graph.edges`, `plan_by_names` keys those forms by names, and
-    solve_map solves BR, T and U blocks without building them."""
+    edge of `graph.edges`, and solve_map solves BR, T and U blocks without
+    building it."""
     def refuse(*args, **kwargs):
         raise AssertionError("solve_map must not build the enode plan")
 
@@ -397,10 +397,6 @@ def test_solve_map_builds_no_enode_plan(monkeypatch):
         kinds.update(c.kind for c in report.classes)
         forms = nmrfmap.structure.enode_forms(report)
         assert len(forms) == len(report.graph.edges)
-        names = report.graph.names
-        assert plan_by_names(report) == {
-            (names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, forms)
-        }
     assert kinds == {"BR", "T", "U", "INTRACTABLE"}
     solutions = [solve_map(model) for model in models]
     monkeypatch.setattr(nmrfmap.structure, "enode_forms", refuse)
@@ -890,14 +886,19 @@ def test_scopes_repeated_in_both_orders_solve_exactly():
         if len(model.variables) <= 6:
             # one clique group per pair, so the pruned NMRF fits the cap
             assert solve_map_bnb(model).objective == ref.objective
-        # one rewritten edge per pair, over the sum of its parts
-        rewritten = apply_enode_plan(model, plan_by_names(split))
-        pairs = [frozenset(p.scope) for p in rewritten.potentials if len(p.scope) == 2]
+        # one clique group per pair, over the sum of its parts: the written
+        # nodes that agree with a labeling add up to its energy
+        nmrf, _ = compile_pairwise(model)
+        pairs = [frozenset(scope) for scope in nmrf.groups if len(scope) == 2]
         assert len(pairs) == len(set(pairs))
         names = [name for name, _ in model.variables]
         for bits in itertools.product((0, 1), repeat=len(names)):
             labeling = dict(zip(names, bits))
-            assert energy(rewritten, labeling) == energy(model, labeling)
+            value = nmrf.constant + sum(
+                node.weight for node in nmrf.nodes
+                if all(labeling[name] == val for name, val in zip(node.scope, node.assignment))
+            )
+            assert value == energy(model, labeling)
 
 
 # sha256 of every sorted assignment and objective repr over the corpus below,

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 import nmrfmap.nmrf
-from helpers import nodes_conflict
+from helpers import enode_rewrite, forms_by_names, nodes_conflict, verify_hole
 from nmrfmap.errors import (
     NotBinaryPairwiseError,
     SignMismatchError,
@@ -16,14 +17,15 @@ from nmrfmap.errors import (
 from nmrfmap.model import DEFAULT_EPS, energy, validate_model
 from nmrfmap.nmrf import (
     NmrfNode,
-    apply_enode_plan,
     build_nmrf,
+    compile_pairwise,
     nmrf_from_json,
     nmrf_to_dot,
     nmrf_to_json,
     prune,
     single_enode,
 )
+from nmrfmap.perfection import PlainGraph, is_perfect_small
 
 
 def edge_model(table=(2.0, 0.0, 0.0, 3.0)):
@@ -46,9 +48,10 @@ def test_two_var_edge_model_has_eight_nodes():
         assert j in nmrf.adj[i]
 
 
-def test_conflict_entries_are_counted_before_any_node_is_built(monkeypatch):
+def test_conflict_entries_are_counted_before_any_conflict_is_built(monkeypatch):
     """One variable of 5 labels: 5 nodes, each conflicting with the other 4,
-    20 conflict-set entries in all, counted from the group sizes alone."""
+    20 conflict-set entries in all, counted from the nodes that set each
+    value before any conflict set is built."""
     model = validate_model({"variables": [{"name": "X", "card": 5}], "potentials": []})
     monkeypatch.setattr(nmrfmap.nmrf, "MAX_CONFLICTS", 20)
     assert sum(map(len, build_nmrf(model).adj)) == 20
@@ -211,7 +214,9 @@ def test_reparameterize_rejects_wrong_sign_and_zero():
         single_enode((1.0, 2.0, 0.0, 1.0), 0, 0, DEFAULT_EPS)
 
 
-def test_apply_enode_plan_preserves_energy_and_prunes_to_single_enode():
+def test_compile_pairwise_preserves_energy_and_writes_single_enodes():
+    """Each edge keeps one node, its planned enode, and the written nodes
+    that agree with a labeling, plus the constant, add up to its energy."""
     rng = np.random.default_rng(5)
     raw = {
         "variables": [{"name": n, "card": 2} for n in "ABC"],
@@ -222,49 +227,43 @@ def test_apply_enode_plan_preserves_energy_and_prunes_to_single_enode():
         ],
     }
     model = validate_model(raw)
-    plan = {("A", "B"): (0, 0), ("B", "C"): (1, 0)}
-    rewritten = apply_enode_plan(model, plan)
+    nmrf, report = compile_pairwise(model)
+    plan = forms_by_names(report)
+    assert sorted(plan) == [("A", "B"), ("B", "C")]
     for cfg_bits in itertools.product((0, 1), repeat=3):
         cfg = dict(zip("ABC", cfg_bits))
-        assert energy(rewritten, cfg) == pytest.approx(energy(model, cfg))
-    pruned = prune(build_nmrf(rewritten))
-    kept = set(pruned.kept)
-    for scope, ids in pruned.base.groups.items():
-        if len(scope) == 2:
-            survivors = [i for i in ids if i in kept]
-            assert len(survivors) == 1
-            node = pruned.base.nodes[survivors[0]]
-            assert node.assignment == plan[node.scope]
+        picked = [n for n in nmrf.nodes if all(cfg[v] == x for v, x in zip(n.scope, n.assignment))]
+        total = sum(n.weight for n in picked) + nmrf.constant
+        assert total == pytest.approx(energy(model, cfg))
+    assert all(node.weight > DEFAULT_EPS for node in nmrf.nodes)
+    for scope, form in plan.items():
+        assert [node.assignment for node in nmrf.nodes if node.scope == scope] == [form]
 
 
 @pytest.mark.parametrize(
-    "raw, plan",
+    "raw",
     [
-        # Once dropped from the rewrite: the energy at all ones went from 6.0 to 1.0.
-        (
-            {
-                "variables": [{"name": n, "card": 2} for n in "ABC"],
-                "potentials": [
-                    {"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0]},
-                    {"scope": ["A", "B", "C"], "table": [0.0] * 7 + [5.0]},
-                ],
-            },
-            {("A", "B"): (0, 0)},
-        ),
-        # Once came back as a model whose energy raised IndexError.
-        (
-            {
-                "variables": [{"name": "A", "card": 3}, {"name": "B", "card": 2}],
-                "potentials": [{"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0, 0.5, 0.5]}],
-            },
-            {},
-        ),
+        # Once dropped from the enode rewrite: the energy at all ones went
+        # from 6.0 to 1.0.
+        {
+            "variables": [{"name": n, "card": 2} for n in "ABC"],
+            "potentials": [
+                {"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0]},
+                {"scope": ["A", "B", "C"], "table": [0.0] * 7 + [5.0]},
+            ],
+        },
+        # Once came back from the enode rewrite as a model whose energy
+        # raised IndexError.
+        {
+            "variables": [{"name": "A", "card": 3}, {"name": "B", "card": 2}],
+            "potentials": [{"scope": ["A", "B"], "table": [1.0, 0.0, 0.0, 1.0, 0.5, 0.5]}],
+        },
     ],
     ids=["order-3-potential", "3-label-pair"],
 )
-def test_apply_enode_plan_refuses_a_model_not_binary_pairwise(raw, plan):
+def test_compile_pairwise_refuses_a_model_not_binary_pairwise(raw):
     with pytest.raises(NotBinaryPairwiseError):
-        apply_enode_plan(validate_model(raw), plan)
+        compile_pairwise(validate_model(raw))
 
 
 def test_pair_given_in_both_orders_compiles_to_one_group():
@@ -311,6 +310,32 @@ def test_json_round_trip_and_dot():
     dot = nmrf_to_dot(nmrf)
     assert dot.startswith("graph nmrf {")
     assert dot.count("--") == sum(len(s) for s in nmrf.adj) // 2
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    """Names holding `"` or `\\`: each label is one well-formed DOT quoted
+    string, and unescaped it reads the node's group, setting and weight."""
+    names = ['A"x', "B\\y", 'C\\"', "D\\"]
+    model = validate_model({
+        "variables": [{"name": n, "card": 2} for n in names],
+        "potentials": [
+            {"scope": names[:2], "table": [2.0, 0.0, 0.0, 3.0]},
+            {"scope": names[1:3], "table": [0.0, 1.0, 1.5, 0.0]},
+            {"scope": names[2:], "table": [0.5, 0.0, 0.0, 1.0]},
+            {"scope": names[3:], "table": [0.0, 0.25]},
+        ],
+    })
+    label = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];')
+    for nmrf in (build_nmrf(model), compile_pairwise(model)[0]):
+        lines = [line for line in nmrf_to_dot(nmrf).splitlines() if "label=" in line]
+        assert len(lines) == len(nmrf.nodes)
+        for line in lines:
+            match = label.fullmatch(line)
+            assert match, line
+            node = nmrf.nodes[int(match[1])]
+            setting = ",".join(f"{n}={v}" for n, v in zip(node.scope, node.assignment))
+            text = f"{':'.join(node.scope)}:{setting}:{node.weight:g}"
+            assert re.sub(r"\\(.)", r"\1", match[2]) == text
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +386,15 @@ GOLDEN_NMRF_DIGEST = "0836458d0041b3d0b5f78797aad4b65638650f1d5675ba41e0f3abe82f
 
 
 def test_nmrf_json_matches_golden_digest():
+    """Every model, and each binary pairwise one under the reference enode
+    rewrite, compiled whole by `build_nmrf`."""
     from nmrfmap.model import is_binary_pairwise
-    from nmrfmap.structure import classify_model, plan_by_names
 
     h = hashlib.sha256()
     for model in _golden_nmrf_models():
         h.update(json.dumps(nmrf_to_json(build_nmrf(model)), sort_keys=True).encode())
         if is_binary_pairwise(model):
-            plan = plan_by_names(classify_model(model))
-            rewritten = apply_enode_plan(model, plan)
+            rewritten = enode_rewrite(model)
             h.update(json.dumps(nmrf_to_json(build_nmrf(rewritten)), sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_NMRF_DIGEST
 
@@ -381,3 +406,117 @@ def test_conflicts_match_pairwise_rule():
         for i, a in enumerate(nodes):
             expected = {j for j, b in enumerate(nodes) if nodes_conflict(a, b)}
             assert nmrf.adj[i] == expected
+
+
+# ---------------------------------------------------------------------------
+# compile_pairwise against the reference: the enode rewrite, build_nmrf, prune
+
+
+def _folded_model(rng, split):
+    """A random graph of separable tables f(x) + g(y) plus a on the (1, 1)
+    entry, a zero, within DEFAULT_EPS or N(0, 1), so the view folds some
+    edges, and unaries on some variables. With `split`, each table comes in
+    two parts over its scope in either order and each unary in two, as only
+    a Model built without validate_model has them."""
+    from nmrfmap.model import Model, Potential
+
+    n = int(rng.integers(3, 7))
+    names = [f"X{i}" for i in range(n)]
+    potentials = []
+    for name in names:
+        if rng.random() < 0.6:
+            potentials.append(Potential((name,), tuple(map(float, rng.normal(size=2)))))
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            continue
+        a = (0.0, float(rng.uniform(-1e-9, 1e-9)), float(rng.normal()))[int(rng.integers(3))]
+        f, g = rng.normal(size=2), rng.normal(size=2)
+        table = [float(f[x] + g[y]) for x in (0, 1) for y in (0, 1)]
+        table[3] += a
+        potentials.append(Potential((names[u], names[v]), tuple(table)))
+    if split:
+        parts = []
+        for scope, table in potentials:
+            part = tuple(map(float, rng.normal(size=len(table))))
+            rest = tuple(x - y for x, y in zip(table, part))
+            for t in (part, rest):
+                if len(scope) == 2 and rng.random() < 0.5:  # the pair in reverse order
+                    scope, t = scope[::-1], (t[0], t[2], t[1], t[3])
+                parts.append(Potential(scope, t))
+        potentials = [parts[i] for i in rng.permutation(len(parts))]
+        return Model(tuple((name, 2) for name in names), tuple(potentials))
+    return validate_model({
+        "variables": [{"name": name, "card": 2} for name in names],
+        "potentials": [{"scope": list(s), "table": list(t)} for s, t in potentials],
+    })
+
+
+def _binary_pairwise_corpus():
+    """230 seeded binary pairwise models: random tractable ones, random
+    signed ones (many intractable), models with edges the view folds,
+    unvalidated models with scopes repeated in both orders, and block chains."""
+    from generators import block_chain_model, random_signed_model, random_tractable_model
+
+    rng = np.random.default_rng(2026)
+    for _ in range(60):
+        yield random_tractable_model(rng, max_vars=int(rng.integers(3, 9)))
+    for _ in range(60):
+        yield random_signed_model(rng, n=int(rng.integers(3, 7)), p=0.6)
+    for k in range(100):
+        yield _folded_model(rng, split=k % 2 == 1)
+    for k in range(1, 11):
+        yield block_chain_model(k, seed=k)
+
+
+def _perfection(pruned):
+    plain = PlainGraph.from_edges(len(pruned.kept), pruned.edges)
+    try:
+        return is_perfect_small(plain)
+    except TooLargeError as exc:
+        return str(exc)
+
+
+def test_compile_pairwise_is_the_prune_of_the_reference_rewrite():
+    """On every corpus model, the graph `compile` writes has the nodes
+    (group, assignment, weight) of `prune(build_nmrf(enode_rewrite(m)))`,
+    the same edges under the map of one node to the other by group and
+    assignment, and the same constant, to the bit. `perfect` gives both
+    the same verdict, and a witness on the written file is an odd hole or
+    antihole of its own edges. A folded edge keeps its whole table, so only
+    a tractable model without one must compile to a perfect graph."""
+    counts = dict.fromkeys(("models", "intractable", "folded", "imperfect", "too large"), 0)
+    for model in _binary_pairwise_corpus():
+        nmrf, report = compile_pairwise(model)
+        ref = prune(build_nmrf(enode_rewrite(model)))
+        folded = len(report.graph.edges) < len(ref.base.groups) - len(model.variables)
+        ref_nodes = [ref.base.nodes[i] for i in ref.kept]
+        assert sorted(nmrf.nodes) == sorted(ref_nodes)
+        new_id = {(node.scope, node.assignment): i for i, node in enumerate(nmrf.nodes)}
+        assert len(new_id) == len(nmrf.nodes)
+        ids = [new_id[node.scope, node.assignment] for node in ref_nodes]
+        assert {frozenset((ids[i], ids[j])) for i, j in ref.edges} == {
+            frozenset((i, j)) for i, others in enumerate(nmrf.adj) for j in others
+        }
+        assert repr(nmrf.constant) == repr(ref.base.constant)
+
+        doc = json.loads(json.dumps(nmrf_to_json(nmrf)))
+        written = prune(nmrf_from_json(doc))
+        assert written.kept == tuple(range(len(nmrf.nodes)))
+        verdict, expected = _perfection(written), _perfection(ref)
+        if isinstance(expected, str):
+            assert verdict == expected
+            counts["too large"] += 1
+        else:
+            assert verdict.perfect == expected.perfect
+            assert verdict.perfect or folded or not report.tractable
+            if not verdict.perfect:
+                full = PlainGraph.from_edges(len(doc["nodes"]), doc["edges"])
+                if verdict.witness_kind == "odd_antihole":
+                    full = full.complement()
+                verify_hole(full, [written.kept[i] for i in verdict.witness])
+                counts["imperfect"] += 1
+        counts["models"] += 1
+        counts["intractable"] += not report.tractable
+        counts["folded"] += folded
+    assert counts["models"] >= 200
+    assert min(counts.values()) > 0, counts

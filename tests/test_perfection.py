@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from generators import model_from_signed_edges, random_signed_model
-from helpers import nodes_conflict, verify_hole
+from helpers import enode_rewrite, nodes_conflict, verify_hole
 from nmrfmap.cli import main
 from nmrfmap.errors import TooLargeError
 from nmrfmap.model import ASSOCIATIVE, DEFAULT_EPS, REPULSIVE
-from nmrfmap.nmrf import apply_enode_plan, build_nmrf, nmrf_to_json, prune
+from nmrfmap.nmrf import build_nmrf, compile_pairwise, nmrf_to_json, prune
 from nmrfmap.perfection import (
     PlainGraph,
     cycle_to_induced_hole,
     find_odd_hole,
     is_perfect_small,
 )
-from nmrfmap.structure import classify_model, plan_by_names
 
 
 def cycle_graph(n):
@@ -117,8 +116,8 @@ def test_compiled_imperfect_graphs_show_an_odd_hole():
     seen_imperfect = 0
     for _ in range(60):
         model = random_signed_model(rng, n=5, p=0.6)
-        report = classify_model(model)
-        pruned = prune(build_nmrf(apply_enode_plan(model, plan_by_names(report))))
+        nmrf, report = compile_pairwise(model)
+        pruned = prune(nmrf)
         graph = PlainGraph.from_edges(len(pruned.kept), pruned.edges)
         verdict = is_perfect_small(graph)
         assert verdict.perfect or not report.tractable
@@ -196,8 +195,7 @@ def test_hole_witnesses_match_golden_digest():
     assert 0 < found < 3000
     for _ in range(120):
         model = random_signed_model(rng, n=int(rng.integers(3, 6)), p=0.6)
-        plan = plan_by_names(classify_model(model))
-        for m in (apply_enode_plan(model, plan), model):
+        for m in (enode_rewrite(model), model):
             pruned = prune(build_nmrf(m))
             try:
                 verdict = is_perfect_small(PlainGraph.from_edges(len(pruned.kept), pruned.edges))

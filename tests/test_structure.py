@@ -14,7 +14,7 @@ from generators import (
     random_signed_model,
     random_tractable_model,
 )
-from helpers import flip_variables, scaled
+from helpers import flip_variables, forms_by_names, scaled
 from nmrfmap.errors import NotBinaryPairwiseError
 from nmrfmap.model import (
     ASSOCIATIVE,
@@ -34,7 +34,6 @@ from nmrfmap.structure import (
     classify_graph,
     classify_model,
     enode_forms,
-    plan_by_names,
     report_to_json,
     _signed_two_color,
 )
@@ -430,7 +429,7 @@ def test_enode_plan_lists_edges_in_sorted_order():
 
 
 def test_enode_plan_matches_the_sorted_plan():
-    """report_to_json's enode_plan against one built from plan_by_names,
+    """report_to_json's enode_plan against one built from `forms_by_names`,
     ordered by the declaration positions of each edge's two names."""
     rng = np.random.default_rng(53)
     models = [random_signed_model(rng, n=int(rng.integers(4, 11))) for _ in range(40)]
@@ -438,7 +437,7 @@ def test_enode_plan_matches_the_sorted_plan():
     for model in models:
         report = classify_model(model)
         index = model.index
-        plan = sorted(plan_by_names(report).items(), key=lambda item: [index[x] for x in item[0]])
+        plan = sorted(forms_by_names(report).items(), key=lambda item: [index[x] for x in item[0]])
         expected = [{"edge": [x, y], "form": f"{a}{b}"} for (x, y), (a, b) in plan]
         assert report_to_json(report)["enode_plan"] == expected
 

@@ -4,8 +4,12 @@ Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
 fastest. Scopes are canonicalized to variable declaration order on load and
 duplicate scopes are merged by entrywise sum. A Model built without
-validation may still repeat a scope; `_summed_pairwise`, the one reader of a
-binary pairwise model's tables, sums such repeats into flat lists.
+validation may still repeat a scope; `_summed_pairs`, the one reader of a
+binary pairwise model's pair tables, sums such repeats into flat lists, and
+`_summed_pairwise` adds the unaries. `_signs` holds the one fold rule:
+`signed_view` keeps only the signs it gives, and `pairwise_view` folds the
+edges it leaves unsigned. A validated Model carries the name index that
+validation built.
 `model_from_json_file`, `validate_model`, `classify_model`, `report_to_json`
 and `solve_map` run with the cyclic garbage collector paused
 (`_collector_paused`).
@@ -82,7 +86,7 @@ class Model(_ModelFields):
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variables)
+        return tuple([name for name, _ in self.variables])
 
 
 _BY_KEYWORD = object()  # the first argument came by name, as in solve_map(model=m)
@@ -209,15 +213,19 @@ def validate_model(raw: Mapping) -> Model:
     index: dict[str, int] = {}
     for entry in entries["variables"]:
         # A dict is tested first: isinstance against an ABC costs a Python call.
-        if not (
-            (type(entry) is dict or isinstance(entry, Mapping))
-            and len(entry) == 2 and "name" in entry and "card" in entry
-        ):
+        if not (type(entry) is dict or isinstance(entry, Mapping)) or len(entry) != 2:
             raise ModelFormatError(f"bad variable entry: {entry!r}")
-        name, card = entry["name"], entry["card"]
-        if not isinstance(name, str):
+        try:  # cheaper than testing for both keys first
+            name, card = entry["name"], entry["card"]
+        except KeyError:
+            raise ModelFormatError(f"bad variable entry: {entry!r}") from None
+        # Exact types first: an identity test costs less than an isinstance call.
+        if type(name) is not str and not isinstance(name, str):
             raise ModelFormatError(f"variable name must be a string: {name!r}")
-        if not isinstance(card, int) or isinstance(card, bool) or card < 2:
+        if (
+            type(card) is not int and (not isinstance(card, int) or isinstance(card, bool))
+            or card < 2
+        ):
             raise ModelFormatError(f"cardinality of {name!r} must be an integer >= 2")
         if name in index:
             raise DuplicateVariableError(name)
@@ -236,19 +244,20 @@ def validate_model(raw: Mapping) -> Model:
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
     for entry in entries["potentials"]:
-        if not (
-            (type(entry) is dict or isinstance(entry, Mapping))
-            and len(entry) == 2 and "scope" in entry and "table" in entry
-        ):
+        if not (type(entry) is dict or isinstance(entry, Mapping)) or len(entry) != 2:
             raise ModelFormatError(f"bad potential entry: {entry!r}")
-        scope, table = entry["scope"], entry["table"]
+        try:  # cheaper than testing for both keys first
+            scope, table = entry["scope"], entry["table"]
+        except KeyError:
+            raise ModelFormatError(f"bad potential entry: {entry!r}") from None
         if type(scope) is not list and not isinstance(scope, (list, tuple)):
             raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
         scope = tuple(scope)
+        order = len(scope)
         pos = None  # the positions in scope order, when not in declaration order
         try:
             # unrolled for the orders of a pairwise model
-            if len(scope) == 2:
+            if order == 2:
                 i, j = index[scope[0]], index[scope[1]]
                 expected = card_of[i] * card_of[j]
                 if i < j:
@@ -258,11 +267,11 @@ def validate_model(raw: Mapping) -> Model:
                     pos = (i, j)
                 else:
                     raise ModelFormatError(f"scope {list(scope)} repeats a variable")
-            elif len(scope) == 1:
+            elif order == 1:
                 i = index[scope[0]]
                 expected = card_of[i]
                 key = i * n1
-            elif scope:
+            elif order:
                 pos = tuple(map(index.__getitem__, scope))
                 key = tuple(sorted(pos))
                 if len(set(key)) != len(key):
@@ -291,10 +300,9 @@ def validate_model(raw: Mapping) -> Model:
             canon = tuple([variables[i][0] for i in sorted(pos)])
             values = _reorder_table(scope, [card_of[i] for i in pos], values, canon)
             scope = canon
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = new(Potential, (scope, values))
-        else:
+        potential = new(Potential, (scope, values))
+        prev = merged.setdefault(key, potential)
+        if prev is not potential:
             merged[key] = new(Potential, (prev.scope, tuple(map(operator.add, prev.table, values))))
             summed.append(key)
     for key in summed:
@@ -312,7 +320,9 @@ def validate_model(raw: Mapping) -> Model:
         keys = sorted(merged, key=position)
     else:
         keys = sorted(merged)
-    return Model(tuple(variables), tuple([merged[key] for key in keys]))
+    model = Model(tuple(variables), tuple(map(merged.__getitem__, keys)))
+    vars(model)["index"] = index  # the cached `Model.index`, built here already
+    return model
 
 
 def model_to_json(model: Model) -> dict:
@@ -421,19 +431,16 @@ class PairwiseView(NamedTuple):
     slack: float
 
 
-def _summed_pairwise(model: Model):
-    """Flat lists (u0, u1, us, vs, tables): the unaries of each variable for
-    labels 0 and 1, and each pair table over (us[k], vs[k]), us[k] < vs[k],
-    in the order the scopes first appear, a repeat in either order summed
-    in, left to right. Raises NotBinaryPairwiseError as `pairwise_view` does.
-    A lone unary is stored as given, and no pair is keyed until one repeats
-    or comes with a smaller u than the last, as a validated model's never do."""
-    if not all(card == 2 for _, card in model.variables):
+def _summed_pairs(model: Model):
+    """Flat lists (us, vs, tables): each pair table over (us[k], vs[k]),
+    us[k] < vs[k], in the order the scopes first appear, a repeat in either
+    order summed in, left to right. Raises NotBinaryPairwiseError as
+    `pairwise_view` does. No pair is keyed until one repeats or comes with
+    a smaller u than the last, as a validated model's never do."""
+    if not {card for _, card in model.variables} <= {2}:
         raise NotBinaryPairwiseError("model must be binary pairwise")
     index = model.index
     n = len(index)
-    u0, u1 = [0.0] * n, [0.0] * n
-    given = bytearray(n)  # 1 once a variable's unary is stored
     us, vs, tables = [], [], []
     at = None  # the position in `tables` of pair (u, v), by u * n + v, once keyed
     lu, last_u = -1, [-1] * n  # the last pair's u, and the last u paired with each v
@@ -454,15 +461,40 @@ def _summed_pairwise(model: Model):
             us.append(u)
             vs.append(v)
             tables.append(t)
-        elif len(scope) == 1:
+        elif len(scope) != 1:
+            raise NotBinaryPairwiseError("model must be binary pairwise")
+    return us, vs, tables
+
+
+def _summed_pairwise(model: Model):
+    """Flat lists (u0, u1, us, vs, tables): the unaries of each variable for
+    labels 0 and 1, summed left to right, a lone one stored as given, and
+    the summed pairs of `_summed_pairs`."""
+    us, vs, tables = _summed_pairs(model)
+    index = model.index
+    n = len(index)
+    u0, u1 = [0.0] * n, [0.0] * n
+    given = bytearray(n)  # 1 once a variable's unary is stored
+    for scope, t in model.potentials:
+        if len(scope) == 1:
             i = index[scope[0]]
             if given[i]:
                 t = (u0[i] + t[0], u1[i] + t[1])
             given[i] = 1
             u0[i], u1[i] = t
-        else:
-            raise NotBinaryPairwiseError("model must be binary pairwise")
     return u0, u1, us, vs, tables
+
+
+def _signs(tables, eps: float) -> list[int]:
+    """The sign of each summed pair table's associativity, or 0 where the
+    view folds the edge: the one fold rule, |associativity| <= eps."""
+    return [
+        0 if abs(a) <= eps else ASSOCIATIVE if a > 0 else REPULSIVE
+        for a in [t00 + t11 - t01 - t10 for t00, t01, t10, t11 in tables]
+    ]
+
+
+_SIGN = operator.itemgetter(2)
 
 
 def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
@@ -470,18 +502,18 @@ def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
     either order, sign each edge by its associativity, and fold each edge
     with |associativity| <= eps into its two ends.
 
-    Each summed table is unpacked once, for its sign, fold and scale. For
-    every labeling, the unaries, kept tables and constant add up to the
+    Each summed table is unpacked once more, to fold it or for its scale.
+    For every labeling, the unaries, kept tables and constant add up to the
     energy within `slack`. Raises NotBinaryPairwiseError for a label count
     other than 2 or a scope of more than two variables.
     """
     u0, u1, us, vs, tables = _summed_pairwise(model)
-    signed, kept, scales = [], [], []
+    signs = _signs(tables, eps)
+    kept, scales = [], []
     constant = slack = 0.0
-    for u, v, t in zip(us, vs, tables):
+    for u, v, t, sign in zip(us, vs, tables, signs):
         t00, t01, t10, t11 = t
-        a = t00 + t11 - t01 - t10  # associativity
-        if abs(a) <= eps:
+        if not sign:
             # Fold the separable part into the ends; the dropped interaction
             # residual is at most eps/4 per configuration.
             c = (t00 + t01 + t10 + t11) / 4.0
@@ -490,9 +522,8 @@ def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
             u0[v] += (t00 + t10) / 2.0 - c
             u1[v] += (t01 + t11) / 2.0 - c
             constant += c
-            slack += abs(a) / 4.0
+            slack += abs(t00 + t11 - t01 - t10) / 4.0
         else:
-            signed.append((u, v, ASSOCIATIVE if a > 0 else REPULSIVE))
             kept.append(t)
             # max |entry| by comparisons: abs and max calls cost three times as much
             hi = t00 if t00 > t01 else t01
@@ -501,11 +532,13 @@ def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
             lo2 = t10 if t10 < t11 else t11
             hi, lo = (hi if hi > hi2 else hi2), (lo if lo < lo2 else lo2)
             scales.append(hi if hi > -lo else -lo)
-    graph = SignedGraph(model.names, tuple(signed))
+    graph = SignedGraph(model.names, tuple(filter(_SIGN, zip(us, vs, signs))))
     return PairwiseView(graph, u0, u1, kept, scales, constant, slack)
 
 
 def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
-    """Signed graph of a binary pairwise model; near-zero edges are omitted."""
-    return pairwise_view(model, eps).graph
-
+    """Signed graph of a binary pairwise model; near-zero edges are omitted.
+    It reads the summed pair tables' signs only, by the fold rule of
+    `pairwise_view`, and neither folds nor keeps a table."""
+    us, vs, tables = _summed_pairs(model)
+    return SignedGraph(model.names, tuple(filter(_SIGN, zip(us, vs, _signs(tables, eps)))))

@@ -7,7 +7,9 @@ inside a group too: two nodes conflict when they set a shared variable to
 different values. Weights are normalized so each group's minimum is exactly
 zero; the subtracted constants are recorded to rebuild the objective. One
 writer builds every graph: all nodes of any model (`build_nmrf`), or a binary
-pairwise model's of weight > eps under its enode plan (`compile_pairwise`).
+pairwise model's of weight > eps under its enode plan (`compile_pairwise`),
+which reads the model through `pairwise_view`, so an edge the view folds
+has no group and adds its mean to the constant.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .model import (
     Model,
     _as_floats,
     _reorder_table,
-    _summed_pairwise,
+    pairwise_view,
     single_enode,
 )
-from .structure import TractabilityReport, classify_model, enode_forms
+from .structure import TractabilityReport, classify_graph, enode_forms
 
 # Desk scale: each node is a record plus the set of the nodes it conflicts
 # with, and each entry of those sets takes about 66 bytes while they are built,
@@ -103,25 +105,26 @@ def build_nmrf(model: Model) -> Nmrf:
 
 def compile_pairwise(model: Model, eps: float = DEFAULT_EPS) -> tuple[Nmrf, TractabilityReport]:
     """A binary pairwise model's `prune(build_nmrf(m), eps)`, renumbered, for its
-    enode rewrite m (a folded edge keeps its summed table), written in linear
-    time, and its classification; NotBinaryPairwiseError for any other model."""
-    report = classify_model(model, eps)
-    names = model.names
-    u0, u1, us, vs, tables = _summed_pairwise(model)
-    plan = {(u, v): form for (u, v, _), form in zip(report.graph.edges, enode_forms(report))}
+    enode rewrite m, written in linear time, and its classification;
+    NotBinaryPairwiseError for any other model. The model is read once, by
+    `pairwise_view`: an edge it folds has no group, its separable part is in
+    its ends' unaries and its mean in the constant, as for `solve_map`."""
+    pw = pairwise_view(model, eps)
+    report = classify_graph(pw.graph)
+    names = pw.graph.names
+    u0, u1 = pw.u0, pw.u1
     pairs = []
-    for u, v, t in zip(us, vs, tables):
-        if (u, v) in plan:  # else the view folds the edge
-            i, j = plan[u, v]
-            weight, fi, row0, row1 = single_enode(t, i, j, eps)
-            t = [0.0] * 4
-            t[2 * i + j] = weight
-            (u1 if i else u0)[u] += fi
-            u0[v] += row0
-            u1[v] += row1
-        pairs.append(((names[u], names[v]), t))
+    for (u, v, _), t, (i, j) in zip(pw.graph.edges, pw.tables, enode_forms(report)):
+        weight, fi, row0, row1 = single_enode(t, i, j, eps)
+        table = [0.0] * 4
+        table[2 * i + j] = weight
+        (u1 if i else u0)[u] += fi
+        u0[v] += row0
+        u1[v] += row1
+        pairs.append(((names[u], names[v]), table))
     unaries = [((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)]
-    return _write_nmrf(model, unaries + pairs, eps), report
+    nmrf = _write_nmrf(model, unaries + pairs, eps)
+    return nmrf._replace(constant=nmrf.constant + pw.constant), report
 
 
 def _write_nmrf(model: Model, scopes, eps: float = -math.inf) -> Nmrf:

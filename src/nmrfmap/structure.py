@@ -9,15 +9,18 @@ certificate: a two-colouring (`sides`) with, for T and U, the base edge
 these and exist only in `report_to_json`. `enode_forms` gives each edge its
 enode form in a list aligned with `graph.edges`; its two readers,
 `report_to_json` and the compiler's `nmrf.compile_pairwise`, build it by
-position, and `solve_map` never does. A T/U test rejects any block without the
-2n - 3 edges of that shape before it counts degrees.
+position, and `solve_map` never does. A T/U test runs only on a block with
+the 2n - 3 edges of that shape. A balanced block is coloured in one pass
+over its edges in the order `block_decompose` lists them; the BFS of
+`_bfs_two_color` runs for a frustrated block's witness, or for edges in
+another order.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, lt
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -81,55 +84,47 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     n = graph.n
     edges = graph.edges
     # Half-edge h of edge h >> 1 runs from ends[h] to ends[h ^ 1]. The
-    # half-edges leaving vertex v are order[first[v]:first[v + 1]], in edge
-    # order (a counting sort by tail).
+    # half-edges leaving vertex v are adj[v], in edge order; scan[v] is the
+    # iterator over them that the DFS resumes at v.
     ends = [x for u, v, _ in edges for x in (u, v)]
-    degree = [0] * n
-    for x in ends:
-        degree[x] += 1
-    first = [0, *itertools.accumulate(degree)]
-    order = [0] * len(ends)
-    nxt = first[:n]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for h, x in enumerate(ends):
-        order[nxt[x]] = h
-        nxt[x] += 1
+        adj[x].append(h)
 
     disc = [-1] * n
     low = [0] * n
-    nxt = first[:n]  # next half-edge of each vertex to scan
+    scan: list = [None] * n
     tree_edge = [-1] * n
     edges_at = [0] * n  # edge-stack height before each vertex's tree edge
     verts_at = [0] * n  # vertex-stack height before each vertex
     timer = 0
-    edge_stack: list[int] = []
+    # The edge ids of the blocks not yet closed, above a bottom entry that
+    # keeps every block's start at 1 or more, so one reversed slice reads it.
+    edge_stack: list[int] = [-1]
     vert_stack: list[int] = []
-    isolated = [_new(Block, ((v,), ())) for v in range(n) if not degree[v]]
+    isolated = [_new(Block, ((v,), ())) for v in range(n) if not adj[v]]
     blocks: list[Block] = []
     attach: list[Optional[int]] = []
     edge_block = array("q", [0]) * len(edges)
 
     for root in range(n):
-        if disc[root] != -1 or not degree[root]:
+        if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
+        scan[root] = iter(adj[root])
         stack = [root]
         while stack:
             v = stack[-1]
-            i = nxt[v]
-            end = first[v + 1]
             pe = tree_edge[v]
             dv = disc[v]
-            while i < end:
-                h = order[i]
-                i += 1
+            for h in scan[v]:
                 eid = h >> 1
                 if eid == pe:
                     continue
                 w = ends[h ^ 1]
                 dw = disc[w]
                 if dw == -1:
-                    nxt[v] = i
                     disc[w] = low[w] = timer
                     timer += 1
                     tree_edge[w] = eid
@@ -137,6 +132,7 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                     edge_stack.append(eid)
                     verts_at[w] = len(vert_stack)
                     vert_stack.append(w)
+                    scan[w] = iter(adj[w])
                     stack.append(w)
                     break
                 if dw < dv:
@@ -160,9 +156,8 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
                         edge_block[eid] = bi
                         blocks.append(_new(Block, ((u, v) if u < v else (v, u), (edges[eid],))))
                     else:
-                        comp = edge_stack[at:]
+                        comp = edge_stack[:at - 1:-1]
                         del edge_stack[at:]
-                        comp.reverse()
                         for eid in comp:
                             edge_block[eid] = bi
                         at = verts_at[v]
@@ -179,12 +174,45 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
 
 
 def _signed_two_color(vertices, edges):
-    """Color so repulsive edges cross and associative edges do not.
+    """Color so repulsive edges cross and associative edges do not, with the
+    first of `vertices` that an edge meets on side 0, and each vertex that
+    no edge meets on side 0 too.
 
     Returns (side map, None) on success, else (None, conflict cycle as a
     vertex list). Success is equivalent to the absence of frustrated cycles
-    and to the BR property.
+    and to the BR property. One pass over the edges from the last to the
+    first colours a block as `block_decompose` lists it, which meets every
+    edge at an end already coloured. Edges in another order, or a conflict,
+    fall back to a BFS from each of `vertices` in turn; its parent links
+    give the witness.
     """
+    if edges:
+        side = {edges[-1][0]: 0}
+        for u, v, sign in reversed(edges):
+            su, sv = side.get(u), side.get(v)
+            if su is None:
+                if sv is None:
+                    break  # out of order
+                side[u] = sv ^ (sign == REPULSIVE)
+            elif sv is None:
+                side[v] = su ^ (sign == REPULSIVE)
+            elif su ^ sv != (sign == REPULSIVE):
+                break  # frustrated
+        else:
+            for root in vertices:
+                if root in side:
+                    if side[root]:
+                        side = {v: x ^ 1 for v, x in side.items()}
+                    for v in vertices:
+                        if v not in side:
+                            side[v] = 0
+                    return side, None
+    return _bfs_two_color(vertices, edges)
+
+
+def _bfs_two_color(vertices, edges):
+    """`_signed_two_color` by a BFS over adjacency lists, from each of
+    `vertices` in turn, that records each vertex's parent for the witness."""
     nbr: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
     for u, v, s in edges:
         nbr[u].append((v, s))
@@ -225,67 +253,72 @@ def _conflict_cycle(parent, u, v):
 
 
 def classify_block(block: Block) -> BlockClass:
-    if len(block.vertices) == 1:
+    vertices, edges = block
+    n = len(vertices)
+    if n == 1:
         return _LONE
-    if len(block.vertices) == 2:
-        return _ACROSS if block.edges[0][2] == REPULSIVE else _SAME
-    start = block.vertices  # where the two-colouring starts
-    if len(block.vertices) == 3 and len(block.edges) == 3:
-        rep = [(u, v) for u, v, s in block.edges if s == REPULSIVE]
+    if n == 2:
+        return _ACROSS if edges[0][2] == REPULSIVE else _SAME
+    start = vertices  # where the two-colouring starts
+    if n == 3 and len(edges) == 3:
+        rep = [(u, v) for u, v, s in edges if s == REPULSIVE]
         if len(rep) % 2 == 1:
             # Frustrated: a T_{1,0} on the two lowest vertices, or a U_1 off the
             # repulsive edge's lower end; its sides are those of the star on t.
-            vs = block.vertices
             if len(rep) == 3:
-                return _new(BlockClass, ("T", (1, 0, 1), vs[:2], None))
+                return _new(BlockClass, ("T", (1, 0, 1), vertices[:2], None))
             v = min(rep[0])
-            s, t = sorted(x for x in vs if x != v)
-            sides = tuple([1 if x == v and t in rep[0] else 0 for x in vs])
+            s, t = sorted(x for x in vertices if x != v)
+            sides = tuple([1 if x == v and t in rep[0] else 0 for x in vertices])
             return _new(BlockClass, ("U", sides, (s, t), None))
-        start = (block.edges[0][0], *start)  # a balanced triangle: at its first edge
-    else:
-        # Every T or U shape holds a frustrated triangle, so testing the
-        # shape before the two-colouring never hides a BR block.
-        hub = _hub_class(block)
+        start = (edges[0][0], *start)  # a balanced triangle: at its first edge
+    elif len(edges) == 2 * n - 3:
+        # A base edge plus two legs per spoke: every T and U shape has this
+        # many edges. Every T or U shape holds a frustrated triangle, so
+        # testing the shape before the two-colouring never hides a BR block.
+        hub = _hub_class(vertices, edges)
         if hub is not None:
             return hub
-    side, cycle = _signed_two_color(start, block.edges)
+    side, cycle = _signed_two_color(start, edges)
     if side is not None:
-        return _new(BlockClass, ("BR", tuple(map(side.__getitem__, block.vertices)), None, None))
+        return _new(BlockClass, ("BR", tuple(map(side.__getitem__, vertices)), None, None))
     return BlockClass("INTRACTABLE", witness=cycle)
 
 
-def _hub_class(block: Block) -> Optional[BlockClass]:
-    """T or U class of a block of triangles on one base edge (s, t), s < t,
-    its only vertices of degree > 2, or None. Every edge meets s or t and
-    every triangle s-x-t is frustrated: with 2n - 3 edges, the base edge and
-    one leg from each spoke to each hub all exist. A repulsive base makes a
-    T block, each spoke's legs of one sign; an associative one, a U block.
-    Its `sides` are those of the star on t, from t's legs.
+def _hub_class(vertices, edges) -> Optional[BlockClass]:
+    """T or U class of a block of 2n - 3 edges, triangles on one base edge
+    (s, t), s < t, its only vertices of degree > 2, or None. Every edge meets
+    s or t and every triangle s-x-t is frustrated: with 2n - 3 edges, the
+    base edge and one leg from each spoke to each hub all exist. A repulsive
+    base makes a T block, each spoke's legs of one sign; an associative one,
+    a U block. Its `sides` are those of the star on t, from t's legs.
     """
-    # A base edge plus two legs per spoke: every T and U shape has this many.
-    if len(block.edges) != 2 * len(block.vertices) - 3:
-        return None
-    degree = dict.fromkeys(block.vertices, 0)
-    for u, v, _ in block.edges:
+    degree = dict.fromkeys(vertices, 0)
+    for u, v, _ in edges:
         degree[u] += 1
         degree[v] += 1
-    hubs = [v for v in block.vertices if degree[v] > 2]
+    hubs = [v for v in vertices if degree[v] > 2]
     if len(hubs) != 2:
         return None
-    s, t = sorted(hubs)
+    s, t = hubs
+    if s > t:
+        s, t = t, s
     to_s: dict[int, int] = {}
     to_t: dict[int, int] = {}
-    for u, v, sign in block.edges:
-        if u == s or v == s:
-            to_s[v if u == s else u] = sign
-        elif u == t or v == t:
-            to_t[v if u == t else u] = sign
+    for u, v, sign in edges:
+        if u == s:
+            to_s[v] = sign
+        elif v == s:
+            to_s[u] = sign
+        elif u == t:
+            to_t[v] = sign
+        elif v == t:
+            to_t[u] = sign
         else:
             return None  # a spoke-spoke edge
     base = to_t[s] = to_s[t]
     sides = []
-    for x in block.vertices:
+    for x in vertices:
         leg = to_t.get(x)  # None at t
         sides.append(1 if leg == REPULSIVE else 0)
         if x != s and x != t and to_s[x] * leg != -base:
@@ -346,33 +379,35 @@ def classify_model(model: Model, eps: float = DEFAULT_EPS) -> TractabilityReport
 
 def classify_graph(graph: SignedGraph) -> TractabilityReport:
     tree = block_decompose(graph)
-    classes = tuple([classify_block(b) for b in tree.blocks])
+    classes = tuple(map(classify_block, tree.blocks))
     tractable = all(c.kind != "INTRACTABLE" for c in classes)
     return TractabilityReport(tractable, graph, tree, classes)
 
 
 _FORM_TEXT = {(0, 0): "00", (0, 1): "01", (1, 0): "10", (1, 1): "11"}
+_FLIP = (1).__xor__  # a side to the other side
 
 
-def _br_params(vertices, cls, names):
-    v1, v2 = ([names[v] for v, x in zip(vertices, cls.sides) if x == side] for side in (0, 1))
-    return {"V1": v1, "V2": v2}
+def _br_params(vertices, cls, names, vnames):
+    sides = cls.sides
+    return {"V1": list(compress(vnames, map(_FLIP, sides))), "V2": list(compress(vnames, sides))}
 
 
-def _t_params(vertices, cls, names):
+def _t_params(vertices, cls, names, vnames):
     s, t = cls.hubs  # s on side 1, t on side 0, each other vertex a spoke
     r = [names[v] for v, x in zip(vertices, cls.sides) if x and v != s]
     a = [names[v] for v, x in zip(vertices, cls.sides) if not x and v != t]
     return {"s": names[s], "t": names[t], "r": r, "a": a, "m": len(r), "n": len(a)}
 
 
-def _u_params(vertices, cls, names):
+def _u_params(vertices, cls, names, vnames):
     s, t = cls.hubs
     spokes = [names[v] for v in vertices if v != s and v != t]
     return {"s": names[s], "t": names[t], "v": spokes, "n": len(spokes)}
 
 
-# The JSON params of each class kind, from its block's vertices and its class.
+# The JSON params of each class kind, from its block's vertices, its class,
+# the graph's names and the names of the block's vertices.
 _PARAMS = {"BR": _br_params, "T": _t_params, "U": _u_params, "INTRACTABLE": lambda *_: {}}
 
 
@@ -381,24 +416,28 @@ def report_to_json(report: TractabilityReport) -> dict:
     """The report as JSON-ready names: each block with its class, params and
     witness, the enode form of every edge, and the cut vertices.
 
-    `enode_plan` lists the edges in `sorted(report.graph.edges)` order, so by
-    (u, v) with u < v as in every signed graph of a model; the edges of a
-    validated model already come in that order, which the sort passes
-    through in linear time.
+    `enode_plan` lists the edges by (u, v), u < v as in every signed graph
+    of a model. The edges of a validated model already come in that order,
+    checked in one pass; other edges are sorted first.
     """
     names = report.graph.names
     get = names.__getitem__
 
     blocks = []
-    for block, cls in zip(report.tree.blocks, report.classes):
-        params = _PARAMS[cls.kind](block.vertices, cls, names)
-        entry = {"vertices": list(map(get, block.vertices)), "class": cls.kind, "params": params}
-        if cls.witness is not None:
-            entry["witness"] = list(map(get, cls.witness))
+    for (vertices, _), cls in zip(report.tree.blocks, report.classes):
+        kind, _, _, witness = cls
+        vnames = list(map(get, vertices))
+        params = _PARAMS[kind](vertices, cls, names, vnames)
+        entry = {"vertices": vnames, "class": kind, "params": params}
+        if witness is not None:
+            entry["witness"] = list(map(get, witness))
         blocks.append(entry)
+    edges = report.graph.edges
+    plan = zip(edges, enode_forms(report))
+    if not all(map(lt, edges, edges[1:])):
+        plan = sorted(plan)
     enode_plan = [
-        {"edge": [names[u], names[v]], "form": _FORM_TEXT[form]}
-        for (u, v, _), form in sorted(zip(report.graph.edges, enode_forms(report)))
+        {"edge": [names[u], names[v]], "form": _FORM_TEXT[form]} for (u, v, _), form in plan
     ]
     return {
         "tractable": report.tractable,

@@ -121,29 +121,43 @@ def forms_by_names(report) -> dict[tuple[str, str], tuple[int, int]]:
     return {(names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, enode_forms(report))}
 
 
-def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> Model:
+def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> tuple[Model, float]:
     """The model with every edge that its classification plans rewritten to
     its single enode, as `compile` rewrote it before it wrote the pruned
-    graph itself: the reference that `prune(build_nmrf(enode_rewrite(m)))`
-    gives `nmrf.compile_pairwise(m)`, and that the golden digests compile.
+    graph itself, and the constant of the folded edges: the reference that
+    `prune(build_nmrf(m))` for the model m, its constant plus the folded
+    one, gives `nmrf.compile_pairwise`, and that the golden digests compile.
 
-    The plan is keyed by each edge's two names (`forms_by_names`). The removed mass moves into
-    the endpoints' unaries, so every configuration keeps its energy. The
-    tables are read as `pairwise_view` reads them, each pair summed into
-    one edge that is rewritten once; an edge the view folds keeps its
-    summed table. A model that is not binary pairwise raises
-    NotBinaryPairwiseError."""
+    The plan is keyed by each edge's two names (`forms_by_names`). The
+    tables are summed as `_summed_pairwise` sums them, each pair into one
+    edge. An edge of |associativity| <= eps is folded here, before any edge
+    is rewritten: it leaves the model, its separable part goes to its two
+    ends' unaries and its mean to the constant, and the plan must not hold
+    it. Every other edge must be in the plan; it is rewritten once, its
+    removed mass moved into its ends' unaries, so every configuration keeps
+    its energy up to the folded edges' residuals. A model that is not binary
+    pairwise raises NotBinaryPairwiseError."""
     names = model.names
     plan = forms_by_names(classify_model(model, eps))
     u0, u1, us, vs, tables = _summed_pairwise(model)
-    edges = []
+    kept = []
+    constant = 0.0
     for u, v, t in zip(us, vs, tables):
-        scope = (names[u], names[v])
-        form = plan.get(scope)
-        if form is None:
-            edges.append(Potential(scope, t))
+        t00, t01, t10, t11 = t
+        if abs(t00 + t11 - t01 - t10) > eps:
+            kept.append((u, v, t))
             continue
-        i, j = form
+        assert (names[u], names[v]) not in plan
+        mean = (t00 + t01 + t10 + t11) / 4.0
+        u0[u] += (t00 + t01) / 2.0 - mean
+        u1[u] += (t10 + t11) / 2.0 - mean
+        u0[v] += (t00 + t10) / 2.0 - mean
+        u1[v] += (t01 + t11) / 2.0 - mean
+        constant += mean
+    edges = []
+    for u, v, t in kept:
+        scope = (names[u], names[v])
+        i, j = plan[scope]
         weight, fi, row0, row1 = single_enode(t, i, j, eps)
         table = [0.0] * 4
         table[2 * i + j] = weight
@@ -152,7 +166,7 @@ def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> Model:
         u0[v] += row0
         u1[v] += row1
     potentials = [Potential((name,), (w0, w1)) for name, w0, w1 in zip(names, u0, u1)] + edges
-    return Model(model.variables, tuple(potentials))
+    return Model(model.variables, tuple(potentials)), constant
 
 
 def verify_hole(graph, hole):

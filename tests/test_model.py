@@ -309,36 +309,41 @@ def test_pairwise_view_adds_up_to_the_energy():
 
 
 def test_enode_rewrite_sums_repeated_scopes_and_keeps_the_energy():
-    """`compile_pairwise`, the view's other reader, on scopes repeated in
-    both orders with folded and near-zero edges: one clique group per
-    variable and per summed pair scope, a single enode on each planned
-    edge, and every labeling's energy, up to the weights of at most eps
-    that are not written, read off the written nodes that agree with it."""
+    """`compile_pairwise`, a reader of the view, on scopes repeated in both
+    orders with folded and near-zero edges: one clique group per variable
+    and per summed pair scope that the view keeps, none for one it folds, a
+    single enode on each planned edge, and every labeling's energy, up to
+    the weights of at most eps that are not written and the view's own
+    `slack` for the folded edges, read off the written nodes that agree
+    with it."""
     rng = np.random.default_rng(43)
-    planned = 0
+    planned = folded = 0
     for _ in range(60):
         model = _repeated_scope_model(rng)
         nmrf, report = compile_pairwise(model)
         names = model.names
         pairs = {frozenset(p.scope) for p in model.potentials if len(p.scope) == 2}
+        kept = {frozenset((names[u], names[v])) for u, v, _ in report.graph.edges}
+        folded += len(pairs - kept)
         scopes = list(nmrf.groups)
         assert [s for s in scopes if len(s) == 1] == [(name,) for name in names]
-        assert len(set(scopes)) == len(scopes) == len(model.variables) + len(pairs)
-        assert {frozenset(s) for s in scopes if len(s) == 2} == pairs
+        assert len(set(scopes)) == len(scopes) == len(model.variables) + len(kept)
+        assert {frozenset(s) for s in scopes if len(s) == 2} == kept <= pairs
         for (u, v, _), form in zip(report.graph.edges, enode_forms(report)):
             planned += 1
             ids = nmrf.groups[names[u], names[v]]
             assert [nmrf.nodes[i].assignment for i in ids] == [form]
         rounding = 1e-12 * sum(max(map(abs, p.table)) for p in model.potentials)
         unwritten = 1e-9 * len(scopes)
+        slack = pairwise_view(model).slack
         for labels in itertools.product((0, 1), repeat=len(model.variables)):
             x = dict(zip(names, labels))
             value = nmrf.constant + sum(
                 node.weight for node in nmrf.nodes
                 if all(x[name] == val for name, val in zip(node.scope, node.assignment))
             )
-            assert abs(value - energy(model, x)) <= rounding + unwritten
-    assert planned > 40
+            assert abs(value - energy(model, x)) <= rounding + unwritten + slack
+    assert planned > 40 and folded > 10
 
 
 def test_pairwise_view_refuses_other_models():

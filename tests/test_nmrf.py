@@ -394,7 +394,8 @@ def test_nmrf_json_matches_golden_digest():
     for model in _golden_nmrf_models():
         h.update(json.dumps(nmrf_to_json(build_nmrf(model)), sort_keys=True).encode())
         if is_binary_pairwise(model):
-            rewritten = enode_rewrite(model)
+            rewritten, folded = enode_rewrite(model)
+            assert folded == 0.0
             h.update(json.dumps(nmrf_to_json(build_nmrf(rewritten)), sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_NMRF_DIGEST
 
@@ -478,17 +479,21 @@ def _perfection(pruned):
 
 def test_compile_pairwise_is_the_prune_of_the_reference_rewrite():
     """On every corpus model, the graph `compile` writes has the nodes
-    (group, assignment, weight) of `prune(build_nmrf(enode_rewrite(m)))`,
-    the same edges under the map of one node to the other by group and
-    assignment, and the same constant, to the bit. `perfect` gives both
-    the same verdict, and a witness on the written file is an odd hole or
-    antihole of its own edges. A folded edge keeps its whole table, so only
-    a tractable model without one must compile to a perfect graph."""
+    (group, assignment, weight) of `prune(build_nmrf(m))` for the reference
+    rewrite m, the same edges under the map of one node to the other by
+    group and assignment, and its constant plus the reference's folded one,
+    to the bit. `perfect` gives both the same verdict, and a witness on the
+    written file is an odd hole or antihole of its own edges. A folded edge
+    leaves no group, so every tractable model, one with a folded edge too,
+    must compile to a perfect graph."""
     counts = dict.fromkeys(("models", "intractable", "folded", "imperfect", "too large"), 0)
     for model in _binary_pairwise_corpus():
         nmrf, report = compile_pairwise(model)
-        ref = prune(build_nmrf(enode_rewrite(model)))
-        folded = len(report.graph.edges) < len(ref.base.groups) - len(model.variables)
+        rewritten, folded_constant = enode_rewrite(model)
+        ref = prune(build_nmrf(rewritten))
+        pairs = {frozenset(p.scope) for p in model.potentials if len(p.scope) == 2}
+        folded = len(report.graph.edges) < len(pairs)
+        assert len(ref.base.groups) == len(model.variables) + len(report.graph.edges)
         ref_nodes = [ref.base.nodes[i] for i in ref.kept]
         assert sorted(nmrf.nodes) == sorted(ref_nodes)
         new_id = {(node.scope, node.assignment): i for i, node in enumerate(nmrf.nodes)}
@@ -497,7 +502,7 @@ def test_compile_pairwise_is_the_prune_of_the_reference_rewrite():
         assert {frozenset((ids[i], ids[j])) for i, j in ref.edges} == {
             frozenset((i, j)) for i, others in enumerate(nmrf.adj) for j in others
         }
-        assert repr(nmrf.constant) == repr(ref.base.constant)
+        assert repr(nmrf.constant) == repr(ref.base.constant + folded_constant)
 
         doc = json.loads(json.dumps(nmrf_to_json(nmrf)))
         written = prune(nmrf_from_json(doc))
@@ -508,7 +513,7 @@ def test_compile_pairwise_is_the_prune_of_the_reference_rewrite():
             counts["too large"] += 1
         else:
             assert verdict.perfect == expected.perfect
-            assert verdict.perfect or folded or not report.tractable
+            assert verdict.perfect or not report.tractable
             if not verdict.perfect:
                 full = PlainGraph.from_edges(len(doc["nodes"]), doc["edges"])
                 if verdict.witness_kind == "odd_antihole":

@@ -302,6 +302,53 @@ def test_classify_triangles():
     assert classify_block(tri(REPULSIVE, REPULSIVE, ASSOCIATIVE)).kind == "BR"
 
 
+def _is_frustrated_cycle(cycle, block):
+    sign = {}
+    for u, v, s in block.edges:
+        sign[u, v] = sign[v, u] = s
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+    assert all(step in sign for step in steps)
+    return sum(sign[step] == REPULSIVE for step in steps) % 2 == 1
+
+
+def test_block_classes_do_not_depend_on_edge_order():
+    """`classify_block` colours a balanced block in one pass over its edges
+    in the order `block_decompose` lists them, and falls back to a BFS on
+    any other order. The blocks of seeded chains and frustrated graphs,
+    and a hand-built 4-cycle whose edges come in no DFS order, classify
+    with their edges shuffled and reversed to the same kind, sides and
+    hubs; a balanced triangle is coloured from its first edge, so its sides
+    may flip. Every INTRACTABLE witness is a frustrated cycle of its block."""
+    rng = np.random.default_rng(61)
+    blocks = [Block((0, 1, 2, 3), ((0, 1, 1), (2, 3, 1), (1, 2, 1), (0, 3, 1)))]
+    models = [_large_chain(seed, 400) for seed in range(3)]
+    models += [_large_frustrated(seed, 60) for seed in range(3)]
+    models += [random_signed_model(rng, n=int(rng.integers(4, 9)), p=0.5) for _ in range(60)]
+    for model in models:
+        blocks += [b for b in block_decompose(signed_view(model)).blocks if len(b.vertices) > 2]
+    kinds = set()
+    for block in blocks:
+        expected = classify_block(block)
+        kinds.add(expected.kind)
+        for k in range(4):
+            edges = list(block.edges[::-1])
+            if k:
+                rng.shuffle(edges)
+            cls = classify_block(block._replace(edges=tuple(edges)))
+            assert (cls.kind, cls.hubs) == (expected.kind, expected.hubs)
+            if cls.kind == "INTRACTABLE":
+                assert _is_frustrated_cycle(cls.witness, block)
+                assert _is_frustrated_cycle(expected.witness, block)
+            elif len(block.edges) == 3 and cls.kind == "BR":
+                side = dict(zip(block.vertices, cls.sides))
+                assert side[edges[0][0]] == 0
+                assert cls.sides in (expected.sides, tuple(1 - x for x in expected.sides))
+            else:
+                assert cls.sides == expected.sides
+    assert kinds == {"BR", "T", "U", "INTRACTABLE"}
+
+
 def test_hub_classes_colour_the_star_on_t():
     """A T or U class's `sides` give 0 at hub t and 1 across each repulsive
     edge to t. On the star on s a T spoke keeps its side and a U spoke's
@@ -509,6 +556,62 @@ def _report_digest(model):
 def test_report_json_matches_golden_digest(seed):
     assert _report_digest(_golden_chain(seed, 5 + 7 * seed)) == GOLDEN_CHAIN_REPORTS[seed]
     assert _report_digest(_golden_frustrated(seed)) == GOLDEN_FRUSTRATED_REPORTS[seed]
+
+
+def _large_chain(seed, target_edges):
+    """A chain of random tractable blocks of at least `target_edges` edges."""
+    from generators import _random_block
+
+    rng = np.random.default_rng(seed)
+    edges, base = [], 0
+    while len(edges) < target_edges:
+        block, used = _random_block(rng, base, 4)
+        edges += block
+        base += used - 1
+    return model_from_signed_edges(base + 1, edges, rng)
+
+
+def _large_frustrated(seed, n_edges):
+    """A sparse random signed graph of average degree 3."""
+    rng = np.random.default_rng(seed)
+    n = n_edges * 2 // 3
+    seen = set()
+    while len(seen) < n_edges:
+        u, v = map(int, rng.integers(0, n, size=2))
+        if u != v:
+            seen.add((min(u, v), max(u, v)))
+    signs = rng.choice((ASSOCIATIVE, REPULSIVE), size=n_edges).tolist()
+    edges = [(u, v, s) for (u, v), s in zip(sorted(seen), signs)]
+    return model_from_signed_edges(n, edges, rng)
+
+
+# The reports of a 10^4-edge chain and a 9,000-edge frustrated graph,
+# recorded before the classify path's one-pass colouring and unsorted plan.
+GOLDEN_LARGE_REPORTS = (
+    "c19d18aad81626ff664e9b4be510c8c8db3dde129cbfa72b6177a8bb7e9c3690",
+    "c800555ea9ab3371baf91497c760c1a9278fe21c7687282d0c313fa3c7e7c5bc",
+)
+
+
+def test_large_reports_match_golden_digests():
+    models = (_large_chain(11, 10_000), _large_frustrated(12, 9_000))
+    for model, expected in zip(models, GOLDEN_LARGE_REPORTS):
+        assert _report_digest(model) == expected
+
+
+def test_large_report_of_unordered_edges_lists_its_plan_sorted():
+    """A model that was never validated and lists its pairs shuffled gives
+    a signed graph out of (u, v) order; its plan still comes sorted."""
+    for model in (_large_chain(11, 10_000), _large_frustrated(12, 9_000)):
+        order = np.random.default_rng(13).permutation(len(model.potentials))
+        model = model._replace(potentials=tuple(model.potentials[i] for i in order))
+        report = classify_model(model)
+        edges = [(u, v) for u, v, _ in report.graph.edges]
+        assert edges != sorted(edges)
+        index = model.index
+        plan = sorted(forms_by_names(report).items(), key=lambda item: [index[x] for x in item[0]])
+        expected = [{"edge": [x, y], "form": f"{a}{b}"} for (x, y), (a, b) in plan]
+        assert report_to_json(report)["enode_plan"] == expected
 
 
 def test_power_of_two_scaling_changes_no_report():

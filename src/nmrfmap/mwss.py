@@ -7,14 +7,14 @@ classifies that graph once and solves it region by region with one exact
 core, the bipartite MWSS of enodes and snodes as a min cut. Every cycle
 lies inside one block, so a connected union of balanced blocks is balanced
 (Harary, 1953). A region is a top block, T/U or BR without a parent, with
-every BR block below it down to the next T/U block; fixing the top's
-attachment cut vertex, and hub s of a T/U top attached at neither hub,
-leaves it balanced. So a tree, a forest or a chain of BR blocks is one
-region and one min cut. The regions are solved in the order of their tops,
-each after the regions below it. Each edge reaches its region through its
-block. The sides come from the classification (each BR block's, flipped
-to agree at its attachment; the sides of a T/U top's star on its free hub
-as its class gives them), each free edge is rewritten to its single enode
+every BR block below it down to the next T/U block. It pins the top's
+attachment cut vertex, if any, then the top's balancing set, which leaves
+the rest balanced once fixed: `structure.balancing_set`, which owns the
+T/U geometry, gives it and the top's sides. So a tree, a forest or a chain
+of BR blocks is one region and one min cut. The regions are solved in the
+order of their tops, each after the regions below it. Each edge reaches
+its region through its block. Each BR block below the top is flipped to
+agree at its attachment, each free edge is rewritten to its single enode
 once and its deltas summed into its ends' unaries once, and each labeling
 of the pinned vertices adds only its pinned vertices' edge rows before its
 one min cut. Each region vertex has one position, its flow node: a
@@ -69,7 +69,7 @@ from .model import (
     pairwise_view,
     single_enode,
 )
-from .structure import classify_graph
+from .structure import balancing_set, classify_graph
 
 DEFAULT_BNB_CAP = 40
 
@@ -273,23 +273,23 @@ class _Region:
     it down to the next T/U block: balanced once its pinned vertices are
     fixed, so one min cut per pinned labeling solves it.
 
-    `pinned` holds the top's attachment, if any, then the T/U top's hub s
-    (`hub`) when the attachment is neither hub. `free` holds the other
-    vertices the region's blocks hold without attaching there. `enodes`
-    has the single enode of every edge between free vertices, and
-    folds[i] the edge rows that pinned[i] adds to the other end of each
-    edge at it, by its label; `mag`, the region's scale, sums its edge
-    tables' largest |entry|.
+    `pinned` holds the top's `attachment`, if any, then its balancing set,
+    which `structure.balancing_set` gives. `free` holds the other vertices
+    the region's blocks hold without attaching there. `enodes` has the
+    single enode of every edge between free vertices, and folds[i] the
+    edge rows that pinned[i] adds to the other end of each edge whose first
+    pinned end it is, by its label; `mag`, the region's scale, sums its
+    edge tables' largest |entry|.
     """
 
-    __slots__ = ("pinned", "hub", "free", "enodes", "folds", "mag")
+    __slots__ = ("attachment", "pinned", "free", "enodes", "folds", "mag")
 
-    def __init__(self, pinned: list[int], hub: Optional[int]):
-        self.pinned = pinned
-        self.hub = hub
+    def __init__(self, c: Optional[int], balancing: Sequence[int]):
+        self.attachment = c
+        self.pinned = [*balancing] if c is None else [c, *balancing]
         self.free: list[int] = []
         self.enodes: list[tuple[int, int, float]] = []
-        self.folds: tuple[list, list] = ([], [])
+        self.folds: list[list] = [[] for _ in self.pinned]
         self.mag = 0.0
 
 
@@ -420,7 +420,7 @@ def _block_values(
     u0 and u1 hold each vertex's unary for labels 0 and 1 with its free
     edges' enode deltas and the best values of the regions below it
     already added. A labeling adds its pinned vertices' folds to their
-    other ends for the length of its solve, and the pinned hub's own unary
+    other ends for the length of its solve, and its balancing set's unaries
     to its value. A free vertex whose unary prefers its side by more than
     TIE times the region's scale takes it in every optimum, as a pinned
     vertex takes its label: its position is marked at once and is an idle
@@ -431,8 +431,8 @@ def _block_values(
     position, each enode contracted into arcs between snodes. A labeling
     without an snode builds no network: it chooses every enode.
     """
-    pinned, hub, free, enodes = region.pinned, region.hub, region.free, region.enodes
-    folds = region.folds
+    pinned, free, enodes, folds = region.pinned, region.free, region.enodes, region.folds
+    c = region.attachment
     tie = TIE * region.mag
     targets = [x for fold in folds for x, _ in fold]
     saved = [(u0[x], u1[x]) for x in targets]
@@ -441,7 +441,7 @@ def _block_values(
     for pins in itertools.product((0, 1), repeat=len(pinned)):
         total = 0.0
         for f, label, fold in zip(pinned, pins, folds):
-            if f == hub:
+            if f != c:  # a balancing vertex, its unary with the folds before it
                 total += u1[f] if label else u0[f]
             for x, rows in fold:
                 a0, a1 = rows[label]
@@ -482,20 +482,19 @@ def _value_pass(pw: PairwiseView, eps: float):
     vertices and the cuts of the pinned labelings that attain the region's
     best value for their attachment's label.
 
-    One pass over the blocks, parents first, builds the regions in flat
-    arrays, each BR block joining the region of its parent block (the later
-    block that holds its attachment without attaching there), and gives
-    every free vertex its side, in one loop, from its block's class `sides`:
-    a T/U top's on its free hub's star; a BR block's flipped to agree with
-    its parent at its attachment unless that is the pinned hub. One pass
-    over the view's edges, each in the region of its block
-    (`tree.edge_block`), sums each region's scale, rewrites each free edge
-    to its single enode, adding its deltas to its ends' unaries, and keeps
-    each pinned edge as a fold.
-    The regions are then solved in the order of their tops, each finding
-    the best values per label of the regions below it in its unaries, and
-    each kept cut is closed from the sink at once, its network dropped
-    if that decides every position.
+    One pass over the blocks, parents first, builds the regions: a BR block
+    with a parent joins the region of its parent block (the later block that
+    holds its attachment without attaching there), flipped to agree with it at
+    the attachment unless that is pinned; any other block is a top, pinned and
+    sided by `balancing_set`. Each vertex's `home` is the region of the block
+    that holds it without attaching there, and each edge's that of an end its
+    block (`tree.edge_block`) holds so. One pass over the view's edges sums
+    each region's scale, rewrites each free edge to its single enode, adding
+    its deltas to its ends' unaries, and keeps each pinned edge as a fold. The
+    regions are then solved in the order of their tops, each finding the best
+    values per label of the regions below it in its unaries, and each kept cut
+    is closed from the sink at once, its network dropped if that decides every
+    position.
     """
     report = classify_graph(pw.graph)
     if not report.tractable:
@@ -509,55 +508,44 @@ def _value_pass(pw: PairwiseView, eps: float):
     tree = report.tree
     blocks, classes, attach = tree.blocks, report.classes, tree.attach
     n = len(pw.graph.names)
-    owner = [0] * n  # the block that holds v without attaching there
-    region = [0] * len(blocks)  # the top block of each block's region
-    regions: list[Optional[_Region]] = [None] * len(blocks)  # by top block
+    home: list = [None] * n  # the region of the block that holds v without attaching there
+    regions: list[_Region] = []  # by top block, parents first
     side = [0] * n
     for bi in range(len(blocks) - 1, -1, -1):
         block, cls, c = blocks[bi], classes[bi], attach[bi]
         if not block.edges:  # an isolated vertex
             continue
-        if cls.kind == "BR":
-            r = bi if c is None else region[owner[c]]
-            if c is None:
-                regions[bi] = _Region([], None)
-            reg = regions[r]
-            # Flipped so that c keeps its side (a pinned hub has none).
-            flip = 0 if c is None or c == reg.hub else side[c] ^ cls.sides[block.vertices.index(c)]
+        if cls.kind == "BR" and c is not None:
+            reg = home[c]
+            sides = cls.sides
         else:
-            r = bi
-            s, t = cls.hubs
-            if c == s or c == t:
-                reg = regions[bi] = _Region([c], None)
-            else:
-                reg = regions[bi] = _Region([s] if c is None else [c, s], s)
-            # The free part is the star on the unpinned hub h; on s's, a U spoke flips.
-            h = s if c == t else t
-            flip = h == s and cls.kind == "U"
-        for v, x in zip(block.vertices, cls.sides):
+            balancing, sides = balancing_set(block, cls, c)
+            reg = _Region(c, balancing)
+            regions.append(reg)
+        pinned = reg.pinned
+        # Flipped so that c keeps its side, unless c is pinned (its edges fold).
+        flip = 0 if c is None or c in pinned else side[c] ^ sides[block.vertices.index(c)]
+        for v, x in zip(block.vertices, sides):
             if v != c:
-                owner[v] = bi
+                home[v] = reg
                 side[v] = x ^ flip
-                if v != reg.hub:
+                if v not in pinned:
                     reg.free.append(v)
-        if cls.kind != "BR":
-            side[h] = 0
-        region[bi] = r
 
     u0, u1 = pw.u0[:], pw.u1[:]
     for (u, v, _), t, scale, bi in zip(pw.graph.edges, pw.tables, pw.scales, tree.edge_block):
-        reg = regions[region[bi]]
+        reg = home[v] if u == attach[bi] else home[u]
         reg.mag += scale
-        pinned = reg.pinned
-        if u in pinned or v in pinned:
-            # Folded on behalf of its first end in `pinned`: rows[label] is
-            # what that end adds to the other end's unary.
-            t00, t01, t10, t11 = t
-            i = 0 if pinned[0] == u or pinned[0] == v else 1
-            if pinned[i] == u:
-                reg.folds[i].append((v, ((t00, t01), (t10, t11))))
-            else:
-                reg.folds[i].append((u, ((t00, t10), (t01, t11))))
+        for i, f in enumerate(reg.pinned):
+            if f == u or f == v:
+                # Folded on behalf of its first pinned end f: rows[label] is
+                # what f adds to the other end's unary.
+                t00, t01, t10, t11 = t
+                if f == u:
+                    reg.folds[i].append((v, ((t00, t01), (t10, t11))))
+                else:
+                    reg.folds[i].append((u, ((t00, t10), (t01, t11))))
+                break
         else:
             i = side[u]
             weight, fi, row0, row1 = single_enode(t, i, side[v], eps)
@@ -570,15 +558,13 @@ def _value_pass(pw: PairwiseView, eps: float):
             reg.enodes.append((u, v, weight))
 
     total = pw.constant
+    for block in blocks:
+        if not block.edges:  # an isolated vertex, listed before every region's top
+            total += max(u0[block.vertices[0]], u1[block.vertices[0]])
     kept: list[tuple[list[int], list[_Cut]]] = []
-    for bi, reg in enumerate(regions):
-        if reg is None:
-            if not blocks[bi].edges:  # an isolated vertex
-                v = blocks[bi].vertices[0]
-                total += max(u0[v], u1[v])
-            continue
+    for reg in reversed(regions):
         results = _block_values(reg, u0, u1, side)
-        c = attach[bi]
+        c = reg.attachment
         half = len(results) // 2
         groups = [results] if c is None else [results[:half], results[half:]]
         best = [max(result[0] for result in group) for group in groups]
@@ -602,7 +588,7 @@ def _value_pass(pw: PairwiseView, eps: float):
                     cuts.append(_Cut(state, side, flow))
         kept.append((reg.free + reg.pinned, cuts))
     # Past the accepted scale a sum may overflow (see model.py).
-    if not math.isfinite(total + sum(reg.mag for reg in regions if reg)):
+    if not math.isfinite(total + sum(reg.mag for reg in regions)):
         raise TooLargeError(
             f"optimum {total!r}: the tables' scale overflows floats, past the 1e300 accepted"
         )

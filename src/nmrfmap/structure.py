@@ -53,8 +53,7 @@ class BlockTree(NamedTuple):
 
 class BlockClass(NamedTuple):
     kind: str  # "BR" | "T" | "U" | "INTRACTABLE"
-    # Tractable: each vertex's side, aligned with block.vertices; BR: V2 on
-    # side 1; T/U: the star on hub t's (a U spoke flips on s's).
+    # Tractable: each vertex's side, by block.vertices; BR: V2 on side 1; T/U: the star on t's.
     sides: Optional[tuple[int, ...]] = None
     hubs: Optional[tuple[int, int]] = None  # T/U: the base edge (s, t), s < t
     witness: Optional[tuple[int, ...]] = None
@@ -324,6 +323,20 @@ def _hub_class(vertices, edges) -> Optional[BlockClass]:
         if x != s and x != t and to_s[x] * leg != -base:
             return None  # the triangle s-x-t is not frustrated
     return _new(BlockClass, ("T" if base == REPULSIVE else "U", tuple(sides), (s, t), None))
+
+
+def balancing_set(block: Block, cls: BlockClass, c: Optional[int]):
+    """The vertices of a tractable block that, fixed with its attachment c,
+    leave the rest balanced (none for a BR block or at a hub, else hub s),
+    and the rest's sides, by `block.vertices`: a T or U block's rest is the
+    star on the other hub, on side 0, and on s's star a U spoke flips."""
+    if cls.kind == "BR" or c == cls.hubs[0]:
+        return (), cls.sides
+    s, t = cls.hubs
+    if c != t:
+        return (s,), cls.sides
+    flip = cls.kind == "U"
+    return (), tuple(0 if v == s else x ^ flip for v, x in zip(block.vertices, cls.sides))
 
 
 # An enode form (a, b) by its index 2a + b, shared by every edge.

@@ -741,11 +741,20 @@ def _hung_blocks_model(rng, max_vars, integer):
         n += used - 1
 
 
+def _shuffled(model, rng):
+    """The same model with its variables declared in a random order: the
+    vertex indices move, and with them each T/U block's hubs s < t and the
+    vertex where the block tree is rooted."""
+    order = rng.permutation(len(model.variables))
+    return Model(tuple(model.variables[i] for i in order), model.potentials)
+
+
 def _hung_shapes(report):
-    """Where the BR blocks of a block tree hang: at a free spoke, the free
-    hub or the pinned hub s of a T/U block, at the vertex where a T/U block
-    is attached (in the region above it), or beside a BR sibling at one
-    cut vertex."""
+    """Where the blocks of a block tree hang. A T/U block: at the root, at
+    its hub s or t, or at a spoke ("T at hub t", ...). A BR block: at a free
+    spoke, the free hub or the pinned hub s of a T/U block, at the vertex
+    where a T/U block is attached (in the region above it), or beside a BR
+    sibling at one cut vertex."""
     tree, classes = report.tree, report.classes
     owner = {}
     for bi, (block, c) in enumerate(zip(tree.blocks, tree.attach)):
@@ -756,10 +765,15 @@ def _hung_shapes(report):
     br_at = collections.Counter()
     hub_at = set()
     for block, cls, c in zip(tree.blocks, classes, tree.attach):
-        if c is None or not block.edges:
+        if not block.edges:
             continue
         if cls.kind != "BR":
+            s, t = cls.hubs
+            at = "root" if c is None else "hub s" if c == s else "hub t" if c == t else "a spoke"
+            shapes[f"{cls.kind} at {at}"] += 1
             hub_at.add(c)
+            continue
+        if c is None:
             continue
         br_at[c] += 1
         parent = classes[owner[c]]
@@ -792,9 +806,51 @@ def test_hung_blocks_match_brute_force():
         ref = brute_force_map(model)
         assert sol.objective == ref.objective
         assert sol.assignment == ref.assignment
+    # Declared in a shuffled order, T/U blocks also hang at their hub t,
+    # which the blocks above, hung at their lowest ids, almost never do.
+    rng = np.random.default_rng(229)
+    for trial in range(300):
+        model = random_tractable_model(rng, max_vars=12, integer=trial % 2 == 0)
+        if trial % 4 == 1:
+            model = _with_small_integer_tables(model, rng)
+        model = _shuffled(model, rng)
+        shapes += _hung_shapes(classify_model(model))
+        sol = solve_map(model)
+        ref = brute_force_map(model)
+        assert sol.objective == ref.objective
+        assert sol.assignment == ref.assignment
     assert min(shapes[k] for k in (
-        "free spoke", "free hub", "pinned hub", "at attachment", "siblings"
+        "free spoke", "free hub", "pinned hub", "at attachment", "siblings",
+        "T at hub t", "U at hub t",
     )) >= 10, shapes
+
+
+# sha256 of the snode counts that solve_map hands _snode_cut, in call order,
+# over the corpus below: recorded while T/U tops still had their own branch
+# of _value_pass, so that the pinned-set rule does the same work.
+GOLDEN_SNODE_COUNTS = "15bda263e1905b0f5b247b7091945ef86aef3b29f2c5eb98152a46486269a7f3"
+
+
+def test_pinned_set_rule_takes_the_same_min_cuts(monkeypatch):
+    """T and U blocks at the root, at hub s, at hub t and at a spoke, and BR
+    blocks hung at free and pinned hubs, declared in shuffled order: as many
+    min cuts as before the rule, in the same order, each with as many
+    snodes."""
+    rng = np.random.default_rng(233)
+    calls = _counting_cuts(monkeypatch)
+    shapes = collections.Counter()
+    for trial in range(150):
+        model = _hung_blocks_model(rng, int(rng.integers(6, 30)), integer=trial % 2 == 0)
+        if trial % 3 == 1:
+            model = _with_small_integer_tables(model, rng)
+        model = _shuffled(model, rng)
+        shapes += _hung_shapes(classify_model(model))
+        solve_map(model)
+    places = ("root", "hub s", "hub t", "a spoke")
+    assert min(shapes[f"{kind} at {at}"] for kind in "TU" for at in places) >= 10, shapes
+    assert min(shapes["free hub"], shapes["pinned hub"]) >= 10, shapes
+    digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+    assert digest == GOLDEN_SNODE_COUNTS, (len(calls), digest)
 
 
 def test_rounding_level_gap_is_a_tie():

@@ -243,6 +243,7 @@ def validate_model(raw: Mapping) -> Model:
     wide = False  # some key is a tuple
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
+    isfinite = math.isfinite
     for entry in entries["potentials"]:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or len(entry) != 2:
             raise ModelFormatError(f"bad potential entry: {entry!r}")
@@ -288,9 +289,18 @@ def validate_model(raw: Mapping) -> Model:
             raise TableSizeMismatchError(scope, expected, None)
         if len(table) != expected:
             raise TableSizeMismatchError(scope, expected, len(table))
-        # The common all-float table is copied as it is; a finite sum
-        # means finite entries.
-        if _FLOAT.issuperset(map(type, table)) and math.isfinite(sum(table)):
+        # An all-float table is copied as it is; a finite sum means finite
+        # entries. 4- and 2-entry tables are checked unpacked; ints, float
+        # subclasses and sums that overflow take the general path below.
+        if expected == 4:
+            a, b, c, d = table
+            plain = type(a) is type(b) is type(c) is type(d) is float and isfinite(a + b + c + d)
+        elif expected == 2:
+            a, b = table
+            plain = type(a) is type(b) is float and isfinite(a + b)
+        else:
+            plain = _FLOAT.issuperset(map(type, table)) and isfinite(sum(table))
+        if plain:
             values = tuple(table)
         else:
             values = _as_floats(table)

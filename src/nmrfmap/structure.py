@@ -82,13 +82,17 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
     """
     n = graph.n
     edges = graph.edges
-    # Half-edge h of edge h >> 1 runs from ends[h] to ends[h ^ 1]. The
-    # half-edges leaving vertex v are adj[v], in edge order; scan[v] is the
-    # iterator over them that the DFS resumes at v.
-    ends = [x for u, v, _ in edges for x in (u, v)]
+    # adj[v] lists the edges at v in edge order, flat, as (neighbour, edge
+    # id) pairs: w0, e0, w1, e1, ... scan[v] is the one iterator over it
+    # that the DFS resumes at v, reading a neighbour and then its edge id.
     adj: list[list[int]] = [[] for _ in range(n)]
-    for h, x in enumerate(ends):
-        adj[x].append(h)
+    for eid, (u, v, _) in enumerate(edges):
+        au = adj[u]  # two appends cost less than `+= (v, eid)`
+        au.append(v)
+        au.append(eid)
+        av = adj[v]
+        av.append(u)
+        av.append(eid)
 
     disc = [-1] * n
     low = [0] * n
@@ -117,11 +121,11 @@ def block_decompose(graph: SignedGraph) -> BlockTree:
             v = stack[-1]
             pe = tree_edge[v]
             dv = disc[v]
-            for h in scan[v]:
-                eid = h >> 1
-                if eid == pe:
+            it = scan[v]
+            for w in it:
+                eid = next(it)
+                if eid == pe:  # by edge id: a parallel copy of it is a back edge
                     continue
-                w = ends[h ^ 1]
                 dw = disc[w]
                 if dw == -1:
                     disc[w] = low[w] = timer

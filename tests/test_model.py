@@ -150,12 +150,45 @@ def test_validate_rejects_bad_potentials():
         assert info.value.got is None
         assert str(info.value) == "table for scope ['A'] is not a list of 2 entries"
 
+    # 4-entry pair, 2-entry unary and 3-entry unary tables: the first two
+    # are checked unpacked, the third through the general expression.
+    three = {"name": "C", "card": 3}
     for bad in (True, False, "1.0", None, math.nan, -math.inf, np.int64(1), [0.0]):
+        for where, table, at in (
+            (1, [0.0, 1.0, bad, 2.0], 2),
+            (0, [0.0, bad], 1),
+            (2, [0.0, 1.0, bad], 2),
+        ):
+            raw = two_var_raw()
+            raw["variables"].append(three)
+            raw["potentials"].append({"scope": ["C"], "table": [0.0, 0.0, 0.0]})
+            raw["potentials"][where]["table"] = table
+            with pytest.raises(NonFiniteEntryError) as info:
+                validate_model(raw)
+            assert info.value.index == at
+
+    # Valid tables that the unpacked check refuses take the general path:
+    # numpy floats, ints, tuples and finite entries whose sum overflows are
+    # accepted as plain float tuples, as the reference validator reads them.
+    big = 1e308
+    for unary, pair in (
+        ([np.float64(0.0), np.float64(1.5)], [np.float64(2.0), 0.0, 0.0, np.float64(3.0)]),
+        ([0, 1], [2, 0, 0, 3]),
+        ((0.0, 1.0), (2.0, 0.0, 0.0, 3.0)),
+        ([big, big], [big, big, 0.0, 0.0]),
+        ([-big, -big], [0.0, 0.0, -big, -big]),
+    ):
         raw = two_var_raw()
-        raw["potentials"][1]["table"] = [0.0, 1.0, bad, 2.0]
-        with pytest.raises(NonFiniteEntryError) as info:
-            validate_model(raw)
-        assert info.value.index == 2
+        raw["variables"].append({"name": "C", "card": 3})
+        raw["potentials"][0]["table"] = unary
+        raw["potentials"][1]["table"] = pair
+        raw["potentials"].append({"scope": ["C"], "table": [big, big, 0]})
+        model = validate_model(raw)
+        assert model == reference_validate_model(raw)
+        assert [p.table for p in model.potentials] == [
+            tuple(map(float, unary)), tuple(map(float, pair)), (big, big, 0.0)
+        ]
+        assert all(type(x) is float for p in model.potentials for x in p.table)
 
 
 def test_validate_rejects_malformed_scopes():

@@ -94,6 +94,21 @@ def test_isolated_vertex_is_its_own_block():
     assert sorted(len(b.vertices) for b in tree.blocks) == [1, 2]
 
 
+def test_parallel_edges_share_one_block():
+    """Two copies of the edge A-B are a cycle of length 2: the DFS skips its
+    tree edge by edge id, not by parent vertex, so the second copy is a back
+    edge and both land in one block."""
+    graph = SignedGraph(("A", "B", "C"), ((0, 1, 1), (0, 1, -1), (1, 2, 1)))
+    tree = block_decompose(graph)
+    assert tree.blocks == (
+        Block((1, 2), ((1, 2, 1),)),
+        Block((0, 1), ((0, 1, -1), (0, 1, 1))),
+    )
+    assert tree.attach == (1, None)
+    assert tree.cut_vertices == {1}
+    assert list(tree.edge_block) == [1, 1, 0]
+
+
 def test_blocks_against_brute_force_cut_vertices():
     rng = np.random.default_rng(17)
     for _ in range(30):

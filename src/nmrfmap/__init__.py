@@ -96,7 +96,7 @@ _LAZY = {
         "representation_to_model",
         "supermodularity",
     ),
-    "oracle": ("brute_force_map", "brute_force_mwss"),
+    "oracle": ("brute_force_map",),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 

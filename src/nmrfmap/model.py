@@ -3,10 +3,12 @@
 Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
 fastest. Scopes are canonicalized to variable declaration order on load and
-duplicate scopes are merged by entrywise sum. A Model built without
-validation may still repeat a scope; `_summed_pairs`, the one reader of a
-binary pairwise model's pair tables, sums such repeats into flat lists, and
-`_summed_pairwise` adds the unaries. `_signs` holds the one fold rule:
+duplicate scopes are merged by entrywise sum. A binary pairwise model is
+read once: `_read_potentials` writes its columns (`_Columns`) as it checks
+each entry, and a validated model builds its `Potential` records only when
+`potentials` is read. A Model built without validation, which may repeat a
+scope, gets its columns from the same reader, each pair where it first
+appears. The views read the columns; `_signs` holds the one fold rule:
 `signed_view` keeps only the signs it gives, and `pairwise_view` folds the
 edges it leaves unsigned. A validated Model carries the name index that
 validation built.
@@ -87,6 +89,75 @@ class Model(_ModelFields):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple([name for name, _ in self.variables])
+
+    @property
+    def potentials(self) -> tuple[Potential, ...]:
+        p = self[1]
+        return p.potentials if type(p) is _Columns else p
+
+    @cached_property
+    def columns(self) -> _Columns:
+        """The binary pairwise columns: those `validate_model` wrote, or its
+        reading of the potentials, each pair where its scope first appears.
+        NotBinaryPairwiseError for any other model."""
+        p = self[1]
+        if type(p) is not _Columns and set(self.cards.values()) <= {2}:
+            entries = [{"scope": scope, "table": table} for scope, table in p]
+            p = _read_potentials(entries, self.variables, self.index, ordered=False)
+        if type(p) is not _Columns:
+            raise NotBinaryPairwiseError("model must be binary pairwise")
+        return p
+
+
+class _Columns:
+    """A binary pairwise model's columns, which `_read_potentials` writes:
+    each variable's unaries u0[i], u1[i], `given[i]` 1 if one is stated,
+    and each pair's ends us[k] < vs[k] with its table.
+
+    A validated model holds its columns in place of its potentials:
+    `potentials` builds their records when first read, and the columns
+    compare, hash and print as that tuple."""
+
+    def __init__(self, names, merged, n1, ordered):
+        """The columns of `_read_potentials`'s tables `merged`, emptied of
+        unaries here: pairs in key order or, if not `ordered`, as merged."""
+        n = len(names)
+        self.names = names
+        u0, u1, given = self.u0, self.u1, self.given = [0.0] * n, [0.0] * n, bytearray(n)
+        for i in range(n):
+            t = merged.pop(i * n1, None)
+            if t is not None:
+                given[i] = 1
+                u0[i], u1[i] = t
+        keys = sorted(merged) if ordered else list(merged)
+        self.us, self.vs = [k // n1 for k in keys], [k % n1 - 1 for k in keys]
+        self.tables = list(map(merged.__getitem__, keys))
+
+    def scoped(self):
+        """(scope, table) of each potential, in a validated model's order:
+        the unary over i, then each pair (i, j) by j, then the unary over
+        i + 1."""
+        names, us, vs, tables = self.names, self.us, self.vs, self.tables
+        k, m = 0, len(us)
+        for i, (name, stated, t0, t1) in enumerate(zip(names, self.given, self.u0, self.u1)):
+            if stated:
+                yield (name,), (t0, t1)
+            while k < m and us[k] == i:
+                yield (name, names[vs[k]]), tables[k]
+                k += 1
+
+    @cached_property
+    def potentials(self) -> tuple[Potential, ...]:
+        return tuple(itertools.starmap(Potential, self.scoped()))
+
+    def __eq__(self, other):
+        return self.potentials == other
+
+    def __hash__(self):
+        return hash(self.potentials)
+
+    def __repr__(self):
+        return repr(self.potentials)
 
 
 _BY_KEYWORD = object()  # the first argument came by name, as in solve_map(model=m)
@@ -180,7 +251,7 @@ def _scope_error(scope, index) -> ModelFormatError:
         if not isinstance(name, str):
             return ModelFormatError(f"scope {list(scope)} holds a non-string name {name!r}")
         if name not in index:
-            return UnknownVariableError(name, scope)
+            return UnknownVariableError(name, tuple(scope))
     raise AssertionError("every name is a known variable")
 
 
@@ -231,20 +302,27 @@ def validate_model(raw: Mapping) -> Model:
             raise DuplicateVariableError(name)
         index[name] = len(variables)
         variables.append((name, card))
-    card_of = [card for _, card in variables]
+    model = Model(tuple(variables), _read_potentials(entries["potentials"], variables, index))
+    vars(model)["index"] = index  # the cached `Model.index`, built here already
+    return model
 
+
+def _read_potentials(entries, variables, index, ordered=True):
+    """The potentials of `validate_model`, read from `entries` once the
+    variables have passed: a binary pairwise model's as its `_Columns`,
+    pairs in key order, or where each first appears if not `ordered`; any
+    other model's as Potential records in key order."""
+    card_of = [card for _, card in variables]
     # Keyed by the scope's variable positions in declaration order: the int
     # i*(n+1) for a unary over i and i*(n+1) + j + 1 for a pair i < j, which
     # sort like the position tuples (i,) < (i, j) < (i + 1,); a scope of three
     # or more variables is keyed by its sorted position tuple.
     n1 = len(variables) + 1
-    merged: dict[int | tuple[int, ...], Potential] = {}
+    isfinite = math.isfinite
+    merged: dict[int | tuple[int, ...], tuple[float, ...]] = {}
     summed: list[int | tuple[int, ...]] = []
     wide = False  # some key is a tuple
-    # tuple.__new__ skips the Python-level NamedTuple constructor.
-    new = tuple.__new__
-    isfinite = math.isfinite
-    for entry in entries["potentials"]:
+    for entry in entries:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or len(entry) != 2:
             raise ModelFormatError(f"bad potential entry: {entry!r}")
         try:  # cheaper than testing for both keys first
@@ -253,7 +331,6 @@ def validate_model(raw: Mapping) -> Model:
             raise ModelFormatError(f"bad potential entry: {entry!r}") from None
         if type(scope) is not list and not isinstance(scope, (list, tuple)):
             raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
-        scope = tuple(scope)
         order = len(scope)
         pos = None  # the positions in scope order, when not in declaration order
         try:
@@ -294,45 +371,43 @@ def validate_model(raw: Mapping) -> Model:
         # subclasses and sums that overflow take the general path below.
         if expected == 4:
             a, b, c, d = table
+            values = (a, b, c, d)
             plain = type(a) is type(b) is type(c) is type(d) is float and isfinite(a + b + c + d)
         elif expected == 2:
             a, b = table
+            values = (a, b)
             plain = type(a) is type(b) is float and isfinite(a + b)
         else:
-            plain = _FLOAT.issuperset(map(type, table)) and isfinite(sum(table))
-        if plain:
             values = tuple(table)
-        else:
+            plain = _FLOAT.issuperset(map(type, values)) and isfinite(sum(values))
+        if not plain:
             values = _as_floats(table)
             if values is None or not all(map(math.isfinite, values)):
                 raise NonFiniteEntryError(scope, _bad_entry_index(table))
         if pos is not None:
-            canon = tuple([variables[i][0] for i in sorted(pos)])
-            values = _reorder_table(scope, [card_of[i] for i in pos], values, canon)
-            scope = canon
-        potential = new(Potential, (scope, values))
-        prev = merged.setdefault(key, potential)
-        if prev is not potential:
-            merged[key] = new(Potential, (prev.scope, tuple(map(operator.add, prev.table, values))))
+            values = _reorder_table(pos, [card_of[i] for i in pos], values, sorted(pos))
+        prev = merged.setdefault(key, values)
+        if prev is not values:
+            merged[key] = tuple(map(operator.add, prev, values))
             summed.append(key)
+
+    def position(key):
+        if type(key) is tuple:
+            return key
+        i, j = divmod(key, n1)
+        return (i, j - 1) if j else (i,)
+
+    names = list(index)
     for key in summed:
-        scope, values = merged[key]
-        if not all(map(math.isfinite, values)):
-            raise NonFiniteEntryError(scope, _bad_entry_index(values))
-
-    if wide:
-        def position(key):
-            if type(key) is tuple:
-                return key
-            i, j = divmod(key, n1)
-            return (i, j - 1) if j else (i,)
-
-        keys = sorted(merged, key=position)
-    else:
-        keys = sorted(merged)
-    model = Model(tuple(variables), tuple(map(merged.__getitem__, keys)))
-    vars(model)["index"] = index  # the cached `Model.index`, built here already
-    return model
+        if not all(map(math.isfinite, merged[key])):
+            scope = [names[i] for i in position(key)]
+            raise NonFiniteEntryError(scope, _bad_entry_index(merged[key]))
+    if not wide and card_of.count(2) == len(card_of):
+        return _Columns(names, merged, n1, ordered)
+    keys = sorted(merged, key=position if wide else None)
+    # tuple.__new__ skips the Python-level NamedTuple constructor.
+    new = tuple.__new__
+    return tuple([new(Potential, (tuple([names[i] for i in position(k)]), merged[k])) for k in keys])
 
 
 def model_to_json(model: Model) -> dict:
@@ -352,15 +427,22 @@ def model_from_json_file(path: str) -> Model:
         return validate_model(json.load(fh))
 
 
+def _tables(model: Model):
+    """(scope, table) of each potential, in `model.potentials` order; a
+    validated binary pairwise model's are read off its columns."""
+    p = model[1]
+    return p.scoped() if type(p) is _Columns else model.potentials
+
+
 def energy(model: Model, assignment: Mapping[str, int]) -> float:
     """Value of the MAP objective at a full configuration."""
     cards = model.cards
     total = 0.0
-    for p in model.potentials:
+    for scope, table in _tables(model):
         idx = 0  # table_index, inline
-        for name in p.scope:
+        for name in scope:
             idx = idx * cards[name] + assignment[name]
-        total += p.table[idx]
+        total += table[idx]
     return total
 
 
@@ -407,12 +489,12 @@ def tolerance(tables) -> float:
 
 def objective_tolerance(model: Model) -> float:
     """Largest accepted gap between a returned objective and the optimum."""
-    return tolerance(p.table for p in model.potentials)
+    return tolerance(table for _, table in _tables(model))
 
 
 def is_binary_pairwise(model: Model) -> bool:
-    return all(c == 2 for _, c in model.variables) and all(
-        len(p.scope) <= 2 for p in model.potentials
+    return type(model[1]) is _Columns or (
+        all(c == 2 for _, c in model.variables) and all(len(p.scope) <= 2 for p in model.potentials)
     )
 
 
@@ -441,60 +523,6 @@ class PairwiseView(NamedTuple):
     slack: float
 
 
-def _summed_pairs(model: Model):
-    """Flat lists (us, vs, tables): each pair table over (us[k], vs[k]),
-    us[k] < vs[k], in the order the scopes first appear, a repeat in either
-    order summed in, left to right. Raises NotBinaryPairwiseError as
-    `pairwise_view` does. No pair is keyed until one repeats or comes with
-    a smaller u than the last, as a validated model's never do."""
-    if not {card for _, card in model.variables} <= {2}:
-        raise NotBinaryPairwiseError("model must be binary pairwise")
-    index = model.index
-    n = len(index)
-    us, vs, tables = [], [], []
-    at = None  # the position in `tables` of pair (u, v), by u * n + v, once keyed
-    lu, last_u = -1, [-1] * n  # the last pair's u, and the last u paired with each v
-    for scope, t in model.potentials:
-        if len(scope) == 2:
-            u, v = index[scope[0]], index[scope[1]]
-            if u > v:
-                u, v, t = v, u, (t[0], t[2], t[1], t[3])
-            if at is None and u >= lu and last_u[v] != u:
-                lu = last_u[v] = u
-            else:
-                if at is None:
-                    at = {x * n + y: k for k, (x, y) in enumerate(zip(us, vs))}
-                k = at.setdefault(u * n + v, len(tables))
-                if k < len(tables):
-                    tables[k] = tuple(map(operator.add, tables[k], t))
-                    continue
-            us.append(u)
-            vs.append(v)
-            tables.append(t)
-        elif len(scope) != 1:
-            raise NotBinaryPairwiseError("model must be binary pairwise")
-    return us, vs, tables
-
-
-def _summed_pairwise(model: Model):
-    """Flat lists (u0, u1, us, vs, tables): the unaries of each variable for
-    labels 0 and 1, summed left to right, a lone one stored as given, and
-    the summed pairs of `_summed_pairs`."""
-    us, vs, tables = _summed_pairs(model)
-    index = model.index
-    n = len(index)
-    u0, u1 = [0.0] * n, [0.0] * n
-    given = bytearray(n)  # 1 once a variable's unary is stored
-    for scope, t in model.potentials:
-        if len(scope) == 1:
-            i = index[scope[0]]
-            if given[i]:
-                t = (u0[i] + t[0], u1[i] + t[1])
-            given[i] = 1
-            u0[i], u1[i] = t
-    return u0, u1, us, vs, tables
-
-
 def _signs(tables, eps: float) -> list[int]:
     """The sign of each summed pair table's associativity, or 0 where the
     view folds the edge: the one fold rule, |associativity| <= eps."""
@@ -508,16 +536,17 @@ _SIGN = operator.itemgetter(2)
 
 
 def pairwise_view(model: Model, eps: float = DEFAULT_EPS) -> PairwiseView:
-    """Read a binary pairwise model once: sum repeated scopes, given in
-    either order, sign each edge by its associativity, and fold each edge
-    with |associativity| <= eps into its two ends.
+    """Read a binary pairwise model's columns, where repeated scopes, given
+    in either order, are summed: sign each edge by its associativity, and
+    fold each edge with |associativity| <= eps into its two ends.
 
     Each summed table is unpacked once more, to fold it or for its scale.
     For every labeling, the unaries, kept tables and constant add up to the
     energy within `slack`. Raises NotBinaryPairwiseError for a label count
     other than 2 or a scope of more than two variables.
     """
-    u0, u1, us, vs, tables = _summed_pairwise(model)
+    cols = model.columns
+    u0, u1, us, vs, tables = cols.u0[:], cols.u1[:], cols.us, cols.vs, cols.tables
     signs = _signs(tables, eps)
     kept, scales = [], []
     constant = slack = 0.0
@@ -550,5 +579,5 @@ def signed_view(model: Model, eps: float = DEFAULT_EPS) -> SignedGraph:
     """Signed graph of a binary pairwise model; near-zero edges are omitted.
     It reads the summed pair tables' signs only, by the fold rule of
     `pairwise_view`, and neither folds nor keeps a table."""
-    us, vs, tables = _summed_pairs(model)
-    return SignedGraph(model.names, tuple(filter(_SIGN, zip(us, vs, _signs(tables, eps)))))
+    cols = model.columns
+    return SignedGraph(model.names, tuple(filter(_SIGN, zip(cols.us, cols.vs, _signs(cols.tables, eps)))))

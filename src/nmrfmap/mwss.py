@@ -1,8 +1,8 @@
 """The MAP pipeline and its two stable-set solvers.
 
-`solve_map` reads the model once through `model.pairwise_view`, which sums
-repeated scopes, folds near-zero edges into their ends and lists each kept
-edge's table and scale by the edge's position in the signed graph. It
+`solve_map` reads the model's columns once through `model.pairwise_view`,
+which folds near-zero edges into their ends and lists each kept edge's
+table and scale by the edge's position in the signed graph. It
 classifies that graph once and solves it region by region with one exact
 core, the bipartite MWSS of enodes and snodes as a min cut. Every cycle
 lies inside one block, so a connected union of balanced blocks is balanced

@@ -8,8 +8,10 @@ different values. Weights are normalized so each group's minimum is exactly
 zero; the subtracted constants are recorded to rebuild the objective. One
 writer builds every graph: all nodes of any model (`build_nmrf`), or a binary
 pairwise model's of weight > eps under its enode plan (`compile_pairwise`),
-which reads the model through `pairwise_view`, so an edge the view folds
-has no group and adds its mean to the constant.
+which reads the model's columns through `pairwise_view`, so an edge the view
+folds has no group and adds its mean to the constant. `build_nmrf` reads
+`model.potentials`, which a validated binary pairwise model builds from its
+columns when first read.
 """
 
 from __future__ import annotations

@@ -1,21 +1,19 @@
-"""Brute-force references for MAP and MWSS.
+"""Brute-force reference for MAP.
 
-These share no code with the production solvers on purpose: they enumerate
-directly over raw tables and adjacency and exist to check everything else.
+It shares no code with the production solvers on purpose: it enumerates
+directly over raw tables and exists to check everything else.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 from .errors import TooLargeError
 from .model import Model
-from .mwss import MapSolution, StableSetSolution
+from .mwss import MapSolution
 
 MAX_CONFIGURATIONS = 1 << 20
-MAX_BRUTE_NODES = 24
 
 
 def brute_force_map(model: Model) -> MapSolution:
@@ -45,33 +43,3 @@ def brute_force_map(model: Model) -> MapSolution:
             best_cfg = cfg
     assignment = dict(zip(names, best_cfg))
     return MapSolution(assignment, best_val, "brute-force")
-
-
-def brute_force_mwss(weights: Sequence[float], edges) -> StableSetSolution:
-    """Exact MWSS by exhaustive subset search with stability pruning."""
-    n = len(weights)
-    if n > MAX_BRUTE_NODES:
-        raise TooLargeError(f"{n} nodes exceeds brute-force cap {MAX_BRUTE_NODES}")
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[i]
-
-    best_weight = -1.0
-    best_mask = 0
-    stack = [(0, 0, 0, 0.0)]  # next index, chosen mask, blocked mask, weight
-    while stack:
-        i, chosen, blocked, w = stack.pop()
-        if w > best_weight:
-            best_weight = w
-            best_mask = chosen
-        if i == n or w + suffix[i] <= best_weight:
-            continue
-        stack.append((i + 1, chosen, blocked, w))
-        if not blocked >> i & 1:
-            stack.append((i + 1, chosen | 1 << i, blocked | adj[i], w + weights[i]))
-    chosen = tuple(i for i in range(n) if best_mask >> i & 1)
-    return StableSetSolution(chosen, sum(weights[i] for i in chosen))

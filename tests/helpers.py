@@ -1,7 +1,8 @@
 """Code that only the tests call: a variable flip, a scope lookup, a
-power-of-two rescaling, a random BR model, two random stable-set
-instances, the conflict rule of the NMRF, used as an oracle apart from the
-code it checks, the enode rewrite that `compile` once ran before
+power-of-two rescaling, the exhaustive stable-set oracle, a random BR
+model, two random stable-set instances, the conflict rule of the NMRF
+and a binary pairwise model's summed columns, both used as oracles apart
+from the code they check, the enode rewrite that `compile` once ran before
 `build_nmrf`, kept as the reference of its pruned graph, an induced odd
 cycle check of a perfection witness, and an order-5 table that only the
 feasibility LP refuses."""
@@ -12,20 +13,22 @@ from typing import Iterable
 import numpy as np
 
 from generators import model_from_signed_edges
-from nmrfmap.errors import NotBinaryPairwiseError, UnknownVariableError
+from nmrfmap.errors import NotBinaryPairwiseError, TooLargeError, UnknownVariableError
 from nmrfmap.model import (
     ASSOCIATIVE,
     DEFAULT_EPS,
     REPULSIVE,
     Model,
     Potential,
-    _summed_pairwise,
     is_binary_pairwise,
     single_enode,
     table_index,
 )
+from nmrfmap.mwss import StableSetSolution
 from nmrfmap.nmrf import NmrfNode
 from nmrfmap.structure import classify_model, enode_forms
+
+BRUTE_NODES = 24  # the cap of `brute_force_mwss`
 
 
 def flip_variables(model: Model, flip: Iterable[str]) -> Model:
@@ -66,6 +69,36 @@ def scaled(model: Model, k: int) -> Model:
         model.variables,
         tuple(Potential(p.scope, tuple(factor * x for x in p.table)) for p in model.potentials),
     )
+
+
+def brute_force_mwss(weights, edges) -> StableSetSolution:
+    """Exact MWSS by exhaustive subset search with stability pruning."""
+    n = len(weights)
+    if n > BRUTE_NODES:
+        raise TooLargeError(f"{n} nodes exceeds brute-force cap {BRUTE_NODES}")
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + weights[i]
+
+    best_weight = -1.0
+    best_mask = 0
+    stack = [(0, 0, 0, 0.0)]  # next index, chosen mask, blocked mask, weight
+    while stack:
+        i, chosen, blocked, w = stack.pop()
+        if w > best_weight:
+            best_weight = w
+            best_mask = chosen
+        if i == n or w + suffix[i] <= best_weight:
+            continue
+        stack.append((i + 1, chosen, blocked, w))
+        if not blocked >> i & 1:
+            stack.append((i + 1, chosen | 1 << i, blocked | adj[i], w + weights[i]))
+    chosen = tuple(i for i in range(n) if best_mask >> i & 1)
+    return StableSetSolution(chosen, sum(weights[i] for i in chosen))
 
 
 def random_br_model(rng: np.random.Generator, n: int = 6, p: float = 0.5) -> Model:
@@ -121,6 +154,45 @@ def forms_by_names(report) -> dict[tuple[str, str], tuple[int, int]]:
     return {(names[u], names[v]): form for (u, v, _), form in zip(report.graph.edges, enode_forms(report))}
 
 
+def summed_pairwise(model: Model):
+    """Flat lists (u0, u1, us, vs, tables) of a binary pairwise model, read
+    off its potentials apart from the package's columns: each variable's
+    unaries for labels 0 and 1, summed left to right, a lone one stored as
+    given, and each pair table over (us[k], vs[k]), us[k] < vs[k], in the
+    order the scopes first appear, a repeat in either order summed in, left
+    to right. Raises NotBinaryPairwiseError as `pairwise_view` does."""
+    if not {card for _, card in model.variables} <= {2}:
+        raise NotBinaryPairwiseError("model must be binary pairwise")
+    index = model.index
+    n = len(index)
+    u0, u1 = [0.0] * n, [0.0] * n
+    given = [False] * n
+    us, vs, tables = [], [], []
+    at = {}  # the position in `tables` of pair (u, v)
+    for scope, t in model.potentials:
+        if len(scope) == 1:
+            i = index[scope[0]]
+            if given[i]:
+                t = (u0[i] + t[0], u1[i] + t[1])
+            given[i] = True
+            u0[i], u1[i] = t
+        elif len(scope) == 2:
+            u, v = index[scope[0]], index[scope[1]]
+            if u > v:
+                u, v, t = v, u, (t[0], t[2], t[1], t[3])
+            if (u, v) in at:
+                k = at[u, v]
+                tables[k] = tuple(a + b for a, b in zip(tables[k], t))
+            else:
+                at[u, v] = len(tables)
+                us.append(u)
+                vs.append(v)
+                tables.append(t)
+        else:
+            raise NotBinaryPairwiseError("model must be binary pairwise")
+    return u0, u1, us, vs, tables
+
+
 def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> tuple[Model, float]:
     """The model with every edge that its classification plans rewritten to
     its single enode, as `compile` rewrote it before it wrote the pruned
@@ -129,7 +201,7 @@ def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> tuple[Model, float]
     one, gives `nmrf.compile_pairwise`, and that the golden digests compile.
 
     The plan is keyed by each edge's two names (`forms_by_names`). The
-    tables are summed as `_summed_pairwise` sums them, each pair into one
+    tables are summed as `summed_pairwise` sums them, each pair into one
     edge. An edge of |associativity| <= eps is folded here, before any edge
     is rewritten: it leaves the model, its separable part goes to its two
     ends' unaries and its mean to the constant, and the plan must not hold
@@ -139,7 +211,7 @@ def enode_rewrite(model: Model, eps: float = DEFAULT_EPS) -> tuple[Model, float]
     pairwise raises NotBinaryPairwiseError."""
     names = model.names
     plan = forms_by_names(classify_model(model, eps))
-    u0, u1, us, vs, tables = _summed_pairwise(model)
+    u0, u1, us, vs, tables = summed_pairwise(model)
     kept = []
     constant = 0.0
     for u, v, t in zip(us, vs, tables):

@@ -20,6 +20,7 @@ from generators import (
     random_tractable_model,
 )
 from helpers import (
+    brute_force_mwss,
     forms_by_names,
     nodes_conflict,
     random_bipartite_graph,
@@ -38,7 +39,7 @@ from nmrfmap.model import (
 )
 from nmrfmap.mwss import mwss_branch_bound, solve_map
 from nmrfmap.nmrf import build_nmrf, compile_pairwise, prune
-from nmrfmap.oracle import brute_force_map, brute_force_mwss
+from nmrfmap.oracle import brute_force_map
 from nmrfmap.perfection import (
     PlainGraph,
     cycle_to_induced_hole,

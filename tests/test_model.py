@@ -15,7 +15,7 @@ import pytest
 import nmrfmap.mwss
 import nmrfmap.structure
 from generators import block_chain_model, random_signed_model
-from helpers import flip_variables, potential_for
+from helpers import flip_variables, potential_for, summed_pairwise
 from nmrfmap.errors import (
     DuplicateVariableError,
     IntractableTopologyError,
@@ -36,6 +36,7 @@ from nmrfmap.model import (
     is_binary_pairwise,
     model_from_json_file,
     model_to_json,
+    objective_tolerance,
     pairwise_view,
     signed_view,
     table_index,
@@ -624,6 +625,146 @@ def test_potential_order_is_the_position_tuple_order():
         expected = sorted({tuple(sorted(index[name] for name in p["scope"])) for p in potentials})
         assert got == expected
         assert model == reference_validate_model(raw)
+
+
+class _Float(float):
+    """A float subclass, as a JSON reader with its own number type gives."""
+
+
+def _pairwise_raw(rng):
+    """A binary pairwise document: names declared out of scope order,
+    unaries repeated or missing, pairs repeated in both orders, and int,
+    float and float-subclass entries."""
+    n = int(rng.integers(2, 8))
+    names = [f"V{k}" for k in rng.permutation(n)]
+
+    def table(size):
+        kind = rng.integers(3)
+        if kind == 0:
+            return [int(x) for x in rng.integers(-5, 6, size=size)]
+        values = [float(x) for x in rng.uniform(-3, 3, size=size)]
+        return values if kind == 1 else [_Float(x) for x in values]
+
+    potentials = []
+    for _ in range(int(rng.integers(1, 16))):
+        order = int(rng.integers(1, 3))
+        scope = [names[i] for i in rng.choice(n, size=order, replace=False)]
+        for _ in range(int(rng.integers(1, 3))):  # a repeat, in either order
+            potentials.append({"scope": scope, "table": table(2 ** order)})
+            scope = scope[::-1]
+    return {"variables": [{"name": nm, "card": 2} for nm in names], "potentials": potentials}
+
+
+def _raw_model(raw):
+    """The document as a Model built without validation: every potential
+    as given, repeats and scope orders kept."""
+    return Model(
+        tuple((v["name"], v["card"]) for v in raw["variables"]),
+        tuple(Potential(tuple(p["scope"]), tuple(p["table"])) for p in raw["potentials"]),
+    )
+
+
+def _columns(model):
+    """The unaries and the pair tables by their ends, of `model.columns`."""
+    cols = model.columns
+    return cols.u0, cols.u1, dict(zip(zip(cols.us, cols.vs), cols.tables))
+
+
+def _pairwise_corpus():
+    rng = np.random.default_rng(20261022)
+    return [_pairwise_raw(rng) for _ in range(300)]
+
+
+def test_columns_match_the_reference_summation():
+    """The columns that validation writes, and those read off a Model built
+    from the validated potentials, hold the sums of `summed_pairwise`, the
+    test-side reference, run on the document's potentials as given: pairs
+    in key order for both, as those potentials come."""
+    repeats = reversed_pairs = 0
+    for raw in _pairwise_corpus():
+        u0, u1, us, vs, tables = summed_pairwise(_raw_model(raw))
+        expected = (u0, u1, dict(zip(zip(us, vs), tables)))
+        m = validate_model(raw)
+        rebuilt = Model(m.variables, m.potentials)
+        assert _columns(m) == _columns(rebuilt) == expected
+        for model in (m, rebuilt):
+            ends = list(zip(model.columns.us, model.columns.vs))
+            assert ends == sorted(ends) and all(u < v for u, v in ends)
+        cols = m.columns
+        assert all(type(x) is float for x in cols.u0 + cols.u1 + [x for t in cols.tables for x in t])
+        scopes = [tuple(sorted(p["scope"], key=m.index.__getitem__)) for p in raw["potentials"]]
+        repeats += len(scopes) - len(set(scopes))
+        reversed_pairs += sum(list(p["scope"]) != list(s) for p, s in zip(raw["potentials"], scopes))
+    assert repeats > 100 and reversed_pairs > 100
+
+
+def test_unvalidated_columns_keep_first_seen_pair_order():
+    model = Model((("A", 2), ("B", 2), ("C", 2)), (
+        Potential(("B", "C"), (1.0, 0.0, 0.0, 1.0)),
+        Potential(("B", "A"), (0.0, 1.0, 2.0, 0.0)),
+        Potential(("C", "B"), (1.0, 0.0, 0.0, 1.0)),
+        Potential(("A",), (0.0, 0.5)),
+    ))
+    cols = model.columns
+    assert (cols.us, cols.vs) == ([1, 0], [2, 1])
+    assert cols.tables == [(2.0, 0.0, 0.0, 2.0), (0.0, 2.0, 1.0, 0.0)]
+    assert (cols.u0, cols.u1, list(cols.given)) == ([0.0] * 3, [0.5, 0.0, 0.0], [1, 0, 0])
+    assert model.columns is cols
+    for other in (Model((("A", 3),), ()), validate_model(_ORDER_3)):
+        with pytest.raises(NotBinaryPairwiseError):
+            other.columns
+
+
+def test_request_path_builds_no_potential_records(monkeypatch):
+    """A validated binary pairwise model holds its columns only: neither a
+    solve nor a classification and its report builds a Potential record.
+    Read afterwards, `potentials` is built once, and equals the reference
+    validator's."""
+    built = []
+    new = Potential.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    docs = [raw for raw in _request_round() if isinstance(raw, dict) and raw.get("variables")]
+    docs = [raw for raw in docs if raw is not _ORDER_3] + _pairwise_corpus()[:40]
+    monkeypatch.setattr(Potential, "__new__", spy)
+    solved = 0
+    for raw in docs:
+        try:
+            model = validate_model(raw)
+        except NmrfmapError:
+            continue
+        try:
+            solve_map(model)
+            solved += 1
+        except IntractableTopologyError:
+            pass
+        report_to_json(classify_model(validate_model(raw)))
+        assert built == []
+        assert model.potentials is model.potentials
+        assert len(built) == len(model.potentials)
+        assert model.potentials == reference_validate_model(raw).potentials
+        built.clear()
+    assert solved > 20
+
+
+def test_energy_and_tolerance_read_off_the_columns_are_exact():
+    """`energy` and `objective_tolerance` of a validated model, read off its
+    columns, equal those read off its Potential records, the same float."""
+    without_unary = 0
+    for raw in _pairwise_corpus()[:120]:
+        model = validate_model(raw)
+        records = Model(model.variables, model.potentials)
+        without_unary += model.columns.given.count(0)
+        got, expected = objective_tolerance(model), objective_tolerance(records)
+        assert got == expected and repr(got) == repr(expected)
+        for labels in itertools.product((0, 1), repeat=len(model.variables)):
+            x = dict(zip(model.names, labels))
+            got, expected = energy(model, x), energy(records, x)
+            assert got == expected and repr(got) == repr(expected)
+    assert without_unary > 50
 
 
 def _pairs_doc(names, pairs, unaries=()):

@@ -16,7 +16,13 @@ from generators import (
     random_signed_model,
     random_tractable_model,
 )
-from helpers import flip_variables, random_br_model, random_weighted_graph, scaled
+from helpers import (
+    brute_force_mwss,
+    flip_variables,
+    random_br_model,
+    random_weighted_graph,
+    scaled,
+)
 from nmrfmap.errors import (
     IntractableTopologyError,
     ObjectiveMismatchError,
@@ -47,7 +53,7 @@ from nmrfmap.mwss import (
     solve_map_bnb,
 )
 from nmrfmap.nmrf import build_nmrf, compile_pairwise, prune
-from nmrfmap.oracle import brute_force_map, brute_force_mwss
+from nmrfmap.oracle import brute_force_map
 from nmrfmap.structure import classify_model
 
 

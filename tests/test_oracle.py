@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_weighted_graph
+from helpers import brute_force_mwss, random_weighted_graph
 from nmrfmap.errors import TooLargeError
 from nmrfmap.model import validate_model
-from nmrfmap.oracle import brute_force_map, brute_force_mwss
+from nmrfmap.oracle import brute_force_map
 
 
 def test_brute_force_map_hand_case():

@@ -7,11 +7,11 @@ duplicate scopes are merged by entrywise sum. A binary pairwise model is
 read once: `_read_potentials` writes its columns (`_Columns`) as it checks
 each entry, and a validated model builds its `Potential` records only when
 `potentials` is read. A Model built without validation, which may repeat a
-scope, gets its columns from the same reader, each pair where it first
-appears. The views read the columns; `_signs` holds the one fold rule:
-`signed_view` keeps only the signs it gives, and `pairwise_view` folds the
-edges it leaves unsigned. A validated Model carries the name index that
-validation built.
+scope, has its records merged into columns, unchecked, at each read of
+`Model.columns`. The views read the columns; `_signs` holds the one fold
+rule: `signed_view` keeps only the signs it gives, and `pairwise_view`
+folds the edges it leaves unsigned. A validated Model carries the name
+index that validation built.
 `model_from_json_file`, `validate_model`, `classify_model`, `report_to_json`
 and `solve_map` run with the cyclic garbage collector paused
 (`_collector_paused`).
@@ -74,9 +74,17 @@ class _ModelFields(NamedTuple):
 
 
 class Model(_ModelFields):
-    """Variables with finite label counts plus potentials over scopes."""
+    """Variables with finite label counts plus potentials over scopes.
+    Indexing and unpacking give `potentials`, which may be stored as columns."""
 
     __setattr__ = __delattr__ = _read_only
+    _held = _ModelFields.potentials  # the field as stored: records or `_Columns`
+
+    def __iter__(self):
+        return iter((self.variables, self.potentials))
+
+    def __getitem__(self, i):
+        return (self.variables, self.potentials)[i]
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -92,52 +100,68 @@ class Model(_ModelFields):
 
     @property
     def potentials(self) -> tuple[Potential, ...]:
-        p = self[1]
-        return p.potentials if type(p) is _Columns else p
+        held = self._held
+        return held.potentials if type(held) is _Columns else held
 
-    @cached_property
+    def scoped(self):
+        """(scope, table) of each potential in `potentials` order, read off held columns."""
+        held = self._held
+        return held.scoped() if type(held) is _Columns else held
+
+    @property
     def columns(self) -> _Columns:
-        """The binary pairwise columns: those `validate_model` wrote, or its
-        reading of the potentials, each pair where its scope first appears.
-        NotBinaryPairwiseError for any other model."""
-        p = self[1]
-        if type(p) is not _Columns and set(self.cards.values()) <= {2}:
-            entries = [{"scope": scope, "table": table} for scope, table in p]
-            p = _read_potentials(entries, self.variables, self.index, ordered=False)
-        if type(p) is not _Columns:
+        """The binary pairwise columns `validate_model` wrote for these
+        variables, or else the records merged as it merges them, unchecked,
+        each pair where it first appears. NotBinaryPairwiseError otherwise."""
+        held = self._held
+        if type(held) is _Columns and held.variables is self.variables:
+            return held
+        if not set(self.cards.values()) <= {2}:
             raise NotBinaryPairwiseError("model must be binary pairwise")
-        return p
+        index, n1 = self.index, len(self.variables) + 1
+        unary, merged = {}, {}
+        for scope, t in self.potentials:
+            if len(scope) == 1:
+                into, key = unary, index[scope[0]]
+            elif len(scope) == 2:
+                into, i, j = merged, index[scope[0]], index[scope[1]]
+                if i < j:
+                    key = i * n1 + j + 1
+                else:
+                    key, t = j * n1 + i + 1, (t[0], t[2], t[1], t[3])
+            else:
+                raise NotBinaryPairwiseError("model must be binary pairwise")
+            prev = into.get(key)
+            into[key] = t if prev is None else tuple(map(operator.add, prev, t))
+        return _Columns(self.variables, unary, merged, n1, ordered=False)
 
 
 class _Columns:
-    """A binary pairwise model's columns, which `_read_potentials` writes:
-    each variable's unaries u0[i], u1[i], `given[i]` 1 if one is stated,
-    and each pair's ends us[k] < vs[k] with its table.
+    """A binary pairwise model's columns: each variable's unaries u0[i],
+    u1[i], `given[i]` 1 if one is stated, and each pair's ends us[k] < vs[k]
+    with its table. A validated model holds them, and the variables they
+    were read for, in place of its potentials: `potentials` builds their
+    records when first read, and they compare, hash and print as those."""
 
-    A validated model holds its columns in place of its potentials:
-    `potentials` builds their records when first read, and the columns
-    compare, hash and print as that tuple."""
-
-    def __init__(self, names, merged, n1, ordered):
-        """The columns of `_read_potentials`'s tables `merged`, emptied of
-        unaries here: pairs in key order or, if not `ordered`, as merged."""
-        n = len(names)
-        self.names = names
+    def __init__(self, variables, unary, pairs, n1, ordered):
+        """From merged tables, `unary` by variable and `pairs` by key as
+        `_read_potentials` keys them; pairs in key order if `ordered`."""
+        n = len(variables)
+        self.variables = variables
         u0, u1, given = self.u0, self.u1, self.given = [0.0] * n, [0.0] * n, bytearray(n)
-        for i in range(n):
-            t = merged.pop(i * n1, None)
-            if t is not None:
-                given[i] = 1
-                u0[i], u1[i] = t
-        keys = sorted(merged) if ordered else list(merged)
+        for i, t in unary.items():
+            given[i] = 1
+            u0[i], u1[i] = t
+        keys = sorted(pairs) if ordered else list(pairs)
         self.us, self.vs = [k // n1 for k in keys], [k % n1 - 1 for k in keys]
-        self.tables = list(map(merged.__getitem__, keys))
+        self.tables = list(map(pairs.__getitem__, keys))
 
     def scoped(self):
         """(scope, table) of each potential, in a validated model's order:
         the unary over i, then each pair (i, j) by j, then the unary over
         i + 1."""
-        names, us, vs, tables = self.names, self.us, self.vs, self.tables
+        names = [name for name, _ in self.variables]
+        us, vs, tables = self.us, self.vs, self.tables
         k, m = 0, len(us)
         for i, (name, stated, t0, t1) in enumerate(zip(names, self.given, self.u0, self.u1)):
             if stated:
@@ -302,25 +326,27 @@ def validate_model(raw: Mapping) -> Model:
             raise DuplicateVariableError(name)
         index[name] = len(variables)
         variables.append((name, card))
-    model = Model(tuple(variables), _read_potentials(entries["potentials"], variables, index))
+    variables = tuple(variables)
+    model = Model(variables, _read_potentials(entries["potentials"], variables, index))
     vars(model)["index"] = index  # the cached `Model.index`, built here already
     return model
 
 
-def _read_potentials(entries, variables, index, ordered=True):
+def _read_potentials(entries, variables, index):
     """The potentials of `validate_model`, read from `entries` once the
-    variables have passed: a binary pairwise model's as its `_Columns`,
-    pairs in key order, or where each first appears if not `ordered`; any
-    other model's as Potential records in key order."""
+    variables have passed, repeated scopes summed: a binary pairwise
+    model's as its `_Columns`, pairs in key order; any other model's as
+    Potential records in key order."""
     card_of = [card for _, card in variables]
-    # Keyed by the scope's variable positions in declaration order: the int
-    # i*(n+1) for a unary over i and i*(n+1) + j + 1 for a pair i < j, which
-    # sort like the position tuples (i,) < (i, j) < (i + 1,); a scope of three
-    # or more variables is keyed by its sorted position tuple.
+    # A unary over i is merged in `unary` under i, any other scope in
+    # `merged` under its positions in declaration order: a pair i < j under
+    # i*(n+1) + j + 1, which, with i*(n+1) for the unary over i, sorts like
+    # (i,) < (i, j) < (i + 1,); a wider scope under its sorted position tuple.
     n1 = len(variables) + 1
     isfinite = math.isfinite
+    unary: dict[int, tuple[float, ...]] = {}
     merged: dict[int | tuple[int, ...], tuple[float, ...]] = {}
-    summed: list[int | tuple[int, ...]] = []
+    summed: list[tuple[dict, int | tuple[int, ...]]] = []  # each sum's (into, key)
     wide = False  # some key is a tuple
     for entry in entries:
         if not (type(entry) is dict or isinstance(entry, Mapping)) or len(entry) != 2:
@@ -333,6 +359,7 @@ def _read_potentials(entries, variables, index, ordered=True):
             raise ModelFormatError(f"scope must be a list of variable names: {scope!r}")
         order = len(scope)
         pos = None  # the positions in scope order, when not in declaration order
+        into = merged
         try:
             # unrolled for the orders of a pairwise model
             if order == 2:
@@ -346,9 +373,9 @@ def _read_potentials(entries, variables, index, ordered=True):
                 else:
                     raise ModelFormatError(f"scope {list(scope)} repeats a variable")
             elif order == 1:
-                i = index[scope[0]]
-                expected = card_of[i]
-                key = i * n1
+                key = index[scope[0]]
+                expected = card_of[key]
+                into = unary
             elif order:
                 pos = tuple(map(index.__getitem__, scope))
                 key = tuple(sorted(pos))
@@ -386,10 +413,12 @@ def _read_potentials(entries, variables, index, ordered=True):
                 raise NonFiniteEntryError(scope, _bad_entry_index(table))
         if pos is not None:
             values = _reorder_table(pos, [card_of[i] for i in pos], values, sorted(pos))
-        prev = merged.setdefault(key, values)
-        if prev is not values:
-            merged[key] = tuple(map(operator.add, prev, values))
-            summed.append(key)
+        prev = into.get(key)
+        if prev is None:
+            into[key] = values
+        else:
+            into[key] = tuple(map(operator.add, prev, values))
+            summed.append((into, key))
 
     def position(key):
         if type(key) is tuple:
@@ -398,12 +427,13 @@ def _read_potentials(entries, variables, index, ordered=True):
         return (i, j - 1) if j else (i,)
 
     names = list(index)
-    for key in summed:
-        if not all(map(math.isfinite, merged[key])):
-            scope = [names[i] for i in position(key)]
-            raise NonFiniteEntryError(scope, _bad_entry_index(merged[key]))
+    for into, key in summed:
+        if not all(map(math.isfinite, into[key])):
+            scope = [names[i] for i in ((key,) if into is unary else position(key))]
+            raise NonFiniteEntryError(scope, _bad_entry_index(into[key]))
     if not wide and card_of.count(2) == len(card_of):
-        return _Columns(names, merged, n1, ordered)
+        return _Columns(variables, unary, merged, n1, ordered=True)
+    merged.update({i * n1: t for i, t in unary.items()})
     keys = sorted(merged, key=position if wide else None)
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
@@ -427,18 +457,11 @@ def model_from_json_file(path: str) -> Model:
         return validate_model(json.load(fh))
 
 
-def _tables(model: Model):
-    """(scope, table) of each potential, in `model.potentials` order; a
-    validated binary pairwise model's are read off its columns."""
-    p = model[1]
-    return p.scoped() if type(p) is _Columns else model.potentials
-
-
 def energy(model: Model, assignment: Mapping[str, int]) -> float:
     """Value of the MAP objective at a full configuration."""
     cards = model.cards
     total = 0.0
-    for scope, table in _tables(model):
+    for scope, table in model.scoped():
         idx = 0  # table_index, inline
         for name in scope:
             idx = idx * cards[name] + assignment[name]
@@ -489,13 +512,11 @@ def tolerance(tables) -> float:
 
 def objective_tolerance(model: Model) -> float:
     """Largest accepted gap between a returned objective and the optimum."""
-    return tolerance(table for _, table in _tables(model))
+    return tolerance(table for _, table in model.scoped())
 
 
 def is_binary_pairwise(model: Model) -> bool:
-    return type(model[1]) is _Columns or (
-        all(c == 2 for _, c in model.variables) and all(len(p.scope) <= 2 for p in model.potentials)
-    )
+    return all(c == 2 for _, c in model.variables) and all(len(scope) <= 2 for scope, _ in model.scoped())
 
 
 class SignedGraph(NamedTuple):

@@ -677,16 +677,16 @@ def _pairwise_corpus():
 
 def test_columns_match_the_reference_summation():
     """The columns that validation writes, and those read off a Model built
-    from the validated potentials, hold the sums of `summed_pairwise`, the
-    test-side reference, run on the document's potentials as given: pairs
-    in key order for both, as those potentials come."""
+    from the validated potentials or from the document's potentials as
+    given, hold the sums of `summed_pairwise`, the test-side reference, run
+    on the document's potentials as given; validated pairs in key order."""
     repeats = reversed_pairs = 0
     for raw in _pairwise_corpus():
         u0, u1, us, vs, tables = summed_pairwise(_raw_model(raw))
         expected = (u0, u1, dict(zip(zip(us, vs), tables)))
         m = validate_model(raw)
         rebuilt = Model(m.variables, m.potentials)
-        assert _columns(m) == _columns(rebuilt) == expected
+        assert _columns(m) == _columns(rebuilt) == _columns(_raw_model(raw)) == expected
         for model in (m, rebuilt):
             ends = list(zip(model.columns.us, model.columns.vs))
             assert ends == sorted(ends) and all(u < v for u, v in ends)
@@ -709,10 +709,64 @@ def test_unvalidated_columns_keep_first_seen_pair_order():
     assert (cols.us, cols.vs) == ([1, 0], [2, 1])
     assert cols.tables == [(2.0, 0.0, 0.0, 2.0), (0.0, 2.0, 1.0, 0.0)]
     assert (cols.u0, cols.u1, list(cols.given)) == ([0.0] * 3, [0.5, 0.0, 0.0], [1, 0, 0])
-    assert model.columns is cols
+    assert model.columns is not cols  # merged anew at each read, as each view reads it
+    validated = validate_model(model_to_json(model))
+    assert validated.columns is validated.columns
     for other in (Model((("A", 3),), ()), validate_model(_ORDER_3)):
         with pytest.raises(NotBinaryPairwiseError):
             other.columns
+
+
+def test_one_table_object_given_twice_is_summed():
+    """A repeated scope is summed whatever object its table is: the same
+    tuple given twice, on a 3-label unary, a 3-variable scope, a 2-label
+    unary and a pair, reads as twice that table, as the reference validator
+    reads it, and so does a directly built Model that repeats one record."""
+    unary3, wide, unary2, pair = (1.0, 2.0, 3.0), tuple(map(float, range(8))), (0.5, 1.5), (1.0, 0.0, 0.0, 2.0)
+    for variables, scope, table in (
+        ([("X", 3)], ["X"], unary3),
+        ([("A", 2), ("B", 2), ("C", 2)], ["A", "B", "C"], wide),
+        ([("A", 2), ("B", 2), ("C", 2)], ["C", "A", "B"], wide),
+        ([("A", 2), ("B", 2)], ["B"], unary2),
+        ([("A", 2), ("B", 2)], ["B", "A"], pair),
+    ):
+        entry = {"scope": scope, "table": table}
+        raw = {"variables": [{"name": n, "card": c} for n, c in variables], "potentials": [entry, entry]}
+        model = validate_model(raw)
+        assert model == reference_validate_model(raw)
+        assert len(model.potentials) == 1
+        assert sorted(model.potentials[0].table) == sorted(2 * x for x in table)
+    record = Potential(("B", "A"), pair)
+    repeated = Model((("A", 2), ("B", 2)), (record, record, Potential(("A",), unary2), Potential(("A",), unary2)))
+    cols = repeated.columns
+    assert cols.tables == [(2.0, 0.0, 0.0, 4.0)] and (cols.u0, cols.u1) == ([1.0, 0.0], [3.0, 0.0])
+
+
+def test_record_access_gives_the_potentials():
+    """A validated model's columns stay inside the Model: indexing,
+    unpacking, `_asdict` and `_replace` give its Potential records, and a
+    Model over other variables reads its views off those records, not off
+    columns written for the old variables."""
+    raw = {
+        "variables": [{"name": n, "card": 2} for n in "ABC"],
+        "potentials": [{"scope": ["C", "A"], "table": [1.0, 0.0, 0.0, 2.0]},
+                       {"scope": ["B", "C"], "table": [0.0, 1.0, 1.0, 0.0]},
+                       {"scope": ["B"], "table": [0.0, 0.5]}],
+    }
+    model = validate_model(raw)
+    records = model.potentials
+    assert model[1] is records and model[-1] is records and model[:] == (model.variables, records)
+    variables, potentials = model
+    assert potentials is records and model._asdict()["potentials"] is records
+    assert Model(variables, model[1]) == model == Model(variables, records)
+    reordered = tuple(reversed(model.variables))
+    held = tuple.__getitem__(model, 1)  # the field as stored: the columns
+    assert held is not records and held == records
+    for other in (model._replace(variables=reordered), Model(reordered, model[1]), Model(reordered, held)):
+        expected = Model(reordered, records)
+        assert other.potentials == records
+        assert signed_view(other) == signed_view(expected) != signed_view(model)
+        assert pairwise_view(other) == pairwise_view(expected)
 
 
 def test_request_path_builds_no_potential_records(monkeypatch):

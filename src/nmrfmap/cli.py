@@ -240,45 +240,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def verb(name, arg, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument(arg)
         p.add_argument("--eps", type=_eps, default=DEFAULT_EPS)
         p.add_argument("--out", default=None, help="write the report here")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse and check a model file")
-    p.add_argument("model")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("classify", help="block-level tractability report")
-    p.add_argument("model")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("compile", help="model to normalized conflict graph")
-    p.add_argument("model")
-    common(p)
+    verb("validate", "model", _cmd_validate, "parse and check a model file")
+    verb("classify", "model", _cmd_classify, "block-level tractability report")
+    p = verb("compile", "model", _cmd_compile, "model to normalized conflict graph")
     p.add_argument("--dot", default=None, help="also write a DOT rendering here")
-    p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("solve", help="exact MAP assignment")
-    p.add_argument("model")
-    common(p)
+    p = verb("solve", "model", _cmd_solve, "exact MAP assignment")
     p.add_argument("--method", default="blocks", choices=("blocks", "bnb"))
     p.add_argument("--max-nodes", type=_nonnegative_int, default=DEFAULT_BNB_CAP)
     p.add_argument("--oracle-check", action="store_true")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("perfect", help="perfection check of an exported graph")
-    p.add_argument("nmrf")
-    common(p)
+    p = verb("perfect", "nmrf", _cmd_perfect, "perfection check of an exported graph")
     p.add_argument("--max-nodes", type=_nonnegative_int, default=24)
-    p.set_defaults(func=_cmd_perfect)
-
-    p = sub.add_parser("submodular", help="higher-order potential analysis")
-    p.add_argument("potential")
-    common(p)
-    p.set_defaults(func=_cmd_submodular)
-
+    verb("submodular", "potential", _cmd_submodular, "higher-order potential analysis")
     return parser
 
 

@@ -111,29 +111,42 @@ class Model(_ModelFields):
     @property
     def columns(self) -> _Columns:
         """The binary pairwise columns `validate_model` wrote for these
-        variables, or else the records merged as it merges them, unchecked,
-        each pair where it first appears. NotBinaryPairwiseError otherwise."""
+        variables, or else the records merged, unchecked, each pair where it
+        first appears; no pair is keyed until one repeats or comes with a
+        smaller first end than the last. NotBinaryPairwiseError otherwise."""
         held = self._held
         if type(held) is _Columns and held.variables is self.variables:
             return held
         if not set(self.cards.values()) <= {2}:
             raise NotBinaryPairwiseError("model must be binary pairwise")
         index, n1 = self.index, len(self.variables) + 1
-        unary, merged = {}, {}
+        unary, us, vs, tables = {}, [], [], []
+        at = None  # each pair's place in `tables`, by its `_read_potentials` key, once keyed
+        lu, last_u = -1, [-1] * n1  # the last pair's first end, and the last first end paired with each v
         for scope, t in self.potentials:
             if len(scope) == 1:
-                into, key = unary, index[scope[0]]
-            elif len(scope) == 2:
-                into, i, j = merged, index[scope[0]], index[scope[1]]
-                if i < j:
-                    key = i * n1 + j + 1
-                else:
-                    key, t = j * n1 + i + 1, (t[0], t[2], t[1], t[3])
-            else:
+                i = index[scope[0]]
+                prev = unary.get(i)
+                unary[i] = t if prev is None else tuple(map(operator.add, prev, t))
+                continue
+            if len(scope) != 2:
                 raise NotBinaryPairwiseError("model must be binary pairwise")
-            prev = into.get(key)
-            into[key] = t if prev is None else tuple(map(operator.add, prev, t))
-        return _Columns(self.variables, unary, merged, n1, ordered=False)
+            u, v = index[scope[0]], index[scope[1]]
+            if u > v:
+                u, v, t = v, u, (t[0], t[2], t[1], t[3])
+            if at is None and u >= lu and last_u[v] != u:
+                lu = last_u[v] = u
+            else:
+                if at is None:
+                    at = {x * n1 + y + 1: k for k, (x, y) in enumerate(zip(us, vs))}
+                k = at.setdefault(u * n1 + v + 1, len(tables))
+                if k < len(tables):
+                    tables[k] = tuple(map(operator.add, tables[k], t))
+                    continue
+            us.append(u)
+            vs.append(v)
+            tables.append(t)
+        return _Columns(self.variables, unary, us, vs, tables)
 
 
 class _Columns:
@@ -143,31 +156,28 @@ class _Columns:
     were read for, in place of its potentials: `potentials` builds their
     records when first read, and they compare, hash and print as those."""
 
-    def __init__(self, variables, unary, pairs, n1, ordered):
-        """From merged tables, `unary` by variable and `pairs` by key as
-        `_read_potentials` keys them; pairs in key order if `ordered`."""
+    def __init__(self, variables, unary, us, vs, tables):
+        """From `unary`, each stated variable's merged unary by position, and
+        the pairs' ends and merged tables."""
         n = len(variables)
-        self.variables = variables
+        self.variables, self.us, self.vs, self.tables = variables, us, vs, tables
         u0, u1, given = self.u0, self.u1, self.given = [0.0] * n, [0.0] * n, bytearray(n)
         for i, t in unary.items():
             given[i] = 1
             u0[i], u1[i] = t
-        keys = sorted(pairs) if ordered else list(pairs)
-        self.us, self.vs = [k // n1 for k in keys], [k % n1 - 1 for k in keys]
-        self.tables = list(map(pairs.__getitem__, keys))
 
     def scoped(self):
-        """(scope, table) of each potential, in a validated model's order:
-        the unary over i, then each pair (i, j) by j, then the unary over
-        i + 1."""
+        """(scope, table) of each potential: the unary over i, then the
+        pairs from k on while us[k] <= i, then the unary over i + 1. That is
+        a validated model's order; pairs out of key order come later."""
         names = [name for name, _ in self.variables]
         us, vs, tables = self.us, self.vs, self.tables
         k, m = 0, len(us)
         for i, (name, stated, t0, t1) in enumerate(zip(names, self.given, self.u0, self.u1)):
             if stated:
                 yield (name,), (t0, t1)
-            while k < m and us[k] == i:
-                yield (name, names[vs[k]]), tables[k]
+            while k < m and us[k] <= i:
+                yield (names[us[k]], names[vs[k]]), tables[k]
                 k += 1
 
     @cached_property
@@ -432,7 +442,9 @@ def _read_potentials(entries, variables, index):
             scope = [names[i] for i in ((key,) if into is unary else position(key))]
             raise NonFiniteEntryError(scope, _bad_entry_index(into[key]))
     if not wide and card_of.count(2) == len(card_of):
-        return _Columns(variables, unary, merged, n1, ordered=True)
+        keys = sorted(merged)
+        tables = list(map(merged.__getitem__, keys))
+        return _Columns(variables, unary, [k // n1 for k in keys], [k % n1 - 1 for k in keys], tables)
     merged.update({i * n1: t for i, t in unary.items()})
     keys = sorted(merged, key=position if wide else None)
     # tuple.__new__ skips the Python-level NamedTuple constructor.

@@ -712,6 +712,13 @@ def test_unvalidated_columns_keep_first_seen_pair_order():
     assert model.columns is not cols  # merged anew at each read, as each view reads it
     validated = validate_model(model_to_json(model))
     assert validated.columns is validated.columns
+    # Pair (A, B) comes after (B, C), out of key order, and still reads back.
+    assert cols.potentials == (
+        Potential(("A",), (0.0, 0.5)),
+        Potential(("B", "C"), (2.0, 0.0, 0.0, 2.0)),
+        Potential(("A", "B"), (0.0, 2.0, 1.0, 0.0)),
+    )
+    assert sorted(cols.potentials) == sorted(validated.potentials)
     for other in (Model((("A", 3),), ()), validate_model(_ORDER_3)):
         with pytest.raises(NotBinaryPairwiseError):
             other.columns

@@ -2,12 +2,15 @@
 
 Tables hold log-potential values; the solver maximizes their sum. A table
 over a scope is stored row-major with the last scope variable varying
-fastest. Scopes are canonicalized to variable declaration order on load and
-duplicate scopes are merged by entrywise sum. A binary pairwise model is
-read once: `_read_potentials` writes its columns (`_Columns`) as it checks
-each entry, and a validated model builds its `Potential` records only when
-`potentials` is read. A Model built without validation, which may repeat a
-scope, has its records merged into columns, unchecked, at each read of
+fastest. One merge rule reads every Model: a scope is put in variable
+declaration order (a 2x2 pair given as (j, i) transposed inline, any other
+table by `_reorder_table`) and summed entrywise into one dict under its
+key, which keeps the place where it first appears. A binary pairwise model
+is read once: `_read_potentials` writes its columns (`_Columns`), pairs in
+key order, as it checks each entry, and a validated model builds its
+`Potential` records only when `potentials` is read. A Model built without
+validation, which may repeat a scope, has its records merged by the same
+rule, unchecked, pairs in the order they first appear, at each read of
 `Model.columns`. The views read the columns; `_signs` holds the one fold
 rule: `signed_view` keeps only the signs it gives, and `pairwise_view`
 folds the edges it leaves unsigned. A validated Model carries the name
@@ -111,42 +114,29 @@ class Model(_ModelFields):
     @property
     def columns(self) -> _Columns:
         """The binary pairwise columns `validate_model` wrote for these
-        variables, or else the records merged, unchecked, each pair where it
-        first appears; no pair is keyed until one repeats or comes with a
-        smaller first end than the last. NotBinaryPairwiseError otherwise."""
+        variables, or else the records merged, unchecked, by its rule: each
+        pair turned to u < v and summed under its key, in the order the
+        pairs first appear. NotBinaryPairwiseError otherwise."""
         held = self._held
         if type(held) is _Columns and held.variables is self.variables:
             return held
         if not set(self.cards.values()) <= {2}:
             raise NotBinaryPairwiseError("model must be binary pairwise")
         index, n1 = self.index, len(self.variables) + 1
-        unary, us, vs, tables = {}, [], [], []
-        at = None  # each pair's place in `tables`, by its `_read_potentials` key, once keyed
-        lu, last_u = -1, [-1] * n1  # the last pair's first end, and the last first end paired with each v
+        unary, merged = {}, {}
         for scope, t in self.potentials:
             if len(scope) == 1:
-                i = index[scope[0]]
-                prev = unary.get(i)
-                unary[i] = t if prev is None else tuple(map(operator.add, prev, t))
-                continue
-            if len(scope) != 2:
-                raise NotBinaryPairwiseError("model must be binary pairwise")
-            u, v = index[scope[0]], index[scope[1]]
-            if u > v:
-                u, v, t = v, u, (t[0], t[2], t[1], t[3])
-            if at is None and u >= lu and last_u[v] != u:
-                lu = last_u[v] = u
+                into, key = unary, index[scope[0]]
+            elif len(scope) == 2:
+                u, v = index[scope[0]], index[scope[1]]
+                if u > v:
+                    u, v, t = v, u, (t[0], t[2], t[1], t[3])
+                into, key = merged, u * n1 + v + 1
             else:
-                if at is None:
-                    at = {x * n1 + y + 1: k for k, (x, y) in enumerate(zip(us, vs))}
-                k = at.setdefault(u * n1 + v + 1, len(tables))
-                if k < len(tables):
-                    tables[k] = tuple(map(operator.add, tables[k], t))
-                    continue
-            us.append(u)
-            vs.append(v)
-            tables.append(t)
-        return _Columns(self.variables, unary, us, vs, tables)
+                raise NotBinaryPairwiseError("model must be binary pairwise")
+            prev = into.get(key)
+            into[key] = t if prev is None else tuple(map(operator.add, prev, t))
+        return _Columns(self.variables, unary, merged, merged)
 
 
 class _Columns:
@@ -156,11 +146,13 @@ class _Columns:
     were read for, in place of its potentials: `potentials` builds their
     records when first read, and they compare, hash and print as those."""
 
-    def __init__(self, variables, unary, us, vs, tables):
-        """From `unary`, each stated variable's merged unary by position, and
-        the pairs' ends and merged tables."""
-        n = len(variables)
-        self.variables, self.us, self.vs, self.tables = variables, us, vs, tables
+    def __init__(self, variables, unary, merged, keys):
+        """From `unary`, each stated variable's merged unary by position,
+        and `merged`, each pair's merged table under its key u*(n+1) + v + 1
+        (as `_read_potentials` keys it), the pairs taken in `keys` order."""
+        n, n1 = len(variables), len(variables) + 1
+        self.variables, self.tables = variables, list(map(merged.__getitem__, keys))
+        self.us, self.vs = [k // n1 for k in keys], [k % n1 - 1 for k in keys]
         u0, u1, given = self.u0, self.u1, self.given = [0.0] * n, [0.0] * n, bytearray(n)
         for i, t in unary.items():
             given[i] = 1
@@ -421,7 +413,9 @@ def _read_potentials(entries, variables, index):
             values = _as_floats(table)
             if values is None or not all(map(math.isfinite, values)):
                 raise NonFiniteEntryError(scope, _bad_entry_index(table))
-        if pos is not None:
+        if pos is not None and expected == 4:  # a 2x2 pair given as (j, i)
+            values = (values[0], values[2], values[1], values[3])
+        elif pos is not None:
             values = _reorder_table(pos, [card_of[i] for i in pos], values, sorted(pos))
         prev = into.get(key)
         if prev is None:
@@ -442,9 +436,7 @@ def _read_potentials(entries, variables, index):
             scope = [names[i] for i in ((key,) if into is unary else position(key))]
             raise NonFiniteEntryError(scope, _bad_entry_index(into[key]))
     if not wide and card_of.count(2) == len(card_of):
-        keys = sorted(merged)
-        tables = list(map(merged.__getitem__, keys))
-        return _Columns(variables, unary, [k // n1 for k in keys], [k % n1 - 1 for k in keys], tables)
+        return _Columns(variables, unary, merged, sorted(merged))
     merged.update({i * n1: t for i, t in unary.items()})
     keys = sorted(merged, key=position if wide else None)
     # tuple.__new__ skips the Python-level NamedTuple constructor.

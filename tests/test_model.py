@@ -12,6 +12,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+import nmrfmap.model
 import nmrfmap.mwss
 import nmrfmap.structure
 from generators import block_chain_model, random_signed_model
@@ -698,6 +699,43 @@ def test_columns_match_the_reference_summation():
     assert repeats > 100 and reversed_pairs > 100
 
 
+def test_reversed_pairs_are_transposed_inline(monkeypatch):
+    """A 2x2 pair given as (j, i) is transposed inline, never through
+    `_reorder_table`, which still turns a reversed 3-label pair and an
+    order-3 scope given out of declaration order; every model reads as the
+    reference validator reads it."""
+    calls = []
+    reorder = nmrfmap.model._reorder_table
+
+    def counted(*args):
+        calls.append(args)
+        return reorder(*args)
+
+    monkeypatch.setattr(nmrfmap.model, "_reorder_table", counted)
+    pairs = 0
+    for raw in _pairwise_corpus()[:100]:
+        position = {v["name"]: k for k, v in enumerate(raw["variables"])}
+        potentials = []
+        for p in raw["potentials"]:
+            scope, t = p["scope"], p["table"]
+            if len(scope) == 2 and position[scope[0]] < position[scope[1]]:
+                scope, t = scope[::-1], [t[0], t[2], t[1], t[3]]
+            pairs += len(scope) == 2
+            potentials.append({"scope": scope, "table": t})
+        reversed_raw = {"variables": raw["variables"], "potentials": potentials}
+        assert validate_model(reversed_raw) == reference_validate_model(reversed_raw) == reference_validate_model(raw)
+    assert calls == [] and pairs > 300
+    for variables, scope in (([("A", 3), ("B", 2)], ["B", "A"]), ([("A", 2), ("B", 2), ("C", 2)], ["C", "A", "B"])):
+        size = math.prod(card for _, card in variables)
+        raw = {
+            "variables": [{"name": n, "card": c} for n, c in variables],
+            "potentials": [{"scope": scope, "table": [float(x) for x in range(size)]}],
+        }
+        assert validate_model(raw) == reference_validate_model(raw)
+        assert len(calls) == 1
+        calls.clear()
+
+
 def test_unvalidated_columns_keep_first_seen_pair_order():
     model = Model((("A", 2), ("B", 2), ("C", 2)), (
         Potential(("B", "C"), (1.0, 0.0, 0.0, 1.0)),
@@ -719,6 +757,25 @@ def test_unvalidated_columns_keep_first_seen_pair_order():
         Potential(("A", "B"), (0.0, 2.0, 1.0, 0.0)),
     )
     assert sorted(cols.potentials) == sorted(validated.potentials)
+    # Repeats that are not adjacent: a pair repeated after a pair with a
+    # larger first end, a repeat given reversed, and a pair whose first end
+    # is smaller than the pair before it. Each pair stays where it first
+    # appears, summed, as `summed_pairwise` reads it.
+    variables = tuple((name, 2) for name in "ABCD")
+    for scopes in (
+        [("A", "B"), ("C", "D"), ("A", "B")],
+        [("A", "C"), ("B", "D"), ("C", "A")],
+        [("C", "D"), ("A", "D"), ("B", "C"), ("D", "A"), ("C", "B")],
+        [("B", "C"), ("A", "B"), ("C", "D"), ("B", "A"), ("D", "C"), ("A", "D")],
+    ):
+        model = Model(variables, tuple(Potential(s, (float(k), 1.0, 2.0 * k, 0.5)) for k, s in enumerate(scopes)))
+        cols = model.columns
+        assert (cols.u0, cols.u1, cols.us, cols.vs, cols.tables) == summed_pairwise(model)
+        assert len(cols.us) < len(scopes)
+    for raw in _pairwise_corpus():
+        model = _raw_model(raw)
+        cols = model.columns
+        assert (cols.u0, cols.u1, cols.us, cols.vs, cols.tables) == summed_pairwise(model)
     for other in (Model((("A", 3),), ()), validate_model(_ORDER_3)):
         with pytest.raises(NotBinaryPairwiseError):
             other.columns

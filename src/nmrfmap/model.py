@@ -8,10 +8,10 @@ table by `_reorder_table`) and summed entrywise into one dict under its
 key, which keeps the place where it first appears. A binary pairwise model
 is read once: `_read_potentials` writes its columns (`_Columns`), pairs in
 key order, as it checks each entry, and a validated model builds its
-`Potential` records only when `potentials` is read. A Model built without
-validation, which may repeat a scope, has its records merged by the same
-rule, unchecked, pairs in the order they first appear, at each read of
-`Model.columns`. The views read the columns; `_signs` holds the one fold
+`Potential` records only when `potentials` is read. `_merge` applies the
+rule unchecked, to `Model.scoped()` as held, for `nmrf.build_nmrf` and for
+each read of `Model.columns` on a Model built without validation, which
+may repeat a scope. The views read the columns; `_signs` holds the one fold
 rule: `signed_view` keeps only the signs it gives, and `pairwise_view`
 folds the edges it leaves unsigned. A validated Model carries the name
 index that validation built.
@@ -114,28 +114,16 @@ class Model(_ModelFields):
     @property
     def columns(self) -> _Columns:
         """The binary pairwise columns `validate_model` wrote for these
-        variables, or else the records merged, unchecked, by its rule: each
-        pair turned to u < v and summed under its key, in the order the
-        pairs first appear. NotBinaryPairwiseError otherwise."""
+        variables, or else the potentials merged by `_merge`, the pairs in
+        the order they first appear. NotBinaryPairwiseError otherwise."""
         held = self._held
         if type(held) is _Columns and held.variables is self.variables:
             return held
         if not set(self.cards.values()) <= {2}:
             raise NotBinaryPairwiseError("model must be binary pairwise")
-        index, n1 = self.index, len(self.variables) + 1
-        unary, merged = {}, {}
-        for scope, t in self.potentials:
-            if len(scope) == 1:
-                into, key = unary, index[scope[0]]
-            elif len(scope) == 2:
-                u, v = index[scope[0]], index[scope[1]]
-                if u > v:
-                    u, v, t = v, u, (t[0], t[2], t[1], t[3])
-                into, key = merged, u * n1 + v + 1
-            else:
-                raise NotBinaryPairwiseError("model must be binary pairwise")
-            prev = into.get(key)
-            into[key] = t if prev is None else tuple(map(operator.add, prev, t))
+        unary, merged = _merge(self)
+        if any(type(key) is tuple for key in merged):
+            raise NotBinaryPairwiseError("model must be binary pairwise")
         return _Columns(self.variables, unary, merged, merged)
 
 
@@ -424,24 +412,51 @@ def _read_potentials(entries, variables, index):
             into[key] = tuple(map(operator.add, prev, values))
             summed.append((into, key))
 
-    def position(key):
-        if type(key) is tuple:
-            return key
-        i, j = divmod(key, n1)
-        return (i, j - 1) if j else (i,)
-
     names = list(index)
     for into, key in summed:
         if not all(map(math.isfinite, into[key])):
-            scope = [names[i] for i in ((key,) if into is unary else position(key))]
+            scope = [names[i] for i in ((key,) if into is unary else _position(key, n1))]
             raise NonFiniteEntryError(scope, _bad_entry_index(into[key]))
     if not wide and card_of.count(2) == len(card_of):
         return _Columns(variables, unary, merged, sorted(merged))
     merged.update({i * n1: t for i, t in unary.items()})
-    keys = sorted(merged, key=position if wide else None)
+    keys = sorted(merged, key=(lambda k: _position(k, n1)) if wide else None)
     # tuple.__new__ skips the Python-level NamedTuple constructor.
     new = tuple.__new__
-    return tuple([new(Potential, (tuple([names[i] for i in position(k)]), merged[k])) for k in keys])
+    return tuple([new(Potential, (tuple([names[i] for i in _position(k, n1)]), merged[k])) for k in keys])
+
+
+def _position(key, n1):
+    """The declaration positions of the scope merged under `key`; n1 is n + 1."""
+    if type(key) is tuple:
+        return key
+    i, j = divmod(key, n1)
+    return (i, j - 1) if j else (i,)
+
+
+def _merge(model):
+    """`model.scoped()` merged, unchecked, by `_read_potentials`' rule into
+    dicts (unary, merged) keyed as it keys them, in first-seen key order."""
+    index, n1 = model.index, len(model.variables) + 1
+    unary, merged = {}, {}
+    for scope, t in model.scoped():
+        if len(scope) == 1:
+            into, key = unary, index[scope[0]]
+        elif len(t) == 4:  # a 2x2 pair
+            u, v = index[scope[0]], index[scope[1]]
+            if u > v:
+                u, v, t = v, u, (t[0], t[2], t[1], t[3])
+            into, key = merged, u * n1 + v + 1
+        else:
+            pos = tuple([index[name] for name in scope])
+            into, key = merged, tuple(sorted(pos))
+            if key != pos:
+                t = _reorder_table(pos, [model.variables[i][1] for i in pos], t, key)
+            if len(key) == 2:
+                key = key[0] * n1 + key[1] + 1
+        prev = into.get(key)
+        into[key] = t if prev is None else tuple(map(operator.add, prev, t))
+    return unary, merged
 
 
 def model_to_json(model: Model) -> dict:

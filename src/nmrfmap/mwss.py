@@ -38,10 +38,10 @@ without solving again.
 weights and edges that `nmrf.prune` builds once, and reads its assignment
 off the stable set: the chosen nodes' labels, and 0 for every variable
 they leave unset. It handles small models of any order and labels; its
-compile, `build_nmrf`, sums repeated scopes too. Only it loads the `nmrf`
-module, when it runs: `solve_map` rewrites each edge itself, with
-`model.single_enode`. Each solver returns, as `MapSolution.slack`, the
-most its objective may miss the optimum by past `objective_tolerance`:
+compile, `build_nmrf`, merges scopes as validation does. Only it loads
+the `nmrf` module, when it runs: `solve_map` rewrites each edge itself,
+with `model.single_enode`. Each solver returns, as `MapSolution.slack`,
+the most its objective may miss the optimum by past `objective_tolerance`:
 twice the fold's slack for `solve_map`, the prune's for `solve_map_bnb`.
 """
 

@@ -10,23 +10,23 @@ writer builds every graph: all nodes of any model (`build_nmrf`), or a binary
 pairwise model's of weight > eps under its enode plan (`compile_pairwise`),
 which reads the model's columns through `pairwise_view`, so an edge the view
 folds has no group and adds its mean to the constant. `build_nmrf` reads
-`model.potentials`, which a validated binary pairwise model builds from its
-columns when first read.
+the model's tables as `model._merge` merges them, so a Model built directly
+compiles as its validated twin and a validated one builds no records.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import ModelFormatError, TooLargeError
 from .model import (
     DEFAULT_EPS,
     Model,
     _as_floats,
-    _reorder_table,
+    _merge,
+    _position,
     pairwise_view,
     single_enode,
 )
@@ -72,37 +72,22 @@ class PrunedNmrf(NamedTuple):
 
 
 def build_nmrf(model: Model) -> Nmrf:
-    """Compile a model into its normalized NMRF, every node kept. A graph of
-    more than MAX_NODES nodes raises TooLargeError, naming the clique group
-    that passes the cap, before any node is built."""
-    cards = model.cards
+    """Compile a model into its normalized NMRF, every node kept: a clique
+    group per variable and per scope `_merge` gives. Past MAX_NODES nodes,
+    TooLargeError names the merged group that passes the cap, building none."""
+    unary, merged = _merge(model)
+    names, cards, n1 = model.names, model.cards, len(model.variables) + 1
+    scopes = [tuple([names[i] for i in _position(key, n1)]) for key in merged]
     size = 0
-    given = itertools.chain(((name,) for name in cards), (p.scope for p in model.potentials))
-    for scope in dict.fromkeys(given):
+    for scope in itertools.chain(zip(names), scopes):
         size += math.prod([cards[n] for n in scope])
         if size > MAX_NODES:
             raise TooLargeError(
                 f"clique group {list(scope)} brings the graph to {size} nodes, past the cap {MAX_NODES}"
             )
-    # A scope given twice, in any variable order, as only a Model built
-    # without validate_model has it, is one clique group over the sum of its
-    # tables, taken in the order the scope was first given.
-    first: dict[frozenset[str], tuple[str, ...]] = {}
-    tables: dict[tuple[str, ...], Sequence[float]] = {}
-    for p in model.potentials:
-        scope, t = p.scope, p.table
-        if len(scope) > 1:
-            scope = first.setdefault(frozenset(scope), scope)
-            if scope != p.scope:
-                t = _reorder_table(p.scope, [cards[n] for n in p.scope], t, scope)
-        if scope in tables:
-            t = tuple(map(operator.add, tables[scope], t))
-        tables[scope] = t
-    scopes = [
-        ((name,), tables.pop((name,), (0.0,) * card)) for name, card in model.variables
-    ]
-    scopes += tables.items()
-    return _write_nmrf(model, scopes)
+    groups = [((name,), unary.get(i, (0.0,) * cards[name])) for i, name in enumerate(names)]
+    groups += zip(scopes, merged.values())
+    return _write_nmrf(model, groups)
 
 
 def compile_pairwise(model: Model, eps: float = DEFAULT_EPS) -> tuple[Nmrf, TractabilityReport]:

@@ -43,8 +43,8 @@ from nmrfmap.model import (
     table_index,
     validate_model,
 )
-from nmrfmap.mwss import solve_map
-from nmrfmap.nmrf import compile_pairwise
+from nmrfmap.mwss import solve_map, solve_map_bnb
+from nmrfmap.nmrf import build_nmrf, compile_pairwise
 from nmrfmap.structure import classify_model, enode_forms, report_to_json
 
 
@@ -866,6 +866,24 @@ def test_request_path_builds_no_potential_records(monkeypatch):
         assert model.potentials == reference_validate_model(raw).potentials
         built.clear()
     assert solved > 20
+
+
+def test_branch_and_bound_builds_no_potential_records(monkeypatch):
+    """`build_nmrf` and `solve_map_bnb` read a validated binary pairwise
+    model's columns through `_merge`: neither builds a Potential record."""
+    built = []
+    new = Potential.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Potential, "__new__", spy)
+    for raw in _pairwise_corpus()[:40]:
+        model = validate_model(raw)
+        build_nmrf(model)
+        solve_map_bnb(model, max_nodes=200)
+        assert built == [] and "potentials" not in vars(model._held)
 
 
 def test_energy_and_tolerance_read_off_the_columns_are_exact():

@@ -1,6 +1,9 @@
+import collections
 import hashlib
 import itertools
 import json
+import math
+import random
 import re
 
 import numpy as np
@@ -14,7 +17,8 @@ from nmrfmap.errors import (
     TooLargeError,
     ZeroAssociativityError,
 )
-from nmrfmap.model import DEFAULT_EPS, energy, validate_model
+from nmrfmap.model import DEFAULT_EPS, Model, Potential, energy, model_to_json, validate_model
+from nmrfmap.mwss import solve_map_bnb
 from nmrfmap.nmrf import (
     NmrfNode,
     build_nmrf,
@@ -267,19 +271,73 @@ def test_compile_pairwise_refuses_a_model_not_binary_pairwise(raw):
 
 
 def test_pair_given_in_both_orders_compiles_to_one_group():
-    from nmrfmap.model import Model, Potential
-
     variables = (("X1", 2), ("X2", 2))
     parts = (
         Potential(("X1", "X2"), (1.0, 0.5, 0.0, 0.25)),
         Potential(("X2", "X1"), (1.0, -1.0, -0.5, 0.75)),
     )
-    # the summed table, over the order the pair was first given in
-    for given, summed in ((parts, (2.0, 0.0, -1.0, 1.0)), (parts[::-1], (2.0, -1.0, 0.0, 1.0))):
+    # the summed table, over the pair in declaration order, whichever order came first
+    expected = build_nmrf(Model(variables, (Potential(("X1", "X2"), (2.0, 0.0, -1.0, 1.0)),)))
+    for given in (parts, parts[::-1]):
         nmrf = build_nmrf(Model(variables, given))
-        expected = build_nmrf(Model(variables, (Potential(given[0].scope, summed),)))
-        assert list(nmrf.groups) == list(expected.groups)
+        assert list(nmrf.groups) == list(expected.groups) == [("X1",), ("X1", "X2"), ("X2",)]
         assert nmrf_to_json(nmrf) == nmrf_to_json(expected)
+
+
+@pytest.mark.parametrize("first", [("A", "B"), ("B", "A")])
+def test_node_cap_counts_merged_groups(monkeypatch, first):
+    """A pair given as (A, B) and as (B, A) is one group of 4 nodes: with
+    the two unary groups the graph has 8 nodes, and the cap counts those."""
+    pair = (Potential(first, (1.0, 0.0, 0.0, 1.0)), Potential(first[::-1], (0.0, 0.5, 0.5, 0.0)))
+    model = Model((("A", 2), ("B", 2)), pair)
+    monkeypatch.setattr(nmrfmap.nmrf, "MAX_NODES", 8)
+    nmrf = build_nmrf(model)
+    assert len(nmrf.nodes) == 8
+    assert list(nmrf.groups) == [("A",), ("A", "B"), ("B",)]
+    monkeypatch.setattr(nmrfmap.nmrf, "MAX_NODES", 7)
+    message = "clique group ['A', 'B'] brings the graph to 8 nodes, past the cap 7"
+    with pytest.raises(TooLargeError, match=re.escape(message)):
+        build_nmrf(model)
+
+
+def _direct_models(count, seed):
+    """Models built without validation: 2- and 3-label variables, float
+    tables in half steps, scopes of order 1-3 given out of declaration
+    order, and some given again, shuffled, with another table."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        variables = tuple((f"V{i}", rng.choice((2, 2, 3))) for i in range(rng.randint(2, 4)))
+        cards = dict(variables)
+        potentials = []
+        for _ in range(rng.randint(1, 5)):
+            scope = rng.sample(list(cards), min(rng.choice((1, 2, 2, 3)), len(cards)))
+            for _ in range(rng.choice((1, 1, 2))):
+                size = math.prod([cards[n] for n in scope])
+                table = tuple(rng.randint(-4, 4) / 2 for _ in range(size))  # half steps, for ties
+                potentials.append(Potential(tuple(scope), table))
+                rng.shuffle(scope)
+        yield Model(variables, tuple(potentials))
+
+
+def test_direct_model_compiles_as_its_validated_twin():
+    """`build_nmrf` merges a directly built model by the validator's rule:
+    its graph is, to the byte, that of `validate_model(model_to_json(m))`,
+    and branch and bound reads the same assignment off both."""
+    seen = collections.Counter()
+    for model in _direct_models(300, seed=1009):
+        twin = validate_model(model_to_json(model))
+        assert nmrf_to_json(build_nmrf(model)) == nmrf_to_json(build_nmrf(twin))
+        solved = [solve_map_bnb(m, max_nodes=200).assignment for m in (model, twin)]
+        assert solved[0] == solved[1]
+        scopes = [p.scope for p in model.potentials]
+        seen["repeated"] += len(scopes) != len({frozenset(s) for s in scopes})
+        for scope in scopes:
+            pos = [model.index[n] for n in scope]
+            labels = "binary" if all(model.cards[n] == 2 for n in scope) else "3-label"
+            seen[f"order {len(scope)} {labels}", pos != sorted(pos)] += 1
+    assert seen["repeated"] > 100, seen
+    for kind in ("order 2 binary", "order 2 3-label", "order 3 binary", "order 3 3-label"):
+        assert seen[kind, True] > 20, seen
 
 
 def test_prune_drops_only_zero_weight_nodes():
